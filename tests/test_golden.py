@@ -1,0 +1,40 @@
+"""Golden outputs: default-config reports at seed 0, pinned by sha256.
+
+The determinism tests compare two runs of the same code; these pin the bytes
+themselves, so a refactor that changes any report or table value fails here.
+The hashes depend on numpy's PCG64 streams and float64 arithmetic; a change
+to either is a deliberate report change and updates this table.
+"""
+
+import hashlib
+
+import pytest
+
+from prunerank.cli import main
+
+GOLDEN = {
+    "verify-bounds": {
+        "report.json": "935a93f4efb8a0679b1343bd69ff7ee5e6fc64ae0152e94949df946a80e4c67c",
+        "tables/bound_tallies.csv": "54339e76d2760855aa5b2ba69b1354dee1024bbcf6db9d0a5180edceaacdc3c0",
+    },
+    "simulate": {
+        "report.json": "748b9717833ebb93d9be7caabed9ce952979a3389a79fcd8347f30628781031b",
+        "tables/pruning_comparison.csv": "a1fb174779b3ed16708b422f66e158aae03f018372d7d3240da686a88f6c6e7a",
+        "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
+    },
+    "cost-model": {
+        "report.json": "57dbcfb108162a6a4119cd75bf495a938d67f7440766f02c9697d1a2a518a3d5",
+        "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_outputs_match_golden_hashes(command, tmp_path):
+    assert main([command, "--seed", "0", "--out", str(tmp_path)]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert written == GOLDEN[command]
