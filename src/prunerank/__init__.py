@@ -1,144 +1,4 @@
 """Query-aware token pruning, single-pass listwise scoring, ranking losses,
 a decoder FLOPs model, IR metrics, and a bound-verification harness."""
 
-from . import errors
-from .attention import (
-    PruneErrorReport,
-    TailGapReport,
-    attention_mass_per_token,
-    attention_output,
-    check_pruning_error_bound,
-    pruned_attention_output,
-    softmax,
-    tail_gap_bound_check,
-)
-from .cost_model import (
-    ArchParams,
-    WorkloadSpec,
-    cost_report,
-    decode_flops,
-    f_base,
-    f_zip,
-    longcontext_prefill_ratio,
-    prefill_flops,
-    score_flops,
-    speedup,
-    total_flops,
-)
-from .linalg import (
-    cosine_similarity,
-    embedding_from_json,
-    embedding_to_json,
-    l2_normalize,
-    similarity_matrix,
-)
-from .losses import (
-    LossValue,
-    SoftTarget,
-    finite_difference_gradcheck,
-    geometric_target,
-    nll_loss,
-    soft_rank_loss,
-    stage_loss,
-    weighted_ranknet_loss,
-)
-from .metrics import (
-    FailureClass,
-    QueryJudgment,
-    aggregate,
-    classify_failure,
-    evaluate_judgments,
-    mean_rank,
-    ndcg_at_k,
-    precision_at_1,
-    recall_at_k,
-    spearman,
-)
-from .pruning import (
-    PruneResult,
-    PruneScores,
-    StabilityReport,
-    keep_count,
-    lse_scores,
-    maxsim_scores,
-    prune_images,
-    random_prune,
-    select_topk_preserve_order,
-    topk_stability_check,
-)
-from .scoring import (
-    CandidateList,
-    TokenAccounting,
-    apply_permutation,
-    assign_identifiers,
-    rank_from_logits,
-    token_accounting,
-)
-from .synthetic import SyntheticConfig, SyntheticInstance, generate_instance
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchParams",
-    "CandidateList",
-    "FailureClass",
-    "LossValue",
-    "PruneErrorReport",
-    "PruneResult",
-    "PruneScores",
-    "QueryJudgment",
-    "SoftTarget",
-    "StabilityReport",
-    "SyntheticConfig",
-    "SyntheticInstance",
-    "TailGapReport",
-    "TokenAccounting",
-    "WorkloadSpec",
-    "aggregate",
-    "apply_permutation",
-    "assign_identifiers",
-    "attention_mass_per_token",
-    "attention_output",
-    "check_pruning_error_bound",
-    "classify_failure",
-    "cosine_similarity",
-    "cost_report",
-    "decode_flops",
-    "embedding_from_json",
-    "embedding_to_json",
-    "errors",
-    "evaluate_judgments",
-    "f_base",
-    "f_zip",
-    "finite_difference_gradcheck",
-    "generate_instance",
-    "geometric_target",
-    "keep_count",
-    "l2_normalize",
-    "longcontext_prefill_ratio",
-    "lse_scores",
-    "maxsim_scores",
-    "mean_rank",
-    "ndcg_at_k",
-    "nll_loss",
-    "precision_at_1",
-    "prefill_flops",
-    "prune_images",
-    "pruned_attention_output",
-    "random_prune",
-    "rank_from_logits",
-    "recall_at_k",
-    "score_flops",
-    "select_topk_preserve_order",
-    "similarity_matrix",
-    "soft_rank_loss",
-    "softmax",
-    "spearman",
-    "speedup",
-    "stage_loss",
-    "tail_gap_bound_check",
-    "token_accounting",
-    "topk_stability_check",
-    "total_flops",
-    "weighted_ranknet_loss",
-]

@@ -106,15 +106,6 @@ class PruneErrorReport:
     bound: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "error_norm": self.error_norm,
-            "tail_mass": self.tail_mass,
-            "v_max": self.v_max,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
-
 
 def check_pruning_error_bound(alpha, V, kept) -> PruneErrorReport:
     """Verify that pruning moves the pooled output by at most 2 * tail_mass * v_max.
@@ -144,14 +135,6 @@ class TailGapReport:
     delta: float
     bound: float
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
 
 
 def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:

@@ -180,8 +180,7 @@ def _cmd_simulate(args) -> int:
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"]:
-        with open(cfg["query_embedding_path"]) as handle:
-            query = embedding_from_json(json.load(handle))
+        query = embedding_from_json(_load_config(cfg["query_embedding_path"]))
         syn["n_query_tokens"], syn["embed_dim"] = query.shape
     seeds = _section_seeds(args.seed, 3)
     comparison = run_pruning_comparison(

@@ -44,16 +44,6 @@ class ArchParams:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
-    def to_json(self) -> dict:
-        return {
-            "layers": self.layers,
-            "width": self.width,
-            "c_att": self.c_att,
-            "c_ffn": self.c_ffn,
-            "c_dec": self.c_dec,
-            "c_score": self.c_score,
-        }
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -112,20 +102,6 @@ class WorkloadSpec:
     @property
     def n_rho_mode(self) -> str:
         return N_RHO_PER_IMAGE if self.image_token_counts is not None else N_RHO_APPROX
-
-    def to_json(self) -> dict:
-        return {
-            "n_text": self.n_text,
-            "n_vis": self.n_vis,
-            "n_query": self.n_query,
-            "k": self.k,
-            "beta": self.beta,
-            "u_reason": self.u_reason,
-            "rho": self.rho,
-            "image_token_counts": (
-                list(self.image_token_counts) if self.image_token_counts is not None else None
-            ),
-        }
 
 
 def prefill_flops(n: float, p: ArchParams) -> float:

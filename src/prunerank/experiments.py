@@ -38,7 +38,6 @@ from .errors import ConfigError, InvalidRatioError
 from .linalg import similarity_matrix
 from .metrics import QueryJudgment, evaluate_judgments, spearman
 from .pruning import (
-    PruneScores,
     keep_count,
     lse_scores,
     maxsim_scores,
@@ -103,8 +102,7 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
             k = int(rng.integers(1, n_tokens))
             sims = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
             sims[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
-        scores = PruneScores.from_similarity(sims)
-        report = topk_stability_check(scores.max_sim, scores.lse, k, n_query)
+        report = topk_stability_check(maxsim_scores(sims), lse_scores(sims), k, n_query)
         if report.guaranteed_stable:
             premise_count += 1
             if not report.sets_equal:
@@ -199,6 +197,20 @@ def run_bound_verification(trials: int, seed: int, error_bound_constant: float =
     }
 
 
+def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None):
+    """The master generator and a lazy stream of n_instances seeded instances.
+
+    The instance seeds are the master's first draw; callers may draw more from
+    the master afterwards, before or while consuming the stream.
+    """
+    master = np.random.default_rng(cfg.seed)
+    seeds = master.integers(2**63, size=n_instances)
+    instances = (
+        generate_instance(dataclasses.replace(cfg, seed=int(seed)), query=query) for seed in seeds
+    )
+    return master, instances
+
+
 def _validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
     ratios = [float(r) for r in keep_ratios]
     if not ratios:
@@ -225,16 +237,12 @@ def run_pruning_comparison(
     ratios = _validate_ratios(keep_ratios)
     if n_instances < 1:
         raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
-    master = np.random.default_rng(cfg.seed)
-    instance_seeds = master.integers(2**63, size=n_instances)
+    master, instances = _instances(cfg, n_instances, query)
     random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
     kept_t2i = np.zeros(len(ratios), dtype=np.int64)
     kept_random = np.zeros(len(ratios), dtype=np.int64)
     total_planted = 0
-    for i in range(n_instances):
-        instance = generate_instance(
-            dataclasses.replace(cfg, seed=int(instance_seeds[i])), query=query
-        )
+    for i, instance in enumerate(instances):
         image = instance.images[instance.relevant_image]
         planted = set(instance.planted[instance.relevant_image])
         total_planted += len(planted)
@@ -282,13 +290,9 @@ def run_correlation_probe(
         raise ConfigError("n_instances and n_heads must be >= 1")
     if attention_noise < 0:
         raise ConfigError(f"attention_noise must be nonnegative, got {attention_noise}")
-    master = np.random.default_rng(cfg.seed)
-    instance_seeds = master.integers(2**63, size=n_instances)
+    master, instances = _instances(cfg, n_instances, query)
     correlations = []
-    for i in range(n_instances):
-        instance = generate_instance(
-            dataclasses.replace(cfg, seed=int(instance_seeds[i])), query=query
-        )
+    for instance in instances:
         image = instance.images[instance.relevant_image]
         sims = similarity_matrix(instance.query, image)
         hard = maxsim_scores(sims)
@@ -323,26 +327,22 @@ def run_synthetic_ranking(
 
     Each candidate image is scored by the best surviving token score after
     pruning at the given rho; candidates are ranked by descending score and
-    judged against the planted relevant image.
+    judged against the planted relevant image. Pruning keeps at least one
+    token and always keeps the best one, so that score is the image's maximum
+    token score and the result does not depend on rho.
     """
     ratios = _validate_ratios([rho])
     rho = ratios[0]
     if n_instances < 1:
         raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
-    master = np.random.default_rng(cfg.seed)
-    instance_seeds = master.integers(2**63, size=n_instances)
+    _, instances = _instances(cfg, n_instances, query)
     judgments = []
-    for i in range(n_instances):
-        instance = generate_instance(
-            dataclasses.replace(cfg, seed=int(instance_seeds[i])), query=query
-        )
+    for instance in instances:
         candidates = CandidateList.from_ids(range(len(instance.images)))
-        logits = []
-        for image in instance.images:
-            scores = maxsim_scores(similarity_matrix(instance.query, image))
-            budget = keep_count(rho, scores.size)
-            kept = select_topk_preserve_order(scores, budget)
-            logits.append(float(scores[kept].max()))
+        logits = [
+            float(maxsim_scores(similarity_matrix(instance.query, image)).max())
+            for image in instance.images
+        ]
         permutation = rank_from_logits(logits)
         reranked = apply_permutation(list(candidates.ids), permutation)
         judgments.append(
@@ -402,7 +402,7 @@ def run_cost_sweep(
                 }
             )
     return {
-        "arch": arch.to_json(),
+        "arch": dataclasses.asdict(arch),
         "template": {
             "n_text": n_text,
             "tokens_per_candidate": tokens_per_candidate,

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     InvalidGammaError,
     InvalidProbabilityError,
+    NonFiniteError,
 )
 from .scoring import validate_permutation
 
@@ -43,7 +44,7 @@ def _as_logits(s) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 1:
         raise EmptyInputError(f"logits must be a nonempty 1-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise EmptyInputError("logits contain NaN or infinite entries")
+        raise NonFiniteError("logits contain NaN or infinite entries")
     return arr
 
 
@@ -53,9 +54,6 @@ class LossValue:
 
     value: float
     gradient: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "gradient": [float(g) for g in self.gradient]}
 
 
 def weighted_ranknet_loss(s, ranks) -> LossValue:

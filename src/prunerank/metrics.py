@@ -22,6 +22,7 @@ from .errors import (
     EmptySubsetError,
     GroundTruthNotRankedError,
     KOutOfRangeError,
+    NonFiniteError,
 )
 
 SUCCESS = "success"
@@ -163,7 +164,7 @@ def spearman(x, y) -> float:
     if a.size < 2:
         raise EmptyInputError(f"need at least two observations, got {a.size}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DimensionMismatchError("inputs contain NaN or infinite entries")
+        raise NonFiniteError("inputs contain NaN or infinite entries")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateConstantError("rank correlation undefined for constant input")
     ra = _average_ranks(a)

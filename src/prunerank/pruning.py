@@ -51,24 +51,6 @@ def lse_scores(s) -> np.ndarray:
     return shift + np.log(np.exp(arr - shift[None, :]).sum(axis=0))
 
 
-@dataclass(frozen=True)
-class PruneScores:
-    """Hard-max and smooth (log-sum-exp) pooling scores for one image's tokens.
-
-    For every token j: max_sim[j] <= lse[j] <= max_sim[j] + log(n_query), with
-    the upper bound attained exactly when all query rows score j equally.
-    """
-
-    max_sim: np.ndarray
-    lse: np.ndarray
-    n_query: int
-
-    @classmethod
-    def from_similarity(cls, s) -> "PruneScores":
-        arr = _as_similarity(s)
-        return cls(max_sim=maxsim_scores(arr), lse=lse_scores(arr), n_query=int(arr.shape[0]))
-
-
 def keep_count(rho: float, n_tokens: int) -> int:
     """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens."""
     if not 0.0 < rho <= 1.0:
@@ -144,14 +126,6 @@ class PruneResult:
     keep_count: int
     keep_ratio: float
     margin: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "kept_indices": list(self.kept_indices),
-            "keep_count": self.keep_count,
-            "keep_ratio": self.keep_ratio,
-            "margin": self.margin,
-        }
 
 
 def prune_by_scores(scores, rho: float) -> PruneResult:

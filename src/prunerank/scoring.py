@@ -2,9 +2,8 @@
 
 Candidates get single-symbol identifiers; after one forward pass the
 identifier logits are argsorted descending into a permutation of the
-candidate list. Token accounting tracks context length before and after
-per-image pruning. No tokenizer or prompt rendering lives here; logits
-arrive as plain numbers.
+candidate list. No tokenizer or prompt rendering lives here; logits arrive
+as plain numbers.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidPermutationError,
-    InvalidRatioError,
     NonFiniteError,
     TooManyCandidatesError,
 )
-from .pruning import keep_count
 
 IDENTIFIER_ALPHABET = string.ascii_uppercase
 
@@ -108,50 +105,3 @@ def apply_permutation(items, order) -> list:
         raise DimensionMismatchError(f"{len(seq)} items vs permutation of length {arr.size}")
     return [seq[i] for i in arr]
 
-
-@dataclass(frozen=True)
-class TokenAccounting:
-    """Context-length bookkeeping before and after per-image token pruning."""
-
-    n_text: int
-    n_vis: int
-    n_query: int
-    rho: float
-    n_rho: int
-
-    def to_json(self) -> dict:
-        return {
-            "n_text": self.n_text,
-            "n_vis": self.n_vis,
-            "n_query": self.n_query,
-            "rho": self.rho,
-            "n_rho": self.n_rho,
-        }
-
-
-def token_accounting(n_text: int, image_token_counts, n_query: int, rho: float) -> TokenAccounting:
-    """Total and post-pruning context lengths for a prompt with image tokens.
-
-    n_rho applies the per-image keep rule max(1, round(rho * n_i)), so it never
-    exceeds n_text + n_vis and never drops an image entirely.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
-    if n_text < 0 or n_query < 0:
-        raise EmptyInputError("token counts must be nonnegative")
-    if n_query > n_text:
-        raise DimensionMismatchError(
-            f"query tokens ({n_query}) are a subset of text tokens ({n_text})"
-        )
-    counts = [int(c) for c in image_token_counts]
-    if any(c < 1 for c in counts):
-        raise EmptyInputError("every image must contribute at least one token")
-    n_vis = sum(counts)
-    n_rho = n_text + sum(keep_count(rho, c) for c in counts)
-    return TokenAccounting(
-        n_text=int(n_text),
-        n_vis=int(n_vis),
-        n_query=int(n_query),
-        rho=float(rho),
-        n_rho=int(n_rho),
-    )

@@ -49,17 +49,6 @@ class SyntheticConfig:
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale}")
 
-    def to_json(self) -> dict:
-        return {
-            "n_images": self.n_images,
-            "tokens_per_image": list(self.tokens_per_image),
-            "embed_dim": self.embed_dim,
-            "n_query_tokens": self.n_query_tokens,
-            "planted_per_image": self.planted_per_image,
-            "noise_scale": self.noise_scale,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticInstance:

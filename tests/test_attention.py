@@ -171,19 +171,6 @@ class TestTailGapBound:
             tail_gap_bound_check([1.0, 2.0], k=2)
 
 
-class TestReportSerialization:
-    def test_prune_error_report_to_json(self):
-        report = check_pruning_error_bound(EXAMPLE_ALPHA, EXAMPLE_V, [0, 1])
-        obj = report.to_json()
-        assert set(obj) == {"error_norm", "tail_mass", "v_max", "bound", "holds"}
-        assert obj["holds"] is True
-
-    def test_tail_gap_report_to_json(self):
-        obj = tail_gap_bound_check([3.0, 3.0, 0.0], k=2).to_json()
-        assert set(obj) == {"epsilon", "delta", "bound", "holds"}
-        assert obj["holds"] is True
-
-
 class TestAttentionMassPerToken:
     def test_single_head_identity(self):
         head = [[0.2, 0.8], [0.6, 0.4]]

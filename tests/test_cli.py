@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,16 @@ class TestSimulate:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["pruning_comparison"]["t2i_retention"] == [1.0, 1.0]
 
+    def test_missing_embedding_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {**SIMULATE_CFG, "query_embedding_path": str(tmp_path / "missing.json")},
+        )
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCostModel:
     def test_end_to_end_with_sweep(self, tmp_path):
@@ -148,3 +162,13 @@ class TestMetrics:
 
     def test_config_required(self, tmp_path):
         assert run(["metrics", "--out", tmp_path / "o"]) == 2
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "prunerank", "--help"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "verify-bounds" in result.stdout

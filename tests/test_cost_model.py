@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunerank.cost_model import (
     ArchParams,
@@ -51,6 +53,29 @@ class TestParamValidation:
     def test_image_counts_must_match_k(self):
         with pytest.raises(ConfigError):
             workload(k=2, n_vis=10, image_token_counts=(10,))
+
+
+class TestPerImageNRho:
+    def test_unit_ratio_keeps_everything(self):
+        w = workload(n_text=10, n_vis=10, k=2, rho=1.0, image_token_counts=(4, 6))
+        assert w.n_rho == w.n_full == 10 + 10
+
+    def test_derived_per_image_keep_counts(self):
+        w = workload(n_text=10, n_vis=10, k=2, rho=0.5, image_token_counts=(4, 6))
+        assert w.n_rho == 10 + 2 + 3
+
+    @given(
+        st.integers(0, 50),
+        st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_invariant(self, n_text, counts, rho):
+        w = workload(
+            n_text=n_text, n_vis=sum(counts), k=len(counts), rho=rho, image_token_counts=counts
+        )
+        assert w.n_rho <= w.n_full
+        assert w.n_rho >= n_text + len(counts)  # every image keeps >= 1 token
 
 
 class TestPrefillFlops:

@@ -140,6 +140,19 @@ class TestSyntheticRanking:
         cfg = SyntheticConfig(n_images=4, seed=10)
         assert run_synthetic_ranking(cfg, 0.5, 30) == run_synthetic_ranking(cfg, 0.5, 30)
 
+    def test_result_does_not_depend_on_rho(self):
+        # Pruning always keeps an image's best token, which is its logit.
+        cfg = SyntheticConfig(n_images=8, noise_scale=2.5, embed_dim=8, seed=9)
+        reports = [run_synthetic_ranking(cfg, rho, 80) for rho in (0.05, 0.5, 1.0)]
+        for report in reports:
+            del report["rho"]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("rho", [0.0, 1.5])
+    def test_rho_still_validated(self, rho):
+        with pytest.raises(InvalidRatioError):
+            run_synthetic_ranking(SyntheticConfig(seed=10), rho, 5)
+
 
 class TestCostSweep:
     def test_grid_shape_and_monotonicity(self):

@@ -10,6 +10,7 @@ from prunerank.errors import (
     EmptyInputError,
     InvalidGammaError,
     InvalidProbabilityError,
+    NonFiniteError,
 )
 from prunerank.losses import (
     LossValue,
@@ -66,6 +67,10 @@ class TestWeightedRanknetLoss:
     def test_rank_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             weighted_ranknet_loss([1.0, 2.0], [1, 2, 3])
+
+    def test_nan_logits_rejected_as_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            weighted_ranknet_loss([1.0, float("nan")], [1, 2])
 
     def test_ranks_must_be_permutation(self):
         with pytest.raises(ValueError):
@@ -180,17 +185,6 @@ class TestStageLoss:
     def test_stage_two_weight(self):
         aux = LossValue(value=0.5, gradient=np.zeros(2))
         assert stage_loss(1.0, aux, lam=1.0) == 1.5
-
-
-class TestLossSerialization:
-    def test_loss_value_to_json(self):
-        import json
-
-        result = weighted_ranknet_loss([2.0, 1.0], [1, 2])
-        obj = result.to_json()
-        assert set(obj) == {"value", "gradient"}
-        assert len(obj["gradient"]) == 2
-        json.dumps(obj)  # round-trippable plain types
 
 
 class TestFiniteDifferenceGradcheck:

@@ -13,6 +13,7 @@ from prunerank.errors import (
     EmptySubsetError,
     GroundTruthNotRankedError,
     KOutOfRangeError,
+    NonFiniteError,
 )
 from prunerank.metrics import (
     CATASTROPHIC_MISS,
@@ -237,6 +238,10 @@ class TestSpearman:
     def test_constant_input_rejected(self):
         with pytest.raises(DegenerateConstantError):
             spearman([1, 1, 1], [1, 2, 3])
+
+    def test_nan_input_rejected_as_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
 
 
 def _brute_spearman(x, y):

@@ -7,7 +7,6 @@ from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidPermutationError,
-    InvalidRatioError,
     NonFiniteError,
     TooManyCandidatesError,
 )
@@ -16,7 +15,6 @@ from prunerank.scoring import (
     apply_permutation,
     assign_identifiers,
     rank_from_logits,
-    token_accounting,
     validate_permutation,
 )
 
@@ -140,42 +138,3 @@ class TestSerialization:
         order = rank_from_logits([0.2, 1.5, -0.3])
         assert json.loads(json.dumps(order.tolist())) == [1, 0, 2]
 
-    def test_token_accounting_to_json(self):
-        obj = token_accounting(10, [4, 6], n_query=3, rho=0.5).to_json()
-        assert obj == {"n_text": 10, "n_vis": 10, "n_query": 3, "rho": 0.5, "n_rho": 15}
-
-
-class TestTokenAccounting:
-    def test_unit_ratio_keeps_everything(self):
-        acc = token_accounting(10, [4, 6], n_query=3, rho=1.0)
-        assert acc.n_vis == 10
-        assert acc.n_rho == 10 + 10
-
-    def test_derived_per_image_keep_counts(self):
-        acc = token_accounting(10, [4, 6], n_query=3, rho=0.5)
-        assert acc.n_vis == 10
-        assert acc.n_rho == 10 + 2 + 3
-
-    def test_no_images(self):
-        acc = token_accounting(7, [], n_query=7, rho=0.5)
-        assert acc.n_vis == 0
-        assert acc.n_rho == 7
-
-    def test_invalid_ratio(self):
-        with pytest.raises(InvalidRatioError):
-            token_accounting(10, [4], n_query=1, rho=0.0)
-
-    def test_query_exceeding_text_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            token_accounting(5, [4], n_query=6, rho=0.5)
-
-    @given(
-        st.integers(0, 50),
-        st.lists(st.integers(1, 40), max_size=8),
-        st.floats(0.01, 1.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_bounds_invariant(self, n_text, counts, rho):
-        acc = token_accounting(n_text, counts, n_query=0, rho=rho)
-        assert acc.n_rho <= acc.n_text + acc.n_vis
-        assert acc.n_rho >= acc.n_text + len(counts)  # every image keeps >= 1 token
