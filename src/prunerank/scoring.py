@@ -104,4 +104,3 @@ def apply_permutation(items, order) -> list:
     if len(seq) != arr.size:
         raise DimensionMismatchError(f"{len(seq)} items vs permutation of length {arr.size}")
     return [seq[i] for i in arr]
-

@@ -166,7 +166,7 @@ class TestMetrics:
 
 def test_module_entry_point_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-m", "prunerank", "--help"], env=env, capture_output=True, text=True
     )

@@ -245,4 +245,3 @@ class TestPruneImages:
         for alpha in (0.5, 2.0, 10.0):
             scaled = prune_images(alpha * query, images, rho=0.4)
             assert [r.kept_indices for r in scaled] == [r.kept_indices for r in baseline]
-

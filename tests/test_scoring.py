@@ -137,4 +137,3 @@ class TestSerialization:
 
         order = rank_from_logits([0.2, 1.5, -0.3])
         assert json.loads(json.dumps(order.tolist())) == [1, 0, 2]
-
