@@ -64,6 +64,10 @@ class TestPerImageNRho:
         w = workload(n_text=10, n_vis=10, k=2, rho=0.5, image_token_counts=(4, 6))
         assert w.n_rho == 10 + 2 + 3
 
+    def test_invalid_ratio(self):
+        with pytest.raises(InvalidRatioError):
+            workload(n_text=10, n_vis=4, n_query=1, k=1, rho=0.0, image_token_counts=(4,))
+
     @given(
         st.integers(0, 50),
         st.lists(st.integers(1, 40), min_size=1, max_size=8),
