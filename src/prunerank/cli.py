@@ -25,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .cost_model import ArchParams, WorkloadSpec, cost_report
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError, InvalidRatioError, NonFiniteError
 from .experiments import (
     run_bound_verification,
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
     run_synthetic_ranking,
+    validate_ratios,
     write_report,
 )
 from .linalg import embedding_from_json
@@ -110,8 +111,26 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
+# JSON types a value may take where the default has the given Python type; an
+# int is accepted where a float is expected. A None default accepts anything
+# and is checked where it is used.
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def _same_json_type(default, value) -> bool:
+    if default is None:
+        return True
+    if isinstance(value, bool) and not isinstance(default, bool):
+        return False
+    if not isinstance(value, _ACCEPTED_TYPES[type(default)]):
+        return False
+    if isinstance(default, list) and default:
+        return all(_same_json_type(default[0], item) for item in value)
+    return True
+
+
 def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
-    """Overlay a user config on the defaults, rejecting unknown keys."""
+    """Overlay a user config on the defaults, rejecting unknown keys and wrong types."""
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
         if key not in defaults:
@@ -120,8 +139,13 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{context}.{key} must be a JSON object")
             merged[key] = _merge(defaults[key], value, f"{context}.{key}")
-        else:
+        elif _same_json_type(defaults[key], value):
             merged[key] = copy.deepcopy(value)
+        else:
+            raise ConfigError(
+                f"{context}.{key} must have the JSON type of its default "
+                f"{json.dumps(defaults[key])}, got {json.dumps(value)}"
+            )
     return merged
 
 
@@ -175,12 +199,31 @@ def _section_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
+def _check_ratios(ratios: list, context: str) -> None:
+    try:
+        validate_ratios(ratios)
+    except InvalidRatioError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _load_query(path) -> np.ndarray:
+    if not isinstance(path, str):
+        raise ConfigError(f"config.query_embedding_path must be a string or null, got {path!r}")
+    obj = _load_config(path)
+    try:
+        return embedding_from_json(obj)
+    except (DimensionMismatchError, NonFiniteError) as exc:
+        raise ConfigError(f"query embedding {path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
+    _check_ratios(cfg["keep_ratios"], "config.keep_ratios")
+    _check_ratios([cfg["ranking"]["rho"]], "config.ranking.rho")
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"]:
-        query = embedding_from_json(_load_config(cfg["query_embedding_path"]))
+        query = _load_query(cfg["query_embedding_path"])
         syn["n_query_tokens"], syn["embed_dim"] = query.shape
     seeds = _section_seeds(args.seed, 3)
     comparison = run_pruning_comparison(

@@ -211,7 +211,8 @@ def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None)
     return master, instances
 
 
-def _validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
+def validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
+    """The keep ratios as floats; raises unless there is one and each lies in (0, 1]."""
     ratios = [float(r) for r in keep_ratios]
     if not ratios:
         raise ConfigError("need at least one keep ratio")
@@ -234,7 +235,7 @@ def run_pruning_comparison(
     tokens that survive pruning of the relevant image, pooled over instances.
     An explicit query matrix replaces the per-instance sampled one.
     """
-    ratios = _validate_ratios(keep_ratios)
+    ratios = validate_ratios(keep_ratios)
     if n_instances < 1:
         raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     master, instances = _instances(cfg, n_instances, query)
@@ -331,7 +332,7 @@ def run_synthetic_ranking(
     token and always keeps the best one, so that score is the image's maximum
     token score and the result does not depend on rho.
     """
-    ratios = _validate_ratios([rho])
+    ratios = validate_ratios([rho])
     rho = ratios[0]
     if n_instances < 1:
         raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
@@ -368,7 +369,7 @@ def run_cost_sweep(
     k_values: Sequence[int],
 ) -> dict:
     """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes."""
-    ratios = _validate_ratios(rho_values)
+    ratios = validate_ratios(rho_values)
     ks = [int(k) for k in k_values]
     if not ks or any(k < 1 for k in ks):
         raise ConfigError(f"k values must be >= 1, got {k_values}")

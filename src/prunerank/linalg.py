@@ -1,7 +1,16 @@
 """Dense linear-algebra primitives shared by pruning and the attention oracle.
 
-All numerics are 64-bit floats. Matrices are row-major and desk-scale (at most
-a few thousand rows); no BLAS-grade tuning is attempted.
+All numerics are 64-bit floats and matrices are row-major. The cosine kernel
+behind similarity_matrix and pruning.prune_images reads each token matrix
+twice and never copies it: one einsum pass computes the row norms, then one
+GEMM multiplies the unit-scaled query rows by the raw tokens, and the t x n
+result is divided by the token norms and clipped in place. The query is
+scaled once (unit_rows) and reused for every image (cosine_to_unit).
+
+Finiteness rule: a NaN or infinite entry makes its row norm non-finite, so
+when every norm is finite the matrix is too, and the exact np.isfinite scan
+runs only when some norm is not. A row of finite entries whose squared norm
+overflows passes that scan, has an infinite norm and scores 0.
 """
 
 from __future__ import annotations
@@ -26,13 +35,18 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_embedding(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array with at least one row and column."""
+def _as_matrix(m, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatchError(
             f"{name} must be 2-D with at least one row and column, got shape {arr.shape}"
         )
+    return arr
+
+
+def as_embedding(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D float64 array with at least one row and column."""
+    arr = _as_matrix(m, name)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
@@ -62,12 +76,57 @@ def cosine_similarity(h, v) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _normalized_rows(m: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1)
+def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """m as a 2-D float64 array (never copied if it already is one) and its row norms.
+
+    Raises DimensionMismatchError for a bad shape, then NonFiniteError.
+    """
+    arr = _as_matrix(m, name)
+    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    if not np.isfinite(norms).all() and not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    return arr, norms
+
+
+def _require_nonzero(norms: np.ndarray, name: str) -> None:
     bad = np.flatnonzero(norms < ZERO_NORM_EPS)
     if bad.size:
         raise ZeroNormError(f"{name} row {int(bad[0])} has (near-)zero norm")
-    return m / norms[:, None]
+
+
+def unit_rows(H) -> tuple[np.ndarray, np.ndarray]:
+    """The query rows of H scaled to unit norm, and H's row norms.
+
+    Checks H's shape and finiteness. A (near-)zero row is reported by
+    cosine_to_unit, after the token matrix has passed its shape, finiteness
+    and width checks, so errors keep that order; until then the row is scaled
+    by 1 / ZERO_NORM_EPS and never used.
+    """
+    arr, norms = _rows_and_norms(H, "H")
+    return arr / np.maximum(norms, ZERO_NORM_EPS)[:, None], norms
+
+
+def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> np.ndarray:
+    """Cosine similarity of every query row against every row of V.
+
+    query is unit_rows(H). Errors come in the order shape, finiteness, width,
+    then zero norm (H before V).
+    """
+    unit, query_norms = query
+    tokens, norms = _rows_and_norms(V, name)
+    if unit.shape[1] != tokens.shape[1]:
+        raise DimensionMismatchError(
+            f"embedding width mismatch: {unit.shape[1]} vs {tokens.shape[1]}"
+        )
+    _require_nonzero(query_norms, "H")
+    _require_nonzero(norms, name)
+    sims = unit @ tokens.T
+    sims /= norms
+    # An infinite norm means a finite row whose squared norm overflowed; it
+    # scores 0. The division alone gives inf / inf = NaN where the GEMM
+    # overflowed too.
+    sims[:, np.isinf(norms)] = 0.0
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def similarity_matrix(H, V) -> np.ndarray:
@@ -76,14 +135,7 @@ def similarity_matrix(H, V) -> np.ndarray:
     Entry (t, j) equals cosine_similarity(H[t], V[j]); the result is clamped
     entrywise to [-1, 1] to absorb rounding.
     """
-    a = as_embedding(H, "H")
-    b = as_embedding(V, "V")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"embedding width mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    sims = _normalized_rows(a, "H") @ _normalized_rows(b, "V").T
-    return np.clip(sims, -1.0, 1.0)
+    return cosine_to_unit(unit_rows(H), V)
 
 
 def embedding_to_json(m) -> dict:
@@ -101,14 +153,14 @@ def embedding_from_json(obj: dict) -> np.ndarray:
     try:
         rows = int(obj["rows"])
         dim = int(obj["dim"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
+        flat = np.asarray(obj["data"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(
-            "embedding JSON must be an object with rows, dim and data fields"
+            "embedding JSON must be an object with integer rows and dim and a list of numbers as data"
         ) from exc
-    flat = np.asarray(data, dtype=np.float64)
-    if flat.ndim != 1 or flat.size != rows * dim:
+    if rows < 1 or dim < 1 or flat.ndim != 1 or flat.size != rows * dim:
         raise DimensionMismatchError(
-            f"data length {flat.size} does not equal rows*dim = {rows * dim}"
+            f"need rows, dim >= 1 and rows*dim data values, got rows={rows}, dim={dim} "
+            f"and {flat.size} values"
         )
     return as_embedding(flat.reshape(rows, dim), "embedding JSON")

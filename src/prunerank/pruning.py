@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import as_embedding, as_vector, similarity_matrix
+from .linalg import as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -52,12 +53,23 @@ def lse_scores(s) -> np.ndarray:
 
 
 def keep_count(rho: float, n_tokens: int) -> int:
-    """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens."""
+    """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens.
+
+    The rounding is half away from zero on the decimal value of rho as typed
+    (its shortest repr), so keep_count(0.009, 1500) is 14 although the float
+    product is 13.4999.... Only a product within 1e-9 (relative, above 1) of a
+    .5 boundary takes the exact Fraction path.
+    """
     if not 0.0 < rho <= 1.0:
         raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
     if n_tokens < 1:
         raise EmptyInputError(f"n_tokens must be >= 1, got {n_tokens}")
-    return min(n_tokens, max(1, round_half_away_from_zero(rho * n_tokens)))
+    product = rho * n_tokens
+    if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
+        rounded = math.floor(Fraction(repr(float(rho))) * int(n_tokens) + Fraction(1, 2))
+    else:
+        rounded = round_half_away_from_zero(product)
+    return min(n_tokens, max(1, rounded))
 
 
 def select_topk_preserve_order(scores, k: int) -> np.ndarray:
@@ -150,13 +162,13 @@ def prune_by_scores(scores, rho: float) -> PruneResult:
 def prune_images(H, images, rho: float) -> list[PruneResult]:
     """Prune every image independently against the same query rows H.
 
-    The result for image i depends only on H, images[i] and rho, so per-image
-    work can run in parallel without changing the output.
+    H is checked and scaled to unit rows once; each image then costs one norm
+    pass and one GEMM (linalg.cosine_to_unit) and is never copied. The result
+    for image i depends only on H, images[i] and rho, so per-image work can
+    run in parallel without changing the output.
     """
-    query = as_embedding(H, "H")
-    results = []
-    for i, image in enumerate(images):
-        tokens = as_embedding(image, f"images[{i}]")
-        scores = maxsim_scores(similarity_matrix(query, tokens))
-        results.append(prune_by_scores(scores, rho))
-    return results
+    query = unit_rows(H)
+    return [
+        prune_by_scores(maxsim_scores(cosine_to_unit(query, image, f"images[{i}]")), rho)
+        for i, image in enumerate(images)
+    ]

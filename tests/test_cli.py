@@ -111,6 +111,60 @@ class TestSimulate:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "embedding",
+        [
+            {"rows": 2, "dim": 2, "data": [1, 2, 3]},
+            {"rows": 1, "dim": 2, "data": [1.0, float("nan")]},
+        ],
+        ids=["wrong-length", "nan"],
+    )
+    def test_malformed_embedding_file_is_a_config_error(self, tmp_path, capsys, embedding):
+        query_path = tmp_path / "query.json"
+        query_path.write_text(json.dumps(embedding))
+        cfg = write_config(
+            tmp_path, "cfg.json", {**SIMULATE_CFG, "query_embedding_path": str(query_path)}
+        )
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"keep_ratios": [0.5, 1.5]}, {"ranking": {"rho": 1.5}}, {"ranking": {"rho": 0}}],
+    )
+    def test_out_of_range_ratio_is_a_config_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, **override})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("verify-bounds", {"trials": "10"}),
+            ("verify-bounds", {"trials": 10.0}),
+            ("verify-bounds", {"selftest_constant": True}),
+            ("simulate", {"keep_ratios": [0.5, "0.3"]}),
+            ("simulate", {"keep_ratios": 0.5}),
+            ("simulate", {"query_embedding_path": ["query.json"]}),
+            ("cost-model", {"sweep": {"enabled": 1}}),
+        ],
+    )
+    def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, "cfg.json", override)
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_int_accepted_where_a_float_is_expected(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {**VERIFY_CFG, "selftest_constant": 1})
+        run(["verify-bounds", "--config", cfg, "--out", tmp_path / "o"])
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["selftest"]["constant"] == 1
+
 
 class TestCostModel:
     def test_end_to_end_with_sweep(self, tmp_path):

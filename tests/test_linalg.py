@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from prunerank.errors import DimensionMismatchError, NonFiniteError, ZeroNormError
 from prunerank.linalg import (
     cosine_similarity,
+    cosine_to_unit,
     embedding_from_json,
     embedding_to_json,
     l2_normalize,
     similarity_matrix,
+    unit_rows,
 )
 
 INV_SQRT2 = 2 ** -0.5
@@ -143,3 +145,92 @@ class TestEmbeddingJson:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             embedding_from_json({"rows": 1, "dim": 2, "data": [1.0, float("inf")]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": "x", "dim": 2, "data": [1.0, 2.0]},
+            {"rows": 1, "dim": 2, "data": ["a", 2.0]},
+            {"rows": -1, "dim": -2, "data": [1.0, 2.0]},
+        ],
+    )
+    def test_malformed_fields_rejected(self, obj):
+        with pytest.raises(DimensionMismatchError):
+            embedding_from_json(obj)
+
+
+def previous_similarity(H, V):
+    """The formula the kernel replaced: rows scaled to unit norm before the product."""
+    with np.errstate(over="ignore"):
+        h = H / np.linalg.norm(H, axis=1)[:, None]
+        v = V / np.linalg.norm(V, axis=1)[:, None]
+    return np.clip(h @ v.T, -1.0, 1.0)
+
+
+class TestCosineKernel:
+    """similarity_matrix (unit_rows + cosine_to_unit) against brute force."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 10),
+        st.integers(1, 8),
+        st.sampled_from([1e-5, 1.0, 1e5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_pair_cosine(self, t, n, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((t, d)) * scale
+        v = rng.standard_normal((n, d))
+        v[rng.integers(n)] *= 1.0 / scale
+        sims = similarity_matrix(h, v)
+        expected = [[cosine_similarity(h[i], v[j]) for j in range(n)] for i in range(t)]
+        np.testing.assert_allclose(sims, expected, rtol=0, atol=1e-12)
+
+    def test_query_scaled_once_is_reused(self):
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal((3, 5))
+        query = unit_rows(h)
+        np.testing.assert_allclose(np.linalg.norm(query[0], axis=1), 1.0, atol=1e-15)
+        for _ in range(3):
+            v = rng.standard_normal((4, 5))
+            np.testing.assert_array_equal(cosine_to_unit(query, v), similarity_matrix(h, v))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["H", "V"])
+    def test_non_finite_entry_rejected(self, bad, operand):
+        h = np.ones((2, 3))
+        v = np.ones((4, 3))
+        (h if operand == "H" else v)[1, 2] = bad
+        with pytest.raises(NonFiniteError, match=operand):
+            similarity_matrix(h, v)
+
+    def test_zero_query_row_rejected(self):
+        h = np.ones((3, 2))
+        h[2] = 0.0
+        with pytest.raises(ZeroNormError, match="H row 2"):
+            similarity_matrix(h, np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "h,v,error,match",
+        [
+            ([[np.nan, 1.0]], [1.0, 2.0], NonFiniteError, "H"),  # H before V
+            ([[0.0, 0.0]], [[1.0, np.inf]], NonFiniteError, "V"),  # finiteness before zero norm
+            ([[0.0, 0.0]], [[1.0, 2.0, 3.0]], DimensionMismatchError, "width"),  # width before zero norm
+            ([[1.0, 1.0]], [[np.nan, 1.0, 2.0]], NonFiniteError, "V"),  # finiteness before width
+            ([[0.0, 0.0]], [[0.0, 0.0]], ZeroNormError, "H row 0"),  # zero norm, H before V
+        ],
+    )
+    def test_error_order(self, h, v, error, match):
+        with pytest.raises(error, match=match):
+            similarity_matrix(h, v)
+
+    @pytest.mark.parametrize("big", [1e200, 1.5e308])
+    def test_overflowing_row_norm_matches_previous_formula(self, big):
+        h = np.array([[1.0, 2.0], [3.0, -1.0], [big, big]])
+        v = np.array([[1.0, 0.0], [big, big], [0.5, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sims = similarity_matrix(h, v)
+        assert not np.isnan(sims).any()
+        np.testing.assert_allclose(sims, previous_similarity(h, v), rtol=0, atol=1e-15)
+        assert not sims[2].any() and not sims[:, 1].any()

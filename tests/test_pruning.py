@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from prunerank.errors import EmptyInputError, InvalidRatioError, KOutOfRangeError
+from prunerank.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    InvalidRatioError,
+    KOutOfRangeError,
+    NonFiniteError,
+    ZeroNormError,
+)
 from prunerank.linalg import similarity_matrix
 from prunerank.pruning import (
     keep_count,
@@ -79,10 +88,23 @@ class TestSandwichProperty:
         assert smooth[1] < hard[1] + math.log(2) - 1e-6
 
 
+def decimal_keep_count(rho, n):
+    """max(1, round-half-away(rho * n)) on the decimal value of rho, capped at n."""
+    return min(n, max(1, math.floor(Fraction(repr(rho)) * n + Fraction(1, 2))))
+
+
 class TestKeepCount:
     @pytest.mark.parametrize(
         "rho,n,expected",
-        [(0.1, 3, 1), (0.5, 4, 2), (0.5, 7, 4), (1.0, 9, 9), (0.01, 50, 1), (0.25, 10, 3)],
+        [
+            (0.1, 3, 1),
+            (0.5, 4, 2),
+            (0.5, 7, 4),
+            (1.0, 9, 9),
+            (0.01, 50, 1),
+            (0.25, 10, 3),
+            (0.009, 1500, 14),  # the float product is 13.4999...
+        ],
     )
     def test_examples(self, rho, n, expected):
         assert keep_count(rho, n) == expected
@@ -107,6 +129,25 @@ class TestKeepCount:
     def test_always_in_range(self, rho, n):
         k = keep_count(rho, n)
         assert 1 <= k <= n
+
+    def test_every_half_boundary_on_a_0_001_grid(self):
+        # The only pairs where rounding the float product can disagree with
+        # the decimal rule: rho = i / 1000, n <= 2048 and i * n = 500 mod 1000.
+        i, n = np.nonzero(np.arange(1, 1001)[:, None] * np.arange(1, 2049) % 1000 == 500)
+        wrong = [
+            (a / 1000, b)
+            for a, b in zip((i + 1).tolist(), (n + 1).tolist())
+            if keep_count(a / 1000, b) != (a * b + 500) // 1000
+        ]
+        assert i.size > 10_000 and wrong == []
+
+    @given(
+        st.one_of(st.integers(1, 1000).map(lambda i: i / 1000), st.floats(1e-6, 1.0)),
+        st.integers(1, 4096),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_exact_decimal_rule(self, rho, n):
+        assert keep_count(rho, n) == decimal_keep_count(rho, n)
 
 
 class TestSelectTopK:
@@ -245,3 +286,82 @@ class TestPruneImages:
         for alpha in (0.5, 2.0, 10.0):
             scaled = prune_images(alpha * query, images, rho=0.4)
             assert [r.kept_indices for r in scaled] == [r.kept_indices for r in baseline]
+
+
+def oracle_kept(H, image, rho):
+    """Top keep_count tokens by maxsim score, lower index first on equal scores."""
+    scores = maxsim_scores(similarity_matrix(H, image))
+    n = scores.size
+    k = decimal_keep_count(rho, n)
+    order = np.lexsort((np.arange(n), -scores))
+    return tuple(int(i) for i in np.sort(order[:k]))
+
+
+class TestPruneImagesKernel:
+    @given(
+        st.integers(1, 5),
+        st.lists(st.integers(1, 40), min_size=0, max_size=4),
+        st.integers(1, 8),
+        st.integers(1, 1000).map(lambda i: i / 1000),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_argsort_oracle(self, t, token_counts, d, rho, seed):
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((t, d))
+        images = []
+        for n in token_counts:
+            # Small integer entries and repeated rows give exactly tied scores.
+            image = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            image[np.abs(image).sum(axis=1) == 0, 0] = 1.0
+            image[rng.integers(n, size=n // 2)] = image[0]
+            images.append(image)
+        results = prune_images(H, images, rho)
+        assert len(results) == len(images)
+        for result, image in zip(results, images):
+            assert result.kept_indices == oracle_kept(H, image, rho)
+            assert list(result.kept_indices) == sorted(result.kept_indices)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        rng = np.random.default_rng(21)
+        H = rng.standard_normal((2, 4))
+        images = [rng.standard_normal((5, 4)) for _ in range(3)]
+        images[2][3, 1] = bad
+        with pytest.raises(NonFiniteError, match=r"images\[2\]"):
+            prune_images(H, images, 0.5)
+        H[1, 0] = bad
+        with pytest.raises(NonFiniteError, match="H"):
+            prune_images(H, [], 0.5)
+
+    def test_zero_rows_rejected(self):
+        rng = np.random.default_rng(22)
+        H = rng.standard_normal((2, 4))
+        image = rng.standard_normal((5, 4))
+        image[4] = 0.0
+        with pytest.raises(ZeroNormError, match=r"images\[0\] row 4"):
+            prune_images(H, [image], 0.5)
+        H[0] = 0.0
+        assert prune_images(H, [], 0.5) == []
+        with pytest.raises(ZeroNormError, match="H row 0"):
+            prune_images(H, [rng.standard_normal((5, 4))], 0.5)
+
+    def test_width_mismatch_rejected(self):
+        rng = np.random.default_rng(23)
+        with pytest.raises(DimensionMismatchError):
+            prune_images(rng.standard_normal((2, 4)), [rng.standard_normal((5, 3))], 0.5)
+
+    def test_no_image_sized_allocation(self):
+        # A per-image normalized copy, a squared-entries temporary or a
+        # concatenation of the candidates would each allocate at least one image.
+        rng = np.random.default_rng(24)
+        H = rng.standard_normal((8, 512))
+        images = [rng.standard_normal((256, 512)) for _ in range(4)]
+        prune_images(H, images, 0.3)
+        tracemalloc.start()
+        try:
+            prune_images(H, images, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images[0].nbytes
