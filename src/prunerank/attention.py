@@ -16,10 +16,10 @@ from .errors import (
     AllMassPrunedError,
     DimensionMismatchError,
     EmptyInputError,
+    InvalidProbabilityError,
     KOutOfRangeError,
-    NonFiniteError,
 )
-from .linalg import as_embedding
+from .linalg import as_embedding, as_vector
 
 # Absolute slack applied to every inequality check to absorb float rounding.
 BOUND_SLACK = 1e-9
@@ -30,26 +30,18 @@ ALL_MASS_EPS = 1e-12
 
 def softmax(scores) -> np.ndarray:
     """Max-shifted stable softmax over a 1-D score vector."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise EmptyInputError(f"softmax needs a nonempty 1-D input, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("softmax input contains NaN or infinite entries")
+    arr = as_vector(scores, "softmax input")
     shifted = np.exp(arr - arr.max())
     return shifted / shifted.sum()
 
 
 def as_attention_weights(alpha) -> np.ndarray:
     """Validate nonnegative weights summing to 1 (within 1e-9)."""
-    arr = np.asarray(alpha, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise EmptyInputError(f"attention weights must be a nonempty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("attention weights contain NaN or infinite entries")
+    arr = as_vector(alpha, "attention weights")
     if np.any(arr < -BOUND_SLACK):
-        raise ValueError("attention weights must be nonnegative")
+        raise InvalidProbabilityError("attention weights must be nonnegative")
     if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"attention weights must sum to 1, got {float(arr.sum())!r}")
+        raise InvalidProbabilityError(f"attention weights must sum to 1, got {float(arr.sum())!r}")
     return np.clip(arr, 0.0, None)
 
 
@@ -143,11 +135,7 @@ def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:
     delta is the sorted-score gap between positions k and k+1; the removed mass
     decays exponentially in that boundary gap.
     """
-    g = np.asarray(g_scores, dtype=np.float64)
-    if g.ndim != 1 or g.size < 1:
-        raise EmptyInputError(f"scores must be a nonempty 1-D array, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError("scores contain NaN or infinite entries")
+    g = as_vector(g_scores, "scores")
     n = g.size
     if not 1 <= k < n:
         raise KOutOfRangeError(f"k must be in [1, {n - 1}], got {k}")

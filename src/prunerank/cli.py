@@ -8,9 +8,11 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
-Exit code is 0 iff every verification tally in the run passes. Wall time is
-printed to stdout and deliberately kept out of report.json so identical
-configs and seeds produce byte-identical reports.
+Exit code 0 means every verification tally in the run passed and 1 that one
+failed; any prunerank.errors error (bad config or input) prints
+`config error:` to stderr and exits 2. Wall time is printed to stdout and
+deliberately kept out of report.json so identical configs and seeds produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost_model import ArchParams, WorkloadSpec, cost_report
-from .errors import ConfigError, DimensionMismatchError, InvalidRatioError, NonFiniteError
+from .errors import ConfigError, PrunerankError
 from .experiments import (
     run_bound_verification,
     run_correlation_probe,
@@ -37,6 +39,7 @@ from .experiments import (
 )
 from .linalg import embedding_from_json
 from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments
+from .scoring import assign_identifiers
 from .synthetic import SyntheticConfig
 
 DEFAULTS: dict = {
@@ -199,27 +202,17 @@ def _section_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
-def _check_ratios(ratios: list, context: str) -> None:
-    try:
-        validate_ratios(ratios)
-    except InvalidRatioError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
 def _load_query(path) -> np.ndarray:
     if not isinstance(path, str):
         raise ConfigError(f"config.query_embedding_path must be a string or null, got {path!r}")
-    obj = _load_config(path)
-    try:
-        return embedding_from_json(obj)
-    except (DimensionMismatchError, NonFiniteError) as exc:
-        raise ConfigError(f"query embedding {path}: {exc}") from exc
+    return embedding_from_json(_load_config(path))
 
 
 def _cmd_simulate(args) -> int:
     cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
-    _check_ratios(cfg["keep_ratios"], "config.keep_ratios")
-    _check_ratios([cfg["ranking"]["rho"]], "config.ranking.rho")
+    validate_ratios(cfg["keep_ratios"])
+    validate_ratios([cfg["ranking"]["rho"]])
+    assign_identifiers(cfg["synthetic"]["n_images"])
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"]:
@@ -320,6 +313,8 @@ def _cmd_cost_model(args) -> int:
 
 
 def _parse_judgments(raw) -> dict:
+    if not isinstance(raw, list):
+        raise ConfigError("config.judgments must be a list")
     judgments_by_subset: dict[str, list[QueryJudgment]] = {}
     for i, entry in enumerate(raw):
         try:
@@ -331,6 +326,8 @@ def _parse_judgments(raw) -> dict:
             raise ConfigError(
                 f'judgment {i} must be {{"subset"?, "relevant": [...], "ranked": [...]}}'
             ) from exc
+        if not isinstance(subset, str):
+            raise ConfigError(f"judgment {i} subset must be a string, got {subset!r}")
         judgments_by_subset.setdefault(subset, []).append(judgment)
     if not judgments_by_subset:
         raise ConfigError("judgments list is empty")
@@ -343,9 +340,14 @@ def _cmd_metrics(args) -> int:
         raise ConfigError("metrics needs either 'judgments' or 'values_by_subset' in the config")
     report = {"command": "metrics", "seed": args.seed, "config": cfg}
     tables = {}
-    if cfg["values_by_subset"] is not None:
-        report["aggregate"] = aggregate(cfg["values_by_subset"])
-        rows = [(name, float(np.mean(vals))) for name, vals in cfg["values_by_subset"].items()]
+    values = cfg["values_by_subset"]
+    if values is not None:
+        if not isinstance(values, dict) or not all(
+            vals and _same_json_type([0.0], vals) for vals in values.values()
+        ):
+            raise ConfigError("config.values_by_subset must map names to non-empty lists of numbers")
+        report["aggregate"] = aggregate(values)
+        rows = [(name, float(np.mean(vals))) for name, vals in values.items()]
         rows.append(("micro", report["aggregate"]["micro"]))
         rows.append(("macro", report["aggregate"]["macro"]))
         tables["aggregate"] = (["subset", "value"], rows)
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except ConfigError as exc:
+    except PrunerankError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(f"wall time: {time.perf_counter() - started:.2f}s")

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, InvalidRatioError
-from .pruning import keep_count, round_half_away_from_zero
+from .errors import ConfigError
+from .pruning import as_keep_ratio, keep_count, round_half_away_from_zero
 
 N_RHO_PER_IMAGE = "per_image_exact"
 N_RHO_APPROX = "ratio_approximation"
@@ -64,8 +64,7 @@ class WorkloadSpec:
     image_token_counts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise InvalidRatioError(f"keep ratio must be in (0, 1], got {self.rho}")
+        as_keep_ratio(self.rho)
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
         if self.k < 1:
@@ -152,7 +151,7 @@ def speedup(w: WorkloadSpec, p: ArchParams) -> float:
     """FLOPs ratio of the baseline pipeline over the pruned single-pass one."""
     denom = f_zip(w, p)
     if denom == 0.0:
-        raise ZeroDivisionError("pruned-pipeline FLOPs are zero; speedup undefined")
+        raise ConfigError("pruned-pipeline FLOPs are zero; speedup undefined")
     return f_base(w, p) / denom
 
 
@@ -161,14 +160,13 @@ def longcontext_prefill_ratio(rho: float, n_text: int, n_vis: int) -> float:
 
     When visual tokens dominate the context this approaches 1 / rho^2.
     """
-    if not 0.0 < rho <= 1.0:
-        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
+    rho = as_keep_ratio(rho)
     if n_text < 0 or n_vis < 0:
         raise ConfigError("token counts must be nonnegative")
     full = n_text + n_vis
     compressed = n_text + rho * n_vis
     if compressed == 0:
-        raise ZeroDivisionError("empty context; prefill ratio undefined")
+        raise ConfigError("empty context; prefill ratio undefined")
     return (full / compressed) ** 2
 
 
@@ -179,7 +177,7 @@ def generation_heavy_decode_ratio(w: WorkloadSpec) -> float:
     """
     n_rho = w.n_rho
     if n_rho == 0:
-        raise ZeroDivisionError("empty compressed context; decode ratio undefined")
+        raise ConfigError("empty compressed context; decode ratio undefined")
     return w.u_base * w.n_full / n_rho
 
 

@@ -1,69 +1,77 @@
 """Exception types shared across the package.
 
-Everything subclasses ValueError so callers can catch broadly; the specific
-classes exist so tests and tooling can pin the exact failure mode.
+Every class derives from PrunerankError, itself a ValueError, and no module
+raises a bare ValueError or ZeroDivisionError, so the CLI maps the whole
+family to `config error:` and exit 2. The specific classes pin the failure
+mode. Array inputs are checked in one place (linalg.as_vector and its matrix
+twin), which raises DimensionMismatchError for the wrong number of dimensions,
+EmptyInputError when there are no entries and NonFiniteError for NaN or inf.
 """
 
 
-class ZeroNormError(ValueError):
+class PrunerankError(ValueError):
+    """Base of every error the package raises on bad input."""
+
+
+class ZeroNormError(PrunerankError):
     """A vector or matrix row has (near-)zero Euclidean norm."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(PrunerankError):
     """Operands have incompatible shapes or lengths."""
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(PrunerankError):
     """An operation received an empty matrix or sequence."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(PrunerankError):
     """An input contains NaN or infinite entries."""
 
 
-class InvalidRatioError(ValueError):
+class InvalidRatioError(PrunerankError):
     """A keep ratio lies outside (0, 1]."""
 
 
-class KOutOfRangeError(ValueError):
+class KOutOfRangeError(PrunerankError):
     """A selection size k is outside its valid range."""
 
 
-class TooManyCandidatesError(ValueError):
+class TooManyCandidatesError(PrunerankError):
     """More candidates than available single-symbol identifiers."""
 
 
-class InvalidPermutationError(ValueError):
+class InvalidPermutationError(PrunerankError):
     """An index sequence is not a bijection on {0, ..., n-1}."""
 
 
-class InvalidGammaError(ValueError):
+class InvalidGammaError(PrunerankError):
     """A geometric decay factor lies outside (0, 1)."""
 
 
-class InvalidProbabilityError(ValueError):
+class InvalidProbabilityError(PrunerankError):
     """A probability lies outside (0, 1]."""
 
 
-class AllMassPrunedError(ValueError):
+class AllMassPrunedError(PrunerankError):
     """Pruning removed (almost) all attention mass; renormalization undefined."""
 
 
-class EmptyRelevantSetError(ValueError):
+class EmptyRelevantSetError(PrunerankError):
     """A query judgment has no relevant items."""
 
 
-class EmptySubsetError(ValueError):
+class EmptySubsetError(PrunerankError):
     """An aggregation subset contains no values."""
 
 
-class GroundTruthNotRankedError(ValueError):
+class GroundTruthNotRankedError(PrunerankError):
     """No relevant item appears in the ranked list."""
 
 
-class DegenerateConstantError(ValueError):
+class DegenerateConstantError(PrunerankError):
     """A constant sequence has no defined rank correlation."""
 
 
-class ConfigError(ValueError):
+class ConfigError(PrunerankError):
     """A configuration object violates its documented schema."""

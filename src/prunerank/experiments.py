@@ -34,10 +34,11 @@ from .cost_model import (
     longcontext_prefill_ratio,
     speedup,
 )
-from .errors import ConfigError, InvalidRatioError
+from .errors import ConfigError
 from .linalg import similarity_matrix
 from .metrics import QueryJudgment, evaluate_judgments, spearman
 from .pruning import (
+    as_keep_ratio,
     keep_count,
     lse_scores,
     maxsim_scores,
@@ -213,12 +214,9 @@ def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None)
 
 def validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
     """The keep ratios as floats; raises unless there is one and each lies in (0, 1]."""
-    ratios = [float(r) for r in keep_ratios]
+    ratios = [as_keep_ratio(r) for r in keep_ratios]
     if not ratios:
         raise ConfigError("need at least one keep ratio")
-    for r in ratios:
-        if not 0.0 < r <= 1.0:
-            raise InvalidRatioError(f"keep ratio must be in (0, 1], got {r}")
     return ratios
 
 

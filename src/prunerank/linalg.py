@@ -17,31 +17,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, ZeroNormError
+from .errors import DimensionMismatchError, EmptyInputError, NonFiniteError, ZeroNormError
 
 # Norms below this are treated as zero; normalizing them would amplify noise.
 ZERO_NORM_EPS = 1e-12
 
 
+def _shape_checked(arr: np.ndarray, ndim: int, name: str) -> np.ndarray:
+    """The one shape rule: ndim dimensions, then at least one entry."""
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size < 1:
+        raise EmptyInputError(f"{name} must have at least one entry, got shape {arr.shape}")
+    return arr
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array with at least one entry."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatchError(
-            f"{name} must be 1-D with at least one entry, got shape {arr.shape}"
-        )
+    """Coerce to a finite 1-D float64 array with at least one entry.
+
+    Raises DimensionMismatchError unless 1-D, then EmptyInputError, then
+    NonFiniteError.
+    """
+    arr = _shape_checked(np.asarray(v, dtype=np.float64), 1, name)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionMismatchError(
-            f"{name} must be 2-D with at least one row and column, got shape {arr.shape}"
-        )
-    return arr
+    """m as a 2-D float64 array with at least one row and column (no finiteness scan)."""
+    return _shape_checked(np.asarray(m, dtype=np.float64), 2, name)
 
 
 def as_embedding(m, name: str = "matrix") -> np.ndarray:
@@ -79,7 +84,8 @@ def cosine_similarity(h, v) -> float:
 def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     """m as a 2-D float64 array (never copied if it already is one) and its row norms.
 
-    Raises DimensionMismatchError for a bad shape, then NonFiniteError.
+    Raises DimensionMismatchError or EmptyInputError for a bad shape, then
+    NonFiniteError.
     """
     arr = _as_matrix(m, name)
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))

@@ -16,12 +16,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     InvalidGammaError,
+    InvalidPermutationError,
     InvalidProbabilityError,
-    NonFiniteError,
 )
+from .linalg import as_vector
 from .scoring import validate_permutation
 
 
@@ -39,15 +41,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _as_logits(s) -> np.ndarray:
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise EmptyInputError(f"logits must be a nonempty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("logits contain NaN or infinite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class LossValue:
     """A scalar loss together with its gradient w.r.t. the logits."""
@@ -63,7 +56,7 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
     log(1 + exp(s_j - s_i)) / (r_i + r_j); rank 1 is the most relevant item.
     The per-pair gradient is antisymmetric, so the total gradient sums to zero.
     """
-    logits = _as_logits(s)
+    logits = as_vector(s, "logits")
     m = logits.size
     if m < 2:
         raise EmptyInputError(f"need at least two candidates, got {m}")
@@ -72,7 +65,7 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
         raise DimensionMismatchError(f"{r.size} ranks for {m} logits")
     r = r.astype(np.int64)
     if not np.array_equal(np.sort(r), np.arange(1, m + 1)):
-        raise ValueError(f"ranks must be a permutation of 1..{m}, got {r.tolist()}")
+        raise InvalidPermutationError(f"ranks must be a permutation of 1..{m}, got {r.tolist()}")
 
     diffs = logits[None, :] - logits[:, None]  # diffs[i, j] = s_j - s_i
     weights = 1.0 / (r[:, None] + r[None, :]).astype(np.float64)
@@ -84,11 +77,9 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
 
 
 def _as_distribution(q) -> np.ndarray:
-    arr = np.asarray(q, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise EmptyInputError("soft target must be a nonempty 1-D distribution")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidProbabilityError("soft target entries must be positive and finite")
+    arr = as_vector(q, "soft target")
+    if np.any(arr <= 0.0):
+        raise InvalidProbabilityError("soft target entries must be positive")
     if abs(float(arr.sum()) - 1.0) > 1e-9:
         raise InvalidProbabilityError(f"soft target must sum to 1, got {float(arr.sum())!r}")
     return arr
@@ -127,7 +118,7 @@ def soft_rank_loss(s, target) -> LossValue:
     The gradient is softmax(s) - q, and the value is bounded below by the
     target's entropy, with equality exactly when softmax(s) = q.
     """
-    logits = _as_logits(s)
+    logits = as_vector(s, "logits")
     q = target.q if isinstance(target, SoftTarget) else _as_distribution(target)
     if q.size != logits.size:
         raise DimensionMismatchError(f"{q.size} target entries for {logits.size} logits")
@@ -140,10 +131,8 @@ def soft_rank_loss(s, target) -> LossValue:
 
 def nll_loss(step_probs) -> float:
     """Total negative log-likelihood of a sequence of per-step probabilities."""
-    p = np.asarray(step_probs, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise EmptyInputError(f"need a nonempty 1-D probability sequence, got shape {p.shape}")
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p > 1.0):
+    p = as_vector(step_probs, "step probabilities")
+    if np.any(p <= 0.0) or np.any(p > 1.0):
         raise InvalidProbabilityError("step probabilities must lie in (0, 1]")
     return float(-np.log(p).sum())
 
@@ -165,7 +154,7 @@ def finite_difference_gradcheck(
     epsilon must lie in [1e-8, 1e-3] so the difference quotient is meaningful.
     """
     if not 1e-8 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must be in [1e-8, 1e-3], got {epsilon}")
+        raise ConfigError(f"epsilon must be in [1e-8, 1e-3], got {epsilon}")
     point = np.asarray(s, dtype=np.float64).copy()
     analytic = np.asarray(loss(point).gradient, dtype=np.float64)
     worst = 0.0

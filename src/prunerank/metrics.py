@@ -22,8 +22,8 @@ from .errors import (
     EmptySubsetError,
     GroundTruthNotRankedError,
     KOutOfRangeError,
-    NonFiniteError,
 )
+from .linalg import as_vector
 
 SUCCESS = "success"
 NEAR_MISS = "near_miss"
@@ -157,14 +157,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise DimensionMismatchError(f"need equal-length 1-D inputs, got {a.shape} and {b.shape}")
+    a = as_vector(x, "x")
+    b = as_vector(y, "y")
+    if a.size != b.size:
+        raise DimensionMismatchError(f"need equal-length inputs, got {a.size} and {b.size}")
     if a.size < 2:
         raise EmptyInputError(f"need at least two observations, got {a.size}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFiniteError("inputs contain NaN or infinite entries")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateConstantError("rank correlation undefined for constant input")
     ra = _average_ranks(a)

@@ -21,7 +21,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import as_vector, cosine_to_unit, unit_rows
+from .linalg import _as_matrix, as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -31,23 +31,21 @@ def round_half_away_from_zero(x: float) -> int:
     return -int(math.floor(-x + 0.5))
 
 
-def _as_similarity(s) -> np.ndarray:
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D similarity matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise EmptyInputError("similarity matrix must have at least one row and one column")
-    return arr
+def as_keep_ratio(rho) -> float:
+    """rho as a float; the one check that a keep ratio lies in (0, 1]."""
+    if not 0.0 < rho <= 1.0:
+        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
+    return float(rho)
 
 
 def maxsim_scores(s) -> np.ndarray:
     """Per-token relevance: the columnwise maximum over query rows."""
-    return _as_similarity(s).max(axis=0)
+    return _as_matrix(s, "similarity matrix").max(axis=0)
 
 
 def lse_scores(s) -> np.ndarray:
     """Per-token log-sum-exp pooling over query rows, max-shifted for stability."""
-    arr = _as_similarity(s)
+    arr = _as_matrix(s, "similarity matrix")
     shift = arr.max(axis=0)
     return shift + np.log(np.exp(arr - shift[None, :]).sum(axis=0))
 
@@ -60,13 +58,12 @@ def keep_count(rho: float, n_tokens: int) -> int:
     product is 13.4999.... Only a product within 1e-9 (relative, above 1) of a
     .5 boundary takes the exact Fraction path.
     """
-    if not 0.0 < rho <= 1.0:
-        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
+    rho = as_keep_ratio(rho)
     if n_tokens < 1:
         raise EmptyInputError(f"n_tokens must be >= 1, got {n_tokens}")
     product = rho * n_tokens
     if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
-        rounded = math.floor(Fraction(repr(float(rho))) * int(n_tokens) + Fraction(1, 2))
+        rounded = math.floor(Fraction(repr(rho)) * int(n_tokens) + Fraction(1, 2))
     else:
         rounded = round_half_away_from_zero(product)
     return min(n_tokens, max(1, rounded))

@@ -17,9 +17,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidPermutationError,
-    NonFiniteError,
     TooManyCandidatesError,
 )
+from .linalg import as_vector
 
 IDENTIFIER_ALPHABET = string.ascii_uppercase
 
@@ -70,12 +70,7 @@ def rank_from_logits(logits) -> np.ndarray:
     Ties keep the earlier candidate first, preserving the upstream
     retriever-provided ordering among equals.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise EmptyInputError(f"logits must be a nonempty 1-D array, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError("logits contain NaN or infinite entries")
-    return np.argsort(-z, kind="stable")
+    return np.argsort(-as_vector(logits, "logits"), kind="stable")
 
 
 def validate_permutation(order) -> np.ndarray:

@@ -139,6 +139,61 @@ class TestSimulate:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_too_many_images_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_pruning_comparison was called")
+
+        monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
+        cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "synthetic": {"n_images": 27}})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+ZERO_ROW_QUERY = "zero_row_query.json"
+# Malformed configs that each once ended in a traceback with exit 1.
+BAD_INPUT_PROBES = {
+    "simulate-ranking-k-0": (
+        "simulate",
+        {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "k_values": [0]}},
+    ),
+    "simulate-30-images": ("simulate", {**SIMULATE_CFG, "synthetic": {"n_images": 30}}),
+    "simulate-one-token-images": (
+        "simulate",
+        {**SIMULATE_CFG, "synthetic": {"n_images": 3, "embed_dim": 8, "tokens_per_image": [1, 1]}},
+    ),
+    "simulate-zero-row-query": ("simulate", {**SIMULATE_CFG, "query_embedding_path": ZERO_ROW_QUERY}),
+    "cost-model-rho-0": ("cost-model", {"workload": {"rho": 0}}),
+    "cost-model-empty-context": ("cost-model", {"workload": {"n_text": 0, "n_vis": 0}}),
+    "cost-model-zero-coefficients": (
+        "cost-model",
+        {"arch": {"c_att": 0, "c_ffn": 0, "c_dec": 0, "c_score": 0}},
+    ),
+    "cost-model-sweep-rho-2": ("cost-model", {"sweep": {"rho_values": [2]}}),
+    "metrics-empty-subset": ("metrics", {"values_by_subset": {"a": []}}),
+    "metrics-string-value": ("metrics", {"values_by_subset": {"a": ["x"]}}),
+    "metrics-values-not-an-object": ("metrics", {"values_by_subset": [1]}),
+    "metrics-null-value": ("metrics", {"values_by_subset": {"a": [1, None]}}),
+    "metrics-empty-relevant": ("metrics", {"judgments": [{"relevant": [], "ranked": [0, 1]}]}),
+    "metrics-duplicate-ranked": ("metrics", {"judgments": [{"relevant": [0], "ranked": [0, 0]}]}),
+    "metrics-k-0": ("metrics", {"k_values": [0], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
+    "metrics-judgments-not-a-list": ("metrics", {"judgments": 5}),
+    "metrics-subset-not-a-string": (
+        "metrics",
+        {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("command,override", BAD_INPUT_PROBES.values(), ids=BAD_INPUT_PROBES.keys())
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, override):
+    monkeypatch.chdir(tmp_path)
+    Path(ZERO_ROW_QUERY).write_text(json.dumps({"rows": 2, "dim": 2, "data": [1, 0, 0, 0]}))
+    cfg = write_config(tmp_path, "cfg.json", override)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize(

@@ -216,7 +216,7 @@ class TestSpeedup:
         assert speedup(w, arch) == 20.0
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ConfigError):
             speedup(workload(n_text=0, n_vis=0), UNIT)
 
 
