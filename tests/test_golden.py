@@ -1,4 +1,4 @@
-"""Golden outputs: default-config reports at seed 0, pinned by sha256.
+"""Golden outputs: reports at seed 0, pinned by sha256.
 
 The determinism tests compare two runs of the same code; these pin the bytes
 themselves, so a refactor that changes any report or table value fails here.
@@ -7,6 +7,7 @@ to either is a deliberate report change and updates this table.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -29,12 +30,39 @@ GOLDEN = {
 }
 
 
+# Small configs, each with its hashes; the first has more self-test trials
+# than main trials.
+GOLDEN_CONFIGS = {
+    "verify-bounds-200-400": (
+        "verify-bounds",
+        {"trials": 200, "selftest_trials": 400},
+        {
+            "report.json": "b40fba95e6b3fee5feb526b26cff204a8793ced5c0ad9f37c1ad5623472ff3ff",
+            "tables/bound_tallies.csv": "5a2eebc8e53233fc6b7dfd43ca48b246c52ee58d52763eb687c175cc4fcee783",
+        },
+    ),
+}
+
+
+def written_hashes(out):
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_default_outputs_match_golden_hashes(command, tmp_path):
     assert main([command, "--seed", "0", "--out", str(tmp_path)]) == 0
-    written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file()
-    }
-    assert written == GOLDEN[command]
+    assert written_hashes(tmp_path) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_configured_outputs_match_golden_hashes(name, tmp_path):
+    command, config, hashes = GOLDEN_CONFIGS[name]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--seed", "0", "--out", str(out)]) == 0
+    assert written_hashes(out) == hashes
