@@ -33,8 +33,11 @@ from .experiments import (
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
+    run_pruning_error_selftest,
     run_synthetic_ranking,
+    validate_k_values,
     validate_ratios,
+    validate_trials,
     write_report,
 )
 from .linalg import embedding_from_json
@@ -162,11 +165,12 @@ def _tally_lines(checks: dict) -> list[str]:
 
 def _cmd_verify_bounds(args) -> int:
     cfg = _merge(DEFAULTS["verify-bounds"], _load_config(args.config))
+    validate_trials(cfg["trials"])
+    validate_trials(cfg["selftest_trials"], "selftest_trials")
     bounds = run_bound_verification(cfg["trials"], args.seed)
-    selftest = run_bound_verification(
-        cfg["selftest_trials"], args.seed, error_bound_constant=cfg["selftest_constant"]
+    selftest_failures = run_pruning_error_selftest(
+        cfg["selftest_trials"], args.seed, cfg["selftest_constant"]
     )
-    selftest_failures = selftest["checks"]["pruning_error_bound"]["failures"]
     checks_pass = bounds["total_failures"] == 0
     selftest_pass = selftest_failures > 0
     report = {
@@ -212,6 +216,7 @@ def _cmd_simulate(args) -> int:
     cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
     validate_ratios(cfg["keep_ratios"])
     validate_ratios([cfg["ranking"]["rho"]])
+    validate_k_values(cfg["ranking"]["k_values"])
     assign_identifiers(cfg["synthetic"]["n_images"])
     query = None
     syn = dict(cfg["synthetic"])

@@ -23,8 +23,15 @@ from .errors import DimensionMismatchError, EmptyInputError, NonFiniteError, Zer
 ZERO_NORM_EPS = 1e-12
 
 
-def _shape_checked(arr: np.ndarray, ndim: int, name: str) -> np.ndarray:
-    """The one shape rule: ndim dimensions, then at least one entry."""
+def _shape_checked(values, ndim: int, name: str) -> np.ndarray:
+    """The one shape rule: numbers in ndim dimensions, then at least one entry.
+
+    Returns values as a float64 array, never copied if it already is one.
+    """
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{name} must be a rectangular array of numbers") from exc
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size < 1:
@@ -35,10 +42,10 @@ def _shape_checked(arr: np.ndarray, ndim: int, name: str) -> np.ndarray:
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array with at least one entry.
 
-    Raises DimensionMismatchError unless 1-D, then EmptyInputError, then
-    NonFiniteError.
+    Raises DimensionMismatchError unless a 1-D array of numbers, then
+    EmptyInputError, then NonFiniteError.
     """
-    arr = _shape_checked(np.asarray(v, dtype=np.float64), 1, name)
+    arr = _shape_checked(v, 1, name)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
@@ -46,7 +53,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 def _as_matrix(m, name: str) -> np.ndarray:
     """m as a 2-D float64 array with at least one row and column (no finiteness scan)."""
-    return _shape_checked(np.asarray(m, dtype=np.float64), 2, name)
+    return _shape_checked(m, 2, name)
 
 
 def as_embedding(m, name: str = "matrix") -> np.ndarray:

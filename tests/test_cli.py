@@ -140,18 +140,25 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_too_many_images_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("run_pruning_comparison was called")
-
         monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
         cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "synthetic": {"n_images": 27}})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_k_value_0_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
+        ranking = {**SIMULATE_CFG["ranking"], "k_values": [3, 0]}
+        cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "ranking": ranking})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 ZERO_ROW_QUERY = "zero_row_query.json"
-# Malformed configs that each once ended in a traceback with exit 1.
+# Malformed configs that each once ended in a traceback with exit 1, or in
+# exit 2 only after the work before the failing step had run.
 BAD_INPUT_PROBES = {
+    "verify-bounds-trials-0": ("verify-bounds", {"trials": 0}),
+    "verify-bounds-selftest-trials-0": ("verify-bounds", {"selftest_trials": 0}),
     "simulate-ranking-k-0": (
         "simulate",
         {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "k_values": [0]}},
@@ -173,6 +180,8 @@ BAD_INPUT_PROBES = {
     "metrics-string-value": ("metrics", {"values_by_subset": {"a": ["x"]}}),
     "metrics-values-not-an-object": ("metrics", {"values_by_subset": [1]}),
     "metrics-null-value": ("metrics", {"values_by_subset": {"a": [1, None]}}),
+    "metrics-nan-value": ("metrics", {"values_by_subset": {"a": [float("nan")]}}),
+    "metrics-mean-overflows": ("metrics", {"values_by_subset": {"a": [1e308, 1e308]}}),
     "metrics-empty-relevant": ("metrics", {"judgments": [{"relevant": [], "ranked": [0, 1]}]}),
     "metrics-duplicate-ranked": ("metrics", {"judgments": [{"relevant": [0], "ranked": [0, 0]}]}),
     "metrics-k-0": ("metrics", {"k_values": [0], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
@@ -184,9 +193,15 @@ BAD_INPUT_PROBES = {
 }
 
 
+def never(*args, **kwargs):
+    raise AssertionError("called after the input was known to be bad")
+
+
 @pytest.mark.parametrize("command,override", BAD_INPUT_PROBES.values(), ids=BAD_INPUT_PROBES.keys())
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, override):
     monkeypatch.chdir(tmp_path)
+    for tally in ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally"):
+        monkeypatch.setattr(f"prunerank.experiments.{tally}", never)
     Path(ZERO_ROW_QUERY).write_text(json.dumps({"rows": 2, "dim": 2, "data": [1, 0, 0, 0]}))
     cfg = write_config(tmp_path, "cfg.json", override)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -1,8 +1,8 @@
 """The error family and the one array input rule.
 
 Every error the package raises derives from PrunerankError, and every public
-array entry point reports a bad shape, an empty input and a non-finite entry
-with the same three classes.
+array entry point reports a bad shape or a non-numeric entry, an empty input
+and a non-finite entry with the same three classes.
 """
 
 import ast
@@ -26,12 +26,14 @@ VECTOR_CASES = {
     "2-D": ([[0.5, 0.5]], DimensionMismatchError),
     "empty": ([], EmptyInputError),
     "nan": ([0.5, np.nan], NonFiniteError),
+    "non-numeric": (["x", 0.5], DimensionMismatchError),
 }
 # A matrix entry point's wrong number of dimensions is a 3-D input.
 MATRIX_CASES = {
     "3-D": ([[[0.5, 0.5]]], DimensionMismatchError),
     "empty": (np.zeros((0, 2)), EmptyInputError),
     "nan": ([[0.5, np.nan]], NonFiniteError),
+    "non-numeric": ([["x", 0.5]], DimensionMismatchError),
 }
 
 VECTOR_ENTRY_POINTS = {
@@ -47,9 +49,12 @@ VECTOR_ENTRY_POINTS = {
 }
 # maxsim_scores and lse_scores scan no similarity matrix for NaN.
 MATRIX_ENTRY_POINTS = {
-    "similarity_matrix": (lambda x: similarity_matrix(x, [[1.0, 0.0]]), ("3-D", "empty", "nan")),
-    "maxsim_scores": (maxsim_scores, ("3-D", "empty")),
-    "lse_scores": (lse_scores, ("3-D", "empty")),
+    "similarity_matrix": (
+        lambda x: similarity_matrix(x, [[1.0, 0.0]]),
+        ("3-D", "empty", "nan", "non-numeric"),
+    ),
+    "maxsim_scores": (maxsim_scores, ("3-D", "empty", "non-numeric")),
+    "lse_scores": (lse_scores, ("3-D", "empty", "non-numeric")),
 }
 
 ARRAY_CASES = [
