@@ -57,10 +57,11 @@ ERROR_BOUND_CONSTANT = 2.0
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
-# count), then scores the whole chunk with a few array operations. The largest
-# buffer, the pruning-error value rows, is 64 x 64 x 16 float64 = 512 KiB.
-# Chunks of 256 trials ran a 2 500-trial verify-bounds about 4% faster but
-# raised its peak RSS by about 5 MB; 64 leaves it where per-trial checking had it.
+# count) and by the largest sizes the tally draws, then scores the whole chunk
+# with a few array operations. The largest buffer, the pruning-error value
+# rows, is 64 x 64 x 16 float64 = 512 KiB. On a 2-vCPU host, chunks of 256
+# trials ran a 2 500-trial verify-bounds about 4% faster but raised its peak
+# RSS by about 5 MB; 64 leaves it where per-trial checking had it.
 TALLY_CHUNK = 64
 
 
@@ -227,8 +228,7 @@ def _pruning_error_tally(rng: np.random.Generator, trials: int, constant: float)
         _require_finite(values, "V")
         if (alpha < -BOUND_SLACK).any():
             raise InvalidProbabilityError("attention weights must be nonnegative")
-        sums = alpha.sum(axis=1)
-        if (np.abs(sums - 1.0) > 1e-9).any():
+        if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-9).any():
             raise InvalidProbabilityError("attention weights must sum to 1")
         if not kept.any(axis=1).all():
             raise EmptyInputError("kept index set must be nonempty")
@@ -285,11 +285,10 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
     return {"name": "tail_gap_bound", "trials": trials, "failures": failures}
 
 
-def validate_trials(trials: int, name: str = "trials") -> int:
-    """trials as given; raises unless it is at least 1."""
+def validate_trials(trials: int, name: str = "trials") -> None:
+    """Raise unless a trial count is at least 1."""
     if trials < 1:
         raise ConfigError(f"{name} must be >= 1, got {trials}")
-    return trials
 
 
 def _tally_rngs(seed: int) -> list[np.random.Generator]:
