@@ -30,6 +30,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def never(*args, **kwargs):
+    raise AssertionError("called after the input was known to be bad")
+
+
 class TestVerifyBounds:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", VERIFY_CFG)
@@ -191,10 +195,6 @@ BAD_INPUT_PROBES = {
         {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
     ),
 }
-
-
-def never(*args, **kwargs):
-    raise AssertionError("called after the input was known to be bad")
 
 
 @pytest.mark.parametrize("command,override", BAD_INPUT_PROBES.values(), ids=BAD_INPUT_PROBES.keys())
