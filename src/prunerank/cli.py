@@ -8,6 +8,10 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
+A config is checked in full before any work: _merge holds the rules for each
+value, keyed by its name, and each command builds its section objects
+(SyntheticConfig, ArchParams, WorkloadSpec) before its first step.
+
 Exit code 0 means every verification tally in the run passed and 1 that one
 failed; any prunerank.errors error (bad config or input) prints
 `config error:` to stderr and exits 2. Wall time is printed to stdout and
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,13 +40,11 @@ from .experiments import (
     run_pruning_comparison,
     run_pruning_error_selftest,
     run_synthetic_ranking,
-    validate_k_values,
-    validate_ratios,
-    validate_trials,
     write_report,
 )
 from .linalg import embedding_from_json
 from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments
+from .pruning import as_keep_ratio
 from .scoring import assign_identifiers
 from .synthetic import SyntheticConfig
 
@@ -111,21 +114,30 @@ def _load_config(path: str | None) -> dict:
         with open(path) as handle:
             loaded = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return loaded
 
 
 # JSON types a value may take where the default has the given Python type; an
-# int is accepted where a float is expected. A None default accepts anything
-# and is checked where it is used.
+# int is accepted where a float is expected.
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+# The value a None default stands for when it is set. values_by_subset is not
+# listed: it may hold any JSON and the metrics command checks it.
+_SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "judgments": []}
+
+# Leaf rules keyed by leaf name, which means the same thing in every section:
+# the smallest value (of each item, for a list) and the leaves holding keep ratios.
+_MINIMUMS = {
+    "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
+    "tokens_per_candidate": 1, "attention_noise": 0,
+}
+_RATIOS = {"keep_ratios", "rho", "rho_values"}
 
 
 def _same_json_type(default, value) -> bool:
-    if default is None:
-        return True
     if isinstance(value, bool) and not isinstance(default, bool):
         return False
     if not isinstance(value, _ACCEPTED_TYPES[type(default)]):
@@ -135,8 +147,31 @@ def _same_json_type(default, value) -> bool:
     return True
 
 
+def _check_leaf(key: str, default, value, where: str) -> None:
+    """Raise unless an overriding value follows its default's type and its leaf's rules."""
+    if default is None:
+        default = _SET_NULL_DEFAULTS.get(key)
+        if default is None or value is None:
+            return
+    if not _same_json_type(default, value):
+        raise ConfigError(
+            f"{where} must have the JSON type of its default {json.dumps(default)}, "
+            f"got {json.dumps(value)}"
+        )
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ConfigError(f"{where} must not be empty")
+    if any(isinstance(item, float) and not math.isfinite(item) for item in items):
+        raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
+    if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
+        raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {json.dumps(value)}")
+    if key in _RATIOS:
+        for item in items:
+            as_keep_ratio(item)
+
+
 def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
-    """Overlay a user config on the defaults, rejecting unknown keys and wrong types."""
+    """Overlay a user config on the defaults; the one check of every overriding value."""
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
         if key not in defaults:
@@ -145,13 +180,9 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{context}.{key} must be a JSON object")
             merged[key] = _merge(defaults[key], value, f"{context}.{key}")
-        elif _same_json_type(defaults[key], value):
-            merged[key] = copy.deepcopy(value)
         else:
-            raise ConfigError(
-                f"{context}.{key} must have the JSON type of its default "
-                f"{json.dumps(defaults[key])}, got {json.dumps(value)}"
-            )
+            _check_leaf(key, defaults[key], value, f"{context}.{key}")
+            merged[key] = copy.deepcopy(value)
     return merged
 
 
@@ -165,8 +196,6 @@ def _tally_lines(checks: dict) -> list[str]:
 
 def _cmd_verify_bounds(args) -> int:
     cfg = _merge(DEFAULTS["verify-bounds"], _load_config(args.config))
-    validate_trials(cfg["trials"])
-    validate_trials(cfg["selftest_trials"], "selftest_trials")
     bounds = run_bound_verification(cfg["trials"], args.seed)
     selftest_failures = run_pruning_error_selftest(
         cfg["selftest_trials"], args.seed, cfg["selftest_constant"]
@@ -206,46 +235,26 @@ def _section_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
-def _load_query(path) -> np.ndarray:
-    if not isinstance(path, str):
-        raise ConfigError(f"config.query_embedding_path must be a string or null, got {path!r}")
-    return embedding_from_json(_load_config(path))
-
-
 def _cmd_simulate(args) -> int:
     cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
-    validate_ratios(cfg["keep_ratios"])
-    validate_ratios([cfg["ranking"]["rho"]])
-    validate_k_values(cfg["ranking"]["k_values"])
     assign_identifiers(cfg["synthetic"]["n_images"])
     query = None
     syn = dict(cfg["synthetic"])
-    if cfg["query_embedding_path"]:
-        query = _load_query(cfg["query_embedding_path"])
+    if cfg["query_embedding_path"] is not None:
+        query = embedding_from_json(_load_config(cfg["query_embedding_path"]))
         syn["n_query_tokens"], syn["embed_dim"] = query.shape
-    seeds = _section_seeds(args.seed, 3)
+    ranking_cfg = dict(cfg["ranking"])
+    ranking_syn = {**syn, "noise_scale": ranking_cfg.pop("noise_scale")}
+    # Built, and so checked, before the first section runs.
+    sections = [
+        SyntheticConfig(**section_syn, seed=seed)
+        for section_syn, seed in zip((syn, syn, ranking_syn), _section_seeds(args.seed, 3))
+    ]
     comparison = run_pruning_comparison(
-        SyntheticConfig(**{**syn, "seed": seeds[0]}),
-        cfg["keep_ratios"],
-        n_instances=cfg["n_instances"],
-        query=query,
+        sections[0], cfg["keep_ratios"], n_instances=cfg["n_instances"], query=query
     )
-    corr_cfg = cfg["correlation"]
-    correlation = run_correlation_probe(
-        SyntheticConfig(**{**syn, "seed": seeds[1]}),
-        n_instances=corr_cfg["n_instances"],
-        n_heads=corr_cfg["n_heads"],
-        attention_noise=corr_cfg["attention_noise"],
-        query=query,
-    )
-    rank_cfg = cfg["ranking"]
-    ranking = run_synthetic_ranking(
-        SyntheticConfig(**{**syn, "noise_scale": rank_cfg["noise_scale"], "seed": seeds[2]}),
-        rho=rank_cfg["rho"],
-        n_instances=rank_cfg["n_instances"],
-        k_values=rank_cfg["k_values"],
-        query=query,
-    )
+    correlation = run_correlation_probe(sections[1], **cfg["correlation"], query=query)
+    ranking = run_synthetic_ranking(sections[2], **ranking_cfg, query=query)
     checks = {"t2i_ge_random": comparison["t2i_ge_random"]}
     report = {
         "command": "simulate",
@@ -282,12 +291,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_cost_model(args) -> int:
     cfg = _merge(DEFAULTS["cost-model"], _load_config(args.config))
     arch = ArchParams(**cfg["arch"])
-    workload_cfg = dict(cfg["workload"])
-    counts = workload_cfg.pop("image_token_counts")
-    workload = WorkloadSpec(
-        **workload_cfg,
-        image_token_counts=tuple(counts) if counts is not None else None,
-    )
+    workload = WorkloadSpec(**cfg["workload"])
     report = {
         "command": "cost-model",
         "seed": args.seed,
@@ -295,18 +299,9 @@ def _cmd_cost_model(args) -> int:
         "cost": cost_report(workload, arch),
     }
     tables = {}
-    sweep_cfg = cfg["sweep"]
-    if sweep_cfg and sweep_cfg.get("enabled", True):
-        sweep = run_cost_sweep(
-            arch,
-            n_text=sweep_cfg["n_text"],
-            tokens_per_candidate=sweep_cfg["tokens_per_candidate"],
-            n_query=sweep_cfg["n_query"],
-            beta=sweep_cfg["beta"],
-            u_reason=sweep_cfg["u_reason"],
-            rho_values=sweep_cfg["rho_values"],
-            k_values=sweep_cfg["k_values"],
-        )
+    sweep_cfg = dict(cfg["sweep"])
+    if sweep_cfg.pop("enabled"):
+        sweep = run_cost_sweep(arch, **sweep_cfg)
         report["sweep"] = sweep
         header = ["k", "rho", "n_full", "n_rho", "u_base", "f_base", "f_zip", "speedup", "prefill_ratio"]
         tables["cost_sweep"] = (header, [[row[h] for h in header] for row in sweep["rows"]])
@@ -317,9 +312,7 @@ def _cmd_cost_model(args) -> int:
     return 0
 
 
-def _parse_judgments(raw) -> dict:
-    if not isinstance(raw, list):
-        raise ConfigError("config.judgments must be a list")
+def _parse_judgments(raw: list) -> dict:
     judgments_by_subset: dict[str, list[QueryJudgment]] = {}
     for i, entry in enumerate(raw):
         try:
@@ -334,8 +327,6 @@ def _parse_judgments(raw) -> dict:
         if not isinstance(subset, str):
             raise ConfigError(f"judgment {i} subset must be a string, got {subset!r}")
         judgments_by_subset.setdefault(subset, []).append(judgment)
-    if not judgments_by_subset:
-        raise ConfigError("judgments list is empty")
     return judgments_by_subset
 
 
@@ -393,6 +384,14 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: str) -> None:
+    """Raise unless --out is a directory or a path that can be made one."""
+    path = Path(out)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out} must name a directory, but {nearest} is a file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunerank",
@@ -412,6 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_out(args.out)
         code = args.func(args)
     except PrunerankError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -338,6 +338,8 @@ def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None)
     The instance seeds are the master's first draw; callers may draw more from
     the master afterwards, before or while consuming the stream.
     """
+    if n_instances < 1:
+        raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(2**63, size=n_instances)
     instances = (
@@ -354,14 +356,6 @@ def validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
     return ratios
 
 
-def validate_k_values(k_values: Sequence[int]) -> list[int]:
-    """The list sizes as ints; raises unless each is at least 1."""
-    ks = [int(k) for k in k_values]
-    if any(k < 1 for k in ks):
-        raise ConfigError(f"k values must be >= 1, got {k_values}")
-    return ks
-
-
 def run_pruning_comparison(
     cfg: SyntheticConfig,
     keep_ratios: Sequence[float],
@@ -376,8 +370,6 @@ def run_pruning_comparison(
     An explicit query matrix replaces the per-instance sampled one.
     """
     ratios = validate_ratios(keep_ratios)
-    if n_instances < 1:
-        raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     master, instances = _instances(cfg, n_instances, query)
     random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
     kept_t2i = np.zeros(len(ratios), dtype=np.int64)
@@ -427,8 +419,8 @@ def run_correlation_probe(
     head average is then rank-correlated against the hard-max pruning scores.
     The value is reported without an acceptance threshold.
     """
-    if n_instances < 1 or n_heads < 1:
-        raise ConfigError("n_instances and n_heads must be >= 1")
+    if n_heads < 1:
+        raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
     if attention_noise < 0:
         raise ConfigError(f"attention_noise must be nonnegative, got {attention_noise}")
     master, instances = _instances(cfg, n_instances, query)
@@ -472,10 +464,7 @@ def run_synthetic_ranking(
     token and always keeps the best one, so that score is the image's maximum
     token score and the result does not depend on rho.
     """
-    ratios = validate_ratios([rho])
-    rho = ratios[0]
-    if n_instances < 1:
-        raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
+    rho = as_keep_ratio(rho)
     _, instances = _instances(cfg, n_instances, query)
     judgments = []
     for instance in instances:
@@ -510,9 +499,9 @@ def run_cost_sweep(
 ) -> dict:
     """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes."""
     ratios = validate_ratios(rho_values)
-    ks = validate_k_values(k_values)
-    if not ks:
-        raise ConfigError("need at least one k value")
+    ks = [int(k) for k in k_values]
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"need at least one k value, each >= 1, got {k_values}")
     if tokens_per_candidate < 1:
         raise ConfigError(f"tokens_per_candidate must be >= 1, got {tokens_per_candidate}")
     rows = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunerank.cli import main
+from prunerank.cli import DEFAULTS, _merge, main
 from prunerank.linalg import embedding_to_json
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
@@ -194,20 +194,82 @@ BAD_INPUT_PROBES = {
         "metrics",
         {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
     ),
+    "verify-bounds-nan-constant": ("verify-bounds", {"selftest_constant": float("nan")}),
+    "verify-bounds-trials-null": ("verify-bounds", {"trials": None}),
+    "simulate-ranking-k-empty": (
+        "simulate",
+        {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "k_values": []}},
+    ),
+    "simulate-0-heads": ("simulate", {**SIMULATE_CFG, "correlation": {"n_heads": 0}}),
+    "simulate-negative-ranking-noise": (
+        "simulate",
+        {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "noise_scale": -1}},
+    ),
+    "simulate-ranking-0-instances": (
+        "simulate",
+        {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "n_instances": 0}},
+    ),
+    "simulate-empty-query-path": ("simulate", {**SIMULATE_CFG, "query_embedding_path": ""}),
+    "cost-model-string-token-count": ("cost-model", {"workload": {"image_token_counts": ["a"]}}),
+    "cost-model-disabled-sweep-k-0": ("cost-model", {"sweep": {"enabled": False, "k_values": [0]}}),
+    "metrics-k-empty": ("metrics", {"k_values": [], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
 }
+# Probes whose bad value shows only in what a step computes from it (the rank
+# correlation of one-token images, a zero-norm query row, zero pruned-pipeline
+# FLOPs), so that step may run; every other probe fails before any step.
+FOUND_BY_A_STEP = {
+    "simulate-one-token-images",
+    "simulate-zero-row-query",
+    "cost-model-empty-context",
+    "cost-model-zero-coefficients",
+}
+STEPS = (
+    "run_pruning_comparison",
+    "run_correlation_probe",
+    "run_synthetic_ranking",
+    "run_cost_sweep",
+    "cost_report",
+)
 
 
-@pytest.mark.parametrize("command,override", BAD_INPUT_PROBES.values(), ids=BAD_INPUT_PROBES.keys())
-def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command, override):
+@pytest.mark.parametrize("probe", BAD_INPUT_PROBES)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, probe):
+    command, override = BAD_INPUT_PROBES[probe]
     monkeypatch.chdir(tmp_path)
     for tally in ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally"):
         monkeypatch.setattr(f"prunerank.experiments.{tally}", never)
+    if probe not in FOUND_BY_A_STEP:
+        for step in STEPS:
+            monkeypatch.setattr(f"prunerank.cli.{step}", never)
     Path(ZERO_ROW_QUERY).write_text(json.dumps({"rows": 2, "dim": 2, "data": [1, 0, 0, 0]}))
     cfg = write_config(tmp_path, "cfg.json", override)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr("prunerank.cli.cost_report", never)
+    (tmp_path / "file").write_text("")
+    assert run(["cost-model", "--out", tmp_path / out]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_defaults_pass_their_own_rules(command):
+    assert _merge(DEFAULTS[command], DEFAULTS[command]) == DEFAULTS[command]
+
+
+@pytest.mark.parametrize("command", ["verify-bounds", "simulate", "cost-model"])
+def test_readme_config_block_equals_defaults(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"\n### {command}\n", 1)[1].split("\n### ", 1)[0]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULTS[command]
 
 
 class TestConfigTypes:
