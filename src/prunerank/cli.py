@@ -66,7 +66,7 @@ DEFAULTS: dict = {
             "noise_scale": 0.0,
         },
         "correlation": {"n_instances": 200, "n_heads": 4, "attention_noise": 0.5},
-        "ranking": {"rho": 0.5, "n_instances": 300, "noise_scale": 1.0, "k_values": [1, 3, 5]},
+        "ranking": {"n_instances": 300, "noise_scale": 1.0, "k_values": [1, 3, 5]},
         "query_embedding_path": None,
     },
     "cost-model": {
@@ -130,9 +130,12 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 
 # Leaf rules keyed by leaf name, which means the same thing in every section:
 # the smallest value (of each item, for a list) and the leaves holding keep ratios.
+# tokens_per_image starts at 2 because the correlation probe rank-correlates
+# each image's tokens.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
-    "tokens_per_candidate": 1, "attention_noise": 0,
+    "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
+    "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0,
 }
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
 

@@ -49,9 +49,9 @@ from .pruning import (
 from .scoring import CandidateList, apply_permutation, rank_from_logits
 from .synthetic import SyntheticConfig, generate_instance
 
-# The proven coefficient in the pruning-error bound. Exposed as a parameter so
-# a self-test can corrupt it (e.g. to 1.9) and confirm the check reports
-# violations when the claim is weakened.
+# The proven coefficient in the pruning-error bound. run_pruning_error_selftest
+# scores the same trials against a weakened one (e.g. 1.9) to confirm the
+# check reports violations when the claim is weakened.
 ERROR_BOUND_CONSTANT = 2.0
 
 
@@ -296,26 +296,24 @@ def _tally_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)]
 
 
-def run_bound_verification(trials: int, seed: int, error_bound_constant: float = ERROR_BOUND_CONSTANT) -> dict:
+def run_bound_verification(trials: int, seed: int) -> dict:
     """Run all four randomized bound checks and tally violations.
 
-    With the proven error_bound_constant the expected failure count is zero for
-    every seed; any failure indicates an implementation bug. Passing a smaller
-    constant (the self-test) must produce failures, proving the check can
-    detect a weakened claim.
+    With the proven ERROR_BOUND_CONSTANT the expected failure count is zero for
+    every seed; any failure indicates an implementation bug.
     """
     validate_trials(trials)
     rngs = _tally_rngs(seed)
     checks = [
         _sandwich_tally(rngs[0], trials),
         _stability_tally(rngs[1], trials),
-        _pruning_error_tally(rngs[2], trials, error_bound_constant),
+        _pruning_error_tally(rngs[2], trials, ERROR_BOUND_CONSTANT),
         _tail_gap_tally(rngs[3], trials),
     ]
     return {
         "trials": trials,
         "seed": seed,
-        "error_bound_constant": error_bound_constant,
+        "error_bound_constant": ERROR_BOUND_CONSTANT,
         "checks": {check["name"]: check for check in checks},
         "total_failures": sum(check["failures"] for check in checks),
     }
@@ -451,27 +449,24 @@ def run_correlation_probe(
 
 def run_synthetic_ranking(
     cfg: SyntheticConfig,
-    rho: float,
     n_instances: int = 300,
     k_values: Sequence[int] = (1, 3, 5),
     query: np.ndarray | None = None,
 ) -> dict:
-    """End-to-end synthetic reranking quality under query-aware pruning.
+    """End-to-end synthetic reranking quality from best-token scores.
 
-    Each candidate image is scored by the best surviving token score after
-    pruning at the given rho; candidates are ranked by descending score and
-    judged against the planted relevant image. Pruning keeps at least one
-    token and always keeps the best one, so that score is the image's maximum
-    token score and the result does not depend on rho.
+    Each candidate image is scored by its best token score, the largest
+    query-token similarity in the image; candidates are ranked by descending
+    score and judged against the planted relevant image. No keep ratio enters:
+    query-aware pruning always keeps an image's best token, so pruning first
+    would not change any score.
     """
-    rho = as_keep_ratio(rho)
     _, instances = _instances(cfg, n_instances, query)
     judgments = []
     for instance in instances:
         candidates = CandidateList.from_ids(range(len(instance.images)))
         logits = [
-            float(maxsim_scores(similarity_matrix(instance.query, image)).max())
-            for image in instance.images
+            float(similarity_matrix(instance.query, image).max()) for image in instance.images
         ]
         permutation = rank_from_logits(logits)
         reranked = apply_permutation(list(candidates.ids), permutation)
@@ -480,7 +475,6 @@ def run_synthetic_ranking(
         )
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
-        "rho": rho,
         "n_instances": n_instances,
         "metrics": evaluation["per_subset"]["synthetic"],
         "failure_taxonomy": evaluation["failure_taxonomy"],

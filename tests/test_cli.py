@@ -16,7 +16,7 @@ SIMULATE_CFG = {
     "keep_ratios": [0.3, 0.7],
     "synthetic": {"n_images": 3, "embed_dim": 8},
     "correlation": {"n_instances": 20},
-    "ranking": {"rho": 0.5, "n_instances": 30, "noise_scale": 1.0, "k_values": [1, 3]},
+    "ranking": {"n_instances": 30, "noise_scale": 1.0, "k_values": [1, 3]},
 }
 
 
@@ -104,6 +104,11 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["pruning_comparison"]["t2i_retention"] == [1.0, 1.0]
+        # The loaded query replaces the sampled ones, so the correlation moves.
+        sampled = write_config(tmp_path, "sampled.json", SIMULATE_CFG)
+        assert run(["simulate", "--config", sampled, "--out", tmp_path / "s"]) == 0
+        sampled_report = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert report["correlation"] != sampled_report["correlation"]
 
     def test_missing_embedding_file_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -135,13 +140,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "override",
-        [{"keep_ratios": [0.5, 1.5]}, {"ranking": {"rho": 1.5}}, {"ranking": {"rho": 0}}],
+        [{"keep_ratios": [0.5, 1.5]}, {"keep_ratios": [0]}, {"keep_ratios": [0.5, 1.0001]}],
     )
     def test_out_of_range_ratio_is_a_config_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, **override})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_ranking_rho_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "ranking": {"rho": 0.5}})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "unknown config.ranking key 'rho'" in capsys.readouterr().err
 
     def test_too_many_images_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
@@ -213,12 +223,16 @@ BAD_INPUT_PROBES = {
     "cost-model-string-token-count": ("cost-model", {"workload": {"image_token_counts": ["a"]}}),
     "cost-model-disabled-sweep-k-0": ("cost-model", {"sweep": {"enabled": False, "k_values": [0]}}),
     "metrics-k-empty": ("metrics", {"k_values": [], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
+    "cost-model-disabled-sweep-negative-n-text": (
+        "cost-model",
+        {"sweep": {"enabled": False, "n_text": -1}},
+    ),
+    "cost-model-sweep-negative-n-query": ("cost-model", {"sweep": {"n_query": -1}}),
 }
-# Probes whose bad value shows only in what a step computes from it (the rank
-# correlation of one-token images, a zero-norm query row, zero pruned-pipeline
-# FLOPs), so that step may run; every other probe fails before any step.
+# Probes whose bad value shows only in what a step computes from it (a
+# zero-norm query row, zero pruned-pipeline FLOPs), so that step may run;
+# every other probe fails before any step.
 FOUND_BY_A_STEP = {
-    "simulate-one-token-images",
     "simulate-zero-row-query",
     "cost-model-empty-context",
     "cost-model-zero-coefficients",
@@ -270,6 +284,131 @@ def test_readme_config_block_equals_defaults(command):
     section = readme.split(f"\n### {command}\n", 1)[1].split("\n### ", 1)[0]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == DEFAULTS[command]
+
+
+# The dead-knob guard: every leaf of these commands' defaults must change the
+# report. Each leaf gets one valid value that differs from its default and from
+# KNOB_BASE, which keeps the runs small.
+KNOB_BASE = {
+    "verify-bounds": {"trials": 50, "selftest_trials": 100},
+    "simulate": {
+        "n_instances": 40,
+        "keep_ratios": [0.3, 0.7],
+        "synthetic": {"n_images": 3, "embed_dim": 8},
+        "correlation": {"n_instances": 10},
+        "ranking": {"n_instances": 20, "k_values": [1, 3]},
+    },
+    "cost-model": {},
+}
+KNOB_VALUES = {
+    "verify-bounds.trials": 100,
+    "verify-bounds.selftest_trials": 200,
+    "verify-bounds.selftest_constant": 1.5,
+    "simulate.n_instances": 50,
+    "simulate.keep_ratios": [0.2, 0.7],
+    "simulate.synthetic.n_images": 4,
+    "simulate.synthetic.tokens_per_image": [10, 30],
+    "simulate.synthetic.embed_dim": 6,
+    "simulate.synthetic.n_query_tokens": 2,
+    "simulate.synthetic.planted_per_image": 2,
+    "simulate.synthetic.noise_scale": 0.5,
+    "simulate.correlation.n_instances": 15,
+    "simulate.correlation.n_heads": 2,
+    "simulate.correlation.attention_noise": 2.0,
+    "simulate.ranking.n_instances": 30,
+    "simulate.ranking.noise_scale": 0.5,
+    "simulate.ranking.k_values": [1, 2],
+    "cost-model.arch.layers": 16,
+    "cost-model.arch.width": 2048,
+    "cost-model.arch.c_att": 1.0,
+    "cost-model.arch.c_ffn": 2.0,
+    "cost-model.arch.c_dec": 1.0,
+    "cost-model.arch.c_score": 1.0,
+    "cost-model.workload.n_text": 256,
+    "cost-model.workload.n_vis": 10240,
+    "cost-model.workload.n_query": 16,
+    "cost-model.workload.k": 10,
+    "cost-model.workload.beta": 0.5,
+    "cost-model.workload.u_reason": 100,
+    "cost-model.workload.rho": 0.3,
+    "cost-model.workload.image_token_counts": [1023, 1025] + [1024] * 18,
+    "cost-model.sweep.enabled": False,
+    "cost-model.sweep.rho_values": [0.5, 1.0],
+    "cost-model.sweep.k_values": [10, 20],
+    "cost-model.sweep.n_text": 256,
+    "cost-model.sweep.tokens_per_candidate": 512,
+    "cost-model.sweep.n_query": 16,
+    "cost-model.sweep.beta": 0.5,
+    "cost-model.sweep.u_reason": 100,
+}
+# Leaves whose alternative value needs a file, each with the test that covers it.
+KNOBS_COVERED_ELSEWHERE = {
+    "simulate.query_embedding_path": "TestSimulate::test_query_loaded_from_embedding_file",
+}
+
+
+def leaf_paths(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+KNOBS = {
+    ".".join((command, *path)): (command, path)
+    for command in KNOB_BASE
+    for path in leaf_paths(DEFAULTS[command])
+}
+
+
+def leaf_section(tree, path):
+    """The dict that holds the leaf at path."""
+    for key in path[:-1]:
+        tree = tree[key]
+    return tree
+
+
+def without_key(tree, name):
+    """The JSON tree with every key called name removed, at any depth."""
+    if isinstance(tree, dict):
+        return {key: without_key(value, name) for key, value in tree.items() if key != name}
+    if isinstance(tree, list):
+        return [without_key(value, name) for value in tree]
+    return tree
+
+
+def knob_report(out_dir, command, cfg):
+    out_dir.mkdir()
+    path = write_config(out_dir, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", out_dir / "o"]) in (0, 1)
+    report = json.loads((out_dir / "o" / "report.json").read_text())
+    del report["config"]
+    return report
+
+
+@pytest.fixture(scope="module")
+def knob_base_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("knob_base")
+    return {
+        command: knob_report(root / command, command, cfg) for command, cfg in KNOB_BASE.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in KNOBS if name not in KNOBS_COVERED_ELSEWHERE]
+)
+def test_every_knob_changes_the_report(tmp_path, knob_base_reports, name):
+    command, path = KNOBS[name]
+    assert name in KNOB_VALUES, f"{name} has no alternative value in KNOB_VALUES"
+    value = KNOB_VALUES[name]
+    cfg = _merge(DEFAULTS[command], KNOB_BASE[command])
+    section = leaf_section(cfg, path)
+    assert value not in (leaf_section(DEFAULTS[command], path)[path[-1]], section[path[-1]])
+    section[path[-1]] = value
+    changed = knob_report(tmp_path / "changed", command, cfg)
+    base = knob_base_reports[command]
+    assert without_key(changed, path[-1]) != without_key(base, path[-1]), f"{name} changes nothing"
 
 
 class TestConfigTypes:

@@ -9,6 +9,7 @@ from prunerank.experiments import (
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
+    run_pruning_error_selftest,
     run_synthetic_ranking,
     write_report,
 )
@@ -47,8 +48,7 @@ class TestBoundVerification:
     def test_corrupted_constant_is_detected(self):
         # Weakening the proven coefficient must produce visible violations,
         # proving the checker can actually fail.
-        report = run_bound_verification(trials=400, seed=7, error_bound_constant=1.9)
-        assert report["checks"]["pruning_error_bound"]["failures"] > 0
+        assert run_pruning_error_selftest(400, 7, 1.9) > 0
 
     def test_trials_validated(self):
         with pytest.raises(ConfigError):
@@ -124,34 +124,21 @@ class TestCorrelationProbe:
 class TestSyntheticRanking:
     def test_zero_noise_ranks_relevant_first(self):
         cfg = SyntheticConfig(n_images=6, noise_scale=0.0, seed=8)
-        report = run_synthetic_ranking(cfg, rho=0.5, n_instances=60)
+        report = run_synthetic_ranking(cfg, n_instances=60)
         assert report["metrics"]["p@1"] == 1.0
         assert report["metrics"]["mean_rank"] == 1.0
         assert report["failure_taxonomy"]["counts"]["success"] == 60
 
     def test_noisy_instances_report_failures(self):
         cfg = SyntheticConfig(n_images=8, noise_scale=2.5, embed_dim=8, seed=9)
-        report = run_synthetic_ranking(cfg, rho=0.5, n_instances=80)
+        report = run_synthetic_ranking(cfg, n_instances=80)
         counts = report["failure_taxonomy"]["counts"]
         assert sum(counts.values()) == 80
         assert report["metrics"]["recall@3"] >= report["metrics"]["recall@1"]
 
     def test_deterministic(self):
         cfg = SyntheticConfig(n_images=4, seed=10)
-        assert run_synthetic_ranking(cfg, 0.5, 30) == run_synthetic_ranking(cfg, 0.5, 30)
-
-    def test_result_does_not_depend_on_rho(self):
-        # Pruning always keeps an image's best token, which is its logit.
-        cfg = SyntheticConfig(n_images=8, noise_scale=2.5, embed_dim=8, seed=9)
-        reports = [run_synthetic_ranking(cfg, rho, 80) for rho in (0.05, 0.5, 1.0)]
-        for report in reports:
-            del report["rho"]
-        assert reports[0] == reports[1] == reports[2]
-
-    @pytest.mark.parametrize("rho", [0.0, 1.5])
-    def test_rho_still_validated(self, rho):
-        with pytest.raises(InvalidRatioError):
-            run_synthetic_ranking(SyntheticConfig(seed=10), rho, 5)
+        assert run_synthetic_ranking(cfg, 30) == run_synthetic_ranking(cfg, 30)
 
 
 class TestCostSweep:

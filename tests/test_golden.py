@@ -19,7 +19,7 @@ GOLDEN = {
         "tables/bound_tallies.csv": "54339e76d2760855aa5b2ba69b1354dee1024bbcf6db9d0a5180edceaacdc3c0",
     },
     "simulate": {
-        "report.json": "748b9717833ebb93d9be7caabed9ce952979a3389a79fcd8347f30628781031b",
+        "report.json": "fca93f8d066a489a72e72cd92fe97956b466f1346f8c2cbbbe7b707d4ee04aa0",
         "tables/pruning_comparison.csv": "a1fb174779b3ed16708b422f66e158aae03f018372d7d3240da686a88f6c6e7a",
         "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
     },
