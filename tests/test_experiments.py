@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunerank.cost_model import ArchParams
-from prunerank.errors import ConfigError, InvalidRatioError
+from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
     report_json_bytes,
     run_bound_verification,
@@ -175,7 +179,80 @@ class TestCostSweep:
         assert sweep["rows"][0]["prefill_ratio"] == pytest.approx(4.0)
 
 
+class IntSubclass(int):
+    def __repr__(self):
+        return "IntSubclass()"
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "FloatSubclass()"
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Control, non-ASCII and astral characters as well as plain ones.
+TEXT = st.text(st.characters(codec=None), max_size=6) | st.sampled_from(["", "\x00\n\t\"\\", "é日\u2028🙂"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | FINITE_FLOATS
+    | st.sampled_from([-0.0, 0.0, 1e16, 1e-320, 5e-324, 1.7976931348623157e308])
+    | TEXT
+)
+# Values json.dumps encodes that are not exact JSON types.
+ODD_SCALARS = (
+    st.builds(np.float64, FINITE_FLOATS)
+    | st.builds(IntSubclass, st.integers())
+    | st.builds(FloatSubclass, FINITE_FLOATS)
+)
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=5)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(FINITE_FLOATS, children, max_size=3)
+    )
+
+
+JSON_TREES = st.recursive(SCALARS | ODD_SCALARS, containers, max_leaves=40)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.builds(
+    np.float64, st.sampled_from([float("nan"), float("inf")])
+)
+
+
+def poisoned(children):
+    """Containers holding a non-finite value somewhere below."""
+    return st.builds(
+        lambda siblings, at, bad: siblings[:at] + [bad] + siblings[at:],
+        st.lists(JSON_TREES, max_size=3),
+        st.integers(0, 3),
+        children,
+    ) | st.builds(
+        lambda siblings, key, bad: {**siblings, key: bad},
+        st.dictionaries(TEXT, JSON_TREES, max_size=3),
+        TEXT,
+        children,
+    )
+
+
 class TestReportSerialization:
+    @given(JSON_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_indented_sorted_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert report_json_bytes(value) == expected.encode()
+
+    @given(st.recursive(NON_FINITE, poisoned, max_leaves=6))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_at_any_depth_raises(self, value):
+        with pytest.raises(NonFiniteError):
+            report_json_bytes(value)
+
     def test_identical_dicts_identical_bytes(self):
         report = {"b": 1.5, "a": [1, 2, {"z": True, "y": None}]}
         assert report_json_bytes(report) == report_json_bytes(

@@ -9,6 +9,7 @@ to either is a deliberate report change and updates this table.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from prunerank.cli import main
@@ -30,6 +31,21 @@ GOLDEN = {
 }
 
 
+def seeded_judgments(seed: int = 11) -> list[dict]:
+    """Judgments over subsets with non-ASCII names, ranked lists of 1 to 23 items
+    from a pool of 30 (so some ground truth is unranked) and string or int ids."""
+    rng = np.random.default_rng(seed)
+    judgments = []
+    for subset, ids in (("alpha", None), ("βeta", None), ("日本語 docs", "doc")):
+        for _ in range(40):
+            relevant = rng.choice(30, size=int(rng.integers(1, 5)), replace=False).tolist()
+            ranked = rng.permutation(30)[: int(rng.integers(1, 24))].tolist()
+            if ids:
+                relevant, ranked = ([f"{ids}{i}" for i in items] for items in (relevant, ranked))
+            judgments.append({"subset": subset, "relevant": relevant, "ranked": ranked})
+    return judgments
+
+
 # Small configs, each with its hashes; the first has more self-test trials
 # than main trials.
 GOLDEN_CONFIGS = {
@@ -39,6 +55,15 @@ GOLDEN_CONFIGS = {
         {
             "report.json": "b40fba95e6b3fee5feb526b26cff204a8793ced5c0ad9f37c1ad5623472ff3ff",
             "tables/bound_tallies.csv": "5a2eebc8e53233fc6b7dfd43ca48b246c52ee58d52763eb687c175cc4fcee783",
+        },
+    ),
+    "metrics-judgments": (
+        "metrics",
+        {"k_values": [1, 3, 5, 25], "judgments": seeded_judgments()},
+        {
+            "report.json": "81e95da6944d5e099dcca2bf060b4be5689de97c69882780ab885af6d0944034",
+            "tables/metrics_by_subset.csv": "6e4120c52b69563fef2ce77464f5348a865971a72550ebc280ded9d826c86687",
+            "tables/failure_taxonomy.csv": "909748aca89384254081e9d375003ff9e4a2475617951a584b1174c9c1ff4dc0",
         },
     ),
 }

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats as scipy_stats
 from prunerank.errors import (
     DegenerateConstantError,
     DimensionMismatchError,
+    EmptyInputError,
     EmptyRelevantSetError,
     EmptySubsetError,
     GroundTruthNotRankedError,
@@ -17,11 +19,13 @@ from prunerank.errors import (
 )
 from prunerank.metrics import (
     CATASTROPHIC_MISS,
+    FAILURE_LABELS,
     MODERATE_MISS,
     NEAR_MISS,
     SUCCESS,
     QueryJudgment,
     aggregate,
+    best_relevant_rank,
     classify_failure,
     evaluate_judgments,
     mean_rank,
@@ -287,3 +291,108 @@ class TestEvaluateJudgments:
     def test_empty_subset_rejected(self):
         with pytest.raises(EmptySubsetError):
             evaluate_judgments({"x": []})
+
+
+def reference_evaluation(judgments_by_subset, k_values):
+    """evaluate_judgments by one call of each per-metric function per judgment."""
+    values_by_metric = {}
+    per_subset = {}
+    counts = dict.fromkeys(FAILURE_LABELS, 0)
+    unranked = 0
+    for subset, judgments in judgments_by_subset.items():
+        values = {}
+        subset_counts = dict.fromkeys(FAILURE_LABELS, 0)
+        subset_unranked = 0
+        for j in judgments:
+            for k in k_values:
+                values.setdefault(f"recall@{k}", []).append(recall_at_k(j, k))
+                values.setdefault(f"ndcg@{k}", []).append(ndcg_at_k(j, k))
+            values.setdefault("p@1", []).append(precision_at_1(j))
+            try:
+                rank = best_relevant_rank(j)
+            except GroundTruthNotRankedError:
+                subset_unranked += 1
+                continue
+            values.setdefault("mean_rank", []).append(float(rank))
+            subset_counts[classify_failure(rank).label] += 1
+        per_subset[subset] = {
+            "n_queries": len(judgments),
+            "failure_counts": subset_counts,
+            "n_unranked": subset_unranked,
+            "mean_rank": None,
+            **{metric: float(np.mean(v)) for metric, v in values.items()},
+        }
+        for metric, v in values.items():
+            values_by_metric.setdefault(metric, {})[subset] = v
+        for label in FAILURE_LABELS:
+            counts[label] += subset_counts[label]
+        unranked += subset_unranked
+    n_classified = sum(counts.values())
+    return {
+        "k_values": list(k_values),
+        "per_subset": per_subset,
+        "overall": {metric: aggregate(v) for metric, v in values_by_metric.items()},
+        "failure_taxonomy": {
+            "counts": counts,
+            "fractions": {
+                label: counts[label] / n_classified if n_classified else None
+                for label in FAILURE_LABELS
+            },
+            "n_unranked": unranked,
+        },
+    }
+
+
+ITEMS = st.integers(0, 12) | st.sampled_from(["a", "b", "c"])
+JUDGMENTS = st.builds(
+    judgment,
+    st.sets(ITEMS, min_size=1, max_size=5),
+    st.lists(ITEMS, min_size=1, max_size=14, unique=True),
+)
+
+
+class TestEvaluateJudgmentsMatchesPerMetricFunctions:
+    @given(
+        st.dictionaries(
+            st.text(max_size=3), st.lists(JUDGMENTS, min_size=1, max_size=6), min_size=1, max_size=4
+        ),
+        st.lists(st.integers(1, 16), max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_for_float(self, judgments_by_subset, k_values):
+        out = evaluate_judgments(judgments_by_subset, k_values=k_values)
+        expected = reference_evaluation(judgments_by_subset, k_values)
+        assert out == expected
+        # repr-equal floats are bit-equal floats
+        assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_long_lists_and_large_k(self):
+        rng = np.random.default_rng(3)
+        js = {
+            name: [
+                judgment(
+                    rng.choice(300, size=int(rng.integers(1, 60)), replace=False).tolist(),
+                    rng.permutation(300)[: int(rng.integers(1, 250))].tolist(),
+                )
+                for _ in range(30)
+            ]
+            for name in ("x", "y")
+        }
+        k_values = [1, 10, 100, 10**9]
+        out = evaluate_judgments(js, k_values=k_values)
+        expected = reference_evaluation(js, k_values)
+        assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "judgments_by_subset,k_values,error",
+        [
+            ({"x": [judgment({0}, [0])]}, [0], KOutOfRangeError),
+            ({"x": [judgment({0}, [0])]}, [3, -1], KOutOfRangeError),
+            ({"x": [judgment({0}, [0]), judgment({0}, [])]}, [1], EmptyInputError),
+            ({"x": [judgment({0}, [0])], "y": []}, [1], EmptySubsetError),
+            ({}, [1], EmptySubsetError),
+        ],
+    )
+    def test_bad_input_raises_its_class(self, judgments_by_subset, k_values, error):
+        with pytest.raises(error):
+            evaluate_judgments(judgments_by_subset, k_values=k_values)
