@@ -43,7 +43,7 @@ from .experiments import (
     write_report,
 )
 from .linalg import embedding_from_json
-from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments
+from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments, finite_mean
 from .pruning import as_keep_ratio
 from .scoring import assign_identifiers
 from .synthetic import SyntheticConfig
@@ -174,7 +174,13 @@ def _check_leaf(key: str, default, value, where: str) -> None:
 
 
 def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
-    """Overlay a user config on the defaults; the one check of every overriding value."""
+    """Overlay a user config on the defaults; the one check of every overriding value.
+
+    The defaults are deep-copied, so a merged config never aliases DEFAULTS.
+    Each checked override leaf is taken by reference, not copied: _load_config
+    parses the override fresh for every run and nothing mutates a merged
+    config, so a copy would only cost time (a 10 000-judgment list, say).
+    """
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
         if key not in defaults:
@@ -185,7 +191,7 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
             merged[key] = _merge(defaults[key], value, f"{context}.{key}")
         else:
             _check_leaf(key, defaults[key], value, f"{context}.{key}")
-            merged[key] = copy.deepcopy(value)
+            merged[key] = value
     return merged
 
 
@@ -318,17 +324,23 @@ def _cmd_cost_model(args) -> int:
 def _parse_judgments(raw: list) -> dict:
     judgments_by_subset: dict[str, list[QueryJudgment]] = {}
     for i, entry in enumerate(raw):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("relevant"), list)
+            and isinstance(entry.get("ranked"), list)
+        ):
+            raise ConfigError(
+                f'judgment {i} must be {{"subset"?, "relevant": [...], "ranked": [...]}}'
+            )
+        subset = entry.get("subset", "all")
+        if not isinstance(subset, str):
+            raise ConfigError(f"judgment {i} subset must be a string, got {subset!r}")
         try:
-            subset = entry.get("subset", "all")
             judgment = QueryJudgment(
                 relevant=frozenset(entry["relevant"]), ranked=tuple(entry["ranked"])
             )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(
-                f'judgment {i} must be {{"subset"?, "relevant": [...], "ranked": [...]}}'
-            ) from exc
-        if not isinstance(subset, str):
-            raise ConfigError(f"judgment {i} subset must be a string, got {subset!r}")
+        except TypeError as exc:
+            raise ConfigError(f"judgment {i} items must be strings or numbers") from exc
         judgments_by_subset.setdefault(subset, []).append(judgment)
     return judgments_by_subset
 
@@ -346,7 +358,7 @@ def _cmd_metrics(args) -> int:
         ):
             raise ConfigError("config.values_by_subset must map names to non-empty lists of numbers")
         report["aggregate"] = aggregate(values)
-        rows = [(name, float(np.mean(vals))) for name, vals in values.items()]
+        rows = [(name, finite_mean(vals)) for name, vals in values.items()]
         rows.append(("micro", report["aggregate"]["micro"]))
         rows.append(("macro", report["aggregate"]["macro"]))
         tables["aggregate"] = (["subset", "value"], rows)

@@ -540,18 +540,70 @@ def run_cost_sweep(
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _encode_scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise NonFiniteError(f"report holds a NaN or infinite value: {value!r}")
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    return "null"
+
+
+def _encode(value, newline: str) -> str:
+    """The JSON of value, its nested lines starting with newline plus two spaces."""
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return _encode_scalar(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_encode_str, value)
+        elif kinds <= _SCALAR_TYPES:
+            items = map(_encode_scalar, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # Subclasses, numpy scalars and non-str keys: json.dumps knows how it
+    # prints them, and its lines only need this depth's indent.
+    try:
+        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"report holds a NaN or infinite value: {exc}") from exc
+    return text.replace("\n", newline)
+
+
 def report_json_bytes(report: Mapping) -> bytes:
     """Canonical JSON encoding: sorted keys, two-space indent, trailing newline.
 
-    Identical report dicts serialize to identical bytes, which is what the
-    determinism checks compare. JSON has no NaN or infinity, so a report
-    holding one raises NonFiniteError.
+    The bytes equal json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n" in UTF-8. Exact JSON types (dicts with str
+    keys, lists, tuples, str, int, float, bool, None) are encoded here, a
+    list of scalars in a single join; any other value is handed to json.dumps
+    and re-indented. Identical report dicts serialize to identical bytes,
+    which is what the determinism checks compare. JSON has no NaN or
+    infinity, so a report holding one at any depth raises NonFiniteError.
     """
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteError(f"report holds a NaN or infinite value: {exc}") from exc
-    return (text + "\n").encode("utf-8")
+    return (_encode(report, "\n") + "\n").encode("utf-8")
 
 
 def write_report(out_dir, report: Mapping, tables: Mapping[str, tuple] = ()) -> Path:

@@ -8,6 +8,7 @@ with average-rank tie handling.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +23,7 @@ from .errors import (
     EmptySubsetError,
     GroundTruthNotRankedError,
     KOutOfRangeError,
+    NonFiniteError,
 )
 from .linalg import as_vector
 
@@ -115,19 +117,36 @@ def classify_failure(gt_best_rank: int) -> FailureClass:
     """
     if gt_best_rank < 1:
         raise KOutOfRangeError(f"rank must be >= 1, got {gt_best_rank}")
-    if gt_best_rank == 1:
-        label = SUCCESS
-    elif gt_best_rank <= 3:
-        label = NEAR_MISS
-    elif gt_best_rank <= 5:
-        label = MODERATE_MISS
-    else:
-        label = CATASTROPHIC_MISS
-    return FailureClass(label=label, gt_best_rank=int(gt_best_rank))
+    return FailureClass(label=_failure_label(gt_best_rank), gt_best_rank=int(gt_best_rank))
+
+
+def _failure_label(rank: int) -> str:
+    if rank == 1:
+        return SUCCESS
+    if rank <= 3:
+        return NEAR_MISS
+    if rank <= 5:
+        return MODERATE_MISS
+    return CATASTROPHIC_MISS
+
+
+def finite_mean(values) -> float:
+    """np.mean of values as a float; a mean that overflows or is NaN raises NonFiniteError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            mean = float(np.mean(values))
+        except OverflowError as exc:  # an int too large for a float
+            raise NonFiniteError(f"mean does not fit a float: {exc}") from exc
+    if not math.isfinite(mean):
+        raise NonFiniteError(f"mean is {mean}: a value is NaN or infinite, or the sum overflows")
+    return mean
 
 
 def aggregate(values_by_subset: Mapping[str, Sequence[float]]) -> dict:
-    """Micro (pooled over all queries) and macro (mean of subset means) averages."""
+    """Micro (pooled over all queries) and macro (mean of subset means) averages.
+
+    Each mean is finite_mean's, so an overflowing one raises NonFiniteError.
+    """
     if not values_by_subset:
         raise EmptySubsetError("need at least one subset")
     pooled: list[float] = []
@@ -137,8 +156,8 @@ def aggregate(values_by_subset: Mapping[str, Sequence[float]]) -> dict:
         if not values:
             raise EmptySubsetError(f"subset {name!r} has no values")
         pooled.extend(values)
-        subset_means.append(float(np.mean(values)))
-    return {"micro": float(np.mean(pooled)), "macro": float(np.mean(subset_means))}
+        subset_means.append(finite_mean(values))
+    return {"micro": finite_mean(pooled), "macro": finite_mean(subset_means)}
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -183,51 +202,80 @@ def evaluate_judgments(
 
     mean_rank and the failure taxonomy only cover queries whose ground truth
     appears in the ranked list; the unranked remainder is counted separately.
+
+    One pass per judgment: every metric comes from the 1-based positions of
+    its relevant items, and each value is bit-identical to the per-metric
+    function (recall_at_k, ndcg_at_k, precision_at_1, best_relevant_rank,
+    classify_failure), which stay as the reference.
     """
     if not judgments_by_subset:
         raise EmptySubsetError("need at least one subset")
+    if any(k < 1 for k in k_values):
+        raise KOutOfRangeError(f"k must be >= 1, got {list(k_values)}")
+    subsets = {subset: list(judgments) for subset, judgments in judgments_by_subset.items()}
+    for subset, judgments in subsets.items():
+        if not judgments:
+            raise EmptySubsetError(f"subset {subset!r} has no judgments")
+    # DCG discounts by 1-based position, as far as any top-k reaches, and per
+    # relevant-set size the ideal DCG at each k, both summed as ndcg_at_k sums.
+    depth = min(
+        max(k_values, default=0),
+        max(len(j.ranked) for judgments in subsets.values() for j in judgments),
+    )
+    discount = [0.0] + [1.0 / math.log2(p + 1) for p in range(1, depth + 1)]
+    ideal_by_size: dict[int, list[float]] = {}
+    recall_names = [f"recall@{k}" for k in k_values]
+    ndcg_names = [f"ndcg@{k}" for k in k_values]
+
     metric_values: dict[str, dict[str, list[float]]] = {}
     per_subset: dict[str, dict] = {}
     failure_counts = {label: 0 for label in FAILURE_LABELS}
     unranked = 0
-
-    def record(metric: str, subset: str, value: float) -> None:
-        metric_values.setdefault(metric, {}).setdefault(subset, []).append(value)
-
-    for subset, judgments in judgments_by_subset.items():
-        judgments = list(judgments)
-        if not judgments:
-            raise EmptySubsetError(f"subset {subset!r} has no judgments")
+    for subset, judgments in subsets.items():
+        # One list per metric name; a repeated k appends to its list twice.
+        values = {name: [] for pair in zip(recall_names, ndcg_names) for name in pair}
+        recall_lists = [values[name] for name in recall_names]
+        ndcg_lists = [values[name] for name in ndcg_names]
+        p_at_1 = values["p@1"] = []
+        ranks: list[float] = []
         subset_failures = {label: 0 for label in FAILURE_LABELS}
-        subset_unranked = 0
-        best_ranks: list[int] = []
         for j in judgments:
-            for k in k_values:
-                record(f"recall@{k}", subset, recall_at_k(j, k))
-                record(f"ndcg@{k}", subset, ndcg_at_k(j, k))
-            record("p@1", subset, precision_at_1(j))
-            try:
-                rank = best_relevant_rank(j)
-            except GroundTruthNotRankedError:
-                subset_unranked += 1
-                continue
-            best_ranks.append(rank)
-            record("mean_rank", subset, float(rank))
-            subset_failures[classify_failure(rank).label] += 1
+            relevant = j.relevant
+            if not j.ranked:
+                raise EmptyInputError("ranked list is empty")
+            hits = [p for p, item in enumerate(j.ranked, start=1) if item in relevant]
+            n_relevant = len(relevant)
+            ideals = ideal_by_size.get(n_relevant)
+            if ideals is None:
+                ideals = ideal_by_size[n_relevant] = [
+                    sum(1.0 / math.log2(p + 1) for p in range(1, min(k, n_relevant) + 1))
+                    for k in k_values
+                ]
+            for k, ideal, recall_list, ndcg_list in zip(k_values, ideals, recall_lists, ndcg_lists):
+                top = bisect.bisect_right(hits, k)
+                recall_list.append(top / n_relevant)
+                ndcg_list.append(sum(map(discount.__getitem__, hits[:top])) / ideal)
+            if hits:
+                p_at_1.append(1.0 if hits[0] == 1 else 0.0)
+                ranks.append(float(hits[0]))
+                subset_failures[_failure_label(hits[0])] += 1
+            else:
+                p_at_1.append(0.0)
+        if ranks:
+            values["mean_rank"] = ranks
         summary = {
             "n_queries": len(judgments),
             "failure_counts": subset_failures,
-            "n_unranked": subset_unranked,
+            "n_unranked": len(judgments) - len(ranks),
         }
-        for metric, by_subset in metric_values.items():
-            if subset in by_subset:
-                summary[metric] = float(np.mean(by_subset[subset]))
-        if not best_ranks:
-            summary["mean_rank"] = None
+        for metric, metric_list in values.items():
+            summary[metric] = float(np.mean(metric_list))
+            metric_values.setdefault(metric, {})[subset] = metric_list
+        summary.setdefault("mean_rank", None)
         per_subset[subset] = summary
         for label in FAILURE_LABELS:
             failure_counts[label] += subset_failures[label]
-        unranked += subset_unranked
+        unranked += summary["n_unranked"]
 
     overall = {
         metric: aggregate(by_subset) for metric, by_subset in metric_values.items()

@@ -228,6 +228,12 @@ BAD_INPUT_PROBES = {
         {"sweep": {"enabled": False, "n_text": -1}},
     ),
     "cost-model-sweep-negative-n-query": ("cost-model", {"sweep": {"n_query": -1}}),
+    "metrics-ranked-a-string": ("metrics", {"judgments": [{"relevant": ["a"], "ranked": "abc"}]}),
+    "metrics-relevant-an-object": (
+        "metrics",
+        {"judgments": [{"relevant": {"a": 1}, "ranked": ["a", "b"]}]},
+    ),
+    "metrics-int-mean-overflows": ("metrics", {"values_by_subset": {"a": [10**400]}}),
 }
 # Probes whose bad value shows only in what a step computes from it (a
 # zero-norm query row, zero pruned-pipeline FLOPs), so that step may run;
@@ -246,6 +252,7 @@ STEPS = (
 )
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("probe", BAD_INPUT_PROBES)
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, probe):
     command, override = BAD_INPUT_PROBES[probe]
@@ -341,6 +348,17 @@ KNOB_VALUES = {
     "cost-model.sweep.beta": 0.5,
     "cost-model.sweep.u_reason": 100,
 }
+# Report paths that echo a leaf under another name ("*" steps into every item
+# of a list). A knob passes the guard only by a change beyond its echoes, so a
+# dead knob cannot hide behind one.
+KNOB_ECHOES = {
+    "verify-bounds.selftest_trials": [("selftest", "trials")],
+    "verify-bounds.selftest_constant": [("selftest", "constant")],
+    "simulate.keep_ratios": [("pruning_comparison", "rows", "*", "keep_ratio")],
+    "simulate.ranking.n_instances": [("ranking_quality", "metrics", "n_queries")],
+    "cost-model.sweep.rho_values": [("sweep", "rows", "*", "rho")],
+    "cost-model.sweep.k_values": [("sweep", "rows", "*", "k")],
+}
 # Leaves whose alternative value needs a file, each with the test that covers it.
 KNOBS_COVERED_ELSEWHERE = {
     "simulate.query_embedding_path": "TestSimulate::test_query_loaded_from_embedding_file",
@@ -378,6 +396,24 @@ def without_key(tree, name):
     return tree
 
 
+def without_path(tree, path):
+    """The JSON tree without the value at path, which may hold "*" steps."""
+    head, rest = path[0], path[1:]
+    if head == "*":
+        return [without_path(item, rest) for item in tree]
+    if not rest:
+        return {key: value for key, value in tree.items() if key != head}
+    return {key: without_path(value, rest) if key == head else value for key, value in tree.items()}
+
+
+def without_echoes(report, name):
+    """The report without every key named like the knob's leaf and its renamed echoes."""
+    report = without_key(report, KNOBS[name][1][-1])
+    for path in KNOB_ECHOES.get(name, []):
+        report = without_path(report, path)
+    return report
+
+
 def knob_report(out_dir, command, cfg):
     out_dir.mkdir()
     path = write_config(out_dir, "cfg.json", cfg)
@@ -408,7 +444,14 @@ def test_every_knob_changes_the_report(tmp_path, knob_base_reports, name):
     section[path[-1]] = value
     changed = knob_report(tmp_path / "changed", command, cfg)
     base = knob_base_reports[command]
-    assert without_key(changed, path[-1]) != without_key(base, path[-1]), f"{name} changes nothing"
+    assert without_echoes(changed, name) != without_echoes(base, name), f"{name} changes nothing"
+
+
+def test_knob_echoes_name_knobs_and_report_paths(knob_base_reports):
+    for name, paths in KNOB_ECHOES.items():
+        command = KNOBS[name][0]
+        for path in paths:
+            assert without_path(knob_base_reports[command], path) != knob_base_reports[command], path
 
 
 class TestConfigTypes:
