@@ -571,8 +571,6 @@ def _encode(value, newline: str) -> str:
         kinds = set(map(type, value))
         if kinds == {int}:
             items = map(int.__repr__, value)
-        elif kinds == {str}:
-            items = map(_encode_str, value)
         elif kinds <= _SCALAR_TYPES:
             items = map(_encode_scalar, value)
         else:
