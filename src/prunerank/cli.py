@@ -113,7 +113,9 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as handle:
             loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError, a file that is not UTF-8 and
+        # an int literal past CPython's int-to-string digit limit.
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -150,6 +152,14 @@ def _same_json_type(default, value) -> bool:
     return True
 
 
+def _is_finite(item) -> bool:
+    """False for NaN, an infinity or an int too large to convert to a float."""
+    try:
+        return math.isfinite(item)
+    except OverflowError:
+        return False
+
+
 def _check_leaf(key: str, default, value, where: str) -> None:
     """Raise unless an overriding value follows its default's type and its leaf's rules."""
     if default is None:
@@ -164,7 +174,7 @@ def _check_leaf(key: str, default, value, where: str) -> None:
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{where} must not be empty")
-    if any(isinstance(item, float) and not math.isfinite(item) for item in items):
+    if any(isinstance(item, (int, float)) and not _is_finite(item) for item in items):
         raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
         raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {json.dumps(value)}")

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,8 +65,9 @@ ERROR_BOUND_CONSTANT = 2.0
 TALLY_CHUNK = 64
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    return [min(TALLY_CHUNK, trials - start) for start in range(0, trials, TALLY_CHUNK)]
+def _chunk_sizes(trials: int) -> Iterator[int]:
+    """The sizes of the TALLY_CHUNK-trial chunks covering trials, made one at a time."""
+    return (min(TALLY_CHUNK, trials - start) for start in range(0, trials, TALLY_CHUNK))
 
 
 def _padding(widths: np.ndarray, width: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 All numerics are 64-bit floats and matrices are row-major. The cosine kernel
 behind similarity_matrix and pruning.prune_images reads each token matrix
-twice and never copies it: one einsum pass computes the row norms, then one
-GEMM multiplies the unit-scaled query rows by the raw tokens, and the t x n
+twice and never copies it: one BLAS dot per row computes the row norms, then
+one GEMM multiplies the unit-scaled query rows by the raw tokens, and the t x n
 result is divided by the token norms and clipped in place. The query is
 scaled once (unit_rows) and reused for every image (cosine_to_unit).
 
@@ -95,7 +95,7 @@ def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     NonFiniteError.
     """
     arr = _as_matrix(m, name)
-    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    norms = np.sqrt(np.vecdot(arr, arr))
     if not np.isfinite(norms).all() and not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr, norms

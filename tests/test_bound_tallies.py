@@ -6,6 +6,7 @@ must report the same counts and leave their generator in the same state, for
 trial counts on both sides of a chunk boundary.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -133,3 +134,10 @@ def test_tally_matches_trial_by_trial_reference(case, seed, trials):
 def test_weakened_constant_fails_in_the_reference_too():
     # The 1.9 cases above compare nonzero counts, not two zeros.
     assert reference_pruning_error(np.random.default_rng(0), 300, 1.9)["failures"] > 0
+
+
+def test_chunk_sizes_are_made_lazily():
+    chunk = experiments.TALLY_CHUNK
+    # A list of every size would take gigabytes at this trial count.
+    assert list(itertools.islice(experiments._chunk_sizes(10**18), 3)) == [chunk] * 3
+    assert list(experiments._chunk_sizes(2 * chunk + 5)) == [chunk, chunk, 5]

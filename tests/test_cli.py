@@ -21,8 +21,9 @@ SIMULATE_CFG = {
 
 
 def write_config(tmp_path, name, payload):
+    """Write payload as JSON, or as it is if it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -234,6 +235,18 @@ BAD_INPUT_PROBES = {
         {"judgments": [{"relevant": {"a": 1}, "ranked": ["a", "b"]}]},
     ),
     "metrics-int-mean-overflows": ("metrics", {"values_by_subset": {"a": [10**400]}}),
+    # Past CPython's 4 300-digit int-to-string limit, so json.dumps cannot write it.
+    "metrics-int-over-the-digit-limit": (
+        "metrics",
+        '{"values_by_subset": {"a": [1' + "0" * 5000 + "]}}",
+    ),
+    "cost-model-n-vis-overflows-a-float": ("cost-model", {"workload": {"n_vis": 10**4250}}),
+    "cost-model-u-reason-overflows-a-float": ("cost-model", {"workload": {"u_reason": 10**4250}}),
+    "cost-model-layers-overflow-a-float": ("cost-model", {"arch": {"layers": 10**4250}}),
+    "cost-model-sweep-tokens-overflow-a-float": (
+        "cost-model",
+        {"sweep": {"tokens_per_candidate": 10**4250}},
+    ),
 }
 # Probes whose bad value shows only in what a step computes from it (a
 # zero-norm query row, zero pruned-pipeline FLOPs), so that step may run;

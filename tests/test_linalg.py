@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,33 @@ def previous_similarity(H, V):
     return np.clip(h @ v.T, -1.0, 1.0)
 
 
+def in_layout(m, layout):
+    """m with the same values, stored C-ordered, Fortran-ordered or every second column."""
+    if layout == "C":
+        return np.ascontiguousarray(m)
+    if layout == "F":
+        return np.asfortranarray(m)
+    # The skipped columns hold NaN, so a kernel that reads them fails.
+    wide = np.full((m.shape[0], 2 * m.shape[1]), np.nan)
+    wide[:, ::2] = m
+    return wide[:, ::2]
+
+
+def fsum_similarity(H, V):
+    """Cosines from exactly rounded sums (math.fsum), one row pair at a time."""
+
+    def norm(row):
+        return math.sqrt(math.fsum(x * x for x in row))
+
+    return [
+        [
+            min(1.0, max(-1.0, math.fsum(a * b for a, b in zip(h, v)) / (norm(h) * norm(v))))
+            for v in V.tolist()
+        ]
+        for h in H.tolist()
+    ]
+
+
 class TestCosineKernel:
     """similarity_matrix (unit_rows + cosine_to_unit) against brute force."""
 
@@ -186,6 +215,22 @@ class TestCosineKernel:
         sims = similarity_matrix(h, v)
         expected = [[cosine_similarity(h[i], v[j]) for j in range(n)] for i in range(t)]
         np.testing.assert_allclose(sims, expected, rtol=0, atol=1e-12)
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.sampled_from(["C", "F", "strided"]),
+        st.sampled_from([1e-5, 1.0, 1e5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fsum_reference_in_every_layout(self, t, n, d, layout, scale, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((t, d)) * scale
+        v = rng.standard_normal((n, d))
+        sims = similarity_matrix(in_layout(h, layout), in_layout(v, layout))
+        np.testing.assert_allclose(sims, fsum_similarity(h, v), rtol=0, atol=1e-12)
 
     def test_query_scaled_once_is_reused(self):
         rng = np.random.default_rng(7)

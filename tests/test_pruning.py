@@ -278,6 +278,21 @@ class TestPruneImages:
         scores = np.sort(maxsim_scores(similarity_matrix(query, image)))[::-1]
         assert result.margin == pytest.approx(scores[2] - scores[3])
 
+    def test_fortran_ordered_images_keep_the_same_indices(self):
+        rng = np.random.default_rng(16)
+        query = rng.standard_normal((4, 32))
+        images = [np.asfortranarray(rng.standard_normal((n, 32))) for n in (7, 40, 129)]
+        contiguous = [np.ascontiguousarray(image) for image in images]
+        for image, copy in zip(images, contiguous):
+            assert not image.flags.c_contiguous
+            # Tie-free draws: a last-bit difference between a strided and a
+            # contiguous norm cannot reorder two tokens.
+            scores = np.sort(maxsim_scores(similarity_matrix(query, copy)))
+            assert np.diff(scores).min() > 1e-9
+        for rho in (0.1, 0.5, 0.9):
+            for got, want in zip(prune_images(query, images, rho), prune_images(query, contiguous, rho)):
+                assert (got.kept_indices, got.keep_count) == (want.kept_indices, want.keep_count)
+
     def test_query_scaling_leaves_results_unchanged(self):
         rng = np.random.default_rng(15)
         query = rng.standard_normal((3, 7))
