@@ -152,6 +152,15 @@ def _same_json_type(default, value) -> bool:
     return True
 
 
+# A config error echoes at most this many characters of a bad key or value.
+_ECHO_CHARS = 80
+
+
+def _capped(text: str) -> str:
+    """text cut to _ECHO_CHARS characters and "..." when longer."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def _is_finite(item) -> bool:
     """False for NaN, an infinity or an int too large to convert to a float."""
     try:
@@ -169,15 +178,15 @@ def _check_leaf(key: str, default, value, where: str) -> None:
     if not _same_json_type(default, value):
         raise ConfigError(
             f"{where} must have the JSON type of its default {json.dumps(default)}, "
-            f"got {json.dumps(value)}"
+            f"got {_capped(json.dumps(value))}"
         )
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{where} must not be empty")
     if any(isinstance(item, (int, float)) and not _is_finite(item) for item in items):
-        raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
+        raise ConfigError(f"{where} must be finite, got {_capped(json.dumps(value))}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
-        raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {json.dumps(value)}")
+        raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {_capped(json.dumps(value))}")
     if key in _RATIOS:
         for item in items:
             as_keep_ratio(item)
@@ -194,7 +203,7 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
         if key not in defaults:
-            raise ConfigError(f"unknown {context} key {key!r}; known: {sorted(defaults)}")
+            raise ConfigError(f"unknown {context} key {_capped(repr(key))}; known: {sorted(defaults)}")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{context}.{key} must be a JSON object")

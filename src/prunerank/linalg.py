@@ -46,7 +46,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     EmptyInputError, then NonFiniteError.
     """
     arr = _shape_checked(v, 1, name)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -59,7 +59,7 @@ def _as_matrix(m, name: str) -> np.ndarray:
 def as_embedding(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with at least one row and column."""
     arr = _as_matrix(m, name)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
 

@@ -6,10 +6,20 @@ listwise cross-entropy against a geometrically decaying soft target. Both
 differentiate with respect to the logits only; propagating further into a
 model is out of scope at desk scale. A generic stepwise negative
 log-likelihood and a central-difference gradient checker complete the module.
+
+Lists are short (tens of candidates), so a call's cost is its count of numpy
+calls, and each loss makes a few whole-array ones. The pairwise loss puts the
+logits in rank order first: every active pair then lies in the strict upper
+triangle, and its weight depends only on the two positions, so one m x m pass
+with a fixed weight table covers every pair. That table depends only on m and
+the normalized geometric decay only on gamma and m, so each comes from a small
+cache. The cached arrays are read-only, and a caller only ever receives fresh
+arrays computed from them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,19 +36,29 @@ from .errors import (
 from .linalg import as_vector
 from .scoring import validate_permutation
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# Distinct list lengths (and gammas) whose tables stay cached.
+_TABLE_CACHE_SIZE = 64
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + exp(x)) as x + log1p(exp(-x)) for positive x; logaddexp does both branches.
-    return np.logaddexp(0.0, x)
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _pair_weights(m: int) -> np.ndarray:
+    """Read-only W with W[a, b] = 1/(a + b + 2) for a < b and 0 elsewhere.
+
+    Positions a and b are zero-based, so a + b + 2 is the pair's rank sum.
+    """
+    position = np.arange(m, dtype=np.float64)
+    weights = np.triu(1.0 / (position[:, None] + position[None, :] + 2.0), k=1)
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _geometric_decay(gamma: float, m: int) -> np.ndarray:
+    """Read-only gamma**p / sum for teacher positions p = 0..m-1."""
+    decay = gamma ** np.arange(m, dtype=np.float64)
+    decay /= decay.sum()
+    decay.flags.writeable = False
+    return decay
 
 
 @dataclass(frozen=True)
@@ -63,25 +83,35 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
     r = np.asarray(ranks)
     if r.ndim != 1 or r.size != m:
         raise DimensionMismatchError(f"{r.size} ranks for {m} logits")
-    r = r.astype(np.int64)
-    if not np.array_equal(np.sort(r), np.arange(1, m + 1)):
-        raise InvalidPermutationError(f"ranks must be a permutation of 1..{m}, got {r.tolist()}")
+    try:
+        positions = validate_permutation(r - 1)
+    except (TypeError, InvalidPermutationError) as exc:
+        # TypeError: r - 1 has no numeric meaning (strings, None).
+        raise InvalidPermutationError(
+            f"ranks must be a permutation of 1..{m}, got {r.tolist()}"
+        ) from exc
 
-    diffs = logits[None, :] - logits[:, None]  # diffs[i, j] = s_j - s_i
-    weights = 1.0 / (r[:, None] + r[None, :]).astype(np.float64)
-    active = r[:, None] < r[None, :]
-    value = float(np.sum(weights[active] * _softplus(diffs[active])))
-    pair_grad = weights * _sigmoid(diffs) * active
-    gradient = pair_grad.sum(axis=0) - pair_grad.sum(axis=1)
+    order = np.empty(m, dtype=np.int64)
+    order[positions] = np.arange(m)
+    t = logits[order]  # t[a] is the logit of the item ranked a + 1
+    diffs = t[None, :] - t[:, None]  # diffs[a, b] = t[b] - t[a]
+    softplus = np.logaddexp(0.0, diffs)
+    weights = _pair_weights(m)
+    value = float((weights * softplus).sum())
+    # sigmoid(d) = exp(d - softplus(d)), which never overflows.
+    pair_grad = weights * np.exp(diffs - softplus)
+    gradient = np.empty(m)
+    gradient[order] = pair_grad.sum(axis=0) - pair_grad.sum(axis=1)
     return LossValue(value=value, gradient=gradient)
 
 
 def _as_distribution(q) -> np.ndarray:
     arr = as_vector(q, "soft target")
-    if np.any(arr <= 0.0):
+    if not arr.min() > 0.0:
         raise InvalidProbabilityError("soft target entries must be positive")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise InvalidProbabilityError(f"soft target must sum to 1, got {float(arr.sum())!r}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidProbabilityError(f"soft target must sum to 1, got {total!r}")
     return arr
 
 
@@ -105,10 +135,8 @@ def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     if not 0.0 < gamma < 1.0:
         raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma}")
     order = validate_permutation(teacher_order)
-    raw = gamma ** np.arange(order.size, dtype=np.float64)
-    raw /= raw.sum()
-    q = np.empty_like(raw)
-    q[order] = raw
+    q = np.empty(order.size)
+    q[order] = _geometric_decay(float(gamma), order.size)
     return SoftTarget(q=q, gamma=float(gamma))
 
 
@@ -132,7 +160,7 @@ def soft_rank_loss(s, target) -> LossValue:
 def nll_loss(step_probs) -> float:
     """Total negative log-likelihood of a sequence of per-step probabilities."""
     p = as_vector(step_probs, "step probabilities")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not (p.min() > 0.0 and p.max() <= 1.0):
         raise InvalidProbabilityError("step probabilities must lie in (0, 1]")
     return float(-np.log(p).sum())
 

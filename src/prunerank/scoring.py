@@ -74,22 +74,24 @@ def rank_from_logits(logits) -> np.ndarray:
 
 
 def validate_permutation(order) -> np.ndarray:
-    """Check that order is a bijection on {0, ..., n-1} and return it as ints."""
+    """Check that order is a bijection on {0, ..., n-1} and return it as ints.
+
+    Entries that are not integers are compared as floats, so a fraction, NaN
+    or a value too large for an int64 fails the bijection test and is never cast.
+    """
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidPermutationError(f"permutation must be a nonempty 1-D sequence, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        idx = np.asarray(arr, dtype=np.float64)
-        if not np.all(np.isfinite(idx)) or np.any(idx != np.round(idx)):
-            raise InvalidPermutationError("permutation entries must be integers")
-        arr = idx.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+    if arr.dtype.kind not in "iu":
+        try:
+            arr = np.asarray(arr, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidPermutationError("permutation entries must be numbers") from exc
+    if not (np.sort(arr) == np.arange(arr.size)).all():
         raise InvalidPermutationError(
             f"not a bijection on 0..{arr.size - 1}: {arr.tolist()}"
         )
-    return arr
+    return arr.astype(np.int64)
 
 
 def apply_permutation(items, order) -> list:
@@ -98,4 +100,4 @@ def apply_permutation(items, order) -> list:
     arr = validate_permutation(order)
     if len(seq) != arr.size:
         raise DimensionMismatchError(f"{len(seq)} items vs permutation of length {arr.size}")
-    return [seq[i] for i in arr]
+    return [seq[i] for i in arr.tolist()]

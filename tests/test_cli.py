@@ -283,6 +283,29 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, prob
     assert "Traceback" not in err
 
 
+# A config error names the bad key and echoes only the start of it or its value.
+LONG_BAD_VALUES = {
+    "n-vis-4251-digits": ("cost-model", {"workload": {"n_vis": 10**4250}}),
+    "k-values-1999-ints-then-a-string": (
+        "simulate",
+        {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "k_values": [*range(1, 2000), "x"]}},
+    ),
+    "unknown-5000-character-key": ("cost-model", {"k" * 5000: 1}),
+}
+
+
+@pytest.mark.parametrize("probe", LONG_BAD_VALUES)
+def test_config_error_echo_is_capped(tmp_path, capsys, monkeypatch, probe):
+    command, override = LONG_BAD_VALUES[probe]
+    for step in STEPS:
+        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+    cfg = write_config(tmp_path, "cfg.json", override)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert len(lines[0].encode()) < 300
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
     monkeypatch.setattr("prunerank.cli.cost_report", never)

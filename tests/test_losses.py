@@ -9,6 +9,7 @@ from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidGammaError,
+    InvalidPermutationError,
     InvalidProbabilityError,
     NonFiniteError,
 )
@@ -23,7 +24,52 @@ from prunerank.losses import (
 )
 
 
+def _softplus(x: float) -> float:
+    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
+
+
+def _sigmoid(x: float) -> float:
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def ranknet_oracle(s, ranks):
+    """The weighted pairwise loss and its gradient by a double loop over pairs."""
+    m = len(s)
+    terms = []
+    grad_terms = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if ranks[i] < ranks[j]:
+                weight = 1.0 / (ranks[i] + ranks[j])
+                d = s[j] - s[i]
+                terms.append(weight * _softplus(d))
+                pull = weight * _sigmoid(d)
+                grad_terms[j].append(pull)
+                grad_terms[i].append(-pull)
+    return math.fsum(terms), [math.fsum(g) for g in grad_terms]
+
+
+@st.composite
+def logits_and_ranks(draw):
+    m = draw(st.integers(2, 26))
+    # A few shared values make tied logits common.
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1.0, 0.0, 1.0]))
+    s = draw(st.lists(value, min_size=m, max_size=m))
+    ranks = draw(st.permutations(range(1, m + 1)))
+    return s, ranks
+
+
 class TestWeightedRanknetLoss:
+    @given(logits_and_ranks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_double_loop_oracle(self, case):
+        s, ranks = case
+        want_value, want_grad = ranknet_oracle(s, ranks)
+        result = weighted_ranknet_loss(s, ranks)
+        assert result.value == pytest.approx(want_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(result.gradient, want_grad, rtol=0, atol=1e-12)
+        assert abs(math.fsum(result.gradient)) < 1e-9
+
     def test_hand_value_correct_order(self):
         result = weighted_ranknet_loss([2.0, 1.0], [1, 2])
         assert result.value == pytest.approx(math.log(1 + math.e**-1) / 3, abs=1e-12)
@@ -76,6 +122,22 @@ class TestWeightedRanknetLoss:
         with pytest.raises(ValueError):
             weighted_ranknet_loss([1.0, 2.0], [1, 3])
 
+    @pytest.mark.parametrize("ranks", [[1.9, 2.0], [1.5, 2.5], ["a", "b"], [1, float("nan")]])
+    def test_ranks_are_checked_as_a_permutation(self, ranks):
+        # Casting ranks to ints once truncated the first two, let numpy's bare
+        # ValueError out for strings and warned while casting NaN.
+        with pytest.raises(InvalidPermutationError):
+            weighted_ranknet_loss([1.0, 2.0], ranks)
+
+    def test_caller_writes_do_not_reach_the_next_call(self):
+        s, ranks = [0.3, -1.2, 2.0], [2, 3, 1]
+        first = weighted_ranknet_loss(s, ranks)
+        want = first.gradient.copy()
+        first.gradient[:] = 7.0
+        again = weighted_ranknet_loss(s, ranks)
+        assert again.value == first.value
+        np.testing.assert_array_equal(again.gradient, want)
+
 
 class TestGeometricTarget:
     def test_forced_by_formula_m3(self):
@@ -93,6 +155,12 @@ class TestGeometricTarget:
     def test_invalid_gamma(self, gamma):
         with pytest.raises(InvalidGammaError):
             geometric_target([0, 1], gamma=gamma)
+
+    def test_caller_writes_do_not_reach_the_next_call(self):
+        geometric_target([2, 0, 1], gamma=0.5).q[:] = 0.0
+        geometric_target([0, 1, 2], gamma=0.5).q[:] = 0.0
+        np.testing.assert_allclose(geometric_target([2, 0, 1], 0.5).q, [2 / 7, 1 / 7, 4 / 7], atol=1e-12)
+        np.testing.assert_allclose(geometric_target([0, 1, 2], 0.5).q, [4 / 7, 2 / 7, 1 / 7], atol=1e-12)
 
     def test_mass_follows_teacher_positions(self):
         # Candidate 2 is the teacher's top pick, so it gets the largest mass.

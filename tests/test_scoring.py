@@ -130,6 +130,12 @@ class TestApplyPermutation:
         with pytest.raises(InvalidPermutationError):
             validate_permutation([0.5, 1.5])
 
+    @pytest.mark.parametrize("order", [["a", "b"], [1e30, 0]])
+    def test_validate_rejects_non_numbers_without_a_cast(self, order):
+        # The first once raised numpy's bare ValueError; the second warned while casting.
+        with pytest.raises(InvalidPermutationError):
+            validate_permutation(order)
+
 
 class TestSerialization:
     def test_permutation_serializes_as_index_array(self):
