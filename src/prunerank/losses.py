@@ -91,18 +91,16 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
             f"ranks must be a permutation of 1..{m}, got {r.tolist()}"
         ) from exc
 
-    order = np.empty(m, dtype=np.int64)
-    order[positions] = np.arange(m)
-    t = logits[order]  # t[a] is the logit of the item ranked a + 1
+    t = np.empty(m)
+    t[positions] = logits  # t[a] is the logit of the item ranked a + 1
     diffs = t[None, :] - t[:, None]  # diffs[a, b] = t[b] - t[a]
     softplus = np.logaddexp(0.0, diffs)
     weights = _pair_weights(m)
     value = float((weights * softplus).sum())
     # sigmoid(d) = exp(d - softplus(d)), which never overflows.
     pair_grad = weights * np.exp(diffs - softplus)
-    gradient = np.empty(m)
-    gradient[order] = pair_grad.sum(axis=0) - pair_grad.sum(axis=1)
-    return LossValue(value=value, gradient=gradient)
+    by_rank = pair_grad.sum(axis=0) - pair_grad.sum(axis=1)
+    return LossValue(value=value, gradient=by_rank[positions])
 
 
 def _as_distribution(q) -> np.ndarray:
