@@ -34,11 +34,11 @@ import numpy as np
 from .cost_model import ArchParams, WorkloadSpec, cost_report
 from .errors import ConfigError, PrunerankError
 from .experiments import (
+    ERROR_BOUND_CONSTANT,
     run_bound_verification,
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
-    run_pruning_error_selftest,
     run_synthetic_ranking,
     write_report,
 )
@@ -131,14 +131,16 @@ _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "judgments": []}
 
 # Leaf rules keyed by leaf name, which means the same thing in every section:
-# the smallest value (of each item, for a list) and the leaves holding keep ratios.
-# tokens_per_image starts at 2 because the correlation probe rank-correlates
-# each image's tokens.
+# the smallest value (of each item, for a list), an exclusive upper bound and
+# the leaves holding keep ratios. tokens_per_image starts at 2 because the
+# correlation probe rank-correlates each image's tokens; a selftest_constant
+# at or above the proven coefficient cannot detect a violation.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
-    "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0,
+    "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
 }
+_BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
 
 
@@ -187,6 +189,8 @@ def _check_leaf(key: str, default, value, where: str) -> None:
         raise ConfigError(f"{where} must be finite, got {_capped(json.dumps(value))}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
         raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {_capped(json.dumps(value))}")
+    if key in _BELOW and max(items) >= _BELOW[key]:
+        raise ConfigError(f"{where} must be < {_BELOW[key]}, got {_capped(json.dumps(value))}")
     if key in _RATIOS:
         for item in items:
             as_keep_ratio(item)
@@ -224,9 +228,8 @@ def _tally_lines(checks: dict) -> list[str]:
 
 def _cmd_verify_bounds(args) -> int:
     cfg = _merge(DEFAULTS["verify-bounds"], _load_config(args.config))
-    bounds = run_bound_verification(cfg["trials"], args.seed)
-    selftest_failures = run_pruning_error_selftest(
-        cfg["selftest_trials"], args.seed, cfg["selftest_constant"]
+    bounds, selftest_failures = run_bound_verification(
+        cfg["trials"], args.seed, cfg["selftest_trials"], cfg["selftest_constant"]
     )
     checks_pass = bounds["total_failures"] == 0
     selftest_pass = selftest_failures > 0

@@ -6,6 +6,8 @@ comparison on planted-relevance instances, a synthetic ranking-quality run, a
 score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed; per-trial streams derive from the master seed so
 trials could run in any order or in parallel without changing results.
+Each bound check draws its trials once; the verify-bounds self-test is scored
+in the pruning-error check's pass.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .errors import (
 from .linalg import similarity_matrix
 from .metrics import QueryJudgment, evaluate_judgments, spearman
 from .pruning import (
+    _pool,
     as_keep_ratio,
     keep_count,
-    lse_scores,
     maxsim_scores,
     random_prune,
     select_topk_preserve_order,
@@ -49,9 +51,9 @@ from .pruning import (
 from .scoring import CandidateList, apply_permutation, rank_from_logits
 from .synthetic import SyntheticConfig, generate_instance
 
-# The proven coefficient in the pruning-error bound. run_pruning_error_selftest
-# scores the same trials against a weakened one (e.g. 1.9) to confirm the
-# check reports violations when the claim is weakened.
+# The proven coefficient in the pruning-error bound. The verify-bounds self-test
+# scores the same trials against a weakened one in [0, ERROR_BOUND_CONSTANT)
+# (1.9 by default) to confirm the check reports violations.
 ERROR_BOUND_CONSTANT = 2.0
 
 
@@ -129,8 +131,7 @@ def _sandwich_tally(rng: np.random.Generator, trials: int) -> dict:
                 cols = rng.choice(n_tokens, size=n_const, replace=False)
                 sims[:, cols] = rng.uniform(-1.0, 1.0, size=n_const)[None, :]
                 constant_cols[t, cols] = True
-            hard[t, :n_tokens] = maxsim_scores(sims)
-            smooth[t, :n_tokens] = lse_scores(sims)
+            hard[t, :n_tokens], smooth[t, :n_tokens] = _pool(sims)
             log_nq[t] = math.log(n_query)
         ceiling = hard + log_nq[:, None]
         ok = (hard <= smooth + BOUND_SLACK).all(axis=1)
@@ -150,26 +151,26 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
     failures = 0
     premise_count = 0
     for size in _chunk_sizes(trials):
-        hard = np.full((size, 64), -np.inf)
-        smooth = np.full((size, 64), -np.inf)
+        # -inf padding: nothing past a trial's query rows, -inf (last) past its tokens.
+        sims = np.full((size, 6, 64), -np.inf)
         widths = np.empty(size, dtype=np.int64)
         ks = np.empty(size, dtype=np.int64)
         log_nq = np.empty(size)
         for t in range(size):
             n_query = int(rng.integers(1, 7))
             n_tokens = int(rng.integers(2, 65))
+            trial = sims[t, :n_query, :n_tokens]
             if rng.random() < 0.5:
-                sims = rng.uniform(-1.0, 1.0, size=(n_query, n_tokens))
+                trial[:] = rng.uniform(-1.0, 1.0, size=(n_query, n_tokens))
                 k = int(rng.integers(1, n_tokens))
             else:
                 # Planted margin: k high-similarity columns against a low block,
                 # so the gap premise actually fires on a healthy share of trials.
                 k = int(rng.integers(1, n_tokens))
-                sims = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
-                sims[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
-            hard[t, :n_tokens] = maxsim_scores(sims)
-            smooth[t, :n_tokens] = lse_scores(sims)
+                trial[:] = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
+                trial[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
             widths[t], ks[t], log_nq[t] = n_tokens, k, math.log(n_query)
+        hard, smooth = _pool(sims)
         # topk_stability_check's input rules, over the chunk.
         valid = ~_padding(widths, 64)
         _require_finite(hard[valid], "max_sim")
@@ -188,9 +189,14 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
     }
 
 
-def _pruning_error_tally(rng: np.random.Generator, trials: int, constant: float) -> dict:
-    failures = 0
-    for size in _chunk_sizes(trials):
+def _pruning_error_tally(
+    rng: np.random.Generator, trials: int, constant: float, selftest_trials: int = 0,
+    selftest_constant: float = ERROR_BOUND_CONSTANT,
+) -> dict:
+    """Bound failures at constant among the first `trials` trials and at
+    selftest_constant among the first `selftest_trials`, drawing the larger count once."""
+    failures = selftest_failures = start = 0
+    for size in _chunk_sizes(max(trials, selftest_trials)):
         # Zero padding adds nothing to any sum or norm below.
         alpha = np.zeros((size, 64))
         values = np.zeros((size, 64, 16))
@@ -244,12 +250,18 @@ def _pruning_error_tally(rng: np.random.Generator, trials: int, constant: float)
         pruned = np.einsum("tn,tnd->td", renormalized, values)
         v_max = np.sqrt(np.einsum("tnd,tnd->tn", values, values).max(axis=1))
         error_norm = np.sqrt(np.einsum("td,td->t", exact - pruned, exact - pruned))
-        failures += int(np.count_nonzero(error_norm > constant * tail_mass * v_max + BOUND_SLACK))
+        main, selftest = max(trials - start, 0), max(selftest_trials - start, 0)
+        over = error_norm > constant * tail_mass * v_max + BOUND_SLACK
+        failures += int(np.count_nonzero(over[:main]))
+        over = error_norm > selftest_constant * tail_mass * v_max + BOUND_SLACK
+        selftest_failures += int(np.count_nonzero(over[:selftest]))
+        start += size
     return {
         "name": "pruning_error_bound",
         "trials": trials,
         "failures": failures,
         "constant": constant,
+        "selftest_failures": selftest_failures,
     }
 
 
@@ -286,49 +298,39 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
     return {"name": "tail_gap_bound", "trials": trials, "failures": failures}
 
 
-def validate_trials(trials: int, name: str = "trials") -> None:
-    """Raise unless a trial count is at least 1."""
-    if trials < 1:
-        raise ConfigError(f"{name} must be >= 1, got {trials}")
-
-
 def _tally_rngs(seed: int) -> list[np.random.Generator]:
     """One generator per tally, in the order sandwich, stability, pruning error, tail gap."""
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)]
 
 
-def run_bound_verification(trials: int, seed: int) -> dict:
-    """Run all four randomized bound checks and tally violations.
+def run_bound_verification(
+    trials: int, seed: int, selftest_trials: int = 0, selftest_constant: float = ERROR_BOUND_CONSTANT
+) -> tuple[dict, int]:
+    """Run all four randomized bound checks; return their tallies and the self-test count.
 
     With the proven ERROR_BOUND_CONSTANT the expected failure count is zero for
-    every seed; any failure indicates an implementation bug.
+    every seed; any failure indicates an implementation bug. The self-test
+    count is the violations at a weakened selftest_constant among the first
+    selftest_trials pruning-error trials, drawn in the same pass; a constant
+    below the proven one must report some.
     """
-    validate_trials(trials)
+    if trials < 1 or selftest_trials < 0:
+        raise ConfigError(f"need trials >= 1 and selftest_trials >= 0, got {trials}, {selftest_trials}")
     rngs = _tally_rngs(seed)
     checks = [
         _sandwich_tally(rngs[0], trials),
         _stability_tally(rngs[1], trials),
-        _pruning_error_tally(rngs[2], trials, ERROR_BOUND_CONSTANT),
+        _pruning_error_tally(rngs[2], trials, ERROR_BOUND_CONSTANT, selftest_trials, selftest_constant),
         _tail_gap_tally(rngs[3], trials),
     ]
+    selftest_failures = checks[2].pop("selftest_failures")
     return {
         "trials": trials,
         "seed": seed,
         "error_bound_constant": ERROR_BOUND_CONSTANT,
         "checks": {check["name"]: check for check in checks},
         "total_failures": sum(check["failures"] for check in checks),
-    }
-
-
-def run_pruning_error_selftest(trials: int, seed: int, constant: float) -> int:
-    """Pruning-error violations under a weakened constant.
-
-    The trials are the first `trials` pruning-error trials of
-    run_bound_verification at the same seed; a constant below the proven 2.0
-    must report some of them as violations.
-    """
-    validate_trials(trials, "selftest_trials")
-    return _pruning_error_tally(_tally_rngs(seed)[2], trials, constant)["failures"]
+    }, selftest_failures
 
 
 def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None):
@@ -427,8 +429,7 @@ def run_correlation_probe(
     for instance in instances:
         image = instance.images[instance.relevant_image]
         sims = similarity_matrix(instance.query, image)
-        hard = maxsim_scores(sims)
-        smooth = lse_scores(sims)
+        hard, smooth = _pool(sims)
         n_tokens = image.shape[0]
         heads = np.stack(
             [

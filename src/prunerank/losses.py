@@ -56,6 +56,8 @@ def _pair_weights(m: int) -> np.ndarray:
 def _geometric_decay(gamma: float, m: int) -> np.ndarray:
     """Read-only gamma**p / sum for teacher positions p = 0..m-1."""
     decay = gamma ** np.arange(m, dtype=np.float64)
+    if decay[-1] == 0.0:
+        raise InvalidGammaError(f"gamma {gamma} underflows over {m} positions: gamma**{m - 1} is 0")
     decay /= decay.sum()
     decay.flags.writeable = False
     return decay

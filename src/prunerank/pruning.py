@@ -45,9 +45,24 @@ def maxsim_scores(s) -> np.ndarray:
 
 def lse_scores(s) -> np.ndarray:
     """Per-token log-sum-exp pooling over query rows, max-shifted for stability."""
-    arr = _as_matrix(s, "similarity matrix")
-    shift = arr.max(axis=0)
-    return shift + np.log(np.exp(arr - shift[None, :]).sum(axis=0))
+    return _pool(_as_matrix(s, "similarity matrix"))[1]
+
+
+def _pool(sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and log-sum-exp pooling over axis -2 of a (..., rows, cols) array.
+
+    -inf padding adds exactly 0 to a column's in-order row sum, so a padded
+    column pools bit for bit as unpadded, and an all-padding column to -inf.
+    """
+    hard = np.maximum.reduce(sims, axis=-2)
+    shift, real = hard, True
+    if np.minimum.reduce(hard, axis=None) == -np.inf:
+        # Shift an all-padding column by 0 and keep its zero sum out of the log.
+        real = hard > -np.inf
+        shift = np.where(real, hard, 0.0)
+    shifted = sims - shift[..., None, :]
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=-2)
+    return hard, np.add(hard, np.log(total, out=total, where=real), out=total)
 
 
 def keep_count(rho: float, n_tokens: int) -> int:

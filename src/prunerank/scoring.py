@@ -82,6 +82,8 @@ def validate_permutation(order) -> np.ndarray:
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidPermutationError(f"permutation must be a nonempty 1-D sequence, got shape {arr.shape}")
+    if arr.dtype.kind == "c":
+        raise InvalidPermutationError(f"permutation entries must be real numbers, got {arr.dtype}")
     if arr.dtype.kind not in "iu":
         try:
             arr = np.asarray(arr, dtype=np.float64)

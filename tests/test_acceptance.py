@@ -42,7 +42,7 @@ def criterion(num: int, label: str):
 
 @pytest.fixture(scope="module")
 def bound_tallies():
-    return run_bound_verification(trials=TRIALS, seed=MASTER_SEED)["checks"]
+    return run_bound_verification(trials=TRIALS, seed=MASTER_SEED)[0]["checks"]
 
 
 def test_criterion_01_score_sandwich(bound_tallies):

@@ -14,7 +14,7 @@ import pytest
 
 from prunerank import experiments
 from prunerank.attention import BOUND_SLACK, check_pruning_error_bound, tail_gap_bound_check
-from prunerank.pruning import lse_scores, maxsim_scores, topk_stability_check
+from prunerank.pruning import _pool, lse_scores, maxsim_scores, topk_stability_check
 
 SEEDS = (0, 1, 2)
 TRIAL_COUNTS = (1, 300, 531)
@@ -141,3 +141,66 @@ def test_chunk_sizes_are_made_lazily():
     # A list of every size would take gigabytes at this trial count.
     assert list(itertools.islice(experiments._chunk_sizes(10**18), 3)) == [chunk] * 3
     assert list(experiments._chunk_sizes(2 * chunk + 5)) == [chunk, chunk, 5]
+
+
+# (trials, selftest_trials): the self-test inside, past, one past a chunk of,
+# and equal to the main run.
+SELFTEST_SPLITS = ((300, 200), (200, 400), (64, 65), (1, 1))
+
+
+@pytest.mark.parametrize("trials,selftest_trials", SELFTEST_SPLITS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_selftest_matches_reference(seed, trials, selftest_trials):
+    rng = np.random.default_rng(seed)
+    got = experiments._pruning_error_tally(rng, trials, 2.0, selftest_trials, 1.9)
+    main = reference_pruning_error(np.random.default_rng(seed), trials, 2.0)
+    selftest = reference_pruning_error(np.random.default_rng(seed), selftest_trials, 1.9)
+    assert got["trials"] == trials
+    assert got["failures"] == main["failures"]
+    assert got["selftest_failures"] == selftest["failures"]
+    assert selftest["failures"] > 0 or selftest_trials < 10
+    both = np.random.default_rng(seed)
+    reference_pruning_error(both, max(trials, selftest_trials), 2.0)
+    assert rng.bit_generator.state == both.bit_generator.state
+
+
+def reference_lse(sims):
+    """Per-trial log-sum-exp over the rows, written out apart from pruning._pool."""
+    shift = sims.max(axis=0)
+    return shift + np.log(np.exp(sims - shift[None, :]).sum(axis=0))
+
+
+def padded_chunk(rng, shapes, rows, cols):
+    """A -inf-padded (len(shapes), rows, cols) chunk of uniform trials, and the trials."""
+    chunk = np.full((len(shapes), rows, cols), -np.inf)
+    trials = []
+    for t, (n_query, n_tokens) in enumerate(shapes):
+        trials.append(rng.uniform(-1.0, 1.0, size=(n_query, n_tokens)))
+        chunk[t, :n_query, :n_tokens] = trials[-1]
+    return chunk, trials
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,cols", [(1, 1), (6, 64)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pool_of_a_padded_chunk_equals_per_trial_pooling(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    shapes = [(rows, cols), (1, 1)] + [
+        (int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))) for _ in range(200)
+    ]
+    chunk, trials = padded_chunk(rng, shapes, rows, cols)
+    hard, smooth = _pool(chunk)
+    for t, sims in enumerate(trials):
+        n_tokens = sims.shape[1]
+        assert np.array_equal(hard[t, :n_tokens], maxsim_scores(sims))
+        assert np.array_equal(smooth[t, :n_tokens], lse_scores(sims))
+        assert np.array_equal(smooth[t, :n_tokens], reference_lse(sims))
+        assert np.isneginf(hard[t, n_tokens:]).all() and np.isneginf(smooth[t, n_tokens:]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_pool_of_all_padding_is_minus_inf():
+    hard, smooth = _pool(np.full((3, 6, 64), -np.inf))
+    assert np.isneginf(hard).all() and np.isneginf(smooth).all()
+    hard, smooth = _pool(np.full((1, 1), -np.inf))
+    assert hard.tolist() == smooth.tolist() == [-np.inf]

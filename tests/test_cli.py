@@ -206,6 +206,9 @@ BAD_INPUT_PROBES = {
         {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
     ),
     "verify-bounds-nan-constant": ("verify-bounds", {"selftest_constant": float("nan")}),
+    "verify-bounds-constant-1e308": ("verify-bounds", {"selftest_constant": 1e308}),
+    "verify-bounds-constant-minus-1e308": ("verify-bounds", {"selftest_constant": -1e308}),
+    "verify-bounds-constant-2": ("verify-bounds", {"selftest_constant": 2.0}),
     "verify-bounds-trials-null": ("verify-bounds", {"trials": None}),
     "simulate-ranking-k-empty": (
         "simulate",

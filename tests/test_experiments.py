@@ -13,7 +13,6 @@ from prunerank.experiments import (
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
-    run_pruning_error_selftest,
     run_synthetic_ranking,
     write_report,
 )
@@ -24,7 +23,7 @@ RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 class TestBoundVerification:
     def test_zero_failures_across_all_checks(self):
-        report = run_bound_verification(trials=800, seed=123)
+        report, _ = run_bound_verification(trials=800, seed=123)
         assert set(report["checks"]) == {
             "score_sandwich",
             "topk_stability",
@@ -37,11 +36,11 @@ class TestBoundVerification:
         assert report["total_failures"] == 0
 
     def test_stability_premise_actually_fires(self):
-        report = run_bound_verification(trials=800, seed=5)
+        report, _ = run_bound_verification(trials=800, seed=5)
         assert report["checks"]["topk_stability"]["premise_count"] > 50
 
     def test_equality_cases_are_exercised(self):
-        report = run_bound_verification(trials=800, seed=5)
+        report, _ = run_bound_verification(trials=800, seed=5)
         assert report["checks"]["score_sandwich"]["equality_checks"] > 100
 
     def test_reproducible_per_seed(self):
@@ -52,11 +51,13 @@ class TestBoundVerification:
     def test_corrupted_constant_is_detected(self):
         # Weakening the proven coefficient must produce visible violations,
         # proving the checker can actually fail.
-        assert run_pruning_error_selftest(400, 7, 1.9) > 0
+        assert run_bound_verification(1, 7, 400, 1.9)[1] > 0
 
     def test_trials_validated(self):
         with pytest.raises(ConfigError):
             run_bound_verification(trials=0, seed=0)
+        with pytest.raises(ConfigError):
+            run_bound_verification(trials=1, seed=0, selftest_trials=-1)
 
 
 class TestPruningComparison:

@@ -156,6 +156,15 @@ class TestGeometricTarget:
         with pytest.raises(InvalidGammaError):
             geometric_target([0, 1], gamma=gamma)
 
+    @pytest.mark.parametrize("gamma,m", [(1e-20, 30), (1e-200, 3)])
+    def test_underflowing_gamma_is_named_with_the_list_length(self, gamma, m):
+        # gamma**(m - 1) is 0 in float64; the target would otherwise be blamed.
+        with pytest.raises(InvalidGammaError, match=f"gamma {gamma} .* {m} positions"):
+            geometric_target(range(m), gamma)
+
+    def test_small_gamma_that_does_not_underflow_is_accepted(self):
+        assert geometric_target(range(16), 1e-20).q[-1] > 0
+
     def test_caller_writes_do_not_reach_the_next_call(self):
         geometric_target([2, 0, 1], gamma=0.5).q[:] = 0.0
         geometric_target([0, 1, 2], gamma=0.5).q[:] = 0.0

@@ -136,6 +136,13 @@ class TestApplyPermutation:
         with pytest.raises(InvalidPermutationError):
             validate_permutation(order)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [np.array([1 + 0j, 0]), [1j, 0], np.array([0, 1], dtype=np.complex64)])
+    def test_validate_rejects_complex_entries_without_a_cast(self, order):
+        # numpy's cast to float would warn and drop the imaginary part.
+        with pytest.raises(InvalidPermutationError, match="real numbers"):
+            validate_permutation(order)
+
 
 class TestSerialization:
     def test_permutation_serializes_as_index_array(self):
