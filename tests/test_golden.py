@@ -46,9 +46,57 @@ def seeded_judgments(seed: int = 11) -> list[dict]:
     return judgments
 
 
-# Small configs, each with its hashes; the first has more self-test trials
-# than main trials.
+# The query matrix simulate-explicit-query reads from its working directory.
+QUERY_FILE = "query.json"
+QUERY_EMBEDDING = {
+    "rows": 3,
+    "dim": 12,
+    "data": np.random.default_rng(5).standard_normal(36).round(6).tolist(),
+}
+
+# Small configs, each with its hashes. verify-bounds-200-400 has more
+# self-test trials than main trials. The simulate entries draw images of
+# varying size; simulate-explicit-query plants three exact query copies per
+# relevant image, so their scores tie at 1.0.
 GOLDEN_CONFIGS = {
+    "simulate-ragged-noisy": (
+        "simulate",
+        {
+            "n_instances": 40,
+            "keep_ratios": [0.05, 0.25, 0.5, 0.75, 1.0],
+            "synthetic": {
+                "n_images": 6,
+                "tokens_per_image": [12, 30],
+                "embed_dim": 8,
+                "n_query_tokens": 3,
+                "planted_per_image": 2,
+                "noise_scale": 0.3,
+            },
+            "correlation": {"n_instances": 30, "n_heads": 3, "attention_noise": 0.7},
+            "ranking": {"n_instances": 30, "noise_scale": 1.5, "k_values": [1, 2, 4]},
+        },
+        {
+            "report.json": "b895e47c4b90e8372798c5567d64249db734f130aba6e29506a6a7a8b764ab22",
+            "tables/pruning_comparison.csv": "42e0aa952e7ceed79293c7e39fc061a407375f21111eb63209b7a469c193d884",
+            "tables/ranking_quality.csv": "7a83643ed2c959ad85402a95e536650153a232bbaef238450cdc0d11eee468a7",
+        },
+    ),
+    "simulate-explicit-query": (
+        "simulate",
+        {
+            "n_instances": 30,
+            "keep_ratios": [0.1, 0.35, 0.9],
+            "synthetic": {"n_images": 5, "tokens_per_image": [12, 30], "planted_per_image": 3},
+            "correlation": {"n_instances": 25, "n_heads": 3, "attention_noise": 0.4},
+            "ranking": {"n_instances": 35, "noise_scale": 0.8, "k_values": [1, 3]},
+            "query_embedding_path": QUERY_FILE,
+        },
+        {
+            "report.json": "b5cc2363897a71050d2eb0600c3c59cdb1ade54e8c47aa97ce4cdc45a33d4329",
+            "tables/pruning_comparison.csv": "9f9c5d892c64e2160045955d0007bd6b16e0b34af280146cf81d984f49d5a930",
+            "tables/ranking_quality.csv": "ac6c758fb043daa8d7e2e686942eeb15020699b45ae008f26c290827da5cae40",
+        },
+    ),
     "verify-bounds-200-400": (
         "verify-bounds",
         {"trials": 200, "selftest_trials": 400},
@@ -84,8 +132,10 @@ def test_default_outputs_match_golden_hashes(command, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_configured_outputs_match_golden_hashes(name, tmp_path):
+def test_configured_outputs_match_golden_hashes(name, tmp_path, monkeypatch):
     command, config, hashes = GOLDEN_CONFIGS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / QUERY_FILE).write_text(json.dumps(QUERY_EMBEDDING))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
