@@ -19,7 +19,7 @@ from .errors import (
     InvalidProbabilityError,
     KOutOfRangeError,
 )
-from .linalg import as_embedding, as_vector
+from .linalg import as_embedding, as_finite_array, as_vector
 
 # Absolute slack applied to every inequality check to absorb float rounding.
 BOUND_SLACK = 1e-9
@@ -29,10 +29,13 @@ ALL_MASS_EPS = 1e-12
 
 
 def softmax(scores) -> np.ndarray:
-    """Max-shifted stable softmax over a 1-D score vector."""
-    arr = as_vector(scores, "softmax input")
-    shifted = np.exp(arr - arr.max())
-    return shifted / shifted.sum()
+    """Max-shifted stable softmax over the last axis of a finite 1-D or 2-D array.
+
+    Each row of a 2-D array comes out bit for bit as the 1-D call on that row.
+    """
+    arr = as_finite_array(scores, (1, 2), "softmax input")
+    shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def as_attention_weights(alpha) -> np.ndarray:

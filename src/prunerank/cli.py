@@ -131,14 +131,20 @@ _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "judgments": []}
 
 # Leaf rules keyed by leaf name, which means the same thing in every section:
-# the smallest value (of each item, for a list), an exclusive upper bound and
-# the leaves holding keep ratios. tokens_per_image starts at 2 because the
-# correlation probe rank-correlates each image's tokens; a selftest_constant
-# at or above the proven coefficient cannot detect a violation.
+# the smallest value (of each item, for a list), the largest, an exclusive
+# upper bound and the leaves holding keep ratios. tokens_per_image starts at 2
+# because the correlation probe rank-correlates each image's tokens; a
+# selftest_constant at or above the proven coefficient cannot detect a
+# violation. The largest simulate sizes keep each first allocation they size
+# at 8 MB or less (the instance seeds, one image, one query, one noise draw).
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
     "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
+}
+_MAXIMUMS = {
+    "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
+    "n_query_tokens": 10**4,
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
@@ -189,6 +195,8 @@ def _check_leaf(key: str, default, value, where: str) -> None:
         raise ConfigError(f"{where} must be finite, got {_capped(json.dumps(value))}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
         raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {_capped(json.dumps(value))}")
+    if key in _MAXIMUMS and max(items) > _MAXIMUMS[key]:
+        raise ConfigError(f"{where} must be <= {_MAXIMUMS[key]}, got {_capped(json.dumps(value))}")
     if key in _BELOW and max(items) >= _BELOW[key]:
         raise ConfigError(f"{where} must be < {_BELOW[key]}, got {_capped(json.dumps(value))}")
     if key in _RATIOS:

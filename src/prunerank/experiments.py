@@ -7,7 +7,9 @@ score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed; per-trial streams derive from the master seed so
 trials could run in any order or in parallel without changing results.
 Each bound check draws its trials once; the verify-bounds self-test is scored
-in the pruning-error check's pass.
+in the pruning-error check's pass. Each simulate section scores an instance in
+one pass: one sort of the relevant image's scores for every keep ratio, one
+noise draw and softmax for every head, one cosine GEMM for every image.
 """
 
 from __future__ import annotations
@@ -38,17 +40,10 @@ from .errors import (
     KOutOfRangeError,
     NonFiniteError,
 )
-from .linalg import similarity_matrix
+from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import (
-    _pool,
-    as_keep_ratio,
-    keep_count,
-    maxsim_scores,
-    random_prune,
-    select_topk_preserve_order,
-)
-from .scoring import CandidateList, apply_permutation, rank_from_logits
+from .pruning import _pool, as_keep_ratio, keep_count, maxsim_scores, random_prune
+from .scoring import rank_from_logits
 from .synthetic import SyntheticConfig, generate_instance
 
 # The proven coefficient in the pruning-error bound. The verify-bounds self-test
@@ -336,17 +331,24 @@ def run_bound_verification(
 def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None):
     """The master generator and a lazy stream of n_instances seeded instances.
 
-    The instance seeds are the master's first draw; callers may draw more from
-    the master afterwards, before or while consuming the stream.
+    Each instance comes with unit_rows of its query; an explicit query is
+    scaled once per run. The instance seeds are the master's first draw;
+    callers may draw more from the master afterwards, before or while
+    consuming the stream.
     """
     if n_instances < 1:
         raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     master = np.random.default_rng(cfg.seed)
-    seeds = master.integers(2**63, size=n_instances)
-    instances = (
-        generate_instance(dataclasses.replace(cfg, seed=int(seed)), query=query) for seed in seeds
-    )
-    return master, instances
+    return master, _with_unit_query(cfg, master.integers(2**63, size=n_instances), query)
+
+
+def _with_unit_query(cfg: SyntheticConfig, seeds: np.ndarray, query: np.ndarray | None):
+    unit = None
+    for seed in seeds:
+        instance = generate_instance(dataclasses.replace(cfg, seed=int(seed)), query=query)
+        if unit is None or query is None:
+            unit = unit_rows(instance.query)
+        yield instance, unit
 
 
 def validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
@@ -369,25 +371,33 @@ def run_pruning_comparison(
     differ only in which indices survive. Retention is the fraction of planted
     tokens that survive pruning of the relevant image, pooled over instances.
     An explicit query matrix replaces the per-instance sampled one.
+
+    Each instance is scored and sorted once: a token survives query-aware
+    pruning at every ratio whose budget exceeds its rank in the stable
+    descending score order (the lower index first on ties). The budgets are
+    computed once per image size.
     """
     ratios = validate_ratios(keep_ratios)
     master, instances = _instances(cfg, n_instances, query)
     random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
+    budgets: dict[int, np.ndarray] = {}
     kept_t2i = np.zeros(len(ratios), dtype=np.int64)
     kept_random = np.zeros(len(ratios), dtype=np.int64)
     total_planted = 0
-    for i, instance in enumerate(instances):
+    for i, (instance, unit) in enumerate(instances):
         image = instance.images[instance.relevant_image]
-        planted = set(instance.planted[instance.relevant_image])
+        planted = instance.planted[instance.relevant_image]
         total_planted += len(planted)
-        scores = maxsim_scores(similarity_matrix(instance.query, image))
         n_tokens = image.shape[0]
-        for j, rho in enumerate(ratios):
-            budget = keep_count(rho, n_tokens)
-            t2i = select_topk_preserve_order(scores, budget)
+        if n_tokens not in budgets:
+            budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in ratios])
+        order = np.argsort(-maxsim_scores(cosine_to_unit(unit, image)), kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n_tokens)
+        kept_t2i += np.count_nonzero(rank[list(planted), None] < budgets[n_tokens], axis=0)
+        for j, budget in enumerate(budgets[n_tokens].tolist()):
             rand = random_prune(n_tokens, budget, int(random_seeds[i, j]))
-            kept_t2i[j] += len(planted.intersection(t2i.tolist()))
-            kept_random[j] += len(planted.intersection(rand.tolist()))
+            kept_random[j] += len(set(planted).intersection(rand.tolist()))
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
     rows = []
@@ -418,7 +428,8 @@ def run_correlation_probe(
     Per instance, per-head attention rows at the scoring position are softmax
     distributions over the smooth pooling scores plus head-specific noise; the
     head average is then rank-correlated against the hard-max pruning scores.
-    The value is reported without an acceptance threshold.
+    The value is reported without an acceptance threshold. An instance's noise
+    for all heads is one (n_heads, n_tokens) draw, softmaxed in one call.
     """
     if n_heads < 1:
         raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
@@ -426,18 +437,11 @@ def run_correlation_probe(
         raise ConfigError(f"attention_noise must be nonnegative, got {attention_noise}")
     master, instances = _instances(cfg, n_instances, query)
     correlations = []
-    for instance in instances:
+    for instance, unit in instances:
         image = instance.images[instance.relevant_image]
-        sims = similarity_matrix(instance.query, image)
-        hard, smooth = _pool(sims)
-        n_tokens = image.shape[0]
-        heads = np.stack(
-            [
-                softmax(smooth + master.normal(0.0, attention_noise, size=n_tokens))[None, :]
-                for _ in range(n_heads)
-            ]
-        )
-        mass = attention_mass_per_token(heads, position=0)
+        hard, smooth = _pool(cosine_to_unit(unit, image))
+        noise = master.normal(0.0, attention_noise, size=(n_heads, image.shape[0]))
+        mass = attention_mass_per_token(softmax(smooth + noise)[:, None, :], position=0)
         correlations.append(spearman(hard, mass))
     return {
         "n_instances": n_instances,
@@ -462,18 +466,19 @@ def run_synthetic_ranking(
     score and judged against the planted relevant image. No keep ratio enters:
     query-aware pruning always keeps an image's best token, so pruning first
     would not change any score.
+
+    An instance's images are stacked and scored in one cosine GEMM, and each
+    image's best token is a max over its row span. The candidate ids are the
+    image indices, so the ranked ids are the permutation itself.
     """
     _, instances = _instances(cfg, n_instances, query)
     judgments = []
-    for instance in instances:
-        candidates = CandidateList.from_ids(range(len(instance.images)))
-        logits = [
-            float(similarity_matrix(instance.query, image).max()) for image in instance.images
-        ]
-        permutation = rank_from_logits(logits)
-        reranked = apply_permutation(list(candidates.ids), permutation)
+    for instance, unit in instances:
+        starts = np.cumsum([0] + [image.shape[0] for image in instance.images[:-1]])
+        tokens = maxsim_scores(cosine_to_unit(unit, np.concatenate(instance.images)))
+        ranked = rank_from_logits(np.maximum.reduceat(tokens, starts)).tolist()
         judgments.append(
-            QueryJudgment(relevant=frozenset({instance.relevant_image}), ranked=tuple(reranked))
+            QueryJudgment(relevant=frozenset({instance.relevant_image}), ranked=tuple(ranked))
         )
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {

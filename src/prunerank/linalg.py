@@ -23,8 +23,8 @@ from .errors import DimensionMismatchError, EmptyInputError, NonFiniteError, Zer
 ZERO_NORM_EPS = 1e-12
 
 
-def _shape_checked(values, ndim: int, name: str) -> np.ndarray:
-    """The one shape rule: numbers in ndim dimensions, then at least one entry.
+def _shape_checked(values, ndims: tuple[int, ...], name: str) -> np.ndarray:
+    """The one shape rule: numbers in one of ndims dimensions, then at least one entry.
 
     Returns values as a float64 array, never copied if it already is one.
     """
@@ -32,36 +32,39 @@ def _shape_checked(values, ndim: int, name: str) -> np.ndarray:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{name} must be a rectangular array of numbers") from exc
-    if arr.ndim != ndim:
-        raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        allowed = " or ".join(f"{ndim}-D" for ndim in ndims)
+        raise DimensionMismatchError(f"{name} must be {allowed}, got shape {arr.shape}")
     if arr.size < 1:
         raise EmptyInputError(f"{name} must have at least one entry, got shape {arr.shape}")
     return arr
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array with at least one entry.
+def as_finite_array(values, ndims: tuple[int, ...], name: str) -> np.ndarray:
+    """Coerce to a finite float64 array in one of ndims dimensions, with at least one entry.
 
-    Raises DimensionMismatchError unless a 1-D array of numbers, then
-    EmptyInputError, then NonFiniteError.
+    Raises DimensionMismatchError unless an array of numbers in one of ndims
+    dimensions, then EmptyInputError, then NonFiniteError.
     """
-    arr = _shape_checked(v, 1, name)
+    arr = _shape_checked(values, ndims, name)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def as_vector(v, name: str = "vector") -> np.ndarray:
+    """Coerce to a finite 1-D float64 array with at least one entry."""
+    return as_finite_array(v, (1,), name)
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
     """m as a 2-D float64 array with at least one row and column (no finiteness scan)."""
-    return _shape_checked(m, 2, name)
+    return _shape_checked(m, (2,), name)
 
 
 def as_embedding(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with at least one row and column."""
-    arr = _as_matrix(m, name)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
-    return arr
+    return as_finite_array(m, (2,), name)
 
 
 def l2_normalize(v) -> np.ndarray:

@@ -153,18 +153,17 @@ class PruneResult:
 
 
 def prune_by_scores(scores, rho: float) -> PruneResult:
-    """Select the top keep_count(rho, n) tokens of one image by score."""
+    """Select the top keep_count(rho, n) tokens of one image by score.
+
+    One stable descending sort (the lower index first on ties) gives both the
+    kept set, as select_topk_preserve_order takes it, and the margin.
+    """
     arr = as_vector(scores, "scores")
-    n = arr.size
-    kept = keep_count(rho, n)
-    indices = select_topk_preserve_order(arr, kept)
-    if kept == n:
-        margin = None
-    else:
-        ordered = np.sort(arr)[::-1]
-        margin = float(ordered[kept - 1] - ordered[kept])
+    kept = keep_count(rho, arr.size)
+    order = np.argsort(-arr, kind="stable")
+    margin = None if kept == arr.size else float(arr[order[kept - 1]] - arr[order[kept]])
     return PruneResult(
-        kept_indices=tuple(int(i) for i in indices),
+        kept_indices=tuple(np.sort(order[:kept]).tolist()),
         keep_count=kept,
         keep_ratio=float(rho),
         margin=margin,

@@ -9,7 +9,6 @@ as plain numbers.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +32,6 @@ def assign_identifiers(k: int) -> list[str]:
             f"at most {len(IDENTIFIER_ALPHABET)} single-symbol identifiers, got k={k}"
         )
     return list(IDENTIFIER_ALPHABET[:k])
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Retriever-ordered candidates paired with their identifier tokens."""
-
-    ids: tuple
-    identifier_tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.identifier_tokens):
-            raise DimensionMismatchError(
-                f"{len(self.ids)} ids vs {len(self.identifier_tokens)} identifiers"
-            )
-        if not 1 <= len(self.ids) <= len(IDENTIFIER_ALPHABET):
-            raise TooManyCandidatesError(
-                f"candidate count must be in [1, {len(IDENTIFIER_ALPHABET)}], got {len(self.ids)}"
-            )
-        if len(set(self.identifier_tokens)) != len(self.identifier_tokens):
-            raise InvalidPermutationError("identifier tokens must be distinct")
-
-    @property
-    def k(self) -> int:
-        return len(self.ids)
-
-    @classmethod
-    def from_ids(cls, ids) -> "CandidateList":
-        ids = tuple(ids)
-        return cls(ids=ids, identifier_tokens=tuple(assign_identifiers(len(ids))))
 
 
 def rank_from_logits(logits) -> np.ndarray:

@@ -16,6 +16,7 @@ from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
     KOutOfRangeError,
+    NonFiniteError,
 )
 
 EXAMPLE_ALPHA = [0.5, 0.3, 0.2]
@@ -52,6 +53,24 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             softmax([])
+
+    def test_rows_equal_one_dimensional_calls_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for n_rows, n in ((1, 1), (3, 7), (4, 20), (7, 129)):
+            scores = rng.standard_normal((n_rows, n)) * 5
+            out = softmax(scores)
+            assert out.shape == (n_rows, n)
+            for row, want in zip(out, scores):
+                assert np.array_equal(row, softmax(want))
+
+    @pytest.mark.parametrize("scores", [[[[1.0]]], 1.0, [[1.0, 2.0], [3.0]]])
+    def test_other_shapes_rejected(self, scores):
+        with pytest.raises(DimensionMismatchError):
+            softmax(scores)
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(NonFiniteError):
+            softmax([[0.0, 1.0], [np.nan, 0.0]])
 
 
 class TestAttentionOutput:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunerank.cli import DEFAULTS, _merge, main
+from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
+from prunerank.errors import ConfigError
 from prunerank.linalg import embedding_to_json
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
@@ -251,6 +252,32 @@ BAD_INPUT_PROBES = {
         {"sweep": {"tokens_per_candidate": 10**4250}},
     ),
 }
+# Simulate sizes past their largest allowed value, by leaf: at 2**62 each once
+# ended in numpy's "array is too big" traceback, or for n_heads ran without end.
+OVERSIZED_LEAVES = {
+    "n-instances": ("n_instances", lambda v: {"n_instances": v}),
+    "ranking-n-instances": ("n_instances", lambda v: {"ranking": {"n_instances": v}}),
+    "correlation-n-instances": ("n_instances", lambda v: {"correlation": {"n_instances": v}}),
+    "n-heads": ("n_heads", lambda v: {"correlation": {"n_heads": v}}),
+    "tokens-per-image": ("tokens_per_image", lambda v: {"synthetic": {"tokens_per_image": [2, v]}}),
+    "embed-dim": ("embed_dim", lambda v: {"synthetic": {"embed_dim": v}}),
+    "n-query-tokens": ("n_query_tokens", lambda v: {"synthetic": {"n_query_tokens": v}}),
+}
+for _name, (_leaf, _override) in OVERSIZED_LEAVES.items():
+    BAD_INPUT_PROBES[f"simulate-{_name}-2**62"] = ("simulate", _override(2**62))
+    BAD_INPUT_PROBES[f"simulate-{_name}-bound+1"] = ("simulate", _override(_MAXIMUMS[_leaf] + 1))
+
+
+@pytest.mark.parametrize("name", OVERSIZED_LEAVES)
+def test_simulate_sizes_are_bounded_in_merge(name):
+    leaf, override = OVERSIZED_LEAVES[name]
+    bound = _MAXIMUMS[leaf]
+    _merge(DEFAULTS["simulate"], override(bound))  # the bound itself is allowed
+    for value in (bound + 1, 2**62):
+        with pytest.raises(ConfigError, match=f"must be <= {bound}"):
+            _merge(DEFAULTS["simulate"], override(value))
+
+
 # Probes whose bad value shows only in what a step computes from it (a
 # zero-norm query row, zero pruned-pipeline FLOPs), so that step may run;
 # every other probe fails before any step.

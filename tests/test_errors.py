@@ -57,10 +57,18 @@ MATRIX_ENTRY_POINTS = {
     "lse_scores": (lse_scores, ("3-D", "empty", "non-numeric")),
 }
 
+# softmax also takes a 2-D array, one distribution per row, so its wrong
+# number of dimensions is a 3-D input.
+ONE_OR_TWO_D = {"softmax"}
+
 ARRAY_CASES = [
     pytest.param(fn, *VECTOR_CASES[case], id=f"{name}-{case}")
     for name, fn in VECTOR_ENTRY_POINTS.items()
     for case in VECTOR_CASES
+    if not (case == "2-D" and name in ONE_OR_TWO_D)
+] + [
+    pytest.param(VECTOR_ENTRY_POINTS[name], *MATRIX_CASES["3-D"], id=f"{name}-3-D")
+    for name in sorted(ONE_OR_TWO_D)
 ] + [
     pytest.param(fn, *MATRIX_CASES[case], id=f"{name}-{case}")
     for name, (fn, cases) in MATRIX_ENTRY_POINTS.items()

@@ -21,6 +21,7 @@ from prunerank.pruning import (
     keep_count,
     lse_scores,
     maxsim_scores,
+    prune_by_scores,
     prune_images,
     random_prune,
     round_half_away_from_zero,
@@ -301,6 +302,40 @@ class TestPruneImages:
         for alpha in (0.5, 2.0, 10.0):
             scaled = prune_images(alpha * query, images, rho=0.4)
             assert [r.kept_indices for r in scaled] == [r.kept_indices for r in baseline]
+
+
+def two_sort_prune(scores, rho):
+    """prune_by_scores as it was written with two sorts: the kept set, then a full sort for the margin."""
+    arr = np.asarray(scores, dtype=np.float64)
+    n = arr.size
+    kept = keep_count(rho, n)
+    indices = select_topk_preserve_order(arr, kept)
+    if kept == n:
+        margin = None
+    else:
+        ordered = np.sort(arr)[::-1]
+        margin = float(ordered[kept - 1] - ordered[kept])
+    return tuple(int(i) for i in indices), kept, margin
+
+
+class TestPruneByScores:
+    def test_equals_the_two_sort_rule_with_ties(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            # Few distinct values, so most vectors hold ties, some across the cut.
+            scores = rng.integers(-3, 4, size=n) / 2.0
+            if rng.random() < 0.5:
+                scores = scores + rng.standard_normal(n) * (rng.random() < 0.5)
+            for rho in (0.01, 0.1, 0.25, 0.5, 0.75, 0.999, 1.0):
+                result = prune_by_scores(scores, rho)
+                got = (result.kept_indices, result.keep_count, result.margin)
+                assert got == two_sort_prune(scores, rho)
+                assert result.keep_ratio == rho
+
+    def test_signed_zeros_tie(self):
+        result = prune_by_scores([-0.0, 0.0, 0.0, -1.0], 0.5)
+        assert (result.kept_indices, result.margin) == ((0, 1), 0.0)
 
 
 def oracle_kept(H, image, rho):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,43 @@ from prunerank.errors import (
     TooManyCandidatesError,
 )
 from prunerank.scoring import (
-    CandidateList,
+    IDENTIFIER_ALPHABET,
     apply_permutation,
     assign_identifiers,
     rank_from_logits,
     validate_permutation,
 )
+
+
+# No prunerank code path builds a candidate list (the simulate ranking ranks
+# image indices directly), so the class lives here with its tests.
+@dataclass(frozen=True)
+class CandidateList:
+    """Retriever-ordered candidates paired with their identifier tokens."""
+
+    ids: tuple
+    identifier_tokens: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.ids) != len(self.identifier_tokens):
+            raise DimensionMismatchError(
+                f"{len(self.ids)} ids vs {len(self.identifier_tokens)} identifiers"
+            )
+        if not 1 <= len(self.ids) <= len(IDENTIFIER_ALPHABET):
+            raise TooManyCandidatesError(
+                f"candidate count must be in [1, {len(IDENTIFIER_ALPHABET)}], got {len(self.ids)}"
+            )
+        if len(set(self.identifier_tokens)) != len(self.identifier_tokens):
+            raise InvalidPermutationError("identifier tokens must be distinct")
+
+    @property
+    def k(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_ids(cls, ids) -> "CandidateList":
+        ids = tuple(ids)
+        return cls(ids=ids, identifier_tokens=tuple(assign_identifiers(len(ids))))
 
 
 class TestAssignIdentifiers:
