@@ -1,11 +1,12 @@
 """Dense linear-algebra primitives shared by pruning and the attention oracle.
 
 All numerics are 64-bit floats and matrices are row-major. The cosine kernel
-behind similarity_matrix and pruning.prune_images reads each token matrix
-twice and never copies it: one BLAS dot per row computes the row norms, then
-one GEMM multiplies the unit-scaled query rows by the raw tokens, and the t x n
-result is divided by the token norms and clipped in place. The query is
-scaled once (unit_rows) and reused for every image (cosine_to_unit).
+behind similarity_matrix, pruning.prune_images and the simulate drivers reads
+each token matrix twice and never copies it: one BLAS dot per row computes the
+row norms, then one GEMM multiplies the unit-scaled query rows by the raw
+tokens, and the t x n result is divided by the token norms and clipped in
+place. The query is scaled once (unit_rows) and reused for every image
+(cosine_to_unit).
 
 Finiteness rule: a NaN or infinite entry makes its row norm non-finite, so
 when every norm is finite the matrix is too, and the exact np.isfinite scan
