@@ -55,9 +55,12 @@ QUERY_EMBEDDING = {
 }
 
 # Small configs, each with its hashes. verify-bounds-200-400 has more
-# self-test trials than main trials. The simulate entries draw images of
-# varying size; simulate-explicit-query plants three exact query copies per
-# relevant image, so their scores tie at 1.0.
+# self-test trials than main trials; verify-bounds-131-70-zero runs past two
+# chunk boundaries with a self-test constant of 0. The simulate entries draw
+# images of varying size; simulate-explicit-query plants three exact query
+# copies per relevant image, so their scores tie at 1.0. cost-model-ragged
+# takes the exact per-image keep rule for n_rho, which the default workload
+# (no image_token_counts) does not.
 GOLDEN_CONFIGS = {
     "simulate-ragged-noisy": (
         "simulate",
@@ -103,6 +106,22 @@ GOLDEN_CONFIGS = {
         {
             "report.json": "b40fba95e6b3fee5feb526b26cff204a8793ced5c0ad9f37c1ad5623472ff3ff",
             "tables/bound_tallies.csv": "5a2eebc8e53233fc6b7dfd43ca48b246c52ee58d52763eb687c175cc4fcee783",
+        },
+    ),
+    "verify-bounds-131-70-zero": (
+        "verify-bounds",
+        {"trials": 131, "selftest_trials": 70, "selftest_constant": 0.0},
+        {
+            "report.json": "573754054cf2e5e0a2013743afbd6e5ba2f6129af1232ab8e4666a6147e3de92",
+            "tables/bound_tallies.csv": "49a3636138743657822518c1e009268b51d603b64a361e9b697804a85119a415",
+        },
+    ),
+    "cost-model-ragged": (
+        "cost-model",
+        {"workload": {"k": 5, "n_vis": 1367, "rho": 0.45, "image_token_counts": [1, 7, 333, 1024, 2]}},
+        {
+            "report.json": "1af89dfd5278570df2a8e20d1ab9fc26c4686ac7bcb167d44e09c69347302a8c",
+            "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
     "metrics-judgments": (
