@@ -1,13 +1,12 @@
-"""A single softmax-attention pooling used as a brute-force oracle.
+"""Softmax attention pooling and the two bounds on pruning it.
 
-The pooling is deliberately one layer with no cache or positional machinery:
-it computes exactly the quantities the pruning error analysis is stated on,
-so bound checks exercise the claim and nothing else.
+Each bound, pruning error and softmax tail gap, is one row kernel over a
+padded chunk of trials that holds its input rules, inequality and constant.
+The verify-bounds tallies call it once per chunk, the public checks with one row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,16 @@ from .errors import (
     InvalidProbabilityError,
     KOutOfRangeError,
 )
-from .linalg import as_embedding, as_finite_array, as_vector
+from .linalg import _require_finite, as_embedding, as_finite_array, as_vector
+from .pruning import _top_k
 
 # Absolute slack applied to every inequality check to absorb float rounding.
 BOUND_SLACK = 1e-9
+
+# The proven coefficient in the pruning-error bound. The verify-bounds self-test
+# scores the same trials against a weakened one in [0, ERROR_BOUND_CONSTANT)
+# (1.9 by default) to confirm the check reports violations.
+ERROR_BOUND_CONSTANT = 2.0
 
 # Renormalizing by a kept mass below this would blow up; treat it as all pruned.
 ALL_MASS_EPS = 1e-12
@@ -33,62 +38,58 @@ def softmax(scores) -> np.ndarray:
 
     Each row of a 2-D array comes out bit for bit as the 1-D call on that row.
     """
-    arr = as_finite_array(scores, (1, 2), "softmax input")
+    return _softmax(as_finite_array(scores, (1, 2), "softmax input"))
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
+    """softmax without the input check; a -inf entry of a row with a finite one gets weight 0."""
     shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def as_attention_weights(alpha) -> np.ndarray:
-    """Validate nonnegative weights summing to 1 (within 1e-9)."""
-    arr = as_vector(alpha, "attention weights")
-    if np.any(arr < -BOUND_SLACK):
+def _weight_rows(alpha: np.ndarray) -> np.ndarray:
+    """Rows of nonnegative weights each summing to 1 (within 1e-9), clipped at 0."""
+    if (alpha < -BOUND_SLACK).any():
         raise InvalidProbabilityError("attention weights must be nonnegative")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise InvalidProbabilityError(f"attention weights must sum to 1, got {float(arr.sum())!r}")
-    return np.clip(arr, 0.0, None)
+    sums = alpha.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if bad.size:
+        raise InvalidProbabilityError(f"attention weights must sum to 1, got {float(sums[bad[0]])!r}")
+    return np.clip(alpha, 0.0, None)
 
 
-def attention_output(alpha, V) -> np.ndarray:
-    """Weighted sum of value rows: the exact pooled output."""
-    weights = as_attention_weights(alpha)
-    values = as_embedding(V, "V")
-    if weights.size != values.shape[0]:
-        raise DimensionMismatchError(
-            f"{weights.size} weights for {values.shape[0]} value rows"
-        )
-    return weights @ values
+def as_attention_weights(alpha) -> np.ndarray:
+    """Validate a vector of nonnegative weights summing to 1 (within 1e-9)."""
+    return _weight_rows(as_vector(alpha, "attention weights")[None])[0]
 
 
-def _as_kept(kept, n: int) -> np.ndarray:
-    idx = np.unique(np.asarray(list(kept), dtype=np.int64))
-    if idx.size < 1:
-        raise EmptyInputError("kept index set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise KOutOfRangeError(f"kept indices must lie in [0, {n - 1}]")
-    return idx
+def pruning_error_rows(alpha, values, kept, constant) -> tuple[np.ndarray, ...]:
+    """Per row of zero-padded weights (rows, width), value rows (rows, width, dim)
+    and kept mask: (error_norm, tail_mass, v_max, bound, holds).
 
-
-def pruned_attention_output(alpha, V, kept) -> tuple[np.ndarray, float]:
-    """Pooled output over the kept rows only, renormalized by the kept mass.
-
-    Returns (c_prime, tail_mass) where tail_mass is the total weight removed.
+    Pooling only the kept rows, renormalized, moves the output by error_norm;
+    the bound is constant * tail_mass * v_max, with the removed weight and the
+    largest value-row norm. Zero padding adds nothing to any of them, so no
+    row widths are needed. bound and holds take the shape of constant (a float
+    or a sequence) followed by the rows. At ERROR_BOUND_CONSTANT the bound
+    holds for every valid input and the antipodal case attains it.
     """
-    weights = as_attention_weights(alpha)
-    values = as_embedding(V, "V")
-    if weights.size != values.shape[0]:
-        raise DimensionMismatchError(
-            f"{weights.size} weights for {values.shape[0]} value rows"
-        )
-    idx = _as_kept(kept, weights.size)
-    mask = np.zeros(weights.size, dtype=bool)
-    mask[idx] = True
-    tail_mass = float(np.clip(weights[~mask].sum(), 0.0, None))
-    if tail_mass >= 1.0 - ALL_MASS_EPS:
-        raise AllMassPrunedError(
-            f"kept mass {1.0 - tail_mass:.3e} is too small to renormalize"
-        )
-    c_prime = (weights[idx] / (1.0 - tail_mass)) @ values[idx]
-    return c_prime, tail_mass
+    _require_finite(alpha, "attention weights")
+    _require_finite(values, "V")
+    weights = _weight_rows(alpha)
+    if not kept.any(axis=1).all():
+        raise EmptyInputError("kept index set must be nonempty")
+    tail_mass = np.clip(np.where(kept, 0.0, weights).sum(axis=1), 0.0, None)
+    bad = np.flatnonzero(tail_mass >= 1.0 - ALL_MASS_EPS)
+    if bad.size:
+        raise AllMassPrunedError(f"kept mass {1.0 - tail_mass[bad[0]]:.3e} is too small to renormalize")
+    exact = np.einsum("tn,tnd->td", weights, values)
+    renormalized = np.where(kept, weights, 0.0) / (1.0 - tail_mass)[:, None]
+    pruned = np.einsum("tn,tnd->td", renormalized, values)
+    v_max = np.sqrt(np.einsum("tnd,tnd->tn", values, values).max(axis=1))
+    error_norm = np.sqrt(np.einsum("td,td->t", exact - pruned, exact - pruned))
+    bound = np.multiply.outer(constant, tail_mass) * v_max
+    return error_norm, tail_mass, v_max, bound, error_norm <= bound + BOUND_SLACK
 
 
 @dataclass(frozen=True)
@@ -103,23 +104,32 @@ class PruneErrorReport:
 
 
 def check_pruning_error_bound(alpha, V, kept) -> PruneErrorReport:
-    """Verify that pruning moves the pooled output by at most 2 * tail_mass * v_max.
+    """Whether keeping only the indices in kept moves the pooled output by at most
+    2 * tail_mass * v_max: one row of pruning_error_rows. False means a bug."""
+    weights = as_vector(alpha, "attention weights")
+    values = as_embedding(V, "V")
+    n = weights.size
+    if n != values.shape[0]:
+        raise DimensionMismatchError(f"{n} weights for {values.shape[0]} value rows")
+    idx = np.asarray(list(kept), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise KOutOfRangeError(f"kept indices must lie in [0, {n - 1}]")
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, idx] = True
+    rows = pruning_error_rows(weights[None], values[None], mask, ERROR_BOUND_CONSTANT)
+    return PruneErrorReport(*(field.item() for field in rows))
 
-    v_max is the maximum value-row norm. The inequality holds for every valid
-    input; a False report indicates an implementation bug.
+
+def tail_gap_rows(scores, ks, widths) -> tuple[np.ndarray, ...]:
+    """Per row of -inf-padded scores: (epsilon, delta, bound, holds).
+
+    epsilon is the softmax mass outside the top ks[row] and delta the score
+    gap at k; the removed mass decays as bound = ((n - k) / k) * exp(-delta).
     """
-    c = attention_output(alpha, V)
-    c_prime, tail_mass = pruned_attention_output(alpha, V, kept)
-    v_max = float(np.linalg.norm(np.asarray(V, dtype=np.float64), axis=1).max())
-    error_norm = float(np.linalg.norm(c - c_prime))
-    bound = 2.0 * tail_mass * v_max
-    return PruneErrorReport(
-        error_norm=error_norm,
-        tail_mass=tail_mass,
-        v_max=v_max,
-        bound=bound,
-        holds=error_norm <= bound + BOUND_SLACK,
-    )
+    in_top, delta = _top_k(scores, ks, widths, "scores")
+    epsilon = np.clip(1.0 - np.where(in_top, _softmax(scores), 0.0).sum(axis=1), 0.0, None)
+    bound = (widths - ks) / ks * np.exp(-delta)
+    return epsilon, delta, bound, epsilon <= bound + BOUND_SLACK
 
 
 @dataclass(frozen=True)
@@ -133,27 +143,10 @@ class TailGapReport:
 
 
 def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:
-    """Check epsilon <= ((n - k) / k) * exp(-delta) for softmax top-k tail mass.
-
-    delta is the sorted-score gap between positions k and k+1; the removed mass
-    decays exponentially in that boundary gap.
-    """
+    """Check epsilon <= ((n - k) / k) * exp(-delta): one row of tail_gap_rows."""
     g = as_vector(g_scores, "scores")
-    n = g.size
-    if not 1 <= k < n:
-        raise KOutOfRangeError(f"k must be in [1, {n - 1}], got {k}")
-    weights = softmax(g)
-    order = np.argsort(-g, kind="stable")
-    epsilon = float(np.clip(1.0 - weights[order[:k]].sum(), 0.0, None))
-    ordered = g[order]
-    delta = float(ordered[k - 1] - ordered[k])
-    bound = (n - k) / k * math.exp(-delta)
-    return TailGapReport(
-        epsilon=epsilon,
-        delta=delta,
-        bound=float(bound),
-        holds=epsilon <= bound + BOUND_SLACK,
-    )
+    rows = tail_gap_rows(g[None], np.array([k]), np.array([g.size]))
+    return TailGapReport(*(field.item() for field in rows))
 
 
 def attention_mass_per_token(per_head_attention, position: int) -> np.ndarray:

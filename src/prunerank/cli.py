@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import ERROR_BOUND_CONSTANT
 from .cost_model import ArchParams, WorkloadSpec, cost_report
 from .errors import ConfigError, PrunerankError
 from .experiments import (
-    ERROR_BOUND_CONSTANT,
     run_bound_verification,
     run_correlation_probe,
     run_cost_sweep,
@@ -137,6 +137,8 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 # selftest_constant at or above the proven coefficient cannot detect a
 # violation. The largest simulate sizes keep each first allocation they size
 # at 8 MB or less (the instance seeds, one image, one query, one noise draw).
+# The trial counts are bounded so that every run ends: a million trials is a
+# hundred times the default.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
@@ -144,7 +146,7 @@ _MINIMUMS = {
 }
 _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
-    "n_query_tokens": 10**4,
+    "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}

@@ -11,7 +11,9 @@ or hardware behavior is modeled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError
@@ -92,10 +94,12 @@ class WorkloadSpec:
         """Baseline generated tokens: ranking output (~beta*k) plus reasoning."""
         return round_half_away_from_zero(self.beta * self.k) + self.u_reason
 
-    @property
+    @cached_property
     def n_rho(self) -> float:
+        """Compressed context length, computed once per spec with one keep_count per image size."""
         if self.image_token_counts is not None:
-            return float(self.n_text + sum(keep_count(self.rho, c) for c in self.image_token_counts))
+            sizes = Counter(self.image_token_counts).items()
+            return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in sizes))
         return self.n_text + self.rho * self.n_vis
 
     @property

@@ -6,8 +6,11 @@ comparison on planted-relevance instances, a synthetic ranking-quality run, a
 score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed; per-trial streams derive from the master seed so
 trials could run in any order or in parallel without changing results.
-Each bound check draws its trials once; the verify-bounds self-test is scored
-in the pruning-error check's pass. Each simulate section scores an instance in
+Each bound check draws its trials once and scores each chunk of them with one
+call of its bound's row kernel (pruning.topk_stability_rows,
+attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
+per-trial checks call with one row; the verify-bounds self-test is scored in
+the pruning-error check's pass. Each simulate section scores an instance in
 one pass: one sort of the relevant image's scores for every keep ratio, one
 noise draw and softmax for every head, one cosine GEMM for every image.
 """
@@ -23,7 +26,14 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .attention import ALL_MASS_EPS, BOUND_SLACK, attention_mass_per_token, softmax
+from .attention import (
+    BOUND_SLACK,
+    ERROR_BOUND_CONSTANT,
+    attention_mass_per_token,
+    pruning_error_rows,
+    softmax,
+    tail_gap_rows,
+)
 from .cost_model import (
     ArchParams,
     WorkloadSpec,
@@ -32,25 +42,19 @@ from .cost_model import (
     longcontext_prefill_ratio,
     speedup,
 )
-from .errors import (
-    AllMassPrunedError,
-    ConfigError,
-    EmptyInputError,
-    InvalidProbabilityError,
-    KOutOfRangeError,
-    NonFiniteError,
-)
+from .errors import ConfigError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import _pool, as_keep_ratio, keep_count, maxsim_scores, random_prune
+from .pruning import (
+    _pool,
+    as_keep_ratio,
+    keep_count,
+    maxsim_scores,
+    random_prune,
+    topk_stability_rows,
+)
 from .scoring import rank_from_logits
 from .synthetic import SyntheticConfig, generate_instance
-
-# The proven coefficient in the pruning-error bound. The verify-bounds self-test
-# scores the same trials against a weakened one in [0, ERROR_BOUND_CONSTANT)
-# (1.9 by default) to confirm the check reports violations.
-ERROR_BOUND_CONSTANT = 2.0
-
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -65,47 +69,6 @@ TALLY_CHUNK = 64
 def _chunk_sizes(trials: int) -> Iterator[int]:
     """The sizes of the TALLY_CHUNK-trial chunks covering trials, made one at a time."""
     return (min(TALLY_CHUNK, trials - start) for start in range(0, trials, TALLY_CHUNK))
-
-
-def _padding(widths: np.ndarray, width: int) -> np.ndarray:
-    """Mask of the entries past each row's width in a (rows, width) buffer."""
-    return np.arange(width)[None, :] >= widths[:, None]
-
-
-def _require_finite(values: np.ndarray, name: str) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
-
-
-def _require_k_in_range(ks: np.ndarray, widths: np.ndarray) -> None:
-    """The per-trial rule 1 <= k < n, checked over a chunk."""
-    bad = np.flatnonzero((ks < 1) | (ks >= widths))
-    if bad.size:
-        i = int(bad[0])
-        raise KOutOfRangeError(f"k must be in [1, {int(widths[i]) - 1}], got {int(ks[i])}")
-
-
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """Per row, the column order of a stable descending sort (lower index first on ties).
-
-    -inf padding sorts last, so the first n entries of a row of width n are
-    the order select_topk_preserve_order and np.sort(...)[::-1] use.
-    """
-    return np.argsort(-scores, axis=1, kind="stable")
-
-
-def _in_top_k(order: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Mask of each row's top ks[row] columns, given the rows' descending order."""
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(order.shape[1])[None, :], axis=1)
-    return ranks < ks[:, None]
-
-
-def _gap_at_k(scores: np.ndarray, order: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Per row, the k-th largest score minus the (k+1)-th."""
-    rows = np.arange(scores.shape[0])
-    ordered = np.take_along_axis(scores, order, axis=1)
-    return ordered[rows, ks - 1] - ordered[rows, ks]
 
 
 def _sandwich_tally(rng: np.random.Generator, trials: int) -> dict:
@@ -165,15 +128,7 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
                 trial[:] = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
                 trial[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
             widths[t], ks[t], log_nq[t] = n_tokens, k, math.log(n_query)
-        hard, smooth = _pool(sims)
-        # topk_stability_check's input rules, over the chunk.
-        valid = ~_padding(widths, 64)
-        _require_finite(hard[valid], "max_sim")
-        _require_finite(smooth[valid], "lse")
-        _require_k_in_range(ks, widths)
-        hard_order = _descending(hard)
-        guaranteed = _gap_at_k(hard, hard_order, ks) > log_nq
-        sets_equal = (_in_top_k(hard_order, ks) == _in_top_k(_descending(smooth), ks)).all(axis=1)
+        _, guaranteed, sets_equal = topk_stability_rows(*_pool(sims), ks, widths, log_nq)
         premise_count += int(np.count_nonzero(guaranteed))
         failures += int(np.count_nonzero(guaranteed & ~sets_equal))
     return {
@@ -192,11 +147,9 @@ def _pruning_error_tally(
     selftest_constant among the first `selftest_trials`, drawing the larger count once."""
     failures = selftest_failures = start = 0
     for size in _chunk_sizes(max(trials, selftest_trials)):
-        # Zero padding adds nothing to any sum or norm below.
         alpha = np.zeros((size, 64))
         values = np.zeros((size, 64, 16))
         kept = np.zeros((size, 64), dtype=bool)
-        widths = np.empty(size, dtype=np.int64)
         for t in range(size):
             if rng.random() < 0.2:
                 # Antipodal worst case: removed mass points one way, kept mass the
@@ -206,7 +159,6 @@ def _pruning_error_tally(
                 dim = int(rng.integers(1, 9))
                 direction = rng.standard_normal(dim)
                 direction /= np.linalg.norm(direction)
-                n_tokens = 2
                 values[t, 0, :dim] = scale * direction
                 values[t, 1, :dim] = -scale * direction
                 alpha[t, :2] = (tail, 1.0 - tail)
@@ -224,32 +176,10 @@ def _pruning_error_tally(
                     chosen = np.append(chosen, int(np.argmax(weights)))
                 alpha[t, :n_tokens] = weights
                 kept[t, chosen] = True
-            widths[t] = n_tokens
-        # check_pruning_error_bound's input rules, over the chunk.
-        _require_finite(alpha, "attention weights")
-        _require_finite(values, "V")
-        if (alpha < -BOUND_SLACK).any():
-            raise InvalidProbabilityError("attention weights must be nonnegative")
-        if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-9).any():
-            raise InvalidProbabilityError("attention weights must sum to 1")
-        if not kept.any(axis=1).all():
-            raise EmptyInputError("kept index set must be nonempty")
-        if (kept & _padding(widths, 64)).any():
-            raise KOutOfRangeError("kept indices must lie in [0, n - 1]")
-        weights = np.clip(alpha, 0.0, None)
-        tail_mass = np.clip(np.where(kept, 0.0, weights).sum(axis=1), 0.0, None)
-        if (tail_mass >= 1.0 - ALL_MASS_EPS).any():
-            raise AllMassPrunedError("kept mass is too small to renormalize")
-        exact = np.einsum("tn,tnd->td", weights, values)
-        renormalized = np.where(kept, weights, 0.0) / (1.0 - tail_mass)[:, None]
-        pruned = np.einsum("tn,tnd->td", renormalized, values)
-        v_max = np.sqrt(np.einsum("tnd,tnd->tn", values, values).max(axis=1))
-        error_norm = np.sqrt(np.einsum("td,td->t", exact - pruned, exact - pruned))
+        *_, holds = pruning_error_rows(alpha, values, kept, (constant, selftest_constant))
         main, selftest = max(trials - start, 0), max(selftest_trials - start, 0)
-        over = error_norm > constant * tail_mass * v_max + BOUND_SLACK
-        failures += int(np.count_nonzero(over[:main]))
-        over = error_norm > selftest_constant * tail_mass * v_max + BOUND_SLACK
-        selftest_failures += int(np.count_nonzero(over[:selftest]))
+        failures += int(np.count_nonzero(~holds[0, :main]))
+        selftest_failures += int(np.count_nonzero(~holds[1, :selftest]))
         start += size
     return {
         "name": "pruning_error_bound",
@@ -279,17 +209,8 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
             else:
                 scores[t, :n_scores] = rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n_scores)
             widths[t], ks[t] = n_scores, int(rng.integers(1, n_scores))
-        # tail_gap_bound_check's input rules, over the chunk.
-        _require_finite(scores[~_padding(widths, 128)], "scores")
-        _require_k_in_range(ks, widths)
-        # Row softmax; the -inf padding gets weight 0.
-        shifted = np.exp(scores - scores.max(axis=1)[:, None])
-        weights = shifted / shifted.sum(axis=1)[:, None]
-        order = _descending(scores)
-        top_mass = np.where(_in_top_k(order, ks), weights, 0.0).sum(axis=1)
-        epsilon = np.clip(1.0 - top_mass, 0.0, None)
-        bound = (widths - ks) / ks * np.exp(-_gap_at_k(scores, order, ks))
-        failures += int(np.count_nonzero(epsilon > bound + BOUND_SLACK))
+        *_, holds = tail_gap_rows(scores, ks, widths)
+        failures += int(np.count_nonzero(~holds))
     return {"name": "tail_gap_bound", "trials": trials, "failures": failures}
 
 

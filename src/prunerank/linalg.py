@@ -48,9 +48,14 @@ def as_finite_array(values, ndims: tuple[int, ...], name: str) -> np.ndarray:
     dimensions, then EmptyInputError, then NonFiniteError.
     """
     arr = _shape_checked(values, ndims, name)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    _require_finite(arr, name)
     return arr
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """The one finiteness rule: raise NonFiniteError for a NaN or infinite entry."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -100,8 +105,8 @@ def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = _as_matrix(m, name)
     norms = np.sqrt(np.vecdot(arr, arr))
-    if not np.isfinite(norms).all() and not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    if not np.isfinite(norms).all():
+        _require_finite(arr, name)
     return arr, norms
 
 

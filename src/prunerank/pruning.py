@@ -3,8 +3,9 @@
 Each token gets a relevance score (its maximum cosine similarity to any query
 row); per image the top max(1, round(rho * n_tokens)) tokens are kept, with the
 surviving indices reported in their original order so positional structure is
-preserved. A seeded uniform-random baseline and a margin-based stability
-diagnostic round out the module.
+preserved. A seeded uniform-random baseline and the top-k stability rule
+(topk_stability_rows, one row kernel shared by the verify-bounds tally and the
+public per-trial check) round out the module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import _as_matrix, as_vector, cosine_to_unit, unit_rows
+from .linalg import _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -109,6 +110,39 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n_tokens, size=k, replace=False))
 
 
+def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):
+    """Per row of a -inf-padded (rows, width) score array: the mask of its top k
+    columns and the gap between its k-th and (k+1)-th largest scores.
+
+    Row t holds widths[t] finite scores and needs 1 <= ks[t] < widths[t], so
+    the top-k set leaves a boundary. Ties go to the lower index, as in
+    select_topk_preserve_order; the padding sorts last.
+    """
+    _require_finite(scores[np.arange(scores.shape[1]) < widths[:, None]], name)
+    bad = np.flatnonzero((ks < 1) | (ks >= widths))
+    if bad.size:
+        i = int(bad[0])
+        raise KOutOfRangeError(f"k must be in [1, {int(widths[i]) - 1}], got {int(ks[i])}")
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(scores.shape[1])[None, :], axis=1)
+    rows = np.arange(len(ks))
+    gap = scores[rows, order[rows, ks - 1]] - scores[rows, order[rows, ks]]
+    return ranks < ks[:, None], gap
+
+
+def topk_stability_rows(hard, smooth, ks, widths, log_nq) -> tuple[np.ndarray, ...]:
+    """Per row of -inf-padded max and log-sum-exp scores: (gap, guaranteed, sets_equal).
+
+    gap is the hard-max margin at ks[row]. The smooth scores exceed the hard
+    max by at most log(n_query), so when gap > log_nq[row] they cannot reorder
+    across the boundary and the two top-k sets are guaranteed equal.
+    """
+    in_hard, gap = _top_k(hard, ks, widths, "max_sim")
+    in_smooth, _ = _top_k(smooth, ks, widths, "lse")
+    return gap, gap > log_nq, (in_hard == in_smooth).all(axis=1)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of the top-k stability margin diagnostic."""
@@ -119,27 +153,16 @@ class StabilityReport:
 
 
 def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
-    """Check whether the hard-max and smooth-pooling top-k token sets agree.
-
-    gap is the sorted-score margin between positions k and k+1 of the hard-max
-    scores. When gap > log(n_query), the smooth scores cannot reorder across
-    the boundary (they exceed the hard max by at most log(n_query)), so set
-    equality is guaranteed.
-    """
+    """Whether the hard-max and smooth-pooling top-k token sets agree: one row of
+    topk_stability_rows."""
     a = as_vector(max_sim, "max_sim")
     g = as_vector(lse, "lse")
     if a.size != g.size:
         raise DimensionMismatchError(f"length mismatch: {a.size} vs {g.size}")
-    if not 1 <= k < a.size:
-        raise KOutOfRangeError(f"k must be in [1, {a.size - 1}], got {k}")
     if n_query < 1:
         raise EmptyInputError(f"n_query must be >= 1, got {n_query}")
-    ordered = np.sort(a)[::-1]
-    gap = float(ordered[k - 1] - ordered[k])
-    guaranteed = gap > math.log(n_query)
-    top_hard = set(select_topk_preserve_order(a, k).tolist())
-    top_smooth = set(select_topk_preserve_order(g, k).tolist())
-    return StabilityReport(gap=gap, guaranteed_stable=guaranteed, sets_equal=top_hard == top_smooth)
+    rows = topk_stability_rows(a[None], g[None], np.array([k]), np.array([a.size]), math.log(n_query))
+    return StabilityReport(*(field.item() for field in rows))
 
 
 @dataclass(frozen=True)

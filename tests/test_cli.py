@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,28 @@ OVERSIZED_LEAVES = {
 for _name, (_leaf, _override) in OVERSIZED_LEAVES.items():
     BAD_INPUT_PROBES[f"simulate-{_name}-2**62"] = ("simulate", _override(2**62))
     BAD_INPUT_PROBES[f"simulate-{_name}-bound+1"] = ("simulate", _override(_MAXIMUMS[_leaf] + 1))
+
+
+# A trial count of 2**63 once passed every check and then ran without end.
+TRIAL_COUNT_LEAVES = ("trials", "selftest_trials")
+for _leaf in TRIAL_COUNT_LEAVES:
+    BAD_INPUT_PROBES[f"verify-bounds-{_leaf}-2**63"] = ("verify-bounds", {_leaf: 2**63})
+    BAD_INPUT_PROBES[f"verify-bounds-{_leaf}-bound+1"] = ("verify-bounds", {_leaf: _MAXIMUMS[_leaf] + 1})
+
+
+@pytest.mark.parametrize("leaf", TRIAL_COUNT_LEAVES)
+def test_trial_counts_are_bounded_in_merge_before_any_allocation(leaf):
+    bound = _MAXIMUMS[leaf]
+    _merge(DEFAULTS["verify-bounds"], {leaf: bound})  # the bound itself is allowed
+    for value in (bound + 1, 2**63):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"must be <= {bound}"):
+                _merge(DEFAULTS["verify-bounds"], {leaf: value})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("name", OVERSIZED_LEAVES)

@@ -17,6 +17,7 @@ from prunerank.cost_model import (
     total_flops,
 )
 from prunerank.errors import ConfigError, InvalidRatioError
+from prunerank.pruning import keep_count
 
 UNIT = ArchParams(layers=1, width=1)
 
@@ -67,6 +68,25 @@ class TestPerImageNRho:
     def test_invalid_ratio(self):
         with pytest.raises(InvalidRatioError):
             workload(n_text=10, n_vis=4, n_query=1, k=1, rho=0.0, image_token_counts=(4,))
+
+    def test_ragged_counts_equal_the_per_image_sum(self):
+        counts = (1, 7, 333, 1024, 2, 7, 1024)
+        w = workload(n_text=512, n_vis=sum(counts), k=len(counts), rho=0.45, image_token_counts=counts)
+        assert w.n_rho == 512 + sum(keep_count(0.45, c) for c in counts)
+
+    def test_keep_count_runs_once_per_image_size(self, monkeypatch):
+        calls = []
+
+        def counted(rho, n_tokens):
+            calls.append(n_tokens)
+            return keep_count(rho, n_tokens)
+
+        monkeypatch.setattr("prunerank.cost_model.keep_count", counted)
+        counts = (20, 20, 5, 20, 5)
+        w = workload(n_text=3, n_vis=sum(counts), k=len(counts), rho=0.3, image_token_counts=counts)
+        f_zip(w, UNIT), f_zip(w, UNIT), cost_report(w, UNIT)
+        assert sorted(calls) == [5, 20]
+        assert w.n_rho == 3 + 3 * keep_count(0.3, 20) + 2 * keep_count(0.3, 5)
 
     @given(
         st.integers(0, 50),

@@ -2,7 +2,8 @@
 
 Every error the package raises derives from PrunerankError, and every public
 array entry point reports a bad shape or a non-numeric entry, an empty input
-and a non-finite entry with the same three classes.
+and a non-finite entry with the same three classes. Each public bound check
+raises, for every bad input, the class its per-trial reference raises.
 """
 
 import ast
@@ -11,16 +12,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bound_reference
 from prunerank import errors
-from prunerank.attention import as_attention_weights, softmax, tail_gap_bound_check
-from prunerank.errors import DimensionMismatchError, EmptyInputError, NonFiniteError
+from prunerank.attention import (
+    as_attention_weights,
+    check_pruning_error_bound,
+    softmax,
+    tail_gap_bound_check,
+)
+from prunerank.errors import (
+    AllMassPrunedError,
+    DimensionMismatchError,
+    EmptyInputError,
+    InvalidProbabilityError,
+    KOutOfRangeError,
+    NonFiniteError,
+)
 from prunerank.linalg import as_vector, similarity_matrix
 from prunerank.losses import nll_loss, soft_rank_loss, weighted_ranknet_loss
 from prunerank.metrics import spearman
-from prunerank.pruning import lse_scores, maxsim_scores
+from prunerank.pruning import lse_scores, maxsim_scores, topk_stability_check
 from prunerank.scoring import rank_from_logits
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "prunerank"
+
+# The public bound checks, one-row calls of the bound kernels, and their
+# per-trial references, which must raise the same class.
+BOUND_CHECKS = {
+    "public": {
+        "check_pruning_error_bound": check_pruning_error_bound,
+        "tail_gap_bound_check": tail_gap_bound_check,
+        "topk_stability_check": topk_stability_check,
+    },
+    "reference": {
+        "check_pruning_error_bound": bound_reference.check_pruning_error_bound,
+        "tail_gap_bound_check": bound_reference.tail_gap_bound_check,
+        "topk_stability_check": bound_reference.topk_stability_check,
+    },
+}
 
 VECTOR_CASES = {
     "2-D": ([[0.5, 0.5]], DimensionMismatchError),
@@ -41,6 +70,19 @@ VECTOR_ENTRY_POINTS = {
     "softmax": softmax,
     "as_attention_weights": as_attention_weights,
     "tail_gap_bound_check": lambda x: tail_gap_bound_check(x, 1),
+    "check_pruning_error_bound": lambda x: check_pruning_error_bound(x, [[1.0], [2.0]], [0]),
+    "topk_stability_check-max_sim": lambda x: topk_stability_check(x, [1.0, 2.0], 1, 1),
+    "topk_stability_check-lse": lambda x: topk_stability_check([1.0, 2.0], x, 1, 1),
+    "reference.check_pruning_error_bound": lambda x: bound_reference.check_pruning_error_bound(
+        x, [[1.0], [2.0]], [0]
+    ),
+    "reference.tail_gap_bound_check": lambda x: bound_reference.tail_gap_bound_check(x, 1),
+    "reference.topk_stability_check-max_sim": lambda x: bound_reference.topk_stability_check(
+        x, [1.0, 2.0], 1, 1
+    ),
+    "reference.topk_stability_check-lse": lambda x: bound_reference.topk_stability_check(
+        [1.0, 2.0], x, 1, 1
+    ),
     "rank_from_logits": rank_from_logits,
     "spearman": lambda x: spearman(x, [1.0, 2.0]),
     "weighted_ranknet_loss": lambda x: weighted_ranknet_loss(x, [1, 2]),
@@ -80,6 +122,50 @@ ARRAY_CASES = [
 def test_array_error_classes(entry_point, bad_input, expected):
     with pytest.raises(expected):
         entry_point(bad_input)
+
+
+# Bad bound-check inputs past the vector rule, each with its one error class.
+TWO_ROWS = [[1.0, 0.0], [0.0, 1.0]]
+BOUND_CHECK_CASES = {
+    "tail-gap-k-0": ("tail_gap_bound_check", ([1.0, 2.0], 0), KOutOfRangeError),
+    "tail-gap-k-n": ("tail_gap_bound_check", ([1.0, 2.0], 2), KOutOfRangeError),
+    "stability-k-0": ("topk_stability_check", ([1.0, 2.0], [1.0, 2.0], 0, 1), KOutOfRangeError),
+    "stability-k-n": ("topk_stability_check", ([1.0, 2.0], [1.0, 2.0], 2, 1), KOutOfRangeError),
+    "stability-lengths-differ": (
+        "topk_stability_check",
+        ([1.0, 2.0], [1.0, 2.0, 3.0], 1, 1),
+        DimensionMismatchError,
+    ),
+    "stability-n-query-0": ("topk_stability_check", ([1.0, 2.0], [1.0, 2.0], 1, 0), EmptyInputError),
+    "pruning-negative-weight": (
+        "check_pruning_error_bound",
+        ([1.25, -0.25], TWO_ROWS, [0]),
+        InvalidProbabilityError,
+    ),
+    "pruning-weights-sum-to-0.9": (
+        "check_pruning_error_bound",
+        ([0.5, 0.4], TWO_ROWS, [0]),
+        InvalidProbabilityError,
+    ),
+    "pruning-empty-kept": ("check_pruning_error_bound", ([0.5, 0.5], TWO_ROWS, []), EmptyInputError),
+    "pruning-kept-n": ("check_pruning_error_bound", ([0.5, 0.5], TWO_ROWS, [0, 2]), KOutOfRangeError),
+    "pruning-kept-minus-1": ("check_pruning_error_bound", ([0.5, 0.5], TWO_ROWS, [-1]), KOutOfRangeError),
+    "pruning-all-mass-pruned": ("check_pruning_error_bound", ([1.0, 0.0], TWO_ROWS, [1]), AllMassPrunedError),
+    "pruning-weights-vs-value-rows": (
+        "check_pruning_error_bound",
+        ([0.5, 0.5], [[1.0, 0.0]], [0]),
+        DimensionMismatchError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", BOUND_CHECKS)
+@pytest.mark.parametrize("case", BOUND_CHECK_CASES)
+def test_bound_check_error_classes(case, kind):
+    name, args, expected = BOUND_CHECK_CASES[case]
+    with pytest.raises(errors.PrunerankError) as raised:
+        BOUND_CHECKS[kind][name](*args)
+    assert type(raised.value) is expected
 
 
 def _raised_names(tree: ast.AST):
