@@ -18,7 +18,7 @@ from .errors import (
     InvalidProbabilityError,
     KOutOfRangeError,
 )
-from .linalg import _require_finite, as_embedding, as_finite_array, as_vector
+from .linalg import _as_index, _require_finite, as_embedding, as_finite_array, as_vector
 from .pruning import _top_k
 
 # Absolute slack applied to every inequality check to absorb float rounding.
@@ -111,8 +111,10 @@ def check_pruning_error_bound(alpha, V, kept) -> PruneErrorReport:
     n = weights.size
     if n != values.shape[0]:
         raise DimensionMismatchError(f"{n} weights for {values.shape[0]} value rows")
-    idx = np.asarray(list(kept), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    # An integral float entry such as 1.0 names its index.
+    idx = [int(i) if isinstance(i, (float, np.floating)) and float(i).is_integer() else i for i in kept]
+    idx = [_as_index(i, "kept index") for i in idx]
+    if not all(0 <= i < n for i in idx):
         raise KOutOfRangeError(f"kept indices must lie in [0, {n - 1}]")
     mask = np.zeros((1, n), dtype=bool)
     mask[0, idx] = True
@@ -145,7 +147,7 @@ class TailGapReport:
 def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:
     """Check epsilon <= ((n - k) / k) * exp(-delta): one row of tail_gap_rows."""
     g = as_vector(g_scores, "scores")
-    rows = tail_gap_rows(g[None], np.array([k]), np.array([g.size]))
+    rows = tail_gap_rows(g[None], np.array([_as_index(k, "k")]), np.array([g.size]))
     return TailGapReport(*(field.item() for field in rows))
 
 
@@ -163,7 +165,7 @@ def attention_mass_per_token(per_head_attention, position: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a nonempty stack of 2-D head matrices, got shape {stacked.shape}"
         )
-    if not 0 <= position < stacked.shape[1]:
+    if not 0 <= _as_index(position, "position") < stacked.shape[1]:
         raise KOutOfRangeError(
             f"position must be in [0, {stacked.shape[1] - 1}], got {position}"
         )

@@ -138,7 +138,8 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 # violation. The largest simulate sizes keep each first allocation they size
 # at 8 MB or less (the instance seeds, one image, one query, one noise draw).
 # The trial counts are bounded so that every run ends: a million trials is a
-# hundred times the default.
+# hundred times the default. A noise scale of a million stays far below the
+# ~1e154 at which the squares in the cosine norms overflow.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
@@ -147,6 +148,7 @@ _MINIMUMS = {
 _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
     "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
+    "noise_scale": 10**6, "attention_noise": 10**6,
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}

@@ -16,9 +16,11 @@ overflows passes that scan, has an infinite norm and scores 0.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, NonFiniteError, ZeroNormError
+from .errors import DimensionMismatchError, EmptyInputError, KOutOfRangeError, NonFiniteError, ZeroNormError
 
 # Norms below this are treated as zero; normalizing them would amplify noise.
 ZERO_NORM_EPS = 1e-12
@@ -58,6 +60,15 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
 
 
+def _as_index(value, name: str) -> int:
+    """The one integer rule for a k, position or index: an int or numpy integer
+    (operator.index) as an int; anything else raises KOutOfRangeError."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise KOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array with at least one entry."""
     return as_finite_array(v, (1,), name)
@@ -71,30 +82,6 @@ def _as_matrix(m, name: str) -> np.ndarray:
 def as_embedding(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with at least one row and column."""
     return as_finite_array(m, (2,), name)
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
-    arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm < ZERO_NORM_EPS:
-        raise ZeroNormError(f"cannot normalize vector with norm {norm:.3e}")
-    return arr / norm
-
-
-def cosine_similarity(h, v) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = as_vector(h, "h")
-    b = as_vector(v, "v")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroNormError("cosine undefined for (near-)zero-norm vectors")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -154,20 +141,10 @@ def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> 
 def similarity_matrix(H, V) -> np.ndarray:
     """Cosine similarity of every row of H against every row of V.
 
-    Entry (t, j) equals cosine_similarity(H[t], V[j]); the result is clamped
-    entrywise to [-1, 1] to absorb rounding.
+    Entry (t, j) is the cosine of the angle between H[t] and V[j]; the result
+    is clamped entrywise to [-1, 1] to absorb rounding.
     """
     return cosine_to_unit(unit_rows(H), V)
-
-
-def embedding_to_json(m) -> dict:
-    """Serialize a matrix to the shared {rows, dim, data} JSON object."""
-    arr = as_embedding(m)
-    return {
-        "rows": int(arr.shape[0]),
-        "dim": int(arr.shape[1]),
-        "data": [float(x) for x in arr.ravel()],
-    }
 
 
 def embedding_from_json(obj: dict) -> np.ndarray:

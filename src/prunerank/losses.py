@@ -5,7 +5,7 @@ Two ranking losses are provided: a weighted pairwise logistic loss whose
 listwise cross-entropy against a geometrically decaying soft target. Both
 differentiate with respect to the logits only; propagating further into a
 model is out of scope at desk scale. A generic stepwise negative
-log-likelihood and a central-difference gradient checker complete the module.
+log-likelihood and the stage combination complete the module.
 
 Lists are short (tens of candidates), so a call's cost is its count of numpy
 calls, and each loss makes a few whole-array ones. The pairwise loss puts the
@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     InvalidGammaError,
@@ -171,27 +169,3 @@ def stage_loss(base: float, aux: LossValue, lam: float) -> float:
     lam is assumed nonnegative.
     """
     return float(base + lam * aux.value)
-
-
-def finite_difference_gradcheck(
-    loss: Callable[[np.ndarray], LossValue], s, epsilon: float = 1e-6
-) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    Relative error per coordinate is |analytic - numeric| / max(1, |numeric|);
-    epsilon must lie in [1e-8, 1e-3] so the difference quotient is meaningful.
-    """
-    if not 1e-8 <= epsilon <= 1e-3:
-        raise ConfigError(f"epsilon must be in [1e-8, 1e-3], got {epsilon}")
-    point = np.asarray(s, dtype=np.float64).copy()
-    analytic = np.asarray(loss(point).gradient, dtype=np.float64)
-    worst = 0.0
-    for i in range(point.size):
-        bumped_up = point.copy()
-        bumped_up[i] += epsilon
-        bumped_down = point.copy()
-        bumped_down[i] -= epsilon
-        numeric = (loss(bumped_up).value - loss(bumped_down).value) / (2.0 * epsilon)
-        err = abs(float(analytic[i]) - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,11 +21,10 @@ from .errors import (
     EmptyInputError,
     EmptyRelevantSetError,
     EmptySubsetError,
-    GroundTruthNotRankedError,
     KOutOfRangeError,
     NonFiniteError,
 )
-from .linalg import as_vector
+from .linalg import _as_index, as_vector
 
 SUCCESS = "success"
 NEAR_MISS = "near_miss"
@@ -48,76 +47,6 @@ class QueryJudgment:
             raise EmptyRelevantSetError("a judgment needs at least one relevant item")
         if len(set(self.ranked)) != len(self.ranked):
             raise DimensionMismatchError("ranked list entries must be distinct")
-
-
-def recall_at_k(judgment: QueryJudgment, k: int) -> float:
-    """Fraction of relevant items appearing in the top-k of the ranked list.
-
-    k beyond the ranked length is treated as the full ranked list.
-    """
-    if k < 1:
-        raise KOutOfRangeError(f"k must be >= 1, got {k}")
-    top = set(judgment.ranked[:k])
-    return len(judgment.relevant & top) / len(judgment.relevant)
-
-
-def precision_at_1(judgment: QueryJudgment) -> float:
-    """1.0 if the top-ranked item is relevant, else 0.0."""
-    if not judgment.ranked:
-        raise EmptyInputError("ranked list is empty")
-    return 1.0 if judgment.ranked[0] in judgment.relevant else 0.0
-
-
-def ndcg_at_k(judgment: QueryJudgment, k: int) -> float:
-    """Binary-gain nDCG with 1 / log2(p + 1) discounting at 1-based position p.
-
-    The ideal DCG places relevant items in the first min(k, |relevant|)
-    positions, so the result lies in [0, 1].
-    """
-    if k < 1:
-        raise KOutOfRangeError(f"k must be >= 1, got {k}")
-    dcg = sum(
-        1.0 / math.log2(p + 1)
-        for p, item in enumerate(judgment.ranked[:k], start=1)
-        if item in judgment.relevant
-    )
-    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(judgment.relevant)) + 1))
-    return dcg / ideal
-
-
-def best_relevant_rank(judgment: QueryJudgment) -> int:
-    """1-based position of the best-ranked relevant item."""
-    for p, item in enumerate(judgment.ranked, start=1):
-        if item in judgment.relevant:
-            return p
-    raise GroundTruthNotRankedError("no relevant item appears in the ranked list")
-
-
-def mean_rank(judgments: Iterable[QueryJudgment]) -> float:
-    """Mean over queries of the best (smallest) rank of any relevant item."""
-    ranks = [best_relevant_rank(j) for j in judgments]
-    if not ranks:
-        raise EmptyInputError("need at least one judgment")
-    return float(np.mean(ranks))
-
-
-@dataclass(frozen=True)
-class FailureClass:
-    """Failure bucket for one query, keyed by the best ground-truth rank."""
-
-    label: str
-    gt_best_rank: int
-
-
-def classify_failure(gt_best_rank: int) -> FailureClass:
-    """Bucket a query by where its best relevant item landed.
-
-    Rank 1 is a success; 2-3 a near miss; 4-5 a moderate miss; anything deeper
-    a catastrophic miss. The four buckets partition all outcomes.
-    """
-    if gt_best_rank < 1:
-        raise KOutOfRangeError(f"rank must be >= 1, got {gt_best_rank}")
-    return FailureClass(label=_failure_label(gt_best_rank), gt_best_rank=int(gt_best_rank))
 
 
 def _failure_label(rank: int) -> str:
@@ -204,20 +133,22 @@ def evaluate_judgments(
     appears in the ranked list; the unranked remainder is counted separately.
 
     One pass per judgment: every metric comes from the 1-based positions of
-    its relevant items, and each value is bit-identical to the per-metric
-    function (recall_at_k, ndcg_at_k, precision_at_1, best_relevant_rank,
-    classify_failure), which stay as the reference.
+    its relevant items. recall@k is the share of relevant items in the top k
+    (all of the list when k exceeds it); ndcg@k sums 1 / log2(p + 1) over the
+    relevant positions p <= k and divides by the same sum over positions
+    1..min(k, |relevant|); p@1 is 1.0 when position 1 is relevant; mean_rank
+    averages each query's best relevant position, and _failure_label buckets it.
     """
     if not judgments_by_subset:
         raise EmptySubsetError("need at least one subset")
-    if any(k < 1 for k in k_values):
+    if any(_as_index(k, "k") < 1 for k in k_values):
         raise KOutOfRangeError(f"k must be >= 1, got {list(k_values)}")
     subsets = {subset: list(judgments) for subset, judgments in judgments_by_subset.items()}
     for subset, judgments in subsets.items():
         if not judgments:
             raise EmptySubsetError(f"subset {subset!r} has no judgments")
     # DCG discounts by 1-based position, as far as any top-k reaches, and per
-    # relevant-set size the ideal DCG at each k, both summed as ndcg_at_k sums.
+    # relevant-set size the ideal DCG at each k, summed in position order.
     depth = min(
         max(k_values, default=0),
         max(len(j.ranked) for judgments in subsets.values() for j in judgments),

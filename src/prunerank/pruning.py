@@ -22,7 +22,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
+from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -91,7 +91,7 @@ def select_topk_preserve_order(scores, k: int) -> np.ndarray:
     Ties break toward the lower original index so selection is deterministic.
     """
     arr = as_vector(scores, "scores")
-    if not 1 <= k <= arr.size:
+    if not 1 <= _as_index(k, "k") <= arr.size:
         raise KOutOfRangeError(f"k must be in [1, {arr.size}], got {k}")
     top = np.argsort(-arr, kind="stable")[:k]
     return np.sort(top)
@@ -104,7 +104,7 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     """
     if n_tokens < 1:
         raise EmptyInputError(f"n_tokens must be >= 1, got {n_tokens}")
-    if not 1 <= k <= n_tokens:
+    if not 1 <= _as_index(k, "k") <= n_tokens:
         raise KOutOfRangeError(f"k must be in [1, {n_tokens}], got {k}")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n_tokens, size=k, replace=False))
@@ -161,7 +161,8 @@ def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
         raise DimensionMismatchError(f"length mismatch: {a.size} vs {g.size}")
     if n_query < 1:
         raise EmptyInputError(f"n_query must be >= 1, got {n_query}")
-    rows = topk_stability_rows(a[None], g[None], np.array([k]), np.array([a.size]), math.log(n_query))
+    ks = np.array([_as_index(k, "k")])
+    rows = topk_stability_rows(a[None], g[None], ks, np.array([a.size]), math.log(n_query))
     return StabilityReport(*(field.item() for field in rows))
 
 

@@ -8,6 +8,7 @@ the public one-row checks are compared against an independent reference.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -50,13 +51,20 @@ def attention_output(alpha, V) -> np.ndarray:
     return weights @ values
 
 
+def _require_integer(k) -> None:
+    if not isinstance(k, numbers.Integral):
+        raise KOutOfRangeError(f"k must be an integer, got {k!r}")
+
+
 def _as_kept(kept, n: int) -> np.ndarray:
-    idx = np.unique(np.asarray(list(kept), dtype=np.int64))
-    if idx.size < 1:
+    entries = list(kept)
+    if not entries:
         raise EmptyInputError("kept index set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise KOutOfRangeError(f"kept indices must lie in [0, {n - 1}]")
-    return idx
+    for i in entries:
+        integral = isinstance(i, numbers.Integral) or (isinstance(i, numbers.Real) and float(i).is_integer())
+        if not integral or not 0 <= i < n:
+            raise KOutOfRangeError(f"kept indices must be integers in [0, {n - 1}], got {i!r}")
+    return np.unique(np.asarray(entries, dtype=np.int64))
 
 
 def pruned_attention_output(alpha, V, kept) -> tuple[np.ndarray, float]:
@@ -110,6 +118,7 @@ def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:
     """
     g = as_vector(g_scores, "scores")
     n = g.size
+    _require_integer(k)
     if not 1 <= k < n:
         raise KOutOfRangeError(f"k must be in [1, {n - 1}], got {k}")
     weights = softmax(g)
@@ -138,6 +147,7 @@ def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
     g = as_vector(lse, "lse")
     if a.size != g.size:
         raise DimensionMismatchError(f"length mismatch: {a.size} vs {g.size}")
+    _require_integer(k)
     if not 1 <= k < a.size:
         raise KOutOfRangeError(f"k must be in [1, {a.size - 1}], got {k}")
     if n_query < 1:

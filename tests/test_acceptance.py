@@ -13,17 +13,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from library_oracles import finite_difference_gradcheck, ndcg_at_k, recall_at_k
 from prunerank.attention import check_pruning_error_bound, tail_gap_bound_check
 from prunerank.cli import main as cli_main
 from prunerank.cost_model import ArchParams, WorkloadSpec, speedup
 from prunerank.experiments import run_bound_verification, run_pruning_comparison
-from prunerank.losses import (
-    finite_difference_gradcheck,
-    geometric_target,
-    soft_rank_loss,
-    weighted_ranknet_loss,
-)
-from prunerank.metrics import QueryJudgment, aggregate, ndcg_at_k, recall_at_k, spearman
+from prunerank.losses import geometric_target, soft_rank_loss, weighted_ranknet_loss
+from prunerank.metrics import QueryJudgment, aggregate, spearman
 from prunerank.synthetic import SyntheticConfig
 
 MASTER_SEED = 20260810

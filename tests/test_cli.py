@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
 from prunerank.errors import ConfigError
-from prunerank.linalg import embedding_to_json
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
 SIMULATE_CFG = {
@@ -98,7 +100,8 @@ class TestSimulate:
     def test_query_loaded_from_embedding_file(self, tmp_path):
         rng = np.random.default_rng(0)
         query_path = tmp_path / "query.json"
-        query_path.write_text(json.dumps(embedding_to_json(rng.standard_normal((4, 8)))))
+        query = {"rows": 4, "dim": 8, "data": rng.standard_normal(32).tolist()}
+        query_path.write_text(json.dumps(query))
         cfg = write_config(
             tmp_path,
             "cfg.json",
@@ -252,6 +255,10 @@ BAD_INPUT_PROBES = {
         "cost-model",
         {"sweep": {"tokens_per_candidate": 10**4250}},
     ),
+    # Each once overflowed inside a simulate section, after the sections before it had run.
+    "simulate-synthetic-noise-1e308": ("simulate", {"synthetic": {"noise_scale": 1e308}}),
+    "simulate-ranking-noise-1e308": ("simulate", {"ranking": {"noise_scale": 1e308}}),
+    "simulate-attention-noise-1e308": ("simulate", {"correlation": {"attention_noise": 1e308}}),
 }
 # Simulate sizes past their largest allowed value, by leaf: at 2**62 each once
 # ended in numpy's "array is too big" traceback, or for n_heads ran without end.
@@ -619,6 +626,72 @@ class TestMetrics:
 
     def test_config_required(self, tmp_path):
         assert run(["metrics", "--out", tmp_path / "o"]) == 2
+
+
+# The generative exit-code guard: 1-3 leaves of a command's defaults set to a
+# value of their own shape from FUZZ_NUMBERS or to one from FUZZ_SWAPS. Every
+# run exits 0, 1 or 2, lets no exception but a PrunerankError out of the
+# subcommand (main turns those into exit 2) and raises no warning. The counts
+# the example does not set are pinned small, so a run takes milliseconds.
+FUZZ_BASE = {
+    "verify-bounds": {"trials": 20, "selftest_trials": 20},
+    "simulate": {
+        "n_instances": 5,
+        "synthetic": {"n_images": 3, "embed_dim": 4},
+        "correlation": {"n_instances": 3},
+        "ranking": {"n_instances": 3},
+    },
+    "cost-model": {"sweep": {"rho_values": [0.5], "k_values": [10]}},
+    "metrics": {"judgments": [{"relevant": [0], "ranked": [0, 1]}]},
+}
+FUZZ_NUMBERS = st.sampled_from([1, 0.5, 0, -1, 2**63, 10**6 + 1, 1e308, -1e308, 1e-300])
+FUZZ_SWAPS = st.sampled_from([True, "x", "", [], [[1]], [1, "x"], {}, {"a": [1]}, None, 1, [1]])
+
+
+def fuzz_mutation(command, path):
+    """path with a number (a list of them where the default is a list) or a type swap."""
+    default = leaf_section(DEFAULTS[command], path)[path[-1]]
+    same_shape = FUZZ_NUMBERS
+    if isinstance(default, list):
+        same_shape = st.lists(FUZZ_NUMBERS, min_size=1, max_size=3)
+    return st.tuples(st.just(path), st.one_of(same_shape, FUZZ_SWAPS))
+
+
+def merged_with(base, mutations):
+    cfg = json.loads(json.dumps(base))
+    for path, value in mutations:
+        section = cfg
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", FUZZ_BASE)
+def test_mutated_defaults_keep_the_exit_code_contract(fuzz_dir, command):
+    leaves = st.sampled_from(list(leaf_paths(DEFAULTS[command])))
+    mutations = st.lists(
+        leaves.flatmap(lambda path: fuzz_mutation(command, path)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda mutation: mutation[0],
+    )
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(mutations)
+    def check(mutations):
+        cfg = write_config(fuzz_dir, f"{command}.json", merged_with(FUZZ_BASE[command], mutations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", cfg, "--out", fuzz_dir / "o"])
+        assert code in (0, 1, 2)
+
+    check()
 
 
 def test_module_entry_point_runs():

@@ -16,6 +16,7 @@ import bound_reference
 from prunerank import errors
 from prunerank.attention import (
     as_attention_weights,
+    attention_mass_per_token,
     check_pruning_error_bound,
     softmax,
     tail_gap_bound_check,
@@ -30,8 +31,14 @@ from prunerank.errors import (
 )
 from prunerank.linalg import as_vector, similarity_matrix
 from prunerank.losses import nll_loss, soft_rank_loss, weighted_ranknet_loss
-from prunerank.metrics import spearman
-from prunerank.pruning import lse_scores, maxsim_scores, topk_stability_check
+from prunerank.metrics import QueryJudgment, evaluate_judgments, spearman
+from prunerank.pruning import (
+    lse_scores,
+    maxsim_scores,
+    random_prune,
+    select_topk_preserve_order,
+    topk_stability_check,
+)
 from prunerank.scoring import rank_from_logits
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "prunerank"
@@ -156,6 +163,14 @@ BOUND_CHECK_CASES = {
         ([0.5, 0.5], [[1.0, 0.0]], [0]),
         DimensionMismatchError,
     ),
+    # A k or kept index that is not an integer once escaped as numpy's
+    # IndexError, a TypeError or ValueError, or was truncated (0.7 kept index 0).
+    "tail-gap-k-float": ("tail_gap_bound_check", ([1.0, 2.0, 3.0], 1.0), KOutOfRangeError),
+    "stability-k-float": ("topk_stability_check", ([1.0, 2.0], [1.0, 2.0], 1.0, 1), KOutOfRangeError),
+    **{
+        f"pruning-kept-{bad!r}": ("check_pruning_error_bound", ([0.5, 0.5], TWO_ROWS, [bad]), KOutOfRangeError)
+        for bad in (0.7, "a", float("nan"), float("inf"), 1e30, 2**70, None)
+    },
 }
 
 
@@ -166,6 +181,41 @@ def test_bound_check_error_classes(case, kind):
     with pytest.raises(errors.PrunerankError) as raised:
         BOUND_CHECKS[kind][name](*args)
     assert type(raised.value) is expected
+
+
+# The other entry points that take a k or a position: a non-integer is out of range.
+S = np.full((1, 2, 2), 0.5)
+NON_INTEGER_CASES = {
+    "select_topk_preserve_order": lambda k: select_topk_preserve_order([1.0, 2.0, 3.0], k),
+    "random_prune": lambda k: random_prune(5, k, 0),
+    "attention_mass_per_token": lambda k: attention_mass_per_token(S, k),
+    "evaluate_judgments": lambda k: evaluate_judgments(
+        {"a": [QueryJudgment(relevant={0}, ranked=(0, 1))]}, k_values=[k]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", None], ids=repr)
+@pytest.mark.parametrize("name", NON_INTEGER_CASES)
+def test_non_integer_k_or_position_is_out_of_range(name, bad):
+    with pytest.raises(errors.PrunerankError) as raised:
+        NON_INTEGER_CASES[name](bad)
+    assert type(raised.value) is KOutOfRangeError
+
+
+def test_numpy_integers_and_integral_float_kept_entries_pass():
+    k = np.int64(1)
+    assert select_topk_preserve_order([1.0, 2.0, 3.0], k).tolist() == [2]
+    assert random_prune(5, k, 0).size == 1
+    assert attention_mass_per_token(S, k).tolist() == [0.5, 0.5]
+    assert evaluate_judgments({"a": [QueryJudgment(relevant={0}, ranked=(0, 1))]}, k_values=[k])
+    assert tail_gap_bound_check([1.0, 2.0, 3.0], k) == tail_gap_bound_check([1.0, 2.0, 3.0], 1)
+    assert topk_stability_check([1.0, 2.0], [1.0, 2.0], k, 1).sets_equal
+    alpha, values = [0.25, 0.75], [[1.0], [2.0]]
+    for check in (check_pruning_error_bound, bound_reference.check_pruning_error_bound):
+        expected = check(alpha, values, [1])
+        for kept in ([1.0], [np.float64(1.0)], [np.int32(1)], (1,)):
+            assert check(alpha, values, kept) == expected
 
 
 def _raised_names(tree: ast.AST):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from library_oracles import finite_difference_gradcheck
 from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -15,7 +16,6 @@ from prunerank.errors import (
 )
 from prunerank.losses import (
     LossValue,
-    finite_difference_gradcheck,
     geometric_target,
     nll_loss,
     soft_rank_loss,

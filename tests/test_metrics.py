@@ -7,6 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from library_oracles import (
+    best_relevant_rank,
+    classify_failure,
+    ndcg_at_k,
+    precision_at_1,
+    recall_at_k,
+)
 from prunerank.errors import (
     DegenerateConstantError,
     DimensionMismatchError,
@@ -25,13 +32,7 @@ from prunerank.metrics import (
     SUCCESS,
     QueryJudgment,
     aggregate,
-    best_relevant_rank,
-    classify_failure,
     evaluate_judgments,
-    mean_rank,
-    ndcg_at_k,
-    precision_at_1,
-    recall_at_k,
     spearman,
 )
 
@@ -159,21 +160,28 @@ class TestNdcgAtK:
             assert (value == pytest.approx(1.0, abs=1e-12)) == all_in_top
 
 
+def mean_rank_row(judgments):
+    """The mean_rank field and unranked count evaluate_judgments reports for one subset."""
+    row = evaluate_judgments({"all": judgments})["per_subset"]["all"]
+    return row["mean_rank"], row["n_unranked"]
+
+
 class TestMeanRank:
     def test_single_query_top(self):
-        assert mean_rank([judgment({5}, [5, 1])]) == 1.0
+        assert mean_rank_row([judgment({5}, [5, 1])]) == (1.0, 0)
 
     def test_two_queries(self):
         js = [judgment({1}, [0, 1, 2]), judgment({2}, [0, 1, 3, 2])]
-        assert mean_rank(js) == 3.0
+        assert mean_rank_row(js) == (3.0, 0)
 
     def test_best_rank_when_multiple_relevant(self):
         j = judgment({"a", "b"}, ["x", "y", "a", "z", "w", "v", "b"])
-        assert mean_rank([j]) == 3.0
+        assert mean_rank_row([j]) == (3.0, 0)
 
     def test_unranked_ground_truth_rejected(self):
-        with pytest.raises(GroundTruthNotRankedError):
-            mean_rank([judgment({9}, [1, 2, 3])])
+        """A query whose ground truth is not ranked is left out of the mean and counted."""
+        assert mean_rank_row([judgment({9}, [1, 2, 3])]) == (None, 1)
+        assert mean_rank_row([judgment({9}, [1, 2, 3]), judgment({2}, [0, 2])]) == (2.0, 1)
 
 
 class TestClassifyFailure:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from library_oracles import cosine_similarity
 from prunerank.errors import ConfigError
-from prunerank.linalg import cosine_similarity
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
 from prunerank.synthetic import SyntheticConfig, generate_instance
