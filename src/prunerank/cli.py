@@ -8,9 +8,11 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
-A config is checked in full before any work: _merge holds the rules for each
-value, keyed by its name, and each command builds its section objects
-(SyntheticConfig, ArchParams, WorkloadSpec) before its first step.
+A config is checked in full before any work. _merge's leaf tables hold the
+one copy of every rule on a single value, keyed by its name; the section
+objects each command builds before its first step (SyntheticConfig,
+WorkloadSpec) check only the rules that tie values together, and the drivers
+and FLOPs helpers check none again.
 
 Exit code 0 means every verification tally in the run passed and 1 that one
 failed; any prunerank.errors error (bad config or input) prints
@@ -45,7 +47,7 @@ from .experiments import (
 from .linalg import embedding_from_json
 from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments, finite_mean
 from .pruning import as_keep_ratio
-from .scoring import assign_identifiers
+from .scoring import IDENTIFIER_ALPHABET
 from .synthetic import SyntheticConfig
 
 DEFAULTS: dict = {
@@ -132,23 +134,27 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 
 # Leaf rules keyed by leaf name, which means the same thing in every section:
 # the smallest value (of each item, for a list), the largest, an exclusive
-# upper bound and the leaves holding keep ratios. tokens_per_image starts at 2
-# because the correlation probe rank-correlates each image's tokens; a
-# selftest_constant at or above the proven coefficient cannot detect a
-# violation. The largest simulate sizes keep each first allocation they size
-# at 8 MB or less (the instance seeds, one image, one query, one noise draw).
-# The trial counts are bounded so that every run ends: a million trials is a
-# hundred times the default. A noise scale of a million stays far below the
-# ~1e154 at which the squares in the cosine norms overflow.
+# upper bound and the leaves holding keep ratios. These tables are the only
+# copy of each rule. tokens_per_image starts at 2 because the correlation
+# probe rank-correlates each image's tokens; a selftest_constant at or above
+# the proven coefficient cannot detect a violation. n_images is capped by the
+# single-symbol identifiers A..Z. The largest simulate sizes keep each first
+# allocation they size at 8 MB or less (the instance seeds, one image, one
+# query, one noise draw). The trial counts are bounded so that every run ends:
+# a million trials is a hundred times the default. A noise scale of a million
+# stays far below the ~1e154 at which the squares in the cosine norms overflow.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
-    "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0,
-    "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
+    "n_images": 1, "embed_dim": 1, "n_query_tokens": 1, "planted_per_image": 1,
+    "layers": 1, "width": 1, "k": 1, "image_token_counts": 1,
+    "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0, "noise_scale": 0,
+    "c_att": 0, "c_ffn": 0, "c_dec": 0, "c_score": 0,
+    "n_text": 0, "n_vis": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
 }
 _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
     "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
-    "noise_scale": 10**6, "attention_noise": 10**6,
+    "noise_scale": 10**6, "attention_noise": 10**6, "n_images": len(IDENTIFIER_ALPHABET),
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
@@ -280,7 +286,6 @@ def _section_seeds(seed: int, n: int) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
-    assign_identifiers(cfg["synthetic"]["n_images"])
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"] is not None:

@@ -6,7 +6,9 @@ tokens. The model compares a baseline autoregressive listwise pipeline
 against the pruned single-pass pipeline (token scoring + compressed prefill +
 one decode step) and evaluates two closed-form regime approximations. FLOPs
 are reported as 64-bit reals since realistic values exceed 1e14; no wall-clock
-or hardware behavior is modeled.
+or hardware behavior is modeled. The helpers take counts and keep ratios as
+cli._merge has checked them; only the three ratios whose denominator can be
+zero (speedup and the two regime estimates) raise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError
-from .pruning import as_keep_ratio, keep_count, round_half_away_from_zero
+from .pruning import keep_count, round_half_away_from_zero
 
 N_RHO_PER_IMAGE = "per_image_exact"
 N_RHO_APPROX = "ratio_approximation"
@@ -29,7 +31,8 @@ class ArchParams:
 
     The c_* factors fold heads, projections and kernel constants into single
     coefficients. They may be zero so individual cost terms can be isolated
-    when studying regimes; layer count and width must be positive.
+    when studying regimes. cli._merge requires a positive layer count and
+    width and nonnegative factors; nothing here checks them again.
     """
 
     layers: int
@@ -39,13 +42,6 @@ class ArchParams:
     c_dec: float = 1.0
     c_score: float = 1.0
 
-    def __post_init__(self):
-        if self.layers < 1 or self.width < 1:
-            raise ConfigError(f"layers and width must be >= 1, got {self.layers}, {self.width}")
-        for name in ("c_att", "c_ffn", "c_dec", "c_score"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -53,7 +49,9 @@ class WorkloadSpec:
 
     When image_token_counts is supplied, the compressed context length uses
     the exact per-image keep rule; otherwise it falls back to the smooth
-    rho * n_vis approximation, and the mode is recorded in reports.
+    rho * n_vis approximation, and the mode is recorded in reports. The
+    constructor checks only that the counts match k and sum to n_vis; the
+    bounds on each single field are cli._merge's.
     """
 
     n_text: int
@@ -66,20 +64,11 @@ class WorkloadSpec:
     image_token_counts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        as_keep_ratio(self.rho)
-        if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if min(self.n_text, self.n_vis, self.n_query, self.u_reason) < 0:
-            raise ConfigError("token counts must be nonnegative")
         if self.image_token_counts is not None:
             counts = tuple(int(c) for c in self.image_token_counts)
             object.__setattr__(self, "image_token_counts", counts)
             if len(counts) != self.k:
                 raise ConfigError(f"{len(counts)} image token counts for k={self.k} candidates")
-            if any(c < 1 for c in counts):
-                raise ConfigError("every image must contribute at least one token")
             if sum(counts) != self.n_vis:
                 raise ConfigError(
                     f"image token counts sum to {sum(counts)}, expected n_vis={self.n_vis}"
@@ -109,15 +98,11 @@ class WorkloadSpec:
 
 def prefill_flops(n: float, p: ArchParams) -> float:
     """Context-ingestion cost: layers * (c_att * d * n^2 + c_ffn * d^2 * n)."""
-    if n < 0:
-        raise ConfigError(f"context length must be nonnegative, got {n}")
     return p.layers * (p.c_att * p.width * n * n + p.c_ffn * p.width * p.width * n)
 
 
 def decode_flops(n: float, u: float, p: ArchParams) -> float:
     """KV-cached generation cost: u * layers * c_dec * d * n."""
-    if n < 0 or u < 0:
-        raise ConfigError(f"context/generated lengths must be nonnegative, got {n}, {u}")
     return u * p.layers * p.c_dec * p.width * n
 
 
@@ -132,8 +117,6 @@ def score_flops(n_query: int, n_vis: int, p: ArchParams) -> float:
     This is an upper-bound style proxy evaluated as an equality; the real
     kernel is highly parallel and typically lower-order than prefill.
     """
-    if n_query < 0 or n_vis < 0:
-        raise ConfigError(f"token counts must be nonnegative, got {n_query}, {n_vis}")
     return p.c_score * p.width * n_query * n_vis
 
 
@@ -162,13 +145,11 @@ def speedup(w: WorkloadSpec, p: ArchParams) -> float:
 def longcontext_prefill_ratio(rho: float, n_text: int, n_vis: int) -> float:
     """Closed-form prefill ratio ((n_text + n_vis) / (n_text + rho*n_vis))^2.
 
-    When visual tokens dominate the context this approaches 1 / rho^2.
+    When visual tokens dominate the context this approaches 1 / rho^2. rho is
+    taken as a float, so a config's integer 1 computes as 1.0.
     """
-    rho = as_keep_ratio(rho)
-    if n_text < 0 or n_vis < 0:
-        raise ConfigError("token counts must be nonnegative")
     full = n_text + n_vis
-    compressed = n_text + rho * n_vis
+    compressed = n_text + float(rho) * n_vis
     if compressed == 0:
         raise ConfigError("empty context; prefill ratio undefined")
     return (full / compressed) ** 2

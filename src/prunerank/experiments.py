@@ -12,7 +12,9 @@ attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
 the pruning-error check's pass. Each simulate section scores an instance in
 one pass: one sort of the relevant image's scores for every keep ratio, one
-noise draw and softmax for every head, one cosine GEMM for every image.
+noise draw and softmax for every head, one cosine GEMM for every image. The
+drivers take their counts, ratios and noise scales as cli._merge has checked
+them and check none again.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ from .cost_model import (
     longcontext_prefill_ratio,
     speedup,
 )
-from .errors import ConfigError, NonFiniteError
+from .errors import NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
 from .pruning import (
     _pool,
-    as_keep_ratio,
     keep_count,
     maxsim_scores,
     random_prune,
@@ -230,8 +231,6 @@ def run_bound_verification(
     selftest_trials pruning-error trials, drawn in the same pass; a constant
     below the proven one must report some.
     """
-    if trials < 1 or selftest_trials < 0:
-        raise ConfigError(f"need trials >= 1 and selftest_trials >= 0, got {trials}, {selftest_trials}")
     rngs = _tally_rngs(seed)
     checks = [
         _sandwich_tally(rngs[0], trials),
@@ -257,8 +256,6 @@ def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None)
     callers may draw more from the master afterwards, before or while
     consuming the stream.
     """
-    if n_instances < 1:
-        raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
     master = np.random.default_rng(cfg.seed)
     return master, _with_unit_query(cfg, master.integers(2**63, size=n_instances), query)
 
@@ -270,14 +267,6 @@ def _with_unit_query(cfg: SyntheticConfig, seeds: np.ndarray, query: np.ndarray 
         if unit is None or query is None:
             unit = unit_rows(instance.query)
         yield instance, unit
-
-
-def validate_ratios(keep_ratios: Sequence[float]) -> list[float]:
-    """The keep ratios as floats; raises unless there is one and each lies in (0, 1]."""
-    ratios = [as_keep_ratio(r) for r in keep_ratios]
-    if not ratios:
-        raise ConfigError("need at least one keep ratio")
-    return ratios
 
 
 def run_pruning_comparison(
@@ -298,7 +287,7 @@ def run_pruning_comparison(
     descending score order (the lower index first on ties). The budgets are
     computed once per image size.
     """
-    ratios = validate_ratios(keep_ratios)
+    ratios = [float(r) for r in keep_ratios]
     master, instances = _instances(cfg, n_instances, query)
     random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
     budgets: dict[int, np.ndarray] = {}
@@ -352,10 +341,6 @@ def run_correlation_probe(
     The value is reported without an acceptance threshold. An instance's noise
     for all heads is one (n_heads, n_tokens) draw, softmaxed in one call.
     """
-    if n_heads < 1:
-        raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
-    if attention_noise < 0:
-        raise ConfigError(f"attention_noise must be nonnegative, got {attention_noise}")
     master, instances = _instances(cfg, n_instances, query)
     correlations = []
     for instance, unit in instances:
@@ -420,12 +405,8 @@ def run_cost_sweep(
     k_values: Sequence[int],
 ) -> dict:
     """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes."""
-    ratios = validate_ratios(rho_values)
+    ratios = [float(r) for r in rho_values]
     ks = [int(k) for k in k_values]
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"need at least one k value, each >= 1, got {k_values}")
-    if tokens_per_candidate < 1:
-        raise ConfigError(f"tokens_per_candidate must be >= 1, got {tokens_per_candidate}")
     rows = []
     for k in ks:
         counts = (tokens_per_candidate,) * k

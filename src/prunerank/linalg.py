@@ -61,8 +61,8 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def _as_index(value, name: str) -> int:
-    """The one integer rule for a k, position or index: an int or numpy integer
-    (operator.index) as an int; anything else raises KOutOfRangeError."""
+    """The one integer rule for a k, position, index, count or seed: an int or
+    numpy integer (operator.index) as an int; anything else raises KOutOfRangeError."""
     try:
         return operator.index(value)
     except TypeError as exc:

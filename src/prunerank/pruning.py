@@ -66,6 +66,14 @@ def _pool(sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hard, np.add(hard, np.log(total, out=total, where=real), out=total)
 
 
+def _as_count(value, name: str) -> int:
+    """value as an int (linalg._as_index) that must be at least 1, else EmptyInputError."""
+    count = _as_index(value, name)
+    if count < 1:
+        raise EmptyInputError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def keep_count(rho: float, n_tokens: int) -> int:
     """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens.
 
@@ -75,11 +83,10 @@ def keep_count(rho: float, n_tokens: int) -> int:
     .5 boundary takes the exact Fraction path.
     """
     rho = as_keep_ratio(rho)
-    if n_tokens < 1:
-        raise EmptyInputError(f"n_tokens must be >= 1, got {n_tokens}")
+    n_tokens = _as_count(n_tokens, "n_tokens")
     product = rho * n_tokens
     if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
-        rounded = math.floor(Fraction(repr(rho)) * int(n_tokens) + Fraction(1, 2))
+        rounded = math.floor(Fraction(repr(rho)) * n_tokens + Fraction(1, 2))
     else:
         rounded = round_half_away_from_zero(product)
     return min(n_tokens, max(1, rounded))
@@ -102,10 +109,12 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
 
     Uses numpy's seeded PCG64 generator so results reproduce across platforms.
     """
-    if n_tokens < 1:
-        raise EmptyInputError(f"n_tokens must be >= 1, got {n_tokens}")
+    n_tokens = _as_count(n_tokens, "n_tokens")
     if not 1 <= _as_index(k, "k") <= n_tokens:
         raise KOutOfRangeError(f"k must be in [1, {n_tokens}], got {k}")
+    seed = _as_index(seed, "seed")
+    if seed < 0:
+        raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n_tokens, size=k, replace=False))
 
@@ -159,8 +168,7 @@ def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
     g = as_vector(lse, "lse")
     if a.size != g.size:
         raise DimensionMismatchError(f"length mismatch: {a.size} vs {g.size}")
-    if n_query < 1:
-        raise EmptyInputError(f"n_query must be >= 1, got {n_query}")
+    n_query = _as_count(n_query, "n_query")
     ks = np.array([_as_index(k, "k")])
     rows = topk_stability_rows(a[None], g[None], ks, np.array([a.size]), math.log(n_query))
     return StabilityReport(*(field.item() for field in rows))

@@ -1,6 +1,7 @@
 """Single-pass listwise scoring.
 
-Candidates get single-symbol identifiers; after one forward pass the
+Candidates get single-symbol identifiers from IDENTIFIER_ALPHABET, which also
+caps a simulate run's image count (cli._MAXIMUMS); after one forward pass the
 identifier logits are argsorted descending into a permutation of the
 candidate list. No tokenizer or prompt rendering lives here; logits arrive
 as plain numbers.
@@ -12,26 +13,10 @@ import string
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidPermutationError,
-    TooManyCandidatesError,
-)
+from .errors import DimensionMismatchError, InvalidPermutationError
 from .linalg import as_vector
 
 IDENTIFIER_ALPHABET = string.ascii_uppercase
-
-
-def assign_identifiers(k: int) -> list[str]:
-    """First k single-symbol candidate labels, A through Z."""
-    if k < 1:
-        raise EmptyInputError(f"need at least one candidate, got k={k}")
-    if k > len(IDENTIFIER_ALPHABET):
-        raise TooManyCandidatesError(
-            f"at most {len(IDENTIFIER_ALPHABET)} single-symbol identifiers, got k={k}"
-        )
-    return list(IDENTIFIER_ALPHABET[:k])
 
 
 def rank_from_logits(logits) -> np.ndarray:

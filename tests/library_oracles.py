@@ -3,7 +3,9 @@
 The package computes these rules in bulk: similarity_matrix for the cosine,
 metrics.evaluate_judgments for every ranking metric in one pass, the losses
 by their analytic gradients. Here each rule is written out for one item at a
-time, and the tests check the bulk results against them.
+time, and the tests check the bulk results against them. assign_identifiers,
+the labels of test_scoring's CandidateList, lives here too: no package path
+labels candidates, and cli._merge holds the 26-image cap it once applied.
 """
 
 import math
@@ -18,11 +20,13 @@ from prunerank.errors import (
     EmptyInputError,
     GroundTruthNotRankedError,
     KOutOfRangeError,
+    TooManyCandidatesError,
     ZeroNormError,
 )
 from prunerank.linalg import ZERO_NORM_EPS, as_vector
 from prunerank.losses import LossValue
 from prunerank.metrics import QueryJudgment, _failure_label
+from prunerank.scoring import IDENTIFIER_ALPHABET
 
 
 def cosine_similarity(h, v) -> float:
@@ -124,3 +128,14 @@ def classify_failure(gt_best_rank: int) -> FailureClass:
     if gt_best_rank < 1:
         raise KOutOfRangeError(f"rank must be >= 1, got {gt_best_rank}")
     return FailureClass(label=_failure_label(gt_best_rank), gt_best_rank=int(gt_best_rank))
+
+
+def assign_identifiers(k: int) -> list[str]:
+    """First k single-symbol candidate labels, A through Z."""
+    if k < 1:
+        raise EmptyInputError(f"need at least one candidate, got k={k}")
+    if k > len(IDENTIFIER_ALPHABET):
+        raise TooManyCandidatesError(
+            f"at most {len(IDENTIFIER_ALPHABET)} single-symbol identifiers, got k={k}"
+        )
+    return list(IDENTIFIER_ALPHABET[:k])

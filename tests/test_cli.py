@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunerank import cli
 from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
-from prunerank.errors import ConfigError
+from prunerank.errors import ConfigError, PrunerankError
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
 SIMULATE_CFG = {
@@ -281,6 +282,75 @@ TRIAL_COUNT_LEAVES = ("trials", "selftest_trials")
 for _leaf in TRIAL_COUNT_LEAVES:
     BAD_INPUT_PROBES[f"verify-bounds-{_leaf}-2**63"] = ("verify-bounds", {_leaf: 2**63})
     BAD_INPUT_PROBES[f"verify-bounds-{_leaf}-bound+1"] = ("verify-bounds", {_leaf: _MAXIMUMS[_leaf] + 1})
+
+
+def _at(path: str, value) -> dict:
+    """The override that sets the dotted path to value."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _label(value) -> str:
+    """The JSON of value, its middle cut when longer than 20 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 20 else text[:9] + "..." + text[-8:]
+
+
+# Rules that once had a second copy in a section constructor, a driver or a
+# FLOPs helper (the simulate and cost-sweep drivers, SyntheticConfig,
+# ArchParams, WorkloadSpec, prefill/decode/score_flops). cli._merge's leaf
+# tables now hold the only copy, so each bad value must fail in _merge.
+ONE_COPY_RULES = [
+    ("verify-bounds", "selftest_trials", -1),
+    ("simulate", "n_instances", 0),
+    ("simulate", "keep_ratios", []),
+    ("simulate", "keep_ratios", [0.5, 1.5]),
+    ("simulate", "synthetic.n_images", 0),
+    ("simulate", "synthetic.n_images", 27),
+    ("simulate", "synthetic.embed_dim", 0),
+    ("simulate", "synthetic.n_query_tokens", 0),
+    ("simulate", "synthetic.planted_per_image", 0),
+    ("simulate", "synthetic.noise_scale", -0.1),
+    ("simulate", "correlation.n_instances", 0),
+    ("simulate", "correlation.attention_noise", -0.5),
+    ("cost-model", "arch.layers", 0),
+    ("cost-model", "arch.width", 0),
+    ("cost-model", "arch.c_att", -1.0),
+    ("cost-model", "arch.c_ffn", -1.0),
+    ("cost-model", "arch.c_dec", -1.0),
+    ("cost-model", "arch.c_score", -1.0),
+    ("cost-model", "workload.n_text", -1),
+    ("cost-model", "workload.n_vis", -1),
+    ("cost-model", "workload.n_query", -1),
+    ("cost-model", "workload.k", 0),
+    ("cost-model", "workload.beta", -0.5),
+    ("cost-model", "workload.u_reason", -1),
+    ("cost-model", "workload.rho", 1.5),
+    ("cost-model", "workload.image_token_counts", [0] * 19 + [20480]),
+    ("cost-model", "sweep.rho_values", []),
+    ("cost-model", "sweep.k_values", []),
+    ("cost-model", "sweep.k_values", [10, 0]),
+    ("cost-model", "sweep.tokens_per_candidate", 0),
+    ("cost-model", "sweep.beta", -1.0),
+    ("cost-model", "sweep.u_reason", -1),
+]
+for _command, _path, _value in ONE_COPY_RULES:
+    BAD_INPUT_PROBES[f"{_command}-{_path}-{_label(_value)}"] = (_command, _at(_path, _value))
+
+
+@pytest.mark.parametrize("rule", ONE_COPY_RULES, ids=lambda rule: f"{rule[1]}={_label(rule[2])}")
+def test_each_leaf_rule_fails_in_merge(rule):
+    command, path, value = rule
+    with pytest.raises(PrunerankError):
+        _merge(DEFAULTS[command], _at(path, value))
+
+
+def test_every_rule_table_key_is_a_leaf_of_the_defaults():
+    """A misspelt key would drop its rule without a word: the tables are its only copy."""
+    leaves = {path[-1] for command in DEFAULTS for path in leaf_paths(DEFAULTS[command])}
+    tables = (cli._MINIMUMS, cli._MAXIMUMS, cli._BELOW, cli._RATIOS, cli._SET_NULL_DEFAULTS)
+    assert {key for table in tables for key in table} - leaves == set()
 
 
 @pytest.mark.parametrize("leaf", TRIAL_COUNT_LEAVES)

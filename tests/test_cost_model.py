@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunerank.cli import DEFAULTS, _merge
 from prunerank.cost_model import (
     ArchParams,
     WorkloadSpec,
@@ -29,23 +30,25 @@ def workload(**kwargs):
 
 
 class TestParamValidation:
+    """The rules on a single arch or workload value have one copy, in cli._merge's
+    leaf tables; the objects check only the image counts against k and n_vis."""
+
     def test_arch_requires_positive_layers_width(self):
-        with pytest.raises(ConfigError):
-            ArchParams(layers=0, width=4)
-        with pytest.raises(ConfigError):
-            ArchParams(layers=4, width=0)
+        for arch in ({"layers": 0}, {"width": 0}):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                _merge(DEFAULTS["cost-model"], {"arch": arch})
 
     def test_arch_allows_zero_constants(self):
         arch = ArchParams(layers=1, width=1, c_att=0.0, c_ffn=0.0, c_dec=0.0, c_score=0.0)
         assert total_flops(100, 10, arch) == 0.0
 
     def test_arch_rejects_negative_constants(self):
-        with pytest.raises(ConfigError):
-            ArchParams(layers=1, width=1, c_att=-1.0)
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            _merge(DEFAULTS["cost-model"], {"arch": {"c_att": -1.0}})
 
     def test_workload_ratio_validated(self):
         with pytest.raises(InvalidRatioError):
-            workload(rho=0.0)
+            _merge(DEFAULTS["cost-model"], {"workload": {"rho": 0.0}})
 
     def test_image_counts_must_sum_to_n_vis(self):
         with pytest.raises(ConfigError):
@@ -66,8 +69,10 @@ class TestPerImageNRho:
         assert w.n_rho == 10 + 2 + 3
 
     def test_invalid_ratio(self):
+        # The per-image count is keep_count's, which takes only a ratio in (0, 1].
+        w = workload(n_text=10, n_vis=4, n_query=1, k=1, rho=0.0, image_token_counts=(4,))
         with pytest.raises(InvalidRatioError):
-            workload(n_text=10, n_vis=4, n_query=1, k=1, rho=0.0, image_token_counts=(4,))
+            w.n_rho
 
     def test_ragged_counts_equal_the_per_image_sum(self):
         counts = (1, 7, 333, 1024, 2, 7, 1024)

@@ -33,6 +33,7 @@ from prunerank.linalg import as_vector, similarity_matrix
 from prunerank.losses import nll_loss, soft_rank_loss, weighted_ranknet_loss
 from prunerank.metrics import QueryJudgment, evaluate_judgments, spearman
 from prunerank.pruning import (
+    keep_count,
     lse_scores,
     maxsim_scores,
     random_prune,
@@ -183,7 +184,9 @@ def test_bound_check_error_classes(case, kind):
     assert type(raised.value) is expected
 
 
-# The other entry points that take a k or a position: a non-integer is out of range.
+# The other entry points that take a k, a position, a count or a seed: a
+# non-integer is out of range. The counts and the seed once escaped as a bare
+# ValueError or TypeError, or (keep_count's 2.5 tokens) passed without a word.
 S = np.full((1, 2, 2), 0.5)
 NON_INTEGER_CASES = {
     "select_topk_preserve_order": lambda k: select_topk_preserve_order([1.0, 2.0, 3.0], k),
@@ -192,6 +195,10 @@ NON_INTEGER_CASES = {
     "evaluate_judgments": lambda k: evaluate_judgments(
         {"a": [QueryJudgment(relevant={0}, ranked=(0, 1))]}, k_values=[k]
     ),
+    "random_prune-n_tokens": lambda n: random_prune(n, 1, 0),
+    "random_prune-seed": lambda seed: random_prune(5, 2, seed),
+    "keep_count-n_tokens": lambda n: keep_count(0.5, n),
+    "topk_stability_check-n_query": lambda n: topk_stability_check([1.0, 2.0], [1.0, 2.0], 1, n),
 }
 
 
@@ -203,10 +210,32 @@ def test_non_integer_k_or_position_is_out_of_range(name, bad):
     assert type(raised.value) is KOutOfRangeError
 
 
+# An integer count below 1 is empty input; a negative seed is out of range.
+INTEGER_RANGE_CASES = {
+    "random_prune-n_tokens-0": (lambda: random_prune(0, 1, 0), EmptyInputError),
+    "keep_count-n_tokens-minus-3": (lambda: keep_count(0.5, -3), EmptyInputError),
+    "stability-n-query-minus-1": (
+        lambda: topk_stability_check([1.0, 2.0], [1.0, 2.0], 1, -1),
+        EmptyInputError,
+    ),
+    "random_prune-seed-minus-1": (lambda: random_prune(5, 2, -1), KOutOfRangeError),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_RANGE_CASES)
+def test_integer_counts_below_1_are_empty_and_a_negative_seed_is_out_of_range(case):
+    call, expected = INTEGER_RANGE_CASES[case]
+    with pytest.raises(errors.PrunerankError) as raised:
+        call()
+    assert type(raised.value) is expected
+
+
 def test_numpy_integers_and_integral_float_kept_entries_pass():
     k = np.int64(1)
     assert select_topk_preserve_order([1.0, 2.0, 3.0], k).tolist() == [2]
     assert random_prune(5, k, 0).size == 1
+    assert random_prune(np.int64(5), 2, np.uint64(3)).tolist() == random_prune(5, 2, 3).tolist()
+    assert keep_count(0.5, np.int64(5)) == keep_count(0.5, 5) == 3
     assert attention_mass_per_token(S, k).tolist() == [0.5, 0.5]
     assert evaluate_judgments({"a": [QueryJudgment(relevant={0}, ranked=(0, 1))]}, k_values=[k])
     assert tail_gap_bound_check([1.0, 2.0, 3.0], k) == tail_gap_bound_check([1.0, 2.0, 3.0], 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunerank.cli import DEFAULTS, _merge
 from prunerank.cost_model import ArchParams
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
@@ -54,10 +55,10 @@ class TestBoundVerification:
         assert run_bound_verification(1, 7, 400, 1.9)[1] > 0
 
     def test_trials_validated(self):
-        with pytest.raises(ConfigError):
-            run_bound_verification(trials=0, seed=0)
-        with pytest.raises(ConfigError):
-            run_bound_verification(trials=1, seed=0, selftest_trials=-1)
+        # Checked once, in cli._merge, before run_bound_verification runs.
+        for override in ({"trials": 0}, {"selftest_trials": -1}):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                _merge(DEFAULTS["verify-bounds"], override)
 
 
 class TestPruningComparison:

@@ -12,10 +12,10 @@ from prunerank.errors import (
     NonFiniteError,
     TooManyCandidatesError,
 )
+from library_oracles import assign_identifiers
 from prunerank.scoring import (
     IDENTIFIER_ALPHABET,
     apply_permutation,
-    assign_identifiers,
     rank_from_logits,
     validate_permutation,
 )

@@ -17,17 +17,18 @@ import numpy as np
 import pytest
 
 from prunerank.attention import attention_mass_per_token, softmax
+from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError, PrunerankError
 from prunerank.experiments import (
     run_correlation_probe,
     run_pruning_comparison,
     run_synthetic_ranking,
-    validate_ratios,
 )
 from prunerank.linalg import similarity_matrix
 from prunerank.metrics import QueryJudgment, evaluate_judgments, spearman
 from prunerank.pruning import (
     _pool,
+    as_keep_ratio,
     keep_count,
     maxsim_scores,
     random_prune,
@@ -67,7 +68,9 @@ def reference_pruning_comparison(
     tokens that survive pruning of the relevant image, pooled over instances.
     An explicit query matrix replaces the per-instance sampled one.
     """
-    ratios = validate_ratios(keep_ratios)
+    ratios = [as_keep_ratio(r) for r in keep_ratios]
+    if not ratios:
+        raise ConfigError("need at least one keep ratio")
     master, instances = _instances(cfg, n_instances, query)
     random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
     kept_t2i = np.zeros(len(ratios), dtype=np.int64)
@@ -267,9 +270,12 @@ def test_tie_configs_tie():
 
 
 def test_one_pass_drivers_check_their_inputs_like_the_references():
-    for driver in (reference_correlation_probe, run_correlation_probe):
-        with pytest.raises(ConfigError):
-            driver(SyntheticConfig(), 5, n_heads=0)
-    for driver in (reference_synthetic_ranking, run_synthetic_ranking):
-        with pytest.raises(ConfigError):
-            driver(SyntheticConfig(), 0)
+    """The references check their inputs themselves; the one-pass drivers' inputs
+    are checked once, in cli._merge, before any driver runs."""
+    with pytest.raises(ConfigError):
+        reference_correlation_probe(SyntheticConfig(), 5, n_heads=0)
+    with pytest.raises(ConfigError):
+        reference_synthetic_ranking(SyntheticConfig(), 0)
+    for override in ({"correlation": {"n_heads": 0}}, {"ranking": {"n_instances": 0}}):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            _merge(DEFAULTS["simulate"], override)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from library_oracles import cosine_similarity
+from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
@@ -21,13 +22,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SyntheticConfig(tokens_per_image=(10, 3))
 
+    # The rules on a single field have one copy, in cli._merge's leaf tables.
     def test_counts_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            SyntheticConfig(n_images=0)
+        for name in ("n_images", "embed_dim", "n_query_tokens", "planted_per_image"):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                _merge(DEFAULTS["simulate"], {"synthetic": {name: 0}})
 
     def test_noise_must_be_nonnegative(self):
-        with pytest.raises(ConfigError):
-            SyntheticConfig(noise_scale=-0.1)
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            _merge(DEFAULTS["simulate"], {"synthetic": {"noise_scale": -0.1}})
 
 
 class TestGenerateInstance:
