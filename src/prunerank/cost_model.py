@@ -14,9 +14,9 @@ zero (speedup and the two regime estimates) raise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ConfigError
 from .pruning import keep_count, round_half_away_from_zero
@@ -47,10 +47,15 @@ class ArchParams:
 class WorkloadSpec:
     """Token accounting for one reranking request.
 
-    When image_token_counts is supplied, the compressed context length uses
-    the exact per-image keep rule; otherwise it falls back to the smooth
-    rho * n_vis approximation, and the mode is recorded in reports. The
-    constructor checks only that the counts match k and sum to n_vis; the
+    The images are described by (size, count) pairs, image_sizes, one per
+    distinct image token count; a uniform list of k images of n tokens is
+    the single pair ((n, k),), so no structure grows with k. A config's
+    image_token_counts list, one count per candidate, is grouped into those
+    pairs here, in first-seen order; pass one of the two, not both. When
+    pairs are given, the compressed context length uses the exact per-image
+    keep rule; otherwise it falls back to the smooth rho * n_vis
+    approximation, and the mode is recorded in reports. The constructor
+    checks only that the counts add up to k and the tokens to n_vis; the
     bounds on each single field are cli._merge's.
     """
 
@@ -61,17 +66,24 @@ class WorkloadSpec:
     beta: float
     u_reason: int
     rho: float
-    image_token_counts: Optional[tuple[int, ...]] = None
+    image_token_counts: InitVar[Optional[Sequence[int]]] = None
+    image_sizes: Optional[tuple[tuple[int, int], ...]] = None
 
-    def __post_init__(self):
-        if self.image_token_counts is not None:
-            counts = tuple(int(c) for c in self.image_token_counts)
-            object.__setattr__(self, "image_token_counts", counts)
-            if len(counts) != self.k:
-                raise ConfigError(f"{len(counts)} image token counts for k={self.k} candidates")
-            if sum(counts) != self.n_vis:
+    def __post_init__(self, image_token_counts):
+        if image_token_counts is not None:
+            if self.image_sizes is not None:
+                raise TypeError("pass image_token_counts or image_sizes, not both")
+            sizes = tuple(Counter(int(c) for c in image_token_counts).items())
+            object.__setattr__(self, "image_sizes", sizes)
+        sizes = self.image_sizes
+        if sizes is not None:
+            n_images = sum(m for _, m in sizes)
+            if n_images != self.k:
+                raise ConfigError(f"{n_images} image token counts for k={self.k} candidates")
+            n_tokens = sum(n * m for n, m in sizes)
+            if n_tokens != self.n_vis:
                 raise ConfigError(
-                    f"image token counts sum to {sum(counts)}, expected n_vis={self.n_vis}"
+                    f"image token counts sum to {n_tokens}, expected n_vis={self.n_vis}"
                 )
 
     @property
@@ -86,14 +98,13 @@ class WorkloadSpec:
     @cached_property
     def n_rho(self) -> float:
         """Compressed context length, computed once per spec with one keep_count per image size."""
-        if self.image_token_counts is not None:
-            sizes = Counter(self.image_token_counts).items()
-            return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in sizes))
+        if self.image_sizes is not None:
+            return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in self.image_sizes))
         return self.n_text + self.rho * self.n_vis
 
     @property
     def n_rho_mode(self) -> str:
-        return N_RHO_PER_IMAGE if self.image_token_counts is not None else N_RHO_APPROX
+        return N_RHO_PER_IMAGE if self.image_sizes is not None else N_RHO_APPROX
 
 
 def prefill_flops(n: float, p: ArchParams) -> float:

@@ -409,7 +409,6 @@ def run_cost_sweep(
     ks = [int(k) for k in k_values]
     rows = []
     for k in ks:
-        counts = (tokens_per_candidate,) * k
         for rho in ratios:
             workload = WorkloadSpec(
                 n_text=n_text,
@@ -419,7 +418,7 @@ def run_cost_sweep(
                 beta=beta,
                 u_reason=u_reason,
                 rho=rho,
-                image_token_counts=counts,
+                image_sizes=((tokens_per_candidate, k),),
             )
             rows.append(
                 {

@@ -56,7 +56,7 @@ def as_finite_array(values, ndims: tuple[int, ...], name: str) -> np.ndarray:
 
 def _require_finite(values: np.ndarray, name: str) -> None:
     """The one finiteness rule: raise NonFiniteError for a NaN or infinite entry."""
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
 
 

@@ -10,11 +10,14 @@ log-likelihood and the stage combination complete the module.
 Lists are short (tens of candidates), so a call's cost is its count of numpy
 calls, and each loss makes a few whole-array ones. The pairwise loss puts the
 logits in rank order first: every active pair then lies in the strict upper
-triangle, and its weight depends only on the two positions, so one m x m pass
-with a fixed weight table covers every pair. That table depends only on m and
-the normalized geometric decay only on gamma and m, so each comes from a small
-cache. The cached arrays are read-only, and a caller only ever receives fresh
-arrays computed from them.
+triangle, and its weight depends only on the two positions. So one pass over
+the m(m-1)/2 pairs of that triangle, each with its fixed weight, covers every
+pair: the value is one dot product and the gradient two bincount scatters.
+The pair positions and weights depend only on m and the normalized geometric
+decay only on gamma and m, so each comes from a small cache. The cached
+arrays are read-only, and a caller only ever receives fresh arrays computed
+from them. A SoftTarget holds a read-only copy of its distribution, so the
+invariant its constructor checks holds for as long as the target lives.
 """
 
 from __future__ import annotations
@@ -39,15 +42,16 @@ _TABLE_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _pair_weights(m: int) -> np.ndarray:
-    """Read-only W with W[a, b] = 1/(a + b + 2) for a < b and 0 elsewhere.
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (a, b, w) over the strict upper triangle: a < b and w = 1/(a + b + 2).
 
     Positions a and b are zero-based, so a + b + 2 is the pair's rank sum.
     """
-    position = np.arange(m, dtype=np.float64)
-    weights = np.triu(1.0 / (position[:, None] + position[None, :] + 2.0), k=1)
-    weights.flags.writeable = False
-    return weights
+    a, b = np.triu_indices(m, 1)
+    w = 1.0 / (a + b + 2.0)
+    for arr in (a, b, w):
+        arr.flags.writeable = False
+    return a, b, w
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -93,21 +97,20 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
 
     t = np.empty(m)
     t[positions] = logits  # t[a] is the logit of the item ranked a + 1
-    diffs = t[None, :] - t[:, None]  # diffs[a, b] = t[b] - t[a]
+    a, b, w = _pairs(m)
+    diffs = t[b] - t[a]
     softplus = np.logaddexp(0.0, diffs)
-    weights = _pair_weights(m)
-    value = float((weights * softplus).sum())
     # sigmoid(d) = exp(d - softplus(d)), which never overflows.
-    pair_grad = weights * np.exp(diffs - softplus)
-    by_rank = pair_grad.sum(axis=0) - pair_grad.sum(axis=1)
-    return LossValue(value=value, gradient=by_rank[positions])
+    pull = w * np.exp(diffs - softplus)
+    by_rank = np.bincount(b, pull, m) - np.bincount(a, pull, m)
+    return LossValue(value=float(w @ softplus), gradient=by_rank[positions])
 
 
 def _as_distribution(q) -> np.ndarray:
     arr = as_vector(q, "soft target")
-    if not arr.min() > 0.0:
+    if not np.minimum.reduce(arr) > 0.0:
         raise InvalidProbabilityError("soft target entries must be positive")
-    total = float(arr.sum())
+    total = float(np.add.reduce(arr))
     if abs(total - 1.0) > 1e-9:
         raise InvalidProbabilityError(f"soft target must sum to 1, got {total!r}")
     return arr
@@ -115,13 +118,19 @@ def _as_distribution(q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SoftTarget:
-    """A target distribution decaying geometrically down a teacher ordering."""
+    """A target distribution decaying geometrically down a teacher ordering.
+
+    q is a read-only copy of the checked distribution, so soft_rank_loss can
+    trust it without checking it again.
+    """
 
     q: np.ndarray
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_distribution(self.q))
+        q = np.array(_as_distribution(self.q))
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
 
 
 def geometric_target(teacher_order, gamma: float) -> SoftTarget:
@@ -148,19 +157,19 @@ def soft_rank_loss(s, target) -> LossValue:
     q = target.q if isinstance(target, SoftTarget) else _as_distribution(target)
     if q.size != logits.size:
         raise DimensionMismatchError(f"{q.size} target entries for {logits.size} logits")
-    shift = logits.max()
-    log_norm = shift + np.log(np.exp(logits - shift).sum())
-    value = float(log_norm - np.dot(q, logits))
-    p = np.exp(logits - log_norm)
-    return LossValue(value=value, gradient=p - q)
+    shift = np.maximum.reduce(logits)
+    e = np.exp(logits - shift)
+    total = np.add.reduce(e)
+    value = float(shift + np.log(total) - q @ logits)
+    return LossValue(value=value, gradient=e / total - q)
 
 
 def nll_loss(step_probs) -> float:
     """Total negative log-likelihood of a sequence of per-step probabilities."""
     p = as_vector(step_probs, "step probabilities")
-    if not (p.min() > 0.0 and p.max() <= 1.0):
+    if not (np.minimum.reduce(p) > 0.0 and np.maximum.reduce(p) <= 1.0):
         raise InvalidProbabilityError("step probabilities must lie in (0, 1]")
-    return float(-np.log(p).sum())
+    return float(-np.add.reduce(np.log(p)))
 
 
 def stage_loss(base: float, aux: LossValue, lam: float) -> float:

@@ -90,16 +90,17 @@ def aggregate(values_by_subset: Mapping[str, Sequence[float]]) -> dict:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, smallest first; tied values share the mean of their positions."""
+    """1-based ranks, smallest first; tied values share the mean of their positions.
+
+    One stable sort puts each run of equal values together; a run over sorted
+    positions i..j gets the rank 0.5 * (i + j) + 1.
+    """
     order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

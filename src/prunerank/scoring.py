@@ -9,6 +9,7 @@ as plain numbers.
 
 from __future__ import annotations
 
+import functools
 import string
 
 import numpy as np
@@ -28,11 +29,20 @@ def rank_from_logits(logits) -> np.ndarray:
     return np.argsort(-as_vector(logits, "logits"), kind="stable")
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """Read-only arange(n), the sorted form of every permutation of length n."""
+    identity = np.arange(n)
+    identity.flags.writeable = False
+    return identity
+
+
 def validate_permutation(order) -> np.ndarray:
     """Check that order is a bijection on {0, ..., n-1} and return it as ints.
 
-    Entries that are not integers are compared as floats, so a fraction, NaN
-    or a value too large for an int64 fails the bijection test and is never cast.
+    The rule: the sorted entries equal 0, ..., n-1. Entries that are not
+    integers are compared as floats, so a fraction, NaN or a value too large
+    for an int64 fails the bijection test and is never cast.
     """
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size < 1:
@@ -44,7 +54,7 @@ def validate_permutation(order) -> np.ndarray:
             arr = np.asarray(arr, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidPermutationError("permutation entries must be numbers") from exc
-    if not (np.sort(arr) == np.arange(arr.size)).all():
+    if np.count_nonzero(np.sort(arr) == _identity(arr.size)) != arr.size:
         raise InvalidPermutationError(
             f"not a bijection on 0..{arr.size - 1}: {arr.tolist()}"
         )

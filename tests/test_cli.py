@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -658,6 +659,24 @@ class TestCostModel:
         table = (tmp_path / "o" / "tables" / "cost_sweep.csv").read_text().splitlines()
         assert table[0].startswith("k,rho,")
         assert len(table) == 1 + 6 * 3
+
+    # A sweep list size once built a k-entry tuple per row: 2**63 ended in an
+    # OverflowError traceback and 10**7 ran for 11 s.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [10**7, 2**63])
+    def test_huge_sweep_list_size_is_exact_and_fast(self, tmp_path, capsys, k):
+        cfg = write_config(tmp_path, "cfg.json", {"sweep": {"k_values": [k], "rho_values": [0.5]}})
+        start = time.perf_counter()
+        code = run(["cost-model", "--config", cfg, "--out", tmp_path / "o"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        [row] = json.loads((tmp_path / "o" / "report.json").read_text())["sweep"]["rows"]
+        sweep = DEFAULTS["cost-model"]["sweep"]
+        assert row["k"] == k
+        assert row["n_full"] == sweep["n_text"] + sweep["tokens_per_candidate"] * k
+        # rho 0.5 keeps exactly half of each image's 1024 tokens.
+        assert row["n_rho"] == float(sweep["n_text"] + sweep["tokens_per_candidate"] // 2 * k)
 
     def test_sweep_can_be_disabled(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"sweep": {"enabled": False}})

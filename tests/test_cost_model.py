@@ -79,6 +79,27 @@ class TestPerImageNRho:
         w = workload(n_text=512, n_vis=sum(counts), k=len(counts), rho=0.45, image_token_counts=counts)
         assert w.n_rho == 512 + sum(keep_count(0.45, c) for c in counts)
 
+    def test_counts_become_size_pairs_in_first_seen_order(self):
+        counts = (20, 20, 5, 20, 5)
+        w = workload(n_text=3, n_vis=sum(counts), k=len(counts), rho=0.3, image_token_counts=counts)
+        assert w.image_sizes == ((20, 3), (5, 2))
+
+    def test_one_pair_equals_the_uniform_counts(self):
+        pairs = workload(n_text=7, n_vis=6 * 9, k=6, rho=0.45, image_sizes=((9, 6),))
+        counts = workload(n_text=7, n_vis=6 * 9, k=6, rho=0.45, image_token_counts=(9,) * 6)
+        assert pairs == counts
+        assert pairs.n_rho == counts.n_rho == 7 + 6 * keep_count(0.45, 9)
+
+    def test_pairs_are_checked_like_counts(self):
+        with pytest.raises(ConfigError, match="5 image token counts for k=6"):
+            workload(n_vis=45, k=6, image_sizes=((9, 5),))
+        with pytest.raises(ConfigError, match="sum to 45, expected n_vis=54"):
+            workload(n_vis=54, k=5, image_sizes=((9, 5),))
+
+    def test_counts_and_pairs_together_are_a_type_error(self):
+        with pytest.raises(TypeError, match="not both"):
+            workload(n_vis=9, k=1, image_token_counts=(9,), image_sizes=((9, 1),))
+
     def test_keep_count_runs_once_per_image_size(self, monkeypatch):
         calls = []
 

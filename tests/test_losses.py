@@ -16,6 +16,8 @@ from prunerank.errors import (
 )
 from prunerank.losses import (
     LossValue,
+    SoftTarget,
+    _pairs,
     geometric_target,
     nll_loss,
     soft_rank_loss,
@@ -69,6 +71,28 @@ class TestWeightedRanknetLoss:
         assert result.value == pytest.approx(want_value, rel=1e-12, abs=0)
         np.testing.assert_allclose(result.gradient, want_grad, rtol=0, atol=1e-12)
         assert abs(math.fsum(result.gradient)) < 1e-9
+
+    @pytest.mark.parametrize("m", [2, 26])
+    def test_matches_double_loop_oracle_at_the_length_extremes(self, m):
+        # m = 2 is a single pair; m = 26 is the largest identifier alphabet.
+        rng = np.random.default_rng(m)
+        s = (rng.standard_normal(m) * 3.0).tolist()
+        ranks = (rng.permutation(m) + 1).tolist()
+        want_value, want_grad = ranknet_oracle(s, ranks)
+        result = weighted_ranknet_loss(s, ranks)
+        assert result.value == pytest.approx(want_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(result.gradient, want_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 20, 26])
+    def test_cached_pairs_are_the_read_only_upper_triangle(self, m):
+        a, b, w = _pairs(m)
+        assert a.size == b.size == w.size == m * (m - 1) // 2
+        assert sorted(zip(a.tolist(), b.tolist())) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+        assert w.tolist() == [1.0 / (i + j + 2) for i, j in zip(a.tolist(), b.tolist())]
+        for arr in (a, b, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
     def test_hand_value_correct_order(self):
         result = weighted_ranknet_loss([2.0, 1.0], [1, 2])
@@ -166,8 +190,10 @@ class TestGeometricTarget:
         assert geometric_target(range(16), 1e-20).q[-1] > 0
 
     def test_caller_writes_do_not_reach_the_next_call(self):
-        geometric_target([2, 0, 1], gamma=0.5).q[:] = 0.0
-        geometric_target([0, 1, 2], gamma=0.5).q[:] = 0.0
+        # q is read-only: a write raises, and the cached decay stays intact.
+        for order in ([2, 0, 1], [0, 1, 2]):
+            with pytest.raises(ValueError, match="read-only"):
+                geometric_target(order, gamma=0.5).q[:] = 0.0
         np.testing.assert_allclose(geometric_target([2, 0, 1], 0.5).q, [2 / 7, 1 / 7, 4 / 7], atol=1e-12)
         np.testing.assert_allclose(geometric_target([0, 1, 2], 0.5).q, [4 / 7, 2 / 7, 1 / 7], atol=1e-12)
 
@@ -187,6 +213,29 @@ class TestGeometricTarget:
         # Equivariance: the mass a candidate receives depends only on its position.
         identity = geometric_target(np.arange(m), gamma)
         np.testing.assert_allclose(target.q[order], identity.q, atol=1e-15)
+
+
+class TestSoftTarget:
+    def test_q_is_read_only_and_the_next_loss_is_still_correct(self):
+        target = geometric_target([2, 0, 1], gamma=0.5)
+        want = soft_rank_loss([0.1, -0.4, 1.3], target)
+        with pytest.raises(ValueError, match="read-only"):
+            target.q[:] = -1.0
+        again = soft_rank_loss([0.1, -0.4, 1.3], target)
+        assert again.value == want.value
+        np.testing.assert_array_equal(again.gradient, want.gradient)
+
+    def test_construction_copies_before_freezing(self):
+        q = np.array([0.25, 0.75])
+        target = SoftTarget(q=q, gamma=0.5)
+        assert q.flags.writeable
+        q[:] = [0.5, 0.5]
+        np.testing.assert_array_equal(target.q, [0.25, 0.75])
+
+    @pytest.mark.parametrize("q", [[0.5, -0.5, 1.0], [0.5, 0.6], [1.0, float("nan")]])
+    def test_construction_checks_the_distribution(self, q):
+        with pytest.raises((InvalidProbabilityError, NonFiniteError)):
+            SoftTarget(q=q, gamma=0.5)
 
 
 class TestSoftRankLoss:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from library_oracles import (
+    average_ranks,
     best_relevant_rank,
     classify_failure,
     ndcg_at_k,
@@ -31,6 +32,7 @@ from prunerank.metrics import (
     NEAR_MISS,
     SUCCESS,
     QueryJudgment,
+    _average_ranks,
     aggregate,
     evaluate_judgments,
     spearman,
@@ -242,6 +244,19 @@ class TestSpearman:
         base = spearman(x, y)
         assert spearman(np.exp(x), y) == pytest.approx(base, abs=1e-12)
         assert spearman(x, 3 * y + 7) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_average_ranks_equal_the_loop_on_tie_heavy_inputs(self, n):
+        rng = np.random.default_rng(n)
+        cases = [
+            rng.integers(0, 3, size=n).astype(float),
+            np.zeros(n),
+            np.arange(n, dtype=float),
+            np.repeat(rng.standard_normal(max(n // 3, 1)), 3)[:n],
+            np.where(rng.random(n) < 0.5, -0.0, 0.0),  # -0.0 == 0.0 is one tie
+        ]
+        for x in cases:
+            assert _average_ranks(x).tolist() == average_ranks(x).tolist()
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -177,6 +177,33 @@ class TestApplyPermutation:
             validate_permutation(order)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "order",
+        [
+            # In range and distinct, yet not integers: a range-plus-distinct
+            # shortcut would accept it; only the sorted comparison does not.
+            [0, 0.5, 2],
+            np.array([0.0, 0.5, 2.0]),
+            [0, float("nan"), 2],
+            [0, 1, 2**70],
+            [0, 1, 2 + 0j],
+        ],
+    )
+    def test_validate_keeps_the_sorted_equals_arange_rule(self, order):
+        with pytest.raises(InvalidPermutationError):
+            validate_permutation(order)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.uint64, np.float32, np.float64])
+    def test_validate_returns_fresh_int64_for_every_real_dtype(self, dtype):
+        order = np.array([2, 0, 1], dtype=dtype)
+        result = validate_permutation(order)
+        assert result.dtype == np.int64
+        assert result.tolist() == [2, 0, 1]
+        result[0] = 7
+        assert order.tolist() == [2, 0, 1]
+
+
 class TestSerialization:
     def test_permutation_serializes_as_index_array(self):
         import json
