@@ -143,6 +143,11 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 # query, one noise draw). The trial counts are bounded so that every run ends:
 # a million trials is a hundred times the default. A noise scale of a million
 # stays far below the ~1e154 at which the squares in the cosine norms overflow.
+# The cost-model counts meet in exact int sums and products (n_full,
+# tokens_per_candidate * k, u_base * layers, u_base * n_full), as do beta and
+# the c_* factors when a config gives them as ints. With the counts at most
+# 2**63 and the factors at most a million, each result still converts to a
+# float; past them an OverflowError escaped the FLOPs helpers.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "n_images": 1, "embed_dim": 1, "n_query_tokens": 1, "planted_per_image": 1,
@@ -155,6 +160,9 @@ _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
     "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
     "noise_scale": 10**6, "attention_noise": 10**6, "n_images": len(IDENTIFIER_ALPHABET),
+    "layers": 2**63, "n_text": 2**63, "n_vis": 2**63, "k": 2**63, "u_reason": 2**63,
+    "tokens_per_candidate": 2**63, "k_values": 2**63,
+    "beta": 10**6, "c_att": 10**6, "c_ffn": 10**6, "c_dec": 10**6, "c_score": 10**6,
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}

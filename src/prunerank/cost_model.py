@@ -153,17 +153,17 @@ def speedup(w: WorkloadSpec, p: ArchParams) -> float:
     return f_base(w, p) / denom
 
 
-def longcontext_prefill_ratio(rho: float, n_text: int, n_vis: int) -> float:
-    """Closed-form prefill ratio ((n_text + n_vis) / (n_text + rho*n_vis))^2.
+def longcontext_prefill_ratio(w: WorkloadSpec) -> float:
+    """Closed-form prefill ratio (n_full / (n_text + rho*n_vis))^2.
 
-    When visual tokens dominate the context this approaches 1 / rho^2. rho is
+    When visual tokens dominate the context this approaches 1 / rho^2. The
+    denominator is the rho * n_vis approximation in both n_rho modes. rho is
     taken as a float, so a config's integer 1 computes as 1.0.
     """
-    full = n_text + n_vis
-    compressed = n_text + float(rho) * n_vis
+    compressed = w.n_text + float(w.rho) * w.n_vis
     if compressed == 0:
         raise ConfigError("empty context; prefill ratio undefined")
-    return (full / compressed) ** 2
+    return (w.n_full / compressed) ** 2
 
 
 def generation_heavy_decode_ratio(w: WorkloadSpec) -> float:
@@ -188,7 +188,7 @@ def cost_report(w: WorkloadSpec, p: ArchParams) -> dict:
         "n_rho_mode": w.n_rho_mode,
         "u_base": w.u_base,
         "regime_estimates": {
-            "longcontext_prefill_ratio": longcontext_prefill_ratio(w.rho, w.n_text, w.n_vis),
+            "longcontext_prefill_ratio": longcontext_prefill_ratio(w),
             "generation_heavy_decode_ratio": generation_heavy_decode_ratio(w),
         },
     }

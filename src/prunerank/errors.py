@@ -37,10 +37,6 @@ class KOutOfRangeError(PrunerankError):
     """A selection size k is outside its valid range."""
 
 
-class TooManyCandidatesError(PrunerankError):
-    """More candidates than available single-symbol identifiers."""
-
-
 class InvalidPermutationError(PrunerankError):
     """An index sequence is not a bijection on {0, ..., n-1}."""
 
@@ -63,10 +59,6 @@ class EmptyRelevantSetError(PrunerankError):
 
 class EmptySubsetError(PrunerankError):
     """An aggregation subset contains no values."""
-
-
-class GroundTruthNotRankedError(PrunerankError):
-    """No relevant item appears in the ranked list."""
 
 
 class DegenerateConstantError(PrunerankError):

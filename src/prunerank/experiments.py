@@ -430,7 +430,7 @@ def run_cost_sweep(
                     "f_base": f_base(workload, arch),
                     "f_zip": f_zip(workload, arch),
                     "speedup": speedup(workload, arch),
-                    "prefill_ratio": longcontext_prefill_ratio(rho, n_text, workload.n_vis),
+                    "prefill_ratio": longcontext_prefill_ratio(workload),
                 }
             )
     return {

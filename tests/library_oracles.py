@@ -18,15 +18,24 @@ from prunerank.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyInputError,
-    GroundTruthNotRankedError,
     KOutOfRangeError,
-    TooManyCandidatesError,
+    PrunerankError,
     ZeroNormError,
 )
 from prunerank.linalg import ZERO_NORM_EPS, as_vector
 from prunerank.losses import LossValue
 from prunerank.metrics import QueryJudgment, _failure_label
 from prunerank.scoring import IDENTIFIER_ALPHABET
+
+
+# The errors only these references raise; prunerank.errors holds the ones the
+# package raises.
+class TooManyCandidatesError(PrunerankError):
+    """More candidates than available single-symbol identifiers."""
+
+
+class GroundTruthNotRankedError(PrunerankError):
+    """No relevant item appears in the ranked list."""
 
 
 def cosine_similarity(h, v) -> float:

@@ -292,6 +292,41 @@ def _at(path: str, value) -> dict:
     return value
 
 
+# Cost-model leaves at 10**307, an int the finiteness rule accepts: each once
+# ended in an OverflowError traceback when an exact int sum or product in the
+# FLOPs helpers no longer converted to a float. beta at 1e308 made beta * k
+# infinite before it was rounded to an int.
+OVERFLOW_LEAVES = (
+    "arch.layers", "arch.c_att", "arch.c_ffn", "arch.c_dec", "arch.c_score",
+    "workload.n_text", "workload.n_vis", "workload.k", "workload.beta", "workload.u_reason",
+    "sweep.beta", "sweep.u_reason",
+)
+for _path in OVERFLOW_LEAVES:
+    BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
+BAD_INPUT_PROBES["cost-model-sweep.k_values-10**307"] = ("cost-model", _at("sweep.k_values", [10**307]))
+BAD_INPUT_PROBES["cost-model-workload.beta-1e308"] = ("cost-model", _at("workload.beta", 1e308))
+BAD_INPUT_PROBES["cost-model-sweep.beta-1e308"] = ("cost-model", _at("sweep.beta", 1e308))
+# tokens_per_candidate * k past a float, which no single-leaf run reaches.
+BAD_INPUT_PROBES["cost-model-sweep-tokens-10**307-k-20"] = (
+    "cost-model",
+    {"sweep": {"tokens_per_candidate": 10**307, "k_values": [20]}},
+)
+
+
+def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
+    """The _MAXIMUMS bounds leave room for every cost-model count at its largest value."""
+    sections = DEFAULTS["cost-model"]
+    override = {
+        section: {key: _MAXIMUMS[key] for key in sections[section] if key in _MAXIMUMS}
+        for section in ("arch", "workload", "sweep")
+    }
+    override["sweep"]["k_values"] = [_MAXIMUMS["k_values"]]
+    cfg = write_config(tmp_path, "cfg.json", override)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["cost-model", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
 def _label(value) -> str:
     """The JSON of value, its middle cut when longer than 20 characters."""
     text = json.dumps(value)
@@ -733,8 +768,10 @@ FUZZ_BASE = {
     "cost-model": {"sweep": {"rho_values": [0.5], "k_values": [10]}},
     "metrics": {"judgments": [{"relevant": [0], "ranked": [0, 1]}]},
 }
-FUZZ_NUMBERS = st.sampled_from([1, 0.5, 0, -1, 2**63, 10**6 + 1, 1e308, -1e308, 1e-300])
-FUZZ_SWAPS = st.sampled_from([True, "x", "", [], [[1]], [1, "x"], {}, {"a": [1]}, None, 1, [1]])
+FUZZ_NUMBER_POOL = [1, 0.5, 0, -1, 2**63, 10**6 + 1, 1e308, -1e308, 1e-300]
+FUZZ_SWAP_POOL = [True, "x", "", [], [[1]], [1, "x"], {}, {"a": [1]}, None, 1, [1]]
+FUZZ_NUMBERS = st.sampled_from(FUZZ_NUMBER_POOL)
+FUZZ_SWAPS = st.sampled_from(FUZZ_SWAP_POOL)
 
 
 def fuzz_mutation(command, path):
@@ -781,6 +818,41 @@ def test_mutated_defaults_keep_the_exit_code_contract(fuzz_dir, command):
         assert code in (0, 1, 2)
 
     check()
+
+
+# The deterministic exit-code guard: every leaf of a command's defaults, one at
+# a time, set to each number of the fuzzer's pool and to 10**8 and 10**307 (a
+# one-element list of it where the default is a list), and to each type swap.
+# The other leaves stay at FUZZ_BASE. Each run keeps the contract above and
+# ends within the wall bound, which catches a run that exits 0 only after
+# seconds of work.
+CROSS_NUMBERS = [*FUZZ_NUMBER_POOL, 10**8, 10**307]
+CROSS_WALL_S = 2.0
+
+
+def cross_values(default) -> list:
+    """The hostile values for a leaf with this default, each once by its JSON."""
+    numbers = [[n] for n in CROSS_NUMBERS] if isinstance(default, list) else CROSS_NUMBERS
+    return list({json.dumps(value): value for value in [*numbers, *FUZZ_SWAP_POOL]}.values())
+
+
+@pytest.mark.parametrize("command", FUZZ_BASE)
+def test_every_leaf_at_every_hostile_value_keeps_the_exit_code_contract(tmp_path, command):
+    escapes = []
+    for path in leaf_paths(DEFAULTS[command]):
+        for value in cross_values(leaf_section(DEFAULTS[command], path)[path[-1]]):
+            cfg = write_config(tmp_path, "cfg.json", merged_with(FUZZ_BASE[command], [(path, value)]))
+            start = time.perf_counter()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outcome = run([command, "--config", cfg, "--out", tmp_path / "o"])
+            except Exception as exc:  # anything but a PrunerankError escapes main
+                outcome = repr(exc)
+            seconds = time.perf_counter() - start
+            if outcome not in (0, 1, 2) or seconds > CROSS_WALL_S:
+                escapes.append(f"{'.'.join(path)}={_label(value)}: {str(outcome)[:80]} in {seconds:.2f}s")
+    assert not escapes, "\n".join(escapes)
 
 
 def test_module_entry_point_runs():

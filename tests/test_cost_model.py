@@ -268,13 +268,14 @@ class TestSpeedup:
 
 class TestLongcontextPrefillRatio:
     def test_pure_visual_context(self):
-        assert longcontext_prefill_ratio(0.5, 0, 1000) == pytest.approx(4.0)
+        assert longcontext_prefill_ratio(workload(rho=0.5, n_text=0, n_vis=1000)) == pytest.approx(4.0)
 
     def test_unit_ratio(self):
-        assert longcontext_prefill_ratio(1.0, 123, 456) == 1.0
+        assert longcontext_prefill_ratio(workload(rho=1.0, n_text=123, n_vis=456)) == 1.0
 
     def test_mixed_context(self):
-        assert longcontext_prefill_ratio(0.5, 100, 100) == pytest.approx((2.0 / 1.5) ** 2)
+        ratio = longcontext_prefill_ratio(workload(rho=0.5, n_text=100, n_vis=100))
+        assert ratio == pytest.approx((2.0 / 1.5) ** 2)
 
 
 class TestCostReport:

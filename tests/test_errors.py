@@ -265,6 +265,19 @@ def test_no_bare_value_or_zero_division_error_raised():
     assert offenders == []
 
 
+def test_every_error_class_but_the_base_is_raised_in_the_package():
+    """A class that only tests raise belongs with them, not in the package's family."""
+    defined = {
+        node.name
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = {
+        name for path in SRC.glob("*.py") for _, name in _raised_names(ast.parse(path.read_text()))
+    }
+    assert defined - raised == {"PrunerankError"}
+
+
 def test_every_error_class_derives_from_the_family_base():
     family = {"PrunerankError"}
     strays = []

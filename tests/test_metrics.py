@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from library_oracles import (
+    GroundTruthNotRankedError,
     average_ranks,
     best_relevant_rank,
     classify_failure,
@@ -21,7 +22,6 @@ from prunerank.errors import (
     EmptyInputError,
     EmptyRelevantSetError,
     EmptySubsetError,
-    GroundTruthNotRankedError,
     KOutOfRangeError,
     NonFiniteError,
 )

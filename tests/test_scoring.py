@@ -10,9 +10,8 @@ from prunerank.errors import (
     EmptyInputError,
     InvalidPermutationError,
     NonFiniteError,
-    TooManyCandidatesError,
 )
-from library_oracles import assign_identifiers
+from library_oracles import TooManyCandidatesError, assign_identifiers
 from prunerank.scoring import (
     IDENTIFIER_ALPHABET,
     apply_permutation,
