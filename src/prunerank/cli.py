@@ -94,11 +94,7 @@ DEFAULTS: dict = {
             "enabled": True,
             "rho_values": [0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
             "k_values": [10, 20, 40],
-            "n_text": 512,
             "tokens_per_candidate": 1024,
-            "n_query": 32,
-            "beta": 1.0,
-            "u_reason": 0,
         },
     },
     "metrics": {
@@ -357,7 +353,7 @@ def _cmd_cost_model(args) -> int:
     tables = {}
     sweep_cfg = dict(cfg["sweep"])
     if sweep_cfg.pop("enabled"):
-        sweep = run_cost_sweep(arch, **sweep_cfg)
+        sweep = run_cost_sweep(arch, workload, **sweep_cfg)
         report["sweep"] = sweep
         header = ["k", "rho", "n_full", "n_rho", "u_base", "f_base", "f_zip", "speedup", "prefill_ratio"]
         tables["cost_sweep"] = (header, [[row[h] for h in header] for row in sweep["rows"]])

@@ -100,7 +100,7 @@ class WorkloadSpec:
         """Compressed context length, computed once per spec with one keep_count per image size."""
         if self.image_sizes is not None:
             return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in self.image_sizes))
-        return self.n_text + self.rho * self.n_vis
+        return self.n_text + float(self.rho) * self.n_vis
 
     @property
     def n_rho_mode(self) -> str:

@@ -396,27 +396,25 @@ def run_synthetic_ranking(
 
 def run_cost_sweep(
     arch: ArchParams,
-    n_text: int,
+    workload: WorkloadSpec,
     tokens_per_candidate: int,
-    n_query: int,
-    beta: float,
-    u_reason: int,
     rho_values: Sequence[float],
     k_values: Sequence[int],
 ) -> dict:
-    """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes."""
+    """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes.
+
+    Each row is the workload with k candidates of tokens_per_candidate tokens
+    each at keep ratio rho; its n_text, n_query, beta and u_reason hold.
+    """
     ratios = [float(r) for r in rho_values]
     ks = [int(k) for k in k_values]
     rows = []
     for k in ks:
         for rho in ratios:
-            workload = WorkloadSpec(
-                n_text=n_text,
+            row = dataclasses.replace(
+                workload,
                 n_vis=tokens_per_candidate * k,
-                n_query=n_query,
                 k=k,
-                beta=beta,
-                u_reason=u_reason,
                 rho=rho,
                 image_sizes=((tokens_per_candidate, k),),
             )
@@ -424,23 +422,23 @@ def run_cost_sweep(
                 {
                     "k": k,
                     "rho": rho,
-                    "n_full": workload.n_full,
-                    "n_rho": workload.n_rho,
-                    "u_base": workload.u_base,
-                    "f_base": f_base(workload, arch),
-                    "f_zip": f_zip(workload, arch),
-                    "speedup": speedup(workload, arch),
-                    "prefill_ratio": longcontext_prefill_ratio(workload),
+                    "n_full": row.n_full,
+                    "n_rho": row.n_rho,
+                    "u_base": row.u_base,
+                    "f_base": f_base(row, arch),
+                    "f_zip": f_zip(row, arch),
+                    "speedup": speedup(row, arch),
+                    "prefill_ratio": longcontext_prefill_ratio(row),
                 }
             )
     return {
         "arch": dataclasses.asdict(arch),
         "template": {
-            "n_text": n_text,
+            "n_text": workload.n_text,
             "tokens_per_candidate": tokens_per_candidate,
-            "n_query": n_query,
-            "beta": beta,
-            "u_reason": u_reason,
+            "n_query": workload.n_query,
+            "beta": workload.beta,
+            "u_reason": workload.u_reason,
         },
         "rho_values": ratios,
         "k_values": ks,

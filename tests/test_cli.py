@@ -236,9 +236,8 @@ BAD_INPUT_PROBES = {
     "metrics-k-empty": ("metrics", {"k_values": [], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
     "cost-model-disabled-sweep-negative-n-text": (
         "cost-model",
-        {"sweep": {"enabled": False, "n_text": -1}},
+        {"sweep": {"enabled": False}, "workload": {"n_text": -1}},
     ),
-    "cost-model-sweep-negative-n-query": ("cost-model", {"sweep": {"n_query": -1}}),
     "metrics-ranked-a-string": ("metrics", {"judgments": [{"relevant": ["a"], "ranked": "abc"}]}),
     "metrics-relevant-an-object": (
         "metrics",
@@ -299,13 +298,11 @@ def _at(path: str, value) -> dict:
 OVERFLOW_LEAVES = (
     "arch.layers", "arch.c_att", "arch.c_ffn", "arch.c_dec", "arch.c_score",
     "workload.n_text", "workload.n_vis", "workload.k", "workload.beta", "workload.u_reason",
-    "sweep.beta", "sweep.u_reason",
 )
 for _path in OVERFLOW_LEAVES:
     BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
 BAD_INPUT_PROBES["cost-model-sweep.k_values-10**307"] = ("cost-model", _at("sweep.k_values", [10**307]))
 BAD_INPUT_PROBES["cost-model-workload.beta-1e308"] = ("cost-model", _at("workload.beta", 1e308))
-BAD_INPUT_PROBES["cost-model-sweep.beta-1e308"] = ("cost-model", _at("sweep.beta", 1e308))
 # tokens_per_candidate * k past a float, which no single-leaf run reaches.
 BAD_INPUT_PROBES["cost-model-sweep-tokens-10**307-k-20"] = (
     "cost-model",
@@ -368,8 +365,6 @@ ONE_COPY_RULES = [
     ("cost-model", "sweep.k_values", []),
     ("cost-model", "sweep.k_values", [10, 0]),
     ("cost-model", "sweep.tokens_per_candidate", 0),
-    ("cost-model", "sweep.beta", -1.0),
-    ("cost-model", "sweep.u_reason", -1),
 ]
 for _command, _path, _value in ONE_COPY_RULES:
     BAD_INPUT_PROBES[f"{_command}-{_path}-{_label(_value)}"] = (_command, _at(_path, _value))
@@ -495,6 +490,17 @@ def test_readme_config_block_equals_defaults(command):
     assert json.loads(block) == DEFAULTS[command]
 
 
+def test_no_leaf_repeats_its_default_in_another_section():
+    """A leaf two sections hold at one default is one knob in two copies: the
+    command should read it from one section."""
+    paths_by_leaf = {}
+    for command in DEFAULTS:
+        for path in leaf_paths(DEFAULTS[command]):
+            default = json.dumps(leaf_section(DEFAULTS[command], path)[path[-1]])
+            paths_by_leaf.setdefault((command, path[-1], default), []).append(".".join(path))
+    assert [paths for paths in paths_by_leaf.values() if len(paths) > 1] == []
+
+
 # The dead-knob guard: every leaf of these commands' defaults must change the
 # report. Each leaf gets one valid value that differs from its default and from
 # KNOB_BASE, which keeps the runs small.
@@ -544,11 +550,7 @@ KNOB_VALUES = {
     "cost-model.sweep.enabled": False,
     "cost-model.sweep.rho_values": [0.5, 1.0],
     "cost-model.sweep.k_values": [10, 20],
-    "cost-model.sweep.n_text": 256,
     "cost-model.sweep.tokens_per_candidate": 512,
-    "cost-model.sweep.n_query": 16,
-    "cost-model.sweep.beta": 0.5,
-    "cost-model.sweep.u_reason": 100,
 }
 # Report paths that echo a leaf under another name ("*" steps into every item
 # of a list). A knob passes the guard only by a change beyond its echoes, so a
@@ -707,11 +709,21 @@ class TestCostModel:
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
         [row] = json.loads((tmp_path / "o" / "report.json").read_text())["sweep"]["rows"]
-        sweep = DEFAULTS["cost-model"]["sweep"]
+        n_text = DEFAULTS["cost-model"]["workload"]["n_text"]
+        tokens = DEFAULTS["cost-model"]["sweep"]["tokens_per_candidate"]
         assert row["k"] == k
-        assert row["n_full"] == sweep["n_text"] + sweep["tokens_per_candidate"] * k
+        assert row["n_full"] == n_text + tokens * k
         # rho 0.5 keeps exactly half of each image's 1024 tokens.
-        assert row["n_rho"] == float(sweep["n_text"] + sweep["tokens_per_candidate"] // 2 * k)
+        assert row["n_rho"] == float(n_text + tokens // 2 * k)
+
+    def test_integral_rho_reports_the_cost_of_its_float(self, tmp_path):
+        costs = []
+        for rho in (1, 1.0):
+            out = tmp_path / str(rho)
+            cfg = write_config(tmp_path, "cfg.json", {"workload": {"rho": rho}, "sweep": {"enabled": False}})
+            assert run(["cost-model", "--config", cfg, "--out", out]) == 0
+            costs.append(json.dumps(json.loads((out / "report.json").read_text())["cost"]))
+        assert costs[0] == costs[1]
 
     def test_sweep_can_be_disabled(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"sweep": {"enabled": False}})

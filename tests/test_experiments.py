@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunerank.cli import DEFAULTS, _merge
-from prunerank.cost_model import ArchParams
+from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
     report_json_bytes,
@@ -147,16 +147,18 @@ class TestSyntheticRanking:
         assert run_synthetic_ranking(cfg, 30) == run_synthetic_ranking(cfg, 30)
 
 
+def sweep_workload(n_text, n_query, beta):
+    """A workload whose k, n_vis and rho every sweep row replaces."""
+    return WorkloadSpec(n_text=n_text, n_vis=1, n_query=n_query, k=1, beta=beta, u_reason=0, rho=1.0)
+
+
 class TestCostSweep:
     def test_grid_shape_and_monotonicity(self):
         arch = ArchParams(layers=2, width=32, c_score=0.0)
         sweep = run_cost_sweep(
             arch,
-            n_text=16,
+            sweep_workload(n_text=16, n_query=4, beta=1.0),
             tokens_per_candidate=64,
-            n_query=4,
-            beta=1.0,
-            u_reason=0,
             rho_values=[0.5, 1.0],
             k_values=[10, 20, 40],
         )
@@ -168,15 +170,14 @@ class TestCostSweep:
     def test_unit_ratio_speedup_at_least_one(self):
         arch = ArchParams(layers=2, width=32, c_score=0.0)
         sweep = run_cost_sweep(
-            arch, 16, 64, 4, beta=1.0, u_reason=0, rho_values=[1.0], k_values=[10, 20]
+            arch, sweep_workload(n_text=16, n_query=4, beta=1.0), 64, [1.0], [10, 20]
         )
         assert all(row["speedup"] >= 1.0 for row in sweep["rows"])
 
     def test_longcontext_prefill_ratio_column(self):
         arch = ArchParams(layers=1, width=1, c_ffn=0.0, c_dec=0.0, c_score=0.0)
         sweep = run_cost_sweep(
-            arch, n_text=0, tokens_per_candidate=1000, n_query=1, beta=0.0,
-            u_reason=0, rho_values=[0.5], k_values=[20],
+            arch, sweep_workload(n_text=0, n_query=1, beta=0.0), 1000, [0.5], [20]
         )
         assert sweep["rows"][0]["prefill_ratio"] == pytest.approx(4.0)
 

@@ -25,7 +25,7 @@ GOLDEN = {
         "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
     },
     "cost-model": {
-        "report.json": "57dbcfb108162a6a4119cd75bf495a938d67f7440766f02c9697d1a2a518a3d5",
+        "report.json": "54181171779d67a183724360ae55cd5fd025ec5f9b78a28c848e0bad39c7498a",
         "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
     },
 }
@@ -120,7 +120,7 @@ GOLDEN_CONFIGS = {
         "cost-model",
         {"workload": {"k": 5, "n_vis": 1367, "rho": 0.45, "image_token_counts": [1, 7, 333, 1024, 2]}},
         {
-            "report.json": "1af89dfd5278570df2a8e20d1ab9fc26c4686ac7bcb167d44e09c69347302a8c",
+            "report.json": "bbd41a8aedee36eacd159c1863fba70b1948c47dfa53830f7bbf887f8cbec915",
             "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
