@@ -404,7 +404,7 @@ def run_cost_sweep(
     """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes.
 
     Each row is the workload with k candidates of tokens_per_candidate tokens
-    each at keep ratio rho; its n_text, n_query, beta and u_reason hold.
+    each at keep ratio rho, its other fields unchanged.
     """
     ratios = [float(r) for r in rho_values]
     ks = [int(k) for k in k_values]

@@ -310,20 +310,6 @@ BAD_INPUT_PROBES["cost-model-sweep-tokens-10**307-k-20"] = (
 )
 
 
-def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
-    """The _MAXIMUMS bounds leave room for every cost-model count at its largest value."""
-    sections = DEFAULTS["cost-model"]
-    override = {
-        section: {key: _MAXIMUMS[key] for key in sections[section] if key in _MAXIMUMS}
-        for section in ("arch", "workload", "sweep")
-    }
-    override["sweep"]["k_values"] = [_MAXIMUMS["k_values"]]
-    cfg = write_config(tmp_path, "cfg.json", override)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["cost-model", "--config", cfg, "--out", tmp_path / "o"]) == 0
-
-
 def _label(value) -> str:
     """The JSON of value, its middle cut when longer than 20 characters."""
     text = json.dumps(value)
@@ -407,6 +393,19 @@ def test_simulate_sizes_are_bounded_in_merge(name):
     for value in (bound + 1, 2**62):
         with pytest.raises(ConfigError, match=f"must be <= {bound}"):
             _merge(DEFAULTS["simulate"], override(value))
+
+
+def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
+    """The cost-model bounds leave room for every count and factor at its largest value."""
+    override = {
+        section: {key: _MAXIMUMS[key] for key in leaves if key in _MAXIMUMS}
+        for section, leaves in DEFAULTS["cost-model"].items()
+    }
+    override["sweep"]["k_values"] = [_MAXIMUMS["k_values"]]
+    cfg = write_config(tmp_path, "cfg.json", override)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["cost-model", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 # Probes whose bad value shows only in what a step computes from it (a
