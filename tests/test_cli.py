@@ -238,6 +238,8 @@ BAD_INPUT_PROBES = {
         "cost-model",
         {"sweep": {"enabled": False}, "workload": {"n_text": -1}},
     ),
+    # A copy of a workload leaf that the sweep section no longer holds.
+    "cost-model-sweep-negative-n-query": ("cost-model", {"sweep": {"n_query": -1}}),
     "metrics-ranked-a-string": ("metrics", {"judgments": [{"relevant": ["a"], "ranked": "abc"}]}),
     "metrics-relevant-an-object": (
         "metrics",
@@ -352,11 +354,18 @@ ONE_COPY_RULES = [
     ("cost-model", "sweep.k_values", [10, 0]),
     ("cost-model", "sweep.tokens_per_candidate", 0),
 ]
-for _command, _path, _value in ONE_COPY_RULES:
+# The sweep's copies of workload leaves, gone since each sweep row is the
+# checked workload with its k, n_vis, rho and image sizes replaced. A config
+# that still sets one must fail in _merge, not run with the value ignored.
+REMOVED_SWEEP_LEAVES = [
+    ("cost-model", "sweep.beta", -1.0),
+    ("cost-model", "sweep.u_reason", -1),
+]
+for _command, _path, _value in ONE_COPY_RULES + REMOVED_SWEEP_LEAVES:
     BAD_INPUT_PROBES[f"{_command}-{_path}-{_label(_value)}"] = (_command, _at(_path, _value))
 
 
-@pytest.mark.parametrize("rule", ONE_COPY_RULES, ids=lambda rule: f"{rule[1]}={_label(rule[2])}")
+@pytest.mark.parametrize("rule", ONE_COPY_RULES + REMOVED_SWEEP_LEAVES, ids=lambda rule: f"{rule[1]}={_label(rule[2])}")
 def test_each_leaf_rule_fails_in_merge(rule):
     command, path, value = rule
     with pytest.raises(PrunerankError):
