@@ -143,7 +143,9 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 # tokens_per_candidate * k, u_base * layers, u_base * n_full), as do beta and
 # the c_* factors when a config gives them as ints. With the counts at most
 # 2**63 and the factors at most a million, each result still converts to a
-# float; past them an OverflowError escaped the FLOPs helpers.
+# float; past them an OverflowError escaped the FLOPs helpers. width and
+# n_query take the same bound: without it, either at 10**307 makes the FLOPs
+# infinite, and the config error that follows names no leaf.
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "n_images": 1, "embed_dim": 1, "n_query_tokens": 1, "planted_per_image": 1,
@@ -156,7 +158,8 @@ _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
     "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
     "noise_scale": 10**6, "attention_noise": 10**6, "n_images": len(IDENTIFIER_ALPHABET),
-    "layers": 2**63, "n_text": 2**63, "n_vis": 2**63, "k": 2**63, "u_reason": 2**63,
+    "layers": 2**63, "width": 2**63, "n_text": 2**63, "n_vis": 2**63, "n_query": 2**63,
+    "k": 2**63, "u_reason": 2**63,
     "tokens_per_candidate": 2**63, "k_values": 2**63,
     "beta": 10**6, "c_att": 10**6, "c_ffn": 10**6, "c_dec": 10**6, "c_score": 10**6,
 }

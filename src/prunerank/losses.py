@@ -16,8 +16,13 @@ pair: the value is one dot product and the gradient two bincount scatters.
 The pair positions and weights depend only on m and the normalized geometric
 decay only on gamma and m, so each comes from a small cache. The cached
 arrays are read-only, and a caller only ever receives fresh arrays computed
-from them. A SoftTarget holds a read-only copy of its distribution, so the
-invariant its constructor checks holds for as long as the target lives.
+from them.
+
+Each input is checked once. The public SoftTarget constructor checks its
+distribution and keeps a read-only copy, so the invariant holds for as long as
+the target lives. geometric_target needs neither step: the decay cache's fill
+checks the distribution rule once per (gamma, m), and the target's q is a
+fresh scatter of that decay by the checked teacher order, frozen in place.
 """
 
 from __future__ import annotations
@@ -56,11 +61,12 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _geometric_decay(gamma: float, m: int) -> np.ndarray:
-    """Read-only gamma**p / sum for teacher positions p = 0..m-1."""
+    """Read-only gamma**p / sum for teacher positions p = 0..m-1, checked as a distribution once."""
     decay = gamma ** np.arange(m, dtype=np.float64)
     if decay[-1] == 0.0:
         raise InvalidGammaError(f"gamma {gamma} underflows over {m} positions: gamma**{m - 1} is 0")
     decay /= decay.sum()
+    _check_distribution(decay)
     decay.flags.writeable = False
     return decay
 
@@ -106,13 +112,22 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
     return LossValue(value=float(w @ softplus), gradient=by_rank[positions])
 
 
-def _as_distribution(q) -> np.ndarray:
-    arr = as_vector(q, "soft target")
+def _check_distribution(arr: np.ndarray) -> None:
+    """The distribution rule on a float64 vector: positive entries summing to 1 within 1e-9.
+
+    The rule also implies finiteness: a NaN fails the minimum and an infinity
+    the sum.
+    """
     if not np.minimum.reduce(arr) > 0.0:
         raise InvalidProbabilityError("soft target entries must be positive")
     total = float(np.add.reduce(arr))
     if abs(total - 1.0) > 1e-9:
         raise InvalidProbabilityError(f"soft target must sum to 1, got {total!r}")
+
+
+def _as_distribution(q) -> np.ndarray:
+    arr = as_vector(q, "soft target")
+    _check_distribution(arr)
     return arr
 
 
@@ -120,8 +135,10 @@ def _as_distribution(q) -> np.ndarray:
 class SoftTarget:
     """A target distribution decaying geometrically down a teacher ordering.
 
-    q is a read-only copy of the checked distribution, so soft_rank_loss can
-    trust it without checking it again.
+    The public constructor checks q and keeps a read-only copy of it, so
+    soft_rank_loss can trust it without checking it again. geometric_target
+    builds its q from the decay its cache fill checked once, and hands the
+    fresh array over through _from_checked without a second check or copy.
     """
 
     q: np.ndarray
@@ -132,6 +149,18 @@ class SoftTarget:
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def _from_checked(cls, q: np.ndarray, gamma: float) -> SoftTarget:
+        """A target over q, a fresh float64 array of a checked distribution that no one else holds.
+
+        q is frozen in place, neither checked nor copied again.
+        """
+        q.flags.writeable = False
+        target = object.__new__(cls)
+        object.__setattr__(target, "q", q)
+        object.__setattr__(target, "gamma", gamma)
+        return target
+
 
 def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     """Mass proportional to gamma**p for the candidate at teacher position p.
@@ -141,10 +170,11 @@ def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma}")
+    gamma = float(gamma)
     order = validate_permutation(teacher_order)
     q = np.empty(order.size)
-    q[order] = _geometric_decay(float(gamma), order.size)
-    return SoftTarget(q=q, gamma=float(gamma))
+    q[order] = _geometric_decay(gamma, order.size)
+    return SoftTarget._from_checked(q, gamma)
 
 
 def soft_rank_loss(s, target) -> LossValue:

@@ -26,15 +26,15 @@ def rank_from_logits(logits) -> np.ndarray:
     Ties keep the earlier candidate first, preserving the upstream
     retriever-provided ordering among equals.
     """
-    return np.argsort(-as_vector(logits, "logits"), kind="stable")
+    return (-as_vector(logits, "logits")).argsort(kind="stable")
 
 
 @functools.lru_cache(maxsize=64)
-def _identity(n: int) -> np.ndarray:
-    """Read-only arange(n), the sorted form of every permutation of length n."""
-    identity = np.arange(n)
+def _identity(n: int) -> tuple[np.ndarray, bytes]:
+    """Read-only arange(n), the sorted form of every permutation of length n, and its bytes."""
+    identity = np.arange(n, dtype=np.int64)
     identity.flags.writeable = False
-    return identity
+    return identity, identity.tobytes()
 
 
 def validate_permutation(order) -> np.ndarray:
@@ -42,23 +42,36 @@ def validate_permutation(order) -> np.ndarray:
 
     The rule: the sorted entries equal 0, ..., n-1. Entries that are not
     integers are compared as floats, so a fraction, NaN or a value too large
-    for an int64 fails the bijection test and is never cast.
+    for an int64 fails the bijection test and is never cast. Integers are
+    cast to int64 first: a uint64 entry past the int64 range wraps to a
+    negative value, which fails the same test. The check sorts a copy of its
+    own in place, so the caller's sequence is never written, and the result
+    is always a fresh int64 array.
     """
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidPermutationError(f"permutation must be a nonempty 1-D sequence, got shape {arr.shape}")
-    if arr.dtype.kind == "c":
+    kind = arr.dtype.kind
+    if kind == "c":
         raise InvalidPermutationError(f"permutation entries must be real numbers, got {arr.dtype}")
-    if arr.dtype.kind not in "iu":
+    identity, identity_bytes = _identity(arr.size)
+    if kind in "iu":
+        result = arr.astype(np.int64)
+        ordered = result.copy()
+        ordered.sort()
+        # Two int64 arrays are equal exactly when their bytes are.
+        if ordered.tobytes() == identity_bytes:
+            return result
+    else:
         try:
             arr = np.asarray(arr, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidPermutationError("permutation entries must be numbers") from exc
-    if np.count_nonzero(np.sort(arr) == _identity(arr.size)) != arr.size:
-        raise InvalidPermutationError(
-            f"not a bijection on 0..{arr.size - 1}: {arr.tolist()}"
-        )
-    return arr.astype(np.int64)
+        ordered = arr.copy()
+        ordered.sort()
+        if np.count_nonzero(ordered == identity) == arr.size:
+            return arr.astype(np.int64)
+    raise InvalidPermutationError(f"not a bijection on 0..{arr.size - 1}: {arr.tolist()}")
 
 
 def apply_permutation(items, order) -> list:

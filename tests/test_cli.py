@@ -301,7 +301,13 @@ OVERFLOW_LEAVES = (
     "arch.layers", "arch.c_att", "arch.c_ffn", "arch.c_dec", "arch.c_score",
     "workload.n_text", "workload.n_vis", "workload.k", "workload.beta", "workload.u_reason",
 )
-for _path in OVERFLOW_LEAVES:
+# At 10**307 each of these made the FLOPs infinite: the run exited 2, but its
+# config error named no leaf.
+INFINITE_FLOPS_LEAVES = ("arch.width", "workload.n_query")
+# The leaf each single-leaf 10**307 probe's config error must name.
+NAMED_LEAF = {}
+for _path in OVERFLOW_LEAVES + INFINITE_FLOPS_LEAVES:
+    NAMED_LEAF[f"cost-model-{_path}-10**307"] = _path
     BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
 BAD_INPUT_PROBES["cost-model-sweep.k_values-10**307"] = ("cost-model", _at("sweep.k_values", [10**307]))
 BAD_INPUT_PROBES["cost-model-workload.beta-1e308"] = ("cost-model", _at("workload.beta", 1e308))
@@ -450,6 +456,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, prob
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
+    if probe in NAMED_LEAF:
+        assert f"config.{NAMED_LEAF[probe]} " in err
 
 
 # A config error names the bad key and echoes only the start of it or its value.

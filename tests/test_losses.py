@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from library_oracles import finite_difference_gradcheck
+from prunerank import losses, scoring
 from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -236,6 +237,78 @@ class TestSoftTarget:
     def test_construction_checks_the_distribution(self, q):
         with pytest.raises((InvalidProbabilityError, NonFiniteError)):
             SoftTarget(q=q, gamma=0.5)
+
+
+# Every (m, gamma) pair of these for which gamma**(m - 1) does not underflow;
+# the pairs that do raise InvalidGammaError (tested above).
+TRUSTED_CASES = [
+    (m, gamma)
+    for m in (1, 2, 20, 26, 1000)
+    for gamma in (1e-20, 0.5, 0.7, 0.99)
+    if gamma ** (m - 1) > 0.0
+]
+
+
+class TestTrustedTarget:
+    """geometric_target hands over the q it builds from the checked decay, unchecked and uncopied."""
+
+    @pytest.mark.parametrize("m,gamma", TRUSTED_CASES)
+    def test_equals_the_checked_public_construction(self, m, gamma):
+        order = np.random.default_rng(m).permutation(m)
+        first = geometric_target(order, gamma)
+        public = SoftTarget(q=first.q.tolist(), gamma=gamma)
+        assert np.array_equal(first.q, public.q)
+        assert first.gamma == public.gamma
+        assert not first.q.flags.writeable
+        second = geometric_target(order, gamma)
+        assert not np.shares_memory(first.q, second.q)
+        assert not np.shares_memory(first.q, losses._geometric_decay(gamma, m))
+
+    def test_builds_without_the_public_distribution_check(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError("geometric_target checked its own target again")
+
+        monkeypatch.setattr(losses, "_as_distribution", refuse)
+        # A cold cache: the decay's own fill checks it without _as_distribution.
+        losses._geometric_decay.cache_clear()
+        target = geometric_target([2, 0, 1], gamma=0.5)
+        np.testing.assert_allclose(target.q, [2 / 7, 1 / 7, 4 / 7], atol=1e-12)
+        with pytest.raises(AssertionError, match="checked its own target"):
+            SoftTarget(q=target.q, gamma=0.5)
+
+
+def test_per_list_sequence_checks_each_input_once(monkeypatch):
+    """One list through the listwise-train sequence: a permutation check for each
+    of the three orderings (scores, teacher, ranks) and no distribution check."""
+    counts = {"validate_permutation": 0, "_as_distribution": 0}
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    check = counting("validate_permutation", scoring.validate_permutation)
+    # losses imports the name, so both bindings are wrapped.
+    monkeypatch.setattr(scoring, "validate_permutation", check)
+    monkeypatch.setattr(losses, "validate_permutation", check)
+    monkeypatch.setattr(losses, "_as_distribution", counting("_as_distribution", losses._as_distribution))
+
+    rng = np.random.default_rng(7)
+    m = 20
+    s = rng.standard_normal(m)
+    teacher = rng.permutation(m)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[teacher] = np.arange(1, m + 1)
+    permutation = scoring.rank_from_logits(s)
+    reranked = scoring.apply_permutation(list("ABCDEFGHIJKLMNOPQRST"), permutation)
+    target = losses.geometric_target(teacher, 0.7)
+    ranknet = losses.weighted_ranknet_loss(s, ranks)
+    losses.soft_rank_loss(s, target)
+    losses.stage_loss(losses.nll_loss(rng.uniform(0.05, 1.0, m)), ranknet, 0.5)
+    assert sorted(reranked) == list("ABCDEFGHIJKLMNOPQRST")
+    assert counts == {"validate_permutation": 3, "_as_distribution": 0}
 
 
 class TestSoftRankLoss:

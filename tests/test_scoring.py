@@ -202,6 +202,26 @@ class TestApplyPermutation:
         result[0] = 7
         assert order.tolist() == [2, 0, 1]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([2, 0, 3, 1]),
+            lambda: np.array([2.0, 0.0, 3.0, 1.0]),
+            lambda: [2, 0, 3, 1],
+        ],
+        ids=["int64-array", "float-array", "list"],
+    )
+    def test_validate_never_sorts_or_writes_the_callers_order(self, make):
+        order = make()
+        result = validate_permutation(order)
+        assert list(order) == list(make()) == [2, 0, 3, 1]
+        assert not np.shares_memory(result, np.asarray(order))
+
+    def test_validate_accepts_a_read_only_order(self):
+        order = np.array([2, 0, 1])
+        order.flags.writeable = False
+        assert validate_permutation(order).tolist() == [2, 0, 1]
+
 
 class TestSerialization:
     def test_permutation_serializes_as_index_array(self):
