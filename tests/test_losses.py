@@ -264,6 +264,20 @@ class TestTrustedTarget:
         assert not np.shares_memory(first.q, second.q)
         assert not np.shares_memory(first.q, losses._geometric_decay(gamma, m))
 
+    def test_decay_is_checked_as_a_distribution_once_per_gamma_and_length(self, monkeypatch):
+        checked = []
+        rule = losses._check_distribution
+
+        def counted(arr):
+            checked.append(arr.size)
+            rule(arr)
+
+        monkeypatch.setattr(losses, "_check_distribution", counted)
+        losses._geometric_decay.cache_clear()
+        for order in ([2, 0, 1], [0, 1, 2], [1, 0]):
+            geometric_target(order, gamma=0.5)
+        assert checked == [3, 2]
+
     def test_builds_without_the_public_distribution_check(self, monkeypatch):
         def refuse(q):
             raise AssertionError("geometric_target checked its own target again")
