@@ -8,7 +8,7 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
-A config is checked in full before any work. _merge's leaf tables hold the
+A config and the seed are checked in full before any work. _merge's leaf tables hold the
 one copy of every rule on a single value, keyed by its name; the section
 objects each command builds before its first step (SyntheticConfig,
 WorkloadSpec) check only the rules that tie values together, and the drivers
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in _COMMANDS.items():
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", default=None, help="JSON config file (defaults documented in README)")
-        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument("--seed", type=int, default=0, help="master seed, at least 0 (default 0)")
         sub.add_argument("--out", default="out", help="output directory (default ./out)")
         sub.set_defaults(func=func)
     return parser
@@ -472,6 +472,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         _check_out(args.out)
         code = args.func(args)
     except PrunerankError as exc:

@@ -42,7 +42,8 @@ def validate_permutation(order) -> np.ndarray:
 
     The rule: the sorted entries equal 0, ..., n-1. Entries that are not
     integers are compared as floats, so a fraction, NaN or a value too large
-    for an int64 fails the bijection test and is never cast. Integers are
+    for an int64 fails the bijection test and is never cast; complex, str
+    and bytes entries are refused before any cast. Integers are
     cast to int64 first: a uint64 entry past the int64 range wraps to a
     negative value, which fails the same test. The check sorts a copy of its
     own in place, so the caller's sequence is never written, and the result
@@ -52,7 +53,9 @@ def validate_permutation(order) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidPermutationError(f"permutation must be a nonempty 1-D sequence, got shape {arr.shape}")
     kind = arr.dtype.kind
-    if kind == "c":
+    # Complex, str and bytes entries: a cast to float64 would drop an
+    # imaginary part or parse text, so none of them counts as a number.
+    if kind in ("c", "U", "S"):
         raise InvalidPermutationError(f"permutation entries must be real numbers, got {arr.dtype}")
     identity, identity_bytes = _identity(arr.size)
     if kind in "iu":

@@ -493,6 +493,29 @@ def test_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+# A valid config per command, so that the seed is the only bad input.
+SEED_PROBE_CONFIGS = {
+    "verify-bounds": VERIFY_CFG,
+    "simulate": SIMULATE_CFG,
+    "cost-model": {},
+    "metrics": {"judgments": [{"relevant": [0], "ranked": [0, 1]}]},
+}
+
+
+@pytest.mark.parametrize("command", SEED_PROBE_CONFIGS)
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # verify-bounds and simulate once ended in SeedSequence's ValueError
+    # traceback with exit 1; cost-model and metrics ran and exited 0.
+    for step in (*STEPS, "run_bound_verification", "evaluate_judgments", "write_report"):
+        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+    cfg = write_config(tmp_path, "cfg.json", SEED_PROBE_CONFIGS[command])
+    assert run([command, "--config", cfg, "--seed", -1, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", DEFAULTS)
 def test_defaults_pass_their_own_rules(command):
     assert _merge(DEFAULTS[command], DEFAULTS[command]) == DEFAULTS[command]

@@ -187,6 +187,10 @@ class TestGeometricTarget:
         with pytest.raises(InvalidGammaError, match=f"gamma {gamma} .* {m} positions"):
             geometric_target(range(m), gamma)
 
+    def test_numeric_text_order_is_refused(self):
+        with pytest.raises(InvalidPermutationError, match="real numbers"):
+            geometric_target(["1", "0"], 0.5)
+
     def test_small_gamma_that_does_not_underflow_is_accepted(self):
         assert geometric_target(range(16), 1e-20).q[-1] > 0
 

@@ -175,6 +175,17 @@ class TestApplyPermutation:
         with pytest.raises(InvalidPermutationError, match="real numbers"):
             validate_permutation(order)
 
+    @pytest.mark.parametrize(
+        "order", [["1", "0"], np.array([b"1", b"0"]), np.array(["0", "1", "2"], dtype="U1")]
+    )
+    def test_validate_rejects_text_entries_without_parsing_them(self, order):
+        # A cast to float64 once parsed numeric text into a valid permutation.
+        with pytest.raises(InvalidPermutationError, match="real numbers"):
+            validate_permutation(order)
+
+    def test_apply_rejects_a_numeric_text_order(self):
+        with pytest.raises(InvalidPermutationError, match="real numbers"):
+            apply_permutation(["a", "b"], [" 1 ", "0.0"])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
