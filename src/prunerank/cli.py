@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ import numpy as np
 
 from .attention import ERROR_BOUND_CONSTANT
 from .cost_model import ArchParams, WorkloadSpec, cost_report
-from .errors import ConfigError, PrunerankError
+from .errors import ConfigError, NonFiniteError, PrunerankError
 from .experiments import (
     run_bound_verification,
     run_correlation_probe,
@@ -264,7 +265,6 @@ def _cmd_verify_bounds(args) -> int:
         "config": cfg,
         "bounds": bounds,
         "selftest": {
-            "constant": cfg["selftest_constant"],
             "trials": cfg["selftest_trials"],
             "failures_detected": selftest_failures,
             "pass": selftest_pass,
@@ -321,9 +321,11 @@ def _cmd_simulate(args) -> int:
         "checks": checks,
         "pass": all(checks.values()),
     }
-    comparison_rows = [
-        (row["keep_ratio"], row["strategy"], row["retention"]) for row in comparison["rows"]
-    ]
+    comparison_rows = []
+    for rho, t2i, rand in zip(
+        cfg["keep_ratios"], comparison["t2i_retention"], comparison["random_retention"]
+    ):
+        comparison_rows += [(float(rho), "t2i", t2i), (float(rho), "random", rand)]
     ranking_rows = [
         (key, value)
         for key, value in sorted(ranking["metrics"].items())
@@ -391,11 +393,20 @@ def _parse_judgments(raw: list) -> dict:
     return judgments_by_subset
 
 
+def _digest(value) -> str:
+    """"sha256:" and the hex sha256 of value's compact, key-sorted JSON."""
+    try:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"config holds a NaN or infinite value: {exc}") from exc
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
 def _cmd_metrics(args) -> int:
     cfg = _merge(DEFAULTS["metrics"], _load_config(args.config))
     if cfg["judgments"] is None and cfg["values_by_subset"] is None:
         raise ConfigError("metrics needs either 'judgments' or 'values_by_subset' in the config")
-    report = {"command": "metrics", "seed": args.seed, "config": cfg}
+    report = {"command": "metrics", "seed": args.seed}
     tables = {}
     values = cfg["values_by_subset"]
     if values is not None:
@@ -432,6 +443,10 @@ def _cmd_metrics(args) -> int:
                 for label in FAILURE_LABELS
             ],
         )
+    # The data leaves stand in the report as digests, taken after evaluation
+    # so that bad data raises its own error before the digest reads it.
+    data = ("judgments", "values_by_subset")
+    report["config"] = {**cfg, **{key: _digest(cfg[key]) for key in data if cfg[key] is not None}}
     path = write_report(args.out, report, tables)
     print(f"report: {path}")
     return 0

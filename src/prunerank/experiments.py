@@ -14,7 +14,8 @@ the pruning-error check's pass. Each simulate section scores an instance in
 one pass: one sort of the relevant image's scores for every keep ratio, one
 noise draw and softmax for every head, one cosine GEMM for every image. The
 drivers take their counts, ratios and noise scales as cli._merge has checked
-them and check none again.
+them and check none again, and return only what they computed: the report's
+config holds their inputs.
 """
 
 from __future__ import annotations
@@ -240,9 +241,6 @@ def run_bound_verification(
     ]
     selftest_failures = checks[2].pop("selftest_failures")
     return {
-        "trials": trials,
-        "seed": seed,
-        "error_bound_constant": ERROR_BOUND_CONSTANT,
         "checks": {check["name"]: check for check in checks},
         "total_failures": sum(check["failures"] for check in checks),
     }, selftest_failures
@@ -287,12 +285,11 @@ def run_pruning_comparison(
     descending score order (the lower index first on ties). The budgets are
     computed once per image size.
     """
-    ratios = [float(r) for r in keep_ratios]
     master, instances = _instances(cfg, n_instances, query)
-    random_seeds = master.integers(2**63, size=(n_instances, len(ratios)))
+    random_seeds = master.integers(2**63, size=(n_instances, len(keep_ratios)))
     budgets: dict[int, np.ndarray] = {}
-    kept_t2i = np.zeros(len(ratios), dtype=np.int64)
-    kept_random = np.zeros(len(ratios), dtype=np.int64)
+    kept_t2i = np.zeros(len(keep_ratios), dtype=np.int64)
+    kept_random = np.zeros(len(keep_ratios), dtype=np.int64)
     total_planted = 0
     for i, (instance, unit) in enumerate(instances):
         image = instance.images[instance.relevant_image]
@@ -300,7 +297,7 @@ def run_pruning_comparison(
         total_planted += len(planted)
         n_tokens = image.shape[0]
         if n_tokens not in budgets:
-            budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in ratios])
+            budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
         order = np.argsort(-maxsim_scores(cosine_to_unit(unit, image)), kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(n_tokens)
@@ -310,19 +307,10 @@ def run_pruning_comparison(
             kept_random[j] += len(set(planted).intersection(rand.tolist()))
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
-    rows = []
-    for j, rho in enumerate(ratios):
-        rows.append({"keep_ratio": rho, "strategy": "t2i", "retention": t2i_retention[j]})
-        rows.append({"keep_ratio": rho, "strategy": "random", "retention": random_retention[j]})
     return {
-        "n_instances": n_instances,
-        "keep_ratios": ratios,
         "t2i_retention": t2i_retention,
         "random_retention": random_retention,
-        "rows": rows,
-        "t2i_ge_random": bool(
-            all(t >= r for t, r in zip(t2i_retention, random_retention))
-        ),
+        "t2i_ge_random": all(t >= r for t, r in zip(t2i_retention, random_retention)),
     }
 
 
@@ -350,9 +338,6 @@ def run_correlation_probe(
         mass = attention_mass_per_token(softmax(smooth + noise)[:, None, :], position=0)
         correlations.append(spearman(hard, mass))
     return {
-        "n_instances": n_instances,
-        "n_heads": n_heads,
-        "attention_noise": attention_noise,
         "spearman_mean": float(np.mean(correlations)),
         "spearman_min": float(np.min(correlations)),
         "spearman_max": float(np.max(correlations)),
@@ -388,7 +373,6 @@ def run_synthetic_ranking(
         )
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
-        "n_instances": n_instances,
         "metrics": evaluation["per_subset"]["synthetic"],
         "failure_taxonomy": evaluation["failure_taxonomy"],
     }
@@ -406,11 +390,9 @@ def run_cost_sweep(
     Each row is the workload with k candidates of tokens_per_candidate tokens
     each at keep ratio rho, its other fields unchanged.
     """
-    ratios = [float(r) for r in rho_values]
-    ks = [int(k) for k in k_values]
     rows = []
-    for k in ks:
-        for rho in ratios:
+    for k in k_values:
+        for rho in map(float, rho_values):
             row = dataclasses.replace(
                 workload,
                 n_vis=tokens_per_candidate * k,
@@ -431,19 +413,7 @@ def run_cost_sweep(
                     "prefill_ratio": longcontext_prefill_ratio(row),
                 }
             )
-    return {
-        "arch": dataclasses.asdict(arch),
-        "template": {
-            "n_text": workload.n_text,
-            "tokens_per_candidate": tokens_per_candidate,
-            "n_query": workload.n_query,
-            "beta": workload.beta,
-            "u_reason": workload.u_reason,
-        },
-        "rho_values": ratios,
-        "k_values": ks,
-        "rows": rows,
-    }
+    return {"rows": rows}
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -218,7 +218,6 @@ def evaluate_judgments(
         for label in FAILURE_LABELS
     }
     return {
-        "k_values": list(k_values),
         "per_subset": per_subset,
         "overall": overall,
         "failure_taxonomy": {

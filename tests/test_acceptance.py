@@ -152,12 +152,9 @@ def test_criterion_09_pruning_comparison():
             noise_scale=0.0,
             seed=MASTER_SEED + 9,
         )
-        report = run_pruning_comparison(
-            cfg, keep_ratios=[0.1, 0.3, 0.5, 0.7, 0.9], n_instances=2000
-        )
-        for rho, t2i, rand in zip(
-            report["keep_ratios"], report["t2i_retention"], report["random_retention"]
-        ):
+        keep_ratios = [0.1, 0.3, 0.5, 0.7, 0.9]
+        report = run_pruning_comparison(cfg, keep_ratios=keep_ratios, n_instances=2000)
+        for rho, t2i, rand in zip(keep_ratios, report["t2i_retention"], report["random_retention"]):
             assert t2i == 1.0
             assert abs(rand - rho) <= 0.03
             assert t2i >= rand

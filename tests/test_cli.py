@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,21 @@ class TestSimulate:
         table = (tmp_path / "o" / "tables" / "pruning_comparison.csv").read_text().splitlines()
         assert table[0] == "keep_ratio,strategy,retention"
         assert len(table) == 5
+
+    def test_pruning_comparison_table_writes_each_ratio_as_a_float(self, tmp_path):
+        # The table is built from the config's ratios and the two retention
+        # lists; an integral ratio prints as 1.0, as the driver's float rows did.
+        cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "keep_ratios": [0.3, 1]})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        comparison = json.loads((tmp_path / "o" / "report.json").read_text())["pruning_comparison"]
+        table = (tmp_path / "o" / "tables" / "pruning_comparison.csv").read_text().splitlines()
+        assert table == [
+            "keep_ratio,strategy,retention",
+            f"0.3,t2i,{comparison['t2i_retention'][0]!r}",
+            f"0.3,random,{comparison['random_retention'][0]!r}",
+            "1.0,t2i,1.0",
+            "1.0,random,1.0",
+        ]
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", SIMULATE_CFG)
@@ -208,6 +224,8 @@ BAD_INPUT_PROBES = {
     "metrics-duplicate-ranked": ("metrics", {"judgments": [{"relevant": [0], "ranked": [0, 0]}]}),
     "metrics-k-0": ("metrics", {"k_values": [0], "judgments": [{"relevant": [0], "ranked": [0, 1]}]}),
     "metrics-judgments-not-a-list": ("metrics", {"judgments": 5}),
+    # Evaluated as one id (JSON's NaN is one object), then refused by the digest.
+    "metrics-nan-id": ("metrics", {"judgments": [{"relevant": [float("nan")], "ranked": [float("nan"), 1]}]}),
     "metrics-subset-not-a-string": (
         "metrics",
         {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
@@ -596,8 +614,6 @@ KNOB_VALUES = {
 # dead knob cannot hide behind one.
 KNOB_ECHOES = {
     "verify-bounds.selftest_trials": [("selftest", "trials")],
-    "verify-bounds.selftest_constant": [("selftest", "constant")],
-    "simulate.keep_ratios": [("pruning_comparison", "rows", "*", "keep_ratio")],
     "simulate.ranking.n_instances": [("ranking_quality", "metrics", "n_queries")],
     "cost-model.sweep.rho_values": [("sweep", "rows", "*", "rho")],
     "cost-model.sweep.k_values": [("sweep", "rows", "*", "k")],
@@ -718,9 +734,9 @@ class TestConfigTypes:
 
     def test_int_accepted_where_a_float_is_expected(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {**VERIFY_CFG, "selftest_constant": 1})
-        run(["verify-bounds", "--config", cfg, "--out", tmp_path / "o"])
+        assert run(["verify-bounds", "--config", cfg, "--out", tmp_path / "o"]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["selftest"]["constant"] == 1
+        assert report["config"]["selftest_constant"] == 1
 
 
 class TestCostModel:
@@ -801,6 +817,38 @@ class TestMetrics:
 
     def test_config_required(self, tmp_path):
         assert run(["metrics", "--out", tmp_path / "o"]) == 2
+
+    @staticmethod
+    def judgments_digest(tmp_path, name, config_text):
+        """The judgments digest of the report a metrics run writes for config_text."""
+        cfg = write_config(tmp_path, f"{name}.json", config_text)
+        assert run(["metrics", "--config", cfg, "--out", tmp_path / name]) == 0
+        return json.loads((tmp_path / name / "report.json").read_text())["config"]["judgments"]
+
+    def test_data_leaves_stand_as_digests_of_their_json(self, tmp_path):
+        values = {"b": [0.5], "a": [1, 2]}
+        judgments = [{"subset": "x", "relevant": [0], "ranked": [0, 1]}]
+        cfg = write_config(tmp_path, "cfg.json", {"values_by_subset": values, "judgments": judgments})
+        assert run(["metrics", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+        for key, value in (("values_by_subset", values), ("judgments", judgments)):
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            assert config[key] == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        assert config["k_values"] == DEFAULTS["metrics"]["k_values"]
+
+    def test_digest_ignores_whitespace_and_key_order(self, tmp_path):
+        compact = '{"judgments":[{"subset":"x","relevant":[0],"ranked":[0,1]}]}'
+        spaced = '{ "judgments" : [\n  { "ranked": [0, 1],\n    "relevant": [ 0 ], "subset": "x" } ] }\n'
+        assert self.judgments_digest(tmp_path, "a", compact) == self.judgments_digest(tmp_path, "b", spaced)
+
+    def test_digest_changes_with_one_judgment(self, tmp_path):
+        judgments = [{"relevant": [0], "ranked": [0, 1]}, {"relevant": [1], "ranked": [0, 1]}]
+        changed = [judgments[0], {"relevant": [1], "ranked": [1, 0]}]
+        digests = {
+            self.judgments_digest(tmp_path, name, json.dumps({"judgments": value}))
+            for name, value in (("base", judgments), ("changed", changed))
+        }
+        assert len(digests) == 2
 
 
 # The generative exit-code guard: 1-3 leaves of a command's defaults set to a

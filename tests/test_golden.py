@@ -8,6 +8,7 @@ to either is a deliberate report change and updates this table.
 
 import hashlib
 import json
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -16,16 +17,16 @@ from prunerank.cli import main
 
 GOLDEN = {
     "verify-bounds": {
-        "report.json": "935a93f4efb8a0679b1343bd69ff7ee5e6fc64ae0152e94949df946a80e4c67c",
+        "report.json": "e20aebc16ac878ee8f8d529399adbe171f983144c1edd5cfe648135af0a3149c",
         "tables/bound_tallies.csv": "54339e76d2760855aa5b2ba69b1354dee1024bbcf6db9d0a5180edceaacdc3c0",
     },
     "simulate": {
-        "report.json": "fca93f8d066a489a72e72cd92fe97956b466f1346f8c2cbbbe7b707d4ee04aa0",
+        "report.json": "1c58cf16ffdedc843b8cfc8fb03bb0e9de40dd0bbe9dd6b8629b871d667286c3",
         "tables/pruning_comparison.csv": "a1fb174779b3ed16708b422f66e158aae03f018372d7d3240da686a88f6c6e7a",
         "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
     },
     "cost-model": {
-        "report.json": "54181171779d67a183724360ae55cd5fd025ec5f9b78a28c848e0bad39c7498a",
+        "report.json": "6cca08457a08553afb445a9dfba687aaf3be1150bb7e32c737c1eb1d6f36988c",
         "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
     },
 }
@@ -79,7 +80,7 @@ GOLDEN_CONFIGS = {
             "ranking": {"n_instances": 30, "noise_scale": 1.5, "k_values": [1, 2, 4]},
         },
         {
-            "report.json": "b895e47c4b90e8372798c5567d64249db734f130aba6e29506a6a7a8b764ab22",
+            "report.json": "5b51fb851963e067df76a5311812b8a84d0c79993ec602c54e6eeeafec74fa06",
             "tables/pruning_comparison.csv": "42e0aa952e7ceed79293c7e39fc061a407375f21111eb63209b7a469c193d884",
             "tables/ranking_quality.csv": "7a83643ed2c959ad85402a95e536650153a232bbaef238450cdc0d11eee468a7",
         },
@@ -95,7 +96,7 @@ GOLDEN_CONFIGS = {
             "query_embedding_path": QUERY_FILE,
         },
         {
-            "report.json": "b5cc2363897a71050d2eb0600c3c59cdb1ade54e8c47aa97ce4cdc45a33d4329",
+            "report.json": "3f10d4a70051d9fe207e47d1817f326d26388b918c3e9340d41404774447c254",
             "tables/pruning_comparison.csv": "9f9c5d892c64e2160045955d0007bd6b16e0b34af280146cf81d984f49d5a930",
             "tables/ranking_quality.csv": "ac6c758fb043daa8d7e2e686942eeb15020699b45ae008f26c290827da5cae40",
         },
@@ -104,7 +105,7 @@ GOLDEN_CONFIGS = {
         "verify-bounds",
         {"trials": 200, "selftest_trials": 400},
         {
-            "report.json": "b40fba95e6b3fee5feb526b26cff204a8793ced5c0ad9f37c1ad5623472ff3ff",
+            "report.json": "e6bca94917d768dd63dcfd8a97b23d51147da1918abcba305210fd972b659cdd",
             "tables/bound_tallies.csv": "5a2eebc8e53233fc6b7dfd43ca48b246c52ee58d52763eb687c175cc4fcee783",
         },
     ),
@@ -112,7 +113,7 @@ GOLDEN_CONFIGS = {
         "verify-bounds",
         {"trials": 131, "selftest_trials": 70, "selftest_constant": 0.0},
         {
-            "report.json": "573754054cf2e5e0a2013743afbd6e5ba2f6129af1232ab8e4666a6147e3de92",
+            "report.json": "5d17b4fe9e0bef0ec56a48a2988fca9be2d6af48adc874a99bd6d7adcc713f32",
             "tables/bound_tallies.csv": "49a3636138743657822518c1e009268b51d603b64a361e9b697804a85119a415",
         },
     ),
@@ -120,7 +121,7 @@ GOLDEN_CONFIGS = {
         "cost-model",
         {"workload": {"k": 5, "n_vis": 1367, "rho": 0.45, "image_token_counts": [1, 7, 333, 1024, 2]}},
         {
-            "report.json": "bbd41a8aedee36eacd159c1863fba70b1948c47dfa53830f7bbf887f8cbec915",
+            "report.json": "2cf649b4141cc0928aa1c9f7adf4b04edfe6fd8859adea84be9277575d8b854c",
             "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
@@ -128,7 +129,7 @@ GOLDEN_CONFIGS = {
         "metrics",
         {"k_values": [1, 3, 5, 25], "judgments": seeded_judgments()},
         {
-            "report.json": "81e95da6944d5e099dcca2bf060b4be5689de97c69882780ab885af6d0944034",
+            "report.json": "3945215af18a2ce717538f8b4cc1ee691676b4971a74e004d508fb4ee2502556",
             "tables/metrics_by_subset.csv": "6e4120c52b69563fef2ce77464f5348a865971a72550ebc280ded9d826c86687",
             "tables/failure_taxonomy.csv": "909748aca89384254081e9d375003ff9e4a2475617951a584b1174c9c1ff4dc0",
         },
@@ -144,19 +145,83 @@ def written_hashes(out):
     }
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Each golden name's run, made once per module: (exit code, output directory).
+
+    A configured run works in a directory of its own, which holds the query
+    file simulate-explicit-query reads.
+    """
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            root = tmp_path_factory.mktemp(name)
+            out = root / "out"
+            if name in GOLDEN:
+                runs[name] = main([name, "--seed", "0", "--out", str(out)]), out
+            else:
+                command, config, _ = GOLDEN_CONFIGS[name]
+                (root / QUERY_FILE).write_text(json.dumps(QUERY_EMBEDDING))
+                config_path = root / "config.json"
+                config_path.write_text(json.dumps(config))
+                argv = [command, "--config", str(config_path), "--seed", "0", "--out", str(out)]
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.chdir(root)
+                    runs[name] = main(argv), out
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_default_outputs_match_golden_hashes(command, tmp_path):
-    assert main([command, "--seed", "0", "--out", str(tmp_path)]) == 0
-    assert written_hashes(tmp_path) == GOLDEN[command]
+def test_default_outputs_match_golden_hashes(command, golden_run):
+    code, out = golden_run(command)
+    assert code == 0
+    assert written_hashes(out) == GOLDEN[command]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_configured_outputs_match_golden_hashes(name, tmp_path, monkeypatch):
-    command, config, hashes = GOLDEN_CONFIGS[name]
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / QUERY_FILE).write_text(json.dumps(QUERY_EMBEDDING))
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config_path), "--seed", "0", "--out", str(out)]) == 0
-    assert written_hashes(out) == hashes
+def test_configured_outputs_match_golden_hashes(name, golden_run):
+    code, out = golden_run(name)
+    assert code == 0
+    assert written_hashes(out) == GOLDEN_CONFIGS[name][2]
+
+
+# Report keys that may hold the value of the config leaf they are named like:
+# perfbench/workloads.py pins every check's trial count.
+ECHOES_ALLOWED = ("bounds.checks.*.trials",)
+
+
+def leaf_values(tree, found=None) -> dict:
+    """Every leaf of a config tree: its name and the values it holds anywhere."""
+    found = {} if found is None else found
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            leaf_values(value, found)
+        else:
+            found.setdefault(key, []).append(value)
+    return found
+
+
+def echoes(tree, leaves, path=()):
+    """Dotted paths of keys named like a config leaf that hold its value,
+    outside `config` and outside list items."""
+    for key, value in tree.items():
+        where = path + (key,)
+        if where == ("config",):
+            continue
+        if key in leaves and value in leaves[key]:
+            yield ".".join(where)
+        if isinstance(value, dict):
+            yield from echoes(value, leaves, where)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(GOLDEN_CONFIGS))
+def test_report_states_no_config_leaf_twice(name, golden_run):
+    """The config echo is the one copy of every input; a result section that
+    repeats one states the same fact twice."""
+    _, out = golden_run(name)
+    report = json.loads((out / "report.json").read_text())
+    found = echoes(report, leaf_values(report["config"]))
+    assert [path for path in found if not any(fnmatch(path, allowed) for allowed in ECHOES_ALLOWED)] == []

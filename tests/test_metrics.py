@@ -352,7 +352,6 @@ def reference_evaluation(judgments_by_subset, k_values):
         unranked += subset_unranked
     n_classified = sum(counts.values())
     return {
-        "k_values": list(k_values),
         "per_subset": per_subset,
         "overall": {metric: aggregate(v) for metric, v in values_by_metric.items()},
         "failure_taxonomy": {

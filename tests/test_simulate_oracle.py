@@ -3,9 +3,10 @@
 Each reference below scores one image, one keep ratio or one head at a time:
 per-image similarity_matrix calls, a select_topk_preserve_order sort per keep
 ratio, and a noise draw and softmax per head. Their bodies are kept as they
-were in prunerank.experiments. The one-pass drivers must return dicts equal
-to these under ==, so every retention, correlation and metric is bit for bit
-the same.
+were in prunerank.experiments; only their return values no longer echo the
+inputs, as the drivers' no longer do. The one-pass drivers must return dicts
+equal to these under ==, so every retention, correlation and metric is bit
+for bit the same.
 """
 
 from __future__ import annotations
@@ -90,16 +91,9 @@ def reference_pruning_comparison(
             kept_random[j] += len(planted.intersection(rand.tolist()))
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
-    rows = []
-    for j, rho in enumerate(ratios):
-        rows.append({"keep_ratio": rho, "strategy": "t2i", "retention": t2i_retention[j]})
-        rows.append({"keep_ratio": rho, "strategy": "random", "retention": random_retention[j]})
     return {
-        "n_instances": n_instances,
-        "keep_ratios": ratios,
         "t2i_retention": t2i_retention,
         "random_retention": random_retention,
-        "rows": rows,
         "t2i_ge_random": bool(
             all(t >= r for t, r in zip(t2i_retention, random_retention))
         ),
@@ -140,9 +134,6 @@ def reference_correlation_probe(
         mass = attention_mass_per_token(heads, position=0)
         correlations.append(spearman(hard, mass))
     return {
-        "n_instances": n_instances,
-        "n_heads": n_heads,
-        "attention_noise": attention_noise,
         "spearman_mean": float(np.mean(correlations)),
         "spearman_min": float(np.min(correlations)),
         "spearman_max": float(np.max(correlations)),
@@ -177,7 +168,6 @@ def reference_synthetic_ranking(
         )
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
-        "n_instances": n_instances,
         "metrics": evaluation["per_subset"]["synthetic"],
         "failure_taxonomy": evaluation["failure_taxonomy"],
     }
