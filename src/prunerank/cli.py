@@ -8,11 +8,11 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
-A config and the seed are checked in full before any work. _merge's leaf tables hold the
-one copy of every rule on a single value, keyed by its name; the section
-objects each command builds before its first step (SyntheticConfig,
-WorkloadSpec) check only the rules that tie values together, and the drivers
-and FLOPs helpers check none again.
+A config and the seed are checked in full before any work. _merge's leaf
+tables hold the one copy of every rule on a single value, keyed by its name;
+the section objects each command builds before its first step
+(SyntheticConfig, WorkloadSpec) check only the rules that tie values together,
+and the drivers and FLOPs helpers check none again.
 
 Exit code 0 means every verification tally in the run passed and 1 that one
 failed; any prunerank.errors error (bad config or input) prints

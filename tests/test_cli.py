@@ -841,6 +841,18 @@ class TestMetrics:
         spaced = '{ "judgments" : [\n  { "ranked": [0, 1],\n    "relevant": [ 0 ], "subset": "x" } ] }\n'
         assert self.judgments_digest(tmp_path, "a", compact) == self.judgments_digest(tmp_path, "b", spaced)
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"values_by_subset": {"a": [float("nan")]}}, "mean is nan"),
+            ({"judgments": [{"relevant": [], "ranked": [float("nan"), 1]}]}, "at least one relevant item"),
+        ],
+    )
+    def test_bad_data_raises_its_own_error_before_the_digest(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, "cfg.json", override)
+        assert run(["metrics", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_digest_changes_with_one_judgment(self, tmp_path):
         judgments = [{"relevant": [0], "ranked": [0, 1]}, {"relevant": [1], "ranked": [0, 1]}]
         changed = [judgments[0], {"relevant": [1], "ranked": [1, 0]}]
