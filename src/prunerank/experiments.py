@@ -4,8 +4,11 @@ Four randomized bound checks (score sandwich, top-k stability margin,
 pruning-error tail-mass bound, tail-gap decay), a pruning-strategy retention
 comparison on planted-relevance instances, a synthetic ranking-quality run, a
 score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
-deterministic given its seed; per-trial streams derive from the master seed so
-trials could run in any order or in parallel without changing results.
+deterministic given its seed, and only in its draw order: each bound check
+draws its trials in order from one generator of its own, and the correlation
+probe draws each instance's attention noise from its master generator,
+instance by instance. Only the synthetic instances and the random-pruning
+draws have seeds of their own.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -34,7 +37,6 @@ import numpy as np
 from .attention import (
     BOUND_SLACK,
     ERROR_BOUND_CONSTANT,
-    attention_mass_per_token,
     pruning_error_rows,
     softmax,
     tail_gap_rows,
@@ -263,7 +265,7 @@ def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None)
 def _with_unit_query(cfg: SyntheticConfig, seeds: np.ndarray, query: np.ndarray | None):
     unit = None
     for seed in seeds:
-        instance = generate_instance(dataclasses.replace(cfg, seed=int(seed)), query=query)
+        instance = generate_instance(cfg, query, seed=int(seed))
         if unit is None or query is None:
             unit = unit_rows(instance.query)
         yield instance, unit
@@ -337,7 +339,7 @@ def run_correlation_probe(
         image = instance.images[instance.relevant_image]
         hard, smooth = _pool(cosine_to_unit(unit, image))
         noise = master.normal(0.0, attention_noise, size=(n_heads, image.shape[0]))
-        mass = attention_mass_per_token(softmax(smooth + noise)[:, None, :], position=0)
+        mass = softmax(smooth + noise).mean(axis=0)
         correlations.append(spearman(hard, mass))
     return {
         "spearman_mean": float(np.mean(correlations)),

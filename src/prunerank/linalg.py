@@ -8,10 +8,12 @@ tokens, and the t x n result is divided by the token norms and clipped in
 place. The query is scaled once (unit_rows) and reused for every image
 (cosine_to_unit).
 
-Finiteness rule: a NaN or infinite entry makes its row norm non-finite, so
-when every norm is finite the matrix is too, and the exact np.isfinite scan
-runs only when some norm is not. A row of finite entries whose squared norm
-overflows passes that scan, has an infinite norm and scores 0.
+Each per-call check is one reduction over the row norms, and its diagnostic
+runs only when that fails. A NaN or infinite entry makes its row norm
+non-finite, so the exact np.isfinite scan runs only when the largest norm is
+not finite, and the first (near-)zero row is sought only when the smallest
+norm is below ZERO_NORM_EPS. A row of finite entries whose squared norm
+overflows passes the scan, has an infinite norm and scores 0.
 """
 
 from __future__ import annotations
@@ -92,15 +94,15 @@ def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = _as_matrix(m, name)
     norms = np.sqrt(np.vecdot(arr, arr))
-    if not np.isfinite(norms).all():
+    if not np.maximum.reduce(norms) < np.inf:
         _require_finite(arr, name)
     return arr, norms
 
 
 def _require_nonzero(norms: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero(norms < ZERO_NORM_EPS)
-    if bad.size:
-        raise ZeroNormError(f"{name} row {int(bad[0])} has (near-)zero norm")
+    if np.minimum.reduce(norms) < ZERO_NORM_EPS:
+        bad = int(np.flatnonzero(norms < ZERO_NORM_EPS)[0])
+        raise ZeroNormError(f"{name} row {bad} has (near-)zero norm")
 
 
 def unit_rows(H) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +136,9 @@ def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> 
     # An infinite norm means a finite row whose squared norm overflowed; it
     # scores 0. The division alone gives inf / inf = NaN where the GEMM
     # overflowed too.
-    sims[:, np.isinf(norms)] = 0.0
-    return np.clip(sims, -1.0, 1.0, out=sims)
+    if np.maximum.reduce(norms) == np.inf:
+        sims[:, np.isinf(norms)] = 0.0
+    return np.maximum(np.minimum(sims, 1.0, out=sims), -1.0, out=sims)
 
 
 def similarity_matrix(H, V) -> np.ndarray:

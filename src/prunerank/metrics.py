@@ -112,12 +112,12 @@ def spearman(x, y) -> float:
         raise DimensionMismatchError(f"need equal-length inputs, got {a.size} and {b.size}")
     if a.size < 2:
         raise EmptyInputError(f"need at least two observations, got {a.size}")
-    if np.all(a == a[0]) or np.all(b == b[0]):
+    if np.minimum.reduce(a) == np.maximum.reduce(a) or np.minimum.reduce(b) == np.maximum.reduce(b):
         raise DegenerateConstantError("rank correlation undefined for constant input")
     ra = _average_ranks(a)
     rb = _average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
+    ra -= np.add.reduce(ra) / ra.size
+    rb -= np.add.reduce(rb) / rb.size
     denom = math.sqrt(float(np.dot(ra, ra)) * float(np.dot(rb, rb)))
     if denom == 0.0:
         raise DegenerateConstantError("rank correlation undefined: zero rank variance")

@@ -115,8 +115,9 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     seed = _as_index(seed, "seed")
     if seed < 0:
         raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n_tokens, size=k, replace=False))
+    kept = np.random.default_rng(seed).choice(n_tokens, size=k, replace=False)
+    kept.sort()
+    return kept
 
 
 def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):

@@ -58,16 +58,20 @@ class SyntheticInstance:
     relevant_image: int
 
 
-def generate_instance(cfg: SyntheticConfig, query: Optional[np.ndarray] = None) -> SyntheticInstance:
+def generate_instance(
+    cfg: SyntheticConfig, query: Optional[np.ndarray] = None, seed: Optional[int] = None
+) -> SyntheticInstance:
     """Draw one instance: Gaussian tokens everywhere, planted copies of query
     rows (plus noise_scale * Gaussian noise) inside the single relevant image.
 
     Draw order per seed: query rows, relevant-image index, per-image token
     counts and tokens, planted positions, planted source rows, planted noise.
     Passing an explicit query skips the first draw; its shape must match the
-    configured (n_query_tokens, embed_dim).
+    configured (n_query_tokens, embed_dim). A fixed image size (low == high)
+    draws no count, as numpy's integers(low, low + 1) draws nothing. seed, when
+    given, replaces cfg.seed.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if query is None:
         query = rng.standard_normal((cfg.n_query_tokens, cfg.embed_dim))
     else:
@@ -81,7 +85,7 @@ def generate_instance(cfg: SyntheticConfig, query: Optional[np.ndarray] = None) 
     low, high = cfg.tokens_per_image
     images = []
     for _ in range(cfg.n_images):
-        n_tokens = int(rng.integers(low, high + 1))
+        n_tokens = low if low == high else int(rng.integers(low, high + 1))
         images.append(rng.standard_normal((n_tokens, cfg.embed_dim)))
     target = images[relevant]
     positions = np.sort(rng.choice(target.shape[0], size=cfg.planted_per_image, replace=False))

@@ -8,7 +8,11 @@ to either is a deliberate report change and updates this table.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,29 @@ def test_configured_outputs_match_golden_hashes(name, golden_run):
     code, out = golden_run(name)
     assert code == 0
     assert written_hashes(out) == GOLDEN_CONFIGS[name][2]
+
+
+# An old OpenBLAS core on one thread: its GEMM and dot kernels round
+# differently from the ones OpenBLAS picks for this CPU.
+OTHER_BLAS_KERNEL = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_default_outputs_do_not_depend_on_the_blas_kernel(command, tmp_path):
+    """The hashes hold under another BLAS kernel: the reports rest on no
+    last-bit rounding of a GEMM or a dot. A process of its own, since OpenBLAS
+    picks its kernel when it is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **OTHER_BLAS_KERNEL, "PYTHONPATH": src}
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "prunerank", command, "--seed", "0", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert written_hashes(out) == GOLDEN[command]
 
 
 # Report keys that may hold the value of the config leaf they are named like:

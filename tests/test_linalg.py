@@ -135,6 +135,17 @@ def previous_similarity(H, V):
     return np.clip(h @ v.T, -1.0, 1.0)
 
 
+def unguarded_kernel(H, V):
+    """The cosine kernel's arithmetic with every step run unconditionally: unit
+    query rows, one GEMM, division by the token norms, overflowed columns zeroed."""
+    query_norms = np.sqrt(np.vecdot(H, H))
+    norms = np.sqrt(np.vecdot(V, V))
+    sims = (H / np.maximum(query_norms, 1e-12)[:, None]) @ V.T
+    sims /= norms
+    sims[:, np.isinf(norms)] = 0.0
+    return sims
+
+
 def in_layout(m, layout):
     """m with the same values, stored C-ordered, Fortran-ordered or every second column."""
     if layout == "C":
@@ -245,3 +256,49 @@ class TestCosineKernel:
         assert not np.isnan(sims).any()
         np.testing.assert_allclose(sims, previous_similarity(h, v), rtol=0, atol=1e-15)
         assert not sims[2].any() and not sims[:, 1].any()
+
+    # Each kernel check is one reduction, and its detailed path runs only when
+    # the reduction fails. These cases take every detailed path, with the bad
+    # row or column away from the front.
+    @pytest.mark.parametrize("tiny", [0.0, 1e-13])
+    @pytest.mark.parametrize("operand", ["H", "V"])
+    def test_zero_norm_only_in_last_row_is_named(self, operand, tiny):
+        h = np.ones((4, 3))
+        v = np.ones((5, 3))
+        bad = h if operand == "H" else v
+        bad[-1] = tiny
+        with pytest.raises(ZeroNormError, match=rf"^{operand} row {len(bad) - 1} has \(near-\)zero norm$"):
+            similarity_matrix(h, v)
+
+    @pytest.mark.parametrize("operand", ["H", "V"])
+    def test_first_of_two_zero_rows_is_named(self, operand):
+        h = np.ones((5, 3))
+        v = np.ones((6, 3))
+        bad = h if operand == "H" else v
+        bad[2] = 1e-13
+        bad[4] = 0.0
+        with pytest.raises(ZeroNormError, match=rf"^{operand} row 2 has \(near-\)zero norm$"):
+            similarity_matrix(h, v)
+
+    @pytest.mark.parametrize("big", [1e200, 1.5e308])
+    @pytest.mark.parametrize("column", [0, 3, 5])
+    def test_one_overflowing_column_scores_zero_and_leaves_the_rest(self, column, big):
+        rng = np.random.default_rng(column)
+        h = rng.standard_normal((4, 3))
+        v = rng.standard_normal((6, 3))
+        v[column] = [big, -big, big]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sims = similarity_matrix(h, v)
+            expected = np.clip(unguarded_kernel(h, v), -1.0, 1.0)
+        assert not np.isnan(sims).any()
+        assert not sims[:, column].any() and not np.signbit(sims[:, column]).any()
+        np.testing.assert_array_equal(sims.view(np.int64), expected.view(np.int64))
+
+    def test_rounding_past_one_is_clamped(self):
+        v = np.random.default_rng(0).standard_normal((40, 5))
+        h = np.concatenate([v, -v])
+        raw = unguarded_kernel(h, v)
+        assert raw.max() > 1.0 and raw.min() < -1.0  # the clamp has work to do
+        sims = similarity_matrix(h, v)
+        assert sims.max() == 1.0 and sims.min() == -1.0
+        np.testing.assert_array_equal(sims.view(np.int64), np.clip(raw, -1.0, 1.0).view(np.int64))

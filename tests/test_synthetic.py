@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,47 @@ class TestGenerateInstance:
     def test_external_query_shape_checked(self):
         with pytest.raises(ConfigError):
             generate_instance(SyntheticConfig(n_query_tokens=2, embed_dim=4), query=np.ones((3, 4)))
+
+
+def instance_by_draw_order(cfg, query=None):
+    """generate_instance's documented draw order, drawing a count before every
+    image even when low == high: (query, images, relevant image, planted positions)."""
+    rng = np.random.default_rng(cfg.seed)
+    if query is None:
+        query = rng.standard_normal((cfg.n_query_tokens, cfg.embed_dim))
+    relevant = int(rng.integers(cfg.n_images))
+    low, high = cfg.tokens_per_image
+    images = []
+    for _ in range(cfg.n_images):
+        images.append(rng.standard_normal((int(rng.integers(low, high + 1)), cfg.embed_dim)))
+    target = images[relevant]
+    positions = np.sort(rng.choice(target.shape[0], size=cfg.planted_per_image, replace=False))
+    sources = rng.integers(cfg.n_query_tokens, size=cfg.planted_per_image)
+    noise = rng.standard_normal((cfg.planted_per_image, cfg.embed_dim)) * cfg.noise_scale
+    for row, (pos, src) in enumerate(zip(positions, sources)):
+        target[pos] = query[src] + noise[row]
+    return query, images, relevant, tuple(int(p) for p in positions)
+
+
+class TestDrawOrder:
+    """A fixed image size draws no count; numpy's integers(low, low + 1) draws
+    no bits either, so the stream matches the documented order."""
+
+    @pytest.mark.parametrize("tokens_per_image", [(20, 20), (3, 3), (5, 15)])
+    @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
+    @pytest.mark.parametrize("explicit_query", [False, True])
+    def test_matches_documented_draw_order(self, tokens_per_image, seed, explicit_query):
+        cfg = SyntheticConfig(
+            n_images=7, tokens_per_image=tokens_per_image, embed_dim=6, n_query_tokens=3,
+            planted_per_image=2, noise_scale=0.3, seed=seed,
+        )
+        query = np.arange(18, dtype=float).reshape(3, 6) - 4.5 if explicit_query else None
+        want_query, want_images, relevant, positions = instance_by_draw_order(cfg, query)
+        reseeded = generate_instance(dataclasses.replace(cfg, seed=5), query, seed=seed)
+        for inst in (generate_instance(cfg, query), reseeded):
+            np.testing.assert_array_equal(inst.query, want_query)
+            assert len(inst.images) == len(want_images)
+            for got, want in zip(inst.images, want_images):
+                np.testing.assert_array_equal(got, want)
+            assert inst.relevant_image == relevant
+            assert inst.planted == {relevant: positions}
