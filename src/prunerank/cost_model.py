@@ -158,12 +158,14 @@ def longcontext_prefill_ratio(w: WorkloadSpec) -> float:
 
     When visual tokens dominate the context this approaches 1 / rho^2. The
     denominator is the rho * n_vis approximation in both n_rho modes. rho is
-    taken as a float, so a config's integer 1 computes as 1.0.
+    taken as a float, so a config's integer 1 computes as 1.0. The square is
+    a product, which overflows to inf where float ** raises OverflowError.
     """
     compressed = w.n_text + float(w.rho) * w.n_vis
     if compressed == 0:
         raise ConfigError("empty context; prefill ratio undefined")
-    return (w.n_full / compressed) ** 2
+    ratio = w.n_full / compressed
+    return ratio * ratio
 
 
 def generation_heavy_decode_ratio(w: WorkloadSpec) -> float:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -280,6 +281,13 @@ BAD_INPUT_PROBES = {
     "simulate-synthetic-noise-1e308": ("simulate", {"synthetic": {"noise_scale": 1e308}}),
     "simulate-ranking-noise-1e308": ("simulate", {"ranking": {"noise_scale": 1e308}}),
     "simulate-attention-noise-1e308": ("simulate", {"correlation": {"attention_noise": 1e308}}),
+    # Each once ended in an OverflowError traceback: the squared prefill ratio
+    # passed a float at n_text 0 and rho 1e-300.
+    "cost-model-prefill-ratio-overflows": ("cost-model", {"workload": {"n_text": 0, "rho": 1e-300}}),
+    "cost-model-sweep-prefill-ratio-overflows": (
+        "cost-model",
+        {"workload": {"n_text": 0}, "sweep": {"rho_values": [1e-300]}},
+    ),
 }
 # Simulate sizes past their largest allowed value, by leaf: at 2**62 each once
 # ended in numpy's "array is too big" traceback, or for n_heads ran without end.
@@ -442,12 +450,14 @@ def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
 
 
 # Probes whose bad value shows only in what a step computes from it (a
-# zero-norm query row, zero pruned-pipeline FLOPs), so that step may run;
-# every other probe fails before any step.
+# zero-norm query row, zero pruned-pipeline FLOPs, an infinite prefill ratio),
+# so that step may run; every other probe fails before any step.
 FOUND_BY_A_STEP = {
     "simulate-zero-row-query",
     "cost-model-empty-context",
     "cost-model-zero-coefficients",
+    "cost-model-prefill-ratio-overflows",
+    "cost-model-sweep-prefill-ratio-overflows",
 }
 STEPS = (
     "run_pruning_comparison",
@@ -963,6 +973,45 @@ def test_every_leaf_at_every_hostile_value_keeps_the_exit_code_contract(tmp_path
             seconds = time.perf_counter() - start
             if outcome not in (0, 1, 2) or seconds > CROSS_WALL_S:
                 escapes.append(f"{'.'.join(path)}={_label(value)}: {str(outcome)[:80]} in {seconds:.2f}s")
+    assert not escapes, "\n".join(escapes)
+
+
+def shaped(default, value):
+    """value in the shape of a leaf's default: a one-entry list where the default is a list."""
+    return [value] if isinstance(default, list) else value
+
+
+def bound_values(path) -> list:
+    """A numeric cost-model leaf at its smallest and its largest value; a ratio
+    at 1e-300, for the open end of (0, 1], and at 1."""
+    key = path[-1]
+    low, high = (1e-300, 1) if key in cli._RATIOS else (cli._MINIMUMS[key], _MAXIMUMS[key])
+    default = leaf_section(DEFAULTS["cost-model"], path)[key]
+    return [shaped(default, low), shaped(default, high)]
+
+
+COST_BOUND_LEAVES = [
+    path for path in leaf_paths(DEFAULTS["cost-model"]) if path[-1] in cli._RATIOS or path[-1] in _MAXIMUMS
+]
+
+
+def test_every_pair_of_cost_model_leaves_at_their_bounds_keeps_the_exit_code_contract(tmp_path):
+    """Some values fail only together: the prefill ratio once overflowed into a
+    traceback at rho 1e-300, but only with n_text 0, which no single-leaf run sets."""
+    escapes = []
+    for first, second in itertools.combinations(COST_BOUND_LEAVES, 2):
+        for a, b in itertools.product(bound_values(first), bound_values(second)):
+            mutations = [(first, a), (second, b)]
+            cfg = write_config(tmp_path, "cfg.json", merged_with({}, mutations))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outcome = run(["cost-model", "--config", cfg, "--out", tmp_path / "o"])
+            except Exception as exc:  # anything but a PrunerankError escapes main
+                outcome = repr(exc)
+            if outcome not in (0, 2):
+                labels = ", ".join(f"{'.'.join(path)}={_label(value)}" for path, value in mutations)
+                escapes.append(f"{labels}: {str(outcome)[:80]}")
     assert not escapes, "\n".join(escapes)
 
 

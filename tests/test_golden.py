@@ -65,7 +65,8 @@ QUERY_EMBEDDING = {
 # images of varying size; simulate-explicit-query plants three exact query
 # copies per relevant image, so their scores tie at 1.0. cost-model-ragged
 # takes the exact per-image keep rule for n_rho, which the default workload
-# (no image_token_counts) does not.
+# (no image_token_counts) does not; cost-model-rho-0.3 is a uniform workload
+# whose rho * tokens is not an integer, where the two rules differ.
 GOLDEN_CONFIGS = {
     "simulate-ragged-noisy": (
         "simulate",
@@ -126,6 +127,14 @@ GOLDEN_CONFIGS = {
         {"workload": {"k": 5, "n_vis": 1367, "rho": 0.45, "image_token_counts": [1, 7, 333, 1024, 2]}},
         {
             "report.json": "2cf649b4141cc0928aa1c9f7adf4b04edfe6fd8859adea84be9277575d8b854c",
+            "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
+        },
+    ),
+    "cost-model-rho-0.3": (
+        "cost-model",
+        {"workload": {"rho": 0.3}},
+        {
+            "report.json": "c2f11bdefa719843d519460d066b00e9563c793254d7806d84bc39b61545a33d",
             "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
