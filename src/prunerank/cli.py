@@ -10,9 +10,8 @@ directory, and writing report.json plus tables/*.csv:
 
 A config and the seed are checked in full before any work. _merge's leaf
 tables hold the one copy of every rule on a single value, keyed by its name;
-the section objects each command builds before its first step
-(SyntheticConfig, WorkloadSpec) check only the rules that tie values together,
-and the drivers and FLOPs helpers check none again.
+SyntheticConfig, built before simulate's first section, checks only the rules
+that tie values together, and the drivers and FLOPs helpers check none again.
 
 Exit code 0 means every verification tally in the run passed and 1 that one
 failed; any prunerank.errors error (bad config or input) prints
@@ -83,13 +82,11 @@ DEFAULTS: dict = {
         },
         "workload": {
             "n_text": 512,
-            "n_vis": 20480,
+            "image_sizes": [[1024, 20]],
             "n_query": 32,
-            "k": 20,
             "beta": 1.0,
             "u_reason": 0,
             "rho": 0.5,
-            "image_token_counts": None,
         },
         "sweep": {
             "enabled": True,
@@ -127,11 +124,11 @@ _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 
 # The value a None default stands for when it is set. values_by_subset is not
 # listed: it may hold any JSON and the metrics command checks it.
-_SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "judgments": []}
+_SET_NULL_DEFAULTS = {"query_embedding_path": "", "judgments": []}
 
 # Leaf rules keyed by leaf name, which means the same thing in every section:
-# the smallest value (of each item, for a list), the largest, an exclusive
-# upper bound and the leaves holding keep ratios. These tables are the only
+# the smallest value (of each entry of a list, or of its lists), the largest,
+# an exclusive upper bound and the leaves holding keep ratios. These tables are the only
 # copy of each rule. tokens_per_image starts at 2 because the correlation
 # probe rank-correlates each image's tokens; a selftest_constant at or above
 # the proven coefficient cannot detect a violation. n_images is capped by the
@@ -140,8 +137,8 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 # query, one noise draw). The trial counts are bounded so that every run ends:
 # a million trials is a hundred times the default. A noise scale of a million
 # stays far below the ~1e154 at which the squares in the cosine norms overflow.
-# The cost-model counts meet in exact int sums and products (n_full,
-# tokens_per_candidate * k, u_base * layers, u_base * n_full), as do beta and
+# The cost-model counts meet in exact int sums and products (tokens * count
+# per image size, n_vis, n_full, u_base * layers, u_base * n_full), as do beta and
 # the c_* factors when a config gives them as ints. With the counts at most
 # 2**63 and the factors at most a million, each result still converts to a
 # float; past them an OverflowError escaped the FLOPs helpers. width and
@@ -150,17 +147,17 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "image_token_counts": [1], "ju
 _MINIMUMS = {
     "trials": 1, "selftest_trials": 1, "n_instances": 1, "n_heads": 1, "k_values": 1,
     "n_images": 1, "embed_dim": 1, "n_query_tokens": 1, "planted_per_image": 1,
-    "layers": 1, "width": 1, "k": 1, "image_token_counts": 1,
+    "layers": 1, "width": 1, "image_sizes": 1,
     "tokens_per_candidate": 1, "tokens_per_image": 2, "attention_noise": 0, "noise_scale": 0,
     "c_att": 0, "c_ffn": 0, "c_dec": 0, "c_score": 0,
-    "n_text": 0, "n_vis": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
+    "n_text": 0, "n_query": 0, "beta": 0, "u_reason": 0, "selftest_constant": 0,
 }
 _MAXIMUMS = {
     "n_instances": 10**6, "n_heads": 10**4, "tokens_per_image": 10**4, "embed_dim": 10**4,
     "n_query_tokens": 10**4, "trials": 10**6, "selftest_trials": 10**6,
     "noise_scale": 10**6, "attention_noise": 10**6, "n_images": len(IDENTIFIER_ALPHABET),
-    "layers": 2**63, "width": 2**63, "n_text": 2**63, "n_vis": 2**63, "n_query": 2**63,
-    "k": 2**63, "u_reason": 2**63,
+    "layers": 2**63, "width": 2**63, "n_text": 2**63, "n_query": 2**63,
+    "image_sizes": 2**63, "u_reason": 2**63,
     "tokens_per_candidate": 2**63, "k_values": 2**63,
     "beta": 10**6, "c_att": 10**6, "c_ffn": 10**6, "c_dec": 10**6, "c_score": 10**6,
 }
@@ -174,7 +171,12 @@ def _same_json_type(default, value) -> bool:
     if not isinstance(value, _ACCEPTED_TYPES[type(default)]):
         return False
     if isinstance(default, list) and default:
-        return all(_same_json_type(default[0], item) for item in value)
+        inner = default[0]
+        # A list nested in a list has the length of the default's, as a pair does.
+        return all(
+            _same_json_type(inner, item) and (not isinstance(inner, list) or len(item) == len(inner))
+            for item in value
+        )
     return True
 
 
@@ -209,6 +211,8 @@ def _check_leaf(key: str, default, value, where: str) -> None:
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{where} must not be empty")
+    if isinstance(default, list) and default and isinstance(default[0], list):
+        items = [entry for item in items for entry in item]
     if any(isinstance(item, (int, float)) and not _is_finite(item) for item in items):
         raise ConfigError(f"{where} must be finite, got {_capped(json.dumps(value))}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:

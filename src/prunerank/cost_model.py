@@ -13,16 +13,12 @@ zero (speedup and the two regime estimates) raise.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 from .pruning import keep_count, round_half_away_from_zero
-
-N_RHO_PER_IMAGE = "per_image_exact"
-N_RHO_APPROX = "ratio_approximation"
 
 
 @dataclass(frozen=True)
@@ -47,44 +43,27 @@ class ArchParams:
 class WorkloadSpec:
     """Token accounting for one reranking request.
 
-    The images are described by (size, count) pairs, image_sizes, one per
-    distinct image token count; a uniform list of k images of n tokens is
-    the single pair ((n, k),), so no structure grows with k. A config's
-    image_token_counts list, one count per candidate, is grouped into those
-    pairs here, in first-seen order; pass one of the two, not both. When
-    pairs are given, the compressed context length uses the exact per-image
-    keep rule; otherwise it falls back to the smooth rho * n_vis
-    approximation, and the mode is recorded in reports. The constructor
-    checks only that the counts add up to k and the tokens to n_vis; the
-    bounds on each single field are cli._merge's.
+    The candidate images are image_sizes, (tokens, count) pairs: a uniform
+    list of k images of n tokens is the single pair ((n, k),), so no structure
+    grows with k. n_vis and k are their sums. The compressed context keeps
+    keep_count(rho, tokens) tokens of each image, the rule pruning applies.
+    The bounds on each field are cli._merge's; nothing here checks them again.
     """
 
     n_text: int
-    n_vis: int
+    image_sizes: Sequence[Sequence[int]]
     n_query: int
-    k: int
     beta: float
     u_reason: int
     rho: float
-    image_token_counts: InitVar[Optional[Sequence[int]]] = None
-    image_sizes: Optional[tuple[tuple[int, int], ...]] = None
 
-    def __post_init__(self, image_token_counts):
-        if image_token_counts is not None:
-            if self.image_sizes is not None:
-                raise TypeError("pass image_token_counts or image_sizes, not both")
-            sizes = tuple(Counter(int(c) for c in image_token_counts).items())
-            object.__setattr__(self, "image_sizes", sizes)
-        sizes = self.image_sizes
-        if sizes is not None:
-            n_images = sum(m for _, m in sizes)
-            if n_images != self.k:
-                raise ConfigError(f"{n_images} image token counts for k={self.k} candidates")
-            n_tokens = sum(n * m for n, m in sizes)
-            if n_tokens != self.n_vis:
-                raise ConfigError(
-                    f"image token counts sum to {n_tokens}, expected n_vis={self.n_vis}"
-                )
+    @property
+    def n_vis(self) -> int:
+        return sum(n * m for n, m in self.image_sizes)
+
+    @property
+    def k(self) -> int:
+        return sum(m for _, m in self.image_sizes)
 
     @property
     def n_full(self) -> int:
@@ -98,13 +77,7 @@ class WorkloadSpec:
     @cached_property
     def n_rho(self) -> float:
         """Compressed context length, computed once per spec with one keep_count per image size."""
-        if self.image_sizes is not None:
-            return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in self.image_sizes))
-        return self.n_text + float(self.rho) * self.n_vis
-
-    @property
-    def n_rho_mode(self) -> str:
-        return N_RHO_PER_IMAGE if self.image_sizes is not None else N_RHO_APPROX
+        return float(self.n_text + sum(keep_count(self.rho, n) * m for n, m in self.image_sizes))
 
 
 def prefill_flops(n: float, p: ArchParams) -> float:
@@ -157,9 +130,10 @@ def longcontext_prefill_ratio(w: WorkloadSpec) -> float:
     """Closed-form prefill ratio (n_full / (n_text + rho*n_vis))^2.
 
     When visual tokens dominate the context this approaches 1 / rho^2. The
-    denominator is the rho * n_vis approximation in both n_rho modes. rho is
-    taken as a float, so a config's integer 1 computes as 1.0. The square is
-    a product, which overflows to inf where float ** raises OverflowError.
+    denominator is the smooth rho * n_vis, not the per-image n_rho: this is
+    the closed form of the limit. rho is taken as a float, so a config's
+    integer 1 computes as 1.0. The square is a product, which overflows to
+    inf where float ** raises OverflowError.
     """
     compressed = w.n_text + float(w.rho) * w.n_vis
     if compressed == 0:
@@ -187,7 +161,6 @@ def cost_report(w: WorkloadSpec, p: ArchParams) -> dict:
         "speedup": speedup(w, p),
         "n_full": w.n_full,
         "n_rho": w.n_rho,
-        "n_rho_mode": w.n_rho_mode,
         "u_base": w.u_base,
         "regime_estimates": {
             "longcontext_prefill_ratio": longcontext_prefill_ratio(w),

@@ -397,13 +397,7 @@ def run_cost_sweep(
     rows = []
     for k in k_values:
         for rho in map(float, rho_values):
-            row = dataclasses.replace(
-                workload,
-                n_vis=tokens_per_candidate * k,
-                k=k,
-                rho=rho,
-                image_sizes=((tokens_per_candidate, k),),
-            )
+            row = dataclasses.replace(workload, rho=rho, image_sizes=((tokens_per_candidate, k),))
             rows.append(
                 {
                     "k": k,

@@ -124,12 +124,12 @@ def test_criterion_07_cost_model_regimes():
         longctx = ArchParams(layers=4, width=64, c_att=2.0, c_ffn=0.0, c_dec=0.0, c_score=0.0)
         for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
             w = WorkloadSpec(
-                n_text=10, n_vis=100_000, n_query=8, k=20, beta=1.0, u_reason=0, rho=rho
+                n_text=10, image_sizes=((5000, 20),), n_query=8, beta=1.0, u_reason=0, rho=rho
             )
             assert speedup(w, longctx) == pytest.approx(1.0 / rho**2, rel=0.05)
 
         genheavy = ArchParams(layers=2, width=8, c_att=0.0, c_ffn=0.0, c_dec=1.0, c_score=0.0)
-        w = WorkloadSpec(n_text=7, n_vis=64, n_query=4, k=20, beta=1.0, u_reason=0, rho=1.0)
+        w = WorkloadSpec(n_text=7, image_sizes=((64, 20),), n_query=4, beta=1.0, u_reason=0, rho=1.0)
         assert w.u_base == 20
         assert speedup(w, genheavy) == 20.0
 

@@ -325,15 +325,19 @@ def _at(path: str, value) -> dict:
 # infinite before it was rounded to an int.
 OVERFLOW_LEAVES = (
     "arch.layers", "arch.c_att", "arch.c_ffn", "arch.c_dec", "arch.c_score",
-    "workload.n_text", "workload.n_vis", "workload.k", "workload.beta", "workload.u_reason",
+    "workload.n_text", "workload.beta", "workload.u_reason",
 )
 # At 10**307 each of these made the FLOPs infinite: the run exited 2, but its
 # config error named no leaf.
 INFINITE_FLOPS_LEAVES = ("arch.width", "workload.n_query")
-# The leaf each single-leaf 10**307 probe's config error must name.
-NAMED_LEAF = {}
+# What a probe's config error must say: each single-leaf 10**307 probe names its leaf.
+ERROR_TEXT = {}
 for _path in OVERFLOW_LEAVES + INFINITE_FLOPS_LEAVES:
-    NAMED_LEAF[f"cost-model-{_path}-10**307"] = _path
+    ERROR_TEXT[f"cost-model-{_path}-10**307"] = f"config.{_path} "
+    BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
+# workload.n_vis and workload.k were leaves until they became sums over
+# workload.image_sizes; their probes stay, and a config that sets one fails.
+for _path in ("workload.n_vis", "workload.k"):
     BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
 BAD_INPUT_PROBES["cost-model-sweep.k_values-10**307"] = ("cost-model", _at("sweep.k_values", [10**307]))
 BAD_INPUT_PROBES["cost-model-workload.beta-1e308"] = ("cost-model", _at("workload.beta", 1e308))
@@ -374,30 +378,37 @@ ONE_COPY_RULES = [
     ("cost-model", "arch.c_dec", -1.0),
     ("cost-model", "arch.c_score", -1.0),
     ("cost-model", "workload.n_text", -1),
-    ("cost-model", "workload.n_vis", -1),
     ("cost-model", "workload.n_query", -1),
-    ("cost-model", "workload.k", 0),
     ("cost-model", "workload.beta", -0.5),
     ("cost-model", "workload.u_reason", -1),
     ("cost-model", "workload.rho", 1.5),
-    ("cost-model", "workload.image_token_counts", [0] * 19 + [20480]),
     ("cost-model", "sweep.rho_values", []),
     ("cost-model", "sweep.k_values", []),
     ("cost-model", "sweep.k_values", [10, 0]),
     ("cost-model", "sweep.tokens_per_candidate", 0),
 ]
 # The sweep's copies of workload leaves, gone since each sweep row is the
-# checked workload with its k, n_vis, rho and image sizes replaced. A config
+# checked workload with its rho and image sizes replaced, and the workload's
+# own image leaves, gone since the workload is its image_sizes pairs. A config
 # that still sets one must fail in _merge, not run with the value ignored.
 REMOVED_SWEEP_LEAVES = [
     ("cost-model", "sweep.beta", -1.0),
     ("cost-model", "sweep.u_reason", -1),
 ]
-for _command, _path, _value in ONE_COPY_RULES + REMOVED_SWEEP_LEAVES:
+REMOVED_WORKLOAD_LEAVES = [
+    ("cost-model", "workload.n_vis", -1),
+    ("cost-model", "workload.k", 0),
+    ("cost-model", "workload.image_token_counts", [0] * 19 + [20480]),
+]
+REMOVED_LEAVES = REMOVED_SWEEP_LEAVES + REMOVED_WORKLOAD_LEAVES
+for _command, _path, _value in ONE_COPY_RULES + REMOVED_LEAVES:
     BAD_INPUT_PROBES[f"{_command}-{_path}-{_label(_value)}"] = (_command, _at(_path, _value))
+for _probe, (_command, _override) in BAD_INPUT_PROBES.items():
+    if _command == "cost-model" and {"n_vis", "k", "image_token_counts"} & set(_override.get("workload", {})):
+        ERROR_TEXT[_probe] = "unknown config.workload key"
 
 
-@pytest.mark.parametrize("rule", ONE_COPY_RULES + REMOVED_SWEEP_LEAVES, ids=lambda rule: f"{rule[1]}={_label(rule[2])}")
+@pytest.mark.parametrize("rule", ONE_COPY_RULES + REMOVED_LEAVES, ids=lambda rule: f"{rule[1]}={_label(rule[2])}")
 def test_each_leaf_rule_fails_in_merge(rule):
     command, path, value = rule
     with pytest.raises(PrunerankError):
@@ -436,13 +447,20 @@ def test_simulate_sizes_are_bounded_in_merge(name):
             _merge(DEFAULTS["simulate"], override(value))
 
 
+def shaped(default, value):
+    """value in the shape of a leaf's default: a one-entry list where the default
+    is a list, and each number of a pair where it is a list of pairs."""
+    if not isinstance(default, list):
+        return value
+    return [[value] * len(default[0]) if isinstance(default[0], list) else value]
+
+
 def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
     """The cost-model bounds leave room for every count and factor at its largest value."""
     override = {
-        section: {key: _MAXIMUMS[key] for key in leaves if key in _MAXIMUMS}
+        section: {key: shaped(default, _MAXIMUMS[key]) for key, default in leaves.items() if key in _MAXIMUMS}
         for section, leaves in DEFAULTS["cost-model"].items()
     }
-    override["sweep"]["k_values"] = [_MAXIMUMS["k_values"]]
     cfg = write_config(tmp_path, "cfg.json", override)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -454,7 +472,6 @@ def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
 # so that step may run; every other probe fails before any step.
 FOUND_BY_A_STEP = {
     "simulate-zero-row-query",
-    "cost-model-empty-context",
     "cost-model-zero-coefficients",
     "cost-model-prefill-ratio-overflows",
     "cost-model-sweep-prefill-ratio-overflows",
@@ -484,13 +501,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, prob
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
-    if probe in NAMED_LEAF:
-        assert f"config.{NAMED_LEAF[probe]} " in err
+    if probe in ERROR_TEXT:
+        assert ERROR_TEXT[probe] in err
 
 
 # A config error names the bad key and echoes only the start of it or its value.
 LONG_BAD_VALUES = {
     "n-vis-4251-digits": ("cost-model", {"workload": {"n_vis": 10**4250}}),
+    "image-sizes-4251-digits": ("cost-model", {"workload": {"image_sizes": [[10**4250, 1]]}}),
     "k-values-1999-ints-then-a-string": (
         "simulate",
         {**SIMULATE_CFG, "ranking": {**SIMULATE_CFG["ranking"], "k_values": [*range(1, 2000), "x"]}},
@@ -607,13 +625,11 @@ KNOB_VALUES = {
     "cost-model.arch.c_dec": 1.0,
     "cost-model.arch.c_score": 1.0,
     "cost-model.workload.n_text": 256,
-    "cost-model.workload.n_vis": 10240,
+    "cost-model.workload.image_sizes": [[1023, 1], [1025, 1], [1024, 18]],
     "cost-model.workload.n_query": 16,
-    "cost-model.workload.k": 10,
     "cost-model.workload.beta": 0.5,
     "cost-model.workload.u_reason": 100,
     "cost-model.workload.rho": 0.3,
-    "cost-model.workload.image_token_counts": [1023, 1025] + [1024] * 18,
     "cost-model.sweep.enabled": False,
     "cost-model.sweep.rho_values": [0.5, 1.0],
     "cost-model.sweep.k_values": [10, 20],
@@ -896,11 +912,15 @@ FUZZ_SWAPS = st.sampled_from(FUZZ_SWAP_POOL)
 
 
 def fuzz_mutation(command, path):
-    """path with a number (a list of them where the default is a list) or a type swap."""
+    """path with a number (a list of them where the default is a list, a list of
+    number pairs where it is a list of pairs) or a type swap."""
     default = leaf_section(DEFAULTS[command], path)[path[-1]]
     same_shape = FUZZ_NUMBERS
     if isinstance(default, list):
-        same_shape = st.lists(FUZZ_NUMBERS, min_size=1, max_size=3)
+        entry = FUZZ_NUMBERS
+        if isinstance(default[0], list):
+            entry = st.lists(FUZZ_NUMBERS, min_size=len(default[0]), max_size=len(default[0]))
+        same_shape = st.lists(entry, min_size=1, max_size=3)
     return st.tuples(st.just(path), st.one_of(same_shape, FUZZ_SWAPS))
 
 
@@ -949,12 +969,26 @@ def test_mutated_defaults_keep_the_exit_code_contract(fuzz_dir, command):
 # seconds of work.
 CROSS_NUMBERS = [*FUZZ_NUMBER_POOL, 10**8, 10**307]
 CROSS_WALL_S = 2.0
+# Lists of pairs with a pair of the wrong length or an entry that is not an
+# int in [1, 2**63], fed where the default is a list of pairs.
+BAD_PAIR_LISTS = [
+    [[1024]], [[1024, 20, 1]], [[]], [1024, 20], [[0, 20]], [[1024, 0]], [[2**64, 1]],
+    [[1e308, 1]], [[1.5, 2]], [[True, 1]], [["a", 1]],
+]
 
 
 def cross_values(default) -> list:
     """The hostile values for a leaf with this default, each once by its JSON."""
-    numbers = [[n] for n in CROSS_NUMBERS] if isinstance(default, list) else CROSS_NUMBERS
-    return list({json.dumps(value): value for value in [*numbers, *FUZZ_SWAP_POOL]}.values())
+    values = [*(shaped(default, n) for n in CROSS_NUMBERS), *FUZZ_SWAP_POOL]
+    if isinstance(default, list) and isinstance(default[0], list):
+        values += BAD_PAIR_LISTS
+    return list({json.dumps(value): value for value in values}.values())
+
+
+@pytest.mark.parametrize("value", BAD_PAIR_LISTS, ids=_label)
+def test_bad_image_sizes_fail_in_merge_naming_the_leaf(value):
+    with pytest.raises(ConfigError, match=r"^config\.workload\.image_sizes "):
+        _merge(DEFAULTS["cost-model"], _at("workload.image_sizes", value))
 
 
 @pytest.mark.parametrize("command", FUZZ_BASE)
@@ -974,11 +1008,6 @@ def test_every_leaf_at_every_hostile_value_keeps_the_exit_code_contract(tmp_path
             if outcome not in (0, 1, 2) or seconds > CROSS_WALL_S:
                 escapes.append(f"{'.'.join(path)}={_label(value)}: {str(outcome)[:80]} in {seconds:.2f}s")
     assert not escapes, "\n".join(escapes)
-
-
-def shaped(default, value):
-    """value in the shape of a leaf's default: a one-entry list where the default is a list."""
-    return [value] if isinstance(default, list) else value
 
 
 def bound_values(path) -> list:

@@ -21,8 +21,6 @@ ALLOWED = Counter(
         "synthetic.py:SyntheticConfig.__post_init__": 3,
         # An explicit query has the configured (n_query_tokens, embed_dim) shape.
         "synthetic.py:generate_instance": 1,
-        # image_token_counts has k entries and sums to n_vis.
-        "cost_model.py:WorkloadSpec.__post_init__": 2,
         # The zero-denominator checks.
         "cost_model.py:speedup": 1,
         "cost_model.py:longcontext_prefill_ratio": 1,

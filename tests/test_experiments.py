@@ -146,8 +146,10 @@ class TestSyntheticRanking:
 
 
 def sweep_workload(n_text, n_query, beta):
-    """A workload whose k, n_vis and rho every sweep row replaces."""
-    return WorkloadSpec(n_text=n_text, n_vis=1, n_query=n_query, k=1, beta=beta, u_reason=0, rho=1.0)
+    """A workload whose image sizes and rho every sweep row replaces."""
+    return WorkloadSpec(
+        n_text=n_text, image_sizes=((1, 1),), n_query=n_query, beta=beta, u_reason=0, rho=1.0
+    )
 
 
 class TestCostSweep:

@@ -30,7 +30,7 @@ GOLDEN = {
         "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
     },
     "cost-model": {
-        "report.json": "6cca08457a08553afb445a9dfba687aaf3be1150bb7e32c737c1eb1d6f36988c",
+        "report.json": "f4a881191417fbb311373d91b51555047dc699df82137a985667a8f8887de8f4",
         "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
     },
 }
@@ -64,9 +64,8 @@ QUERY_EMBEDDING = {
 # chunk boundaries with a self-test constant of 0. The simulate entries draw
 # images of varying size; simulate-explicit-query plants three exact query
 # copies per relevant image, so their scores tie at 1.0. cost-model-ragged
-# takes the exact per-image keep rule for n_rho, which the default workload
-# (no image_token_counts) does not; cost-model-rho-0.3 is a uniform workload
-# whose rho * tokens is not an integer, where the two rules differ.
+# has images of five sizes; in cost-model-rho-0.3, rho * tokens is not an
+# integer, so each image's keep count is rounded.
 GOLDEN_CONFIGS = {
     "simulate-ragged-noisy": (
         "simulate",
@@ -124,9 +123,9 @@ GOLDEN_CONFIGS = {
     ),
     "cost-model-ragged": (
         "cost-model",
-        {"workload": {"k": 5, "n_vis": 1367, "rho": 0.45, "image_token_counts": [1, 7, 333, 1024, 2]}},
+        {"workload": {"rho": 0.45, "image_sizes": [[1, 1], [7, 1], [333, 1], [1024, 1], [2, 1]]}},
         {
-            "report.json": "2cf649b4141cc0928aa1c9f7adf4b04edfe6fd8859adea84be9277575d8b854c",
+            "report.json": "54256f2f9a45658bb9ee5d2315b1aea0801eb0605f23af99341d594cbced2755",
             "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
@@ -134,7 +133,7 @@ GOLDEN_CONFIGS = {
         "cost-model",
         {"workload": {"rho": 0.3}},
         {
-            "report.json": "c2f11bdefa719843d519460d066b00e9563c793254d7806d84bc39b61545a33d",
+            "report.json": "2ed0ccadd188746f93e07820c6603f34ef98dadfc8fe3b8409b0314a4019379b",
             "tables/cost_sweep.csv": "ea2d7047c6c16f680e1280f9418a2093444e9154056633fb6d89a3000bd9ed05",
         },
     ),
