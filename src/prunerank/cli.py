@@ -8,13 +8,18 @@ directory, and writing report.json plus tables/*.csv:
   cost-model     FLOPs for one workload plus optional rho/k sweeps
   metrics        metric tables from ranked judgments or raw per-subset values
 
-A config and the seed are checked in full before any work. _merge's leaf
-tables hold the one copy of every rule on a single value, keyed by its name;
-SyntheticConfig, built before simulate's first section, checks only the rules
-that tie values together, and the drivers and FLOPs helpers check none again.
+main alone runs a subcommand. It checks the seed and --out, merges the config,
+calls the subcommand, writes the report, prints and picks the exit code; a
+subcommand only maps (config, seed) to its report sections, tables and stdout
+lines. A config and the seed are checked in full before any work. _merge's
+leaf tables hold the one copy of every rule on a single value, keyed by its
+name; SyntheticConfig, built before simulate's first section, checks only the
+rules that tie values together, and the experiment runners and FLOPs helpers
+check none again.
 
-Exit code 0 means every verification tally in the run passed and 1 that one
-failed; any prunerank.errors error (bad config or input) prints
+The exit code is read from the report's "pass": 0 when it holds or is absent,
+1 when a verification tally failed. Any prunerank.errors error (bad config or
+input), and an --out that cannot be probed or cannot hold the report, prints
 `config error:` to stderr and exits 2. Wall time is printed to stdout and
 deliberately kept out of report.json so identical configs and seeds produce
 byte-identical reports.
@@ -248,55 +253,42 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
     return merged
 
 
-def _tally_lines(checks: dict) -> list[str]:
-    lines = []
-    for name, check in checks.items():
-        verdict = "PASS" if check["failures"] == 0 else "FAIL"
-        lines.append(f"{verdict} {name}: {check['trials']} trials, {check['failures']} failures")
-    return lines
-
-
-def _cmd_verify_bounds(args) -> int:
-    cfg = _merge(DEFAULTS["verify-bounds"], _load_config(args.config))
+# Each command takes the merged config and the seed and returns (result,
+# tables, lines): the report sections it computed (a "config" among them
+# replaces the merged one), its CSV tables as {name: (header, rows)} and its
+# stdout lines. main does everything else.
+def _cmd_verify_bounds(cfg: dict, seed: int):
     bounds, selftest_failures = run_bound_verification(
-        cfg["trials"], args.seed, cfg["selftest_trials"], cfg["selftest_constant"]
+        cfg["trials"], seed, cfg["selftest_trials"], cfg["selftest_constant"]
     )
-    checks_pass = bounds["total_failures"] == 0
     selftest_pass = selftest_failures > 0
-    report = {
-        "command": "verify-bounds",
-        "seed": args.seed,
-        "config": cfg,
+    result = {
         "bounds": bounds,
         "selftest": {
             "trials": cfg["selftest_trials"],
             "failures_detected": selftest_failures,
             "pass": selftest_pass,
         },
-        "pass": checks_pass and selftest_pass,
+        "pass": bounds["total_failures"] == 0 and selftest_pass,
     }
-    rows = [
-        (name, check["trials"], check["failures"])
-        for name, check in bounds["checks"].items()
-    ]
-    path = write_report(args.out, report, {"bound_tallies": (["check", "trials", "failures"], rows)})
-    for line in _tally_lines(bounds["checks"]):
-        print(line)
+    rows, lines = [], []
+    for name, check in bounds["checks"].items():
+        rows.append((name, check["trials"], check["failures"]))
+        verdict = "PASS" if check["failures"] == 0 else "FAIL"
+        lines.append(f"{verdict} {name}: {check['trials']} trials, {check['failures']} failures")
     verdict = "PASS" if selftest_pass else "FAIL"
-    print(
+    lines.append(
         f"{verdict} selftest: corrupted constant {cfg['selftest_constant']} "
         f"detected {selftest_failures} violations"
     )
-    print(f"report: {path}")
-    return 0 if report["pass"] else 1
+    return result, {"bound_tallies": (["check", "trials", "failures"], rows)}, lines
 
 
 def _section_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _merge(DEFAULTS["simulate"], _load_config(args.config))
+def _cmd_simulate(cfg: dict, seed: int):
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"] is not None:
@@ -306,8 +298,8 @@ def _cmd_simulate(args) -> int:
     ranking_syn = {**syn, "noise_scale": ranking_cfg.pop("noise_scale")}
     # Built, and so checked, before the first section runs.
     sections = [
-        SyntheticConfig(**section_syn, seed=seed)
-        for section_syn, seed in zip((syn, syn, ranking_syn), _section_seeds(args.seed, 3))
+        SyntheticConfig(**section_syn, seed=section_seed)
+        for section_syn, section_seed in zip((syn, syn, ranking_syn), _section_seeds(seed, 3))
     ]
     comparison = run_pruning_comparison(
         sections[0], cfg["keep_ratios"], n_instances=cfg["n_instances"], query=query
@@ -315,10 +307,7 @@ def _cmd_simulate(args) -> int:
     correlation = run_correlation_probe(sections[1], **cfg["correlation"], query=query)
     ranking = run_synthetic_ranking(sections[2], **ranking_cfg, query=query)
     checks = {"t2i_ge_random": comparison["t2i_ge_random"]}
-    report = {
-        "command": "simulate",
-        "seed": args.seed,
-        "config": cfg,
+    result = {
         "pruning_comparison": comparison,
         "correlation": correlation,
         "ranking_quality": ranking,
@@ -335,42 +324,26 @@ def _cmd_simulate(args) -> int:
         for key, value in sorted(ranking["metrics"].items())
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
-    path = write_report(
-        args.out,
-        report,
-        {
-            "pruning_comparison": (["keep_ratio", "strategy", "retention"], comparison_rows),
-            "ranking_quality": (["metric", "value"], ranking_rows),
-        },
-    )
-    for name, ok in checks.items():
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-    print(f"report: {path}")
-    return 0 if report["pass"] else 1
+    tables = {
+        "pruning_comparison": (["keep_ratio", "strategy", "retention"], comparison_rows),
+        "ranking_quality": (["metric", "value"], ranking_rows),
+    }
+    return result, tables, [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks.items()]
 
 
-def _cmd_cost_model(args) -> int:
-    cfg = _merge(DEFAULTS["cost-model"], _load_config(args.config))
+def _cmd_cost_model(cfg: dict, seed: int):
     arch = ArchParams(**cfg["arch"])
     workload = WorkloadSpec(**cfg["workload"])
-    report = {
-        "command": "cost-model",
-        "seed": args.seed,
-        "config": cfg,
-        "cost": cost_report(workload, arch),
-    }
-    tables = {}
+    cost = cost_report(workload, arch)
+    result, tables = {"cost": cost}, {}
     sweep_cfg = dict(cfg["sweep"])
     if sweep_cfg.pop("enabled"):
         sweep = run_cost_sweep(arch, workload, **sweep_cfg)
-        report["sweep"] = sweep
+        result["sweep"] = sweep
         header = ["k", "rho", "n_full", "n_rho", "u_base", "f_base", "f_zip", "speedup", "prefill_ratio"]
         tables["cost_sweep"] = (header, [[row[h] for h in header] for row in sweep["rows"]])
-    path = write_report(args.out, report, tables)
-    cost = report["cost"]
-    print(f"f_base={cost['f_base']:.6e} f_zip={cost['f_zip']:.6e} speedup={cost['speedup']:.4f}")
-    print(f"report: {path}")
-    return 0
+    line = f"f_base={cost['f_base']:.6e} f_zip={cost['f_zip']:.6e} speedup={cost['speedup']:.4f}"
+    return result, tables, [line]
 
 
 def _parse_judgments(raw: list) -> dict:
@@ -406,27 +379,25 @@ def _digest(value) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cmd_metrics(args) -> int:
-    cfg = _merge(DEFAULTS["metrics"], _load_config(args.config))
+def _cmd_metrics(cfg: dict, seed: int):
     if cfg["judgments"] is None and cfg["values_by_subset"] is None:
         raise ConfigError("metrics needs either 'judgments' or 'values_by_subset' in the config")
-    report = {"command": "metrics", "seed": args.seed}
-    tables = {}
+    result, tables = {}, {}
     values = cfg["values_by_subset"]
     if values is not None:
         if not isinstance(values, dict) or not all(
             vals and _same_json_type([0.0], vals) for vals in values.values()
         ):
             raise ConfigError("config.values_by_subset must map names to non-empty lists of numbers")
-        report["aggregate"] = aggregate(values)
+        result["aggregate"] = aggregate(values)
         rows = [(name, finite_mean(vals)) for name, vals in values.items()]
-        rows.append(("micro", report["aggregate"]["micro"]))
-        rows.append(("macro", report["aggregate"]["macro"]))
+        rows.append(("micro", result["aggregate"]["micro"]))
+        rows.append(("macro", result["aggregate"]["macro"]))
         tables["aggregate"] = (["subset", "value"], rows)
     if cfg["judgments"] is not None:
         judgments_by_subset = _parse_judgments(cfg["judgments"])
         evaluation = evaluate_judgments(judgments_by_subset, k_values=cfg["k_values"])
-        report["evaluation"] = evaluation
+        result["evaluation"] = evaluation
         subsets = sorted(evaluation["per_subset"])
         header = ["metric"] + subsets + ["micro", "macro"]
         rows = []
@@ -450,10 +421,8 @@ def _cmd_metrics(args) -> int:
     # The data leaves stand in the report as digests, taken after evaluation
     # so that bad data raises its own error before the digest reads it.
     data = ("judgments", "values_by_subset")
-    report["config"] = {**cfg, **{key: _digest(cfg[key]) for key in data if cfg[key] is not None}}
-    path = write_report(args.out, report, tables)
-    print(f"report: {path}")
-    return 0
+    result["config"] = {**cfg, **{key: _digest(cfg[key]) for key in data if cfg[key] is not None}}
+    return result, tables, []
 
 
 _COMMANDS = {
@@ -467,7 +436,10 @@ _COMMANDS = {
 def _check_out(out: str) -> None:
     """Raise unless --out is a directory or a path that can be made one."""
     path = Path(out)
-    nearest = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # a component longer than the file system allows, say
+        raise ConfigError(f"--out {_capped(out)} cannot be used: {exc.strerror}") from exc
     if not nearest.is_dir():
         raise ConfigError(f"--out {out} must name a directory, but {nearest} is a file")
 
@@ -478,28 +450,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Token pruning, listwise scoring, cost modeling and bound verification.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
+    for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", default=None, help="JSON config file (defaults documented in README)")
         sub.add_argument("--seed", type=int, default=0, help="master seed, at least 0 (default 0)")
         sub.add_argument("--out", default="out", help="output directory (default ./out)")
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: the one place that merges, writes, prints and picks the exit code."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         _check_out(args.out)
-        code = args.func(args)
+        cfg = _merge(DEFAULTS[args.command], _load_config(args.config))
+        result, tables, lines = _COMMANDS[args.command](cfg, args.seed)
+        report = {"command": args.command, "seed": args.seed, "config": cfg, **result}
+        try:
+            path = write_report(args.out, report, tables)
+        except OSError as exc:  # report.json is a directory or tables a file, say
+            raise ConfigError(f"--out {_capped(args.out)} cannot hold the report: {exc.strerror}") from exc
     except PrunerankError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    print(f"wall time: {time.perf_counter() - started:.2f}s")
-    return code
+    print(*lines, f"report: {path}", f"wall time: {time.perf_counter() - started:.2f}s", sep="\n")
+    return 0 if report.get("pass", True) else 1
 
 
 def entry_point() -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .errors import ConfigError
 from .pruning import keep_count, round_half_away_from_zero
@@ -51,11 +50,16 @@ class WorkloadSpec:
     """
 
     n_text: int
-    image_sizes: Sequence[Sequence[int]]
+    image_sizes: tuple[tuple[int, int], ...]
     n_query: int
     beta: float
     u_reason: int
     rho: float
+
+    def __post_init__(self):
+        # A tuple of tuples, so that a spec built from JSON lists hashes and
+        # compares equal to the same spec built from tuples.
+        object.__setattr__(self, "image_sizes", tuple(tuple(pair) for pair in self.image_sizes))
 
     @property
     def n_vis(self) -> int:

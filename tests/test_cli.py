@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -57,6 +58,12 @@ class TestVerifyBounds:
         assert len(table) == 5
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
+
+    def test_undetected_selftest_violation_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"trials": 1, "selftest_trials": 1, "selftest_constant": 1.99})
+        assert run(["verify-bounds", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["pass"] is False
+        assert "FAIL selftest" in capsys.readouterr().out
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", VERIFY_CFG)
@@ -529,13 +536,39 @@ def test_config_error_echo_is_capped(tmp_path, capsys, monkeypatch, probe):
     assert len(lines[0].encode()) < 300
 
 
-@pytest.mark.parametrize("out", ["file", "file/sub"])
+# A name longer than the file system's limit once ended in an OSError
+# traceback from the probe of --out, with exit 1.
+@pytest.mark.parametrize(
+    "out",
+    [
+        "file",
+        "file/sub",
+        pytest.param("x" * 300, id="300-character-name"),
+        pytest.param("x" * 300 + "/sub", id="300-character-name/sub"),
+    ],
+)
 def test_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
     monkeypatch.setattr("prunerank.cli.cost_report", never)
     (tmp_path / "file").write_text("")
     assert run(["cost-model", "--out", tmp_path / out]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
+    assert "Traceback" not in err
+
+
+# A path in the report's way under a usable --out once ended in a traceback
+# with exit 1: IsADirectoryError for report.json, FileExistsError for tables.
+@pytest.mark.parametrize(
+    "name,make",
+    [("report.json", Path.mkdir), ("tables", Path.touch)],
+    ids=["report-json-is-a-directory", "tables-is-a-file"],
+)
+def test_out_that_cannot_hold_the_report_exits_2(tmp_path, capsys, name, make):
+    (tmp_path / "o").mkdir()
+    make(tmp_path / "o" / name)
+    assert run(["cost-model", "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out" in err
     assert "Traceback" not in err
 
 
@@ -560,6 +593,30 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, co
     assert "config error: --seed must be >= 0, got -1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# Each command's own stdout lines at seed 0 on SEED_PROBE_CONFIGS.
+STDOUT_LINES = {
+    "verify-bounds": [
+        "PASS score_sandwich: 300 trials, 0 failures",
+        "PASS topk_stability: 300 trials, 0 failures",
+        "PASS pruning_error_bound: 300 trials, 0 failures",
+        "PASS tail_gap_bound: 300 trials, 0 failures",
+        "PASS selftest: corrupted constant 1.9 detected 40 violations",
+    ],
+    "simulate": ["PASS t2i_ge_random"],
+    "cost-model": ["f_base=1.607075e+14 f_zip=5.340322e+13 speedup=3.0093"],
+    "metrics": [],
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_LINES)
+def test_stdout_is_the_command_lines_then_report_then_wall_time(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "cfg.json", SEED_PROBE_CONFIGS[command])
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+    *lines, wall = capsys.readouterr().out.splitlines()
+    assert lines == [*STDOUT_LINES[command], f"report: {tmp_path / 'o' / 'report.json'}"]
+    assert re.fullmatch(r"wall time: \d+\.\d\ds", wall)
 
 
 @pytest.mark.parametrize("command", DEFAULTS)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,15 @@ class TestParamValidation:
 
     def test_image_counts_must_match_k(self):
         assert workload(image_sizes=((4, 1), (6, 2))).k == 3
+
+    def test_spec_from_json_lists_hashes_and_equals_its_tuple_form(self):
+        # The CLI builds the spec from the config's JSON lists; it once kept
+        # them, so hash() raised TypeError and the tuple form compared unequal.
+        spec = WorkloadSpec(**_merge(DEFAULTS["cost-model"], {})["workload"])
+        tuples = dataclasses.replace(spec, image_sizes=((1024, 20),))
+        assert spec == tuples
+        assert hash(spec) == hash(tuples)
+        assert spec.image_sizes == ((1024, 20),)
 
 
 class TestPerImageNRho:
