@@ -34,11 +34,13 @@ ALL_MASS_EPS = 1e-12
 
 
 def softmax(scores) -> np.ndarray:
-    """Max-shifted stable softmax over the last axis of a finite 1-D or 2-D array.
+    """Max-shifted stable softmax over the last axis of a finite 1-D, 2-D or
+    3-D array: one distribution, rows of them, or a stack of such rows.
 
-    Each row of a 2-D array comes out bit for bit as the 1-D call on that row.
+    Each row comes out bit for bit as the 1-D call on that row, and the array
+    is checked once.
     """
-    return _softmax(as_finite_array(scores, (1, 2), "softmax input"))
+    return _softmax(as_finite_array(scores, (1, 2, 3), "softmax input"))
 
 
 def _softmax(arr: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Four subcommands, each reading an optional JSON config, a seed and an output
-directory, and writing report.json plus tables/*.csv:
+directory, and writing tables/*.csv, then report.json:
 
   verify-bounds  randomized bound checks with pass/fail tallies
   simulate       pruning-strategy comparison, correlation probe, ranking quality

@@ -7,20 +7,26 @@ score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each instance's attention noise from its master generator,
-instance by instance. Only the synthetic instances and the random-pruning
+instance by instance (one draw per chunk, split in order). Only the synthetic instances and the random-pruning
 draws have seeds of their own.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
-the pruning-error check's pass. Each simulate section scores an instance in
-one pass: one sort of the relevant image's scores for every keep ratio, one
-noise draw and softmax for every head, one cosine GEMM for every image. The
-drivers take their counts, ratios and noise scales as cli._merge has checked
-them and check none again, and return only what they computed: the report's
-config holds their inputs. A report is written as json.dumps gives it, with
-sorted keys and a two-space indent; no report holds bulk data, so the
-standard encoder is fast enough.
+the pruning-error check's pass. Each simulate section generates its
+instances one by one, in stream order, in chunks of at most CHUNK_BYTES
+(1 MiB) of the float64 tokens it scores, or one instance if that is larger.
+A chunk splits into groups of instances whose tokens stack to one shape (one
+group when every image has the same size), and each group is scored with one
+call of each kernel on the stack: one cosine GEMM per instance inside one
+matmul, one stable sort for every keep ratio, one softmax for every head, one
+reduceat for every image. Results that depend on order (the correlations and
+the ranking judgments) are put back in stream order. The drivers take their
+counts, ratios and noise scales as cli._merge has checked them and check none
+again, and return only what they computed: the report's config holds their
+inputs. A report is written as json.dumps gives it, with
+sorted keys and a two-space indent, after its tables; no report holds bulk
+data, so the standard encoder is fast enough.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ import csv
 import dataclasses
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,15 +59,9 @@ from .cost_model import (
 from .errors import NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import (
-    _pool,
-    keep_count,
-    maxsim_scores,
-    random_prune,
-    topk_stability_rows,
-)
+from .pruning import _pool, keep_count, random_prune, topk_stability_rows
 from .scoring import rank_from_logits
-from .synthetic import SyntheticConfig, generate_instance
+from .synthetic import SyntheticConfig, SyntheticInstance, generate_instance
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -250,25 +251,86 @@ def run_bound_verification(
     }, selftest_failures
 
 
-def _instances(cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None):
-    """The master generator and a lazy stream of n_instances seeded instances.
+# Bytes of stacked float64 tokens in one simulate chunk. Each section
+# generates a chunk's instances one by one, in stream order, keeps only what it
+# scores, scores the chunk with one call of each kernel, and frees it before
+# the next. The count per chunk is fixed per section by its largest possible
+# instance, and is at least one: at the default config a comparison or
+# correlation chunk holds 409 instances and a ranking chunk 51. The bound keeps
+# simulate's memory independent of its instance counts: at the default config
+# its traced peak is 3.7 MiB, against 0.2 MiB one instance at a time.
+CHUNK_BYTES = 1 << 20
 
-    Each instance comes with unit_rows of its query; an explicit query is
-    scaled once per run. The instance seeds are the master's first draw;
-    callers may draw more from the master afterwards, before or while
-    consuming the stream.
+
+def _chunk_instances(cfg: SyntheticConfig, images: int) -> int:
+    """Instances per chunk when each keeps `images` images of up to the largest
+    size: as many as fit CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // (images * cfg.tokens_per_image[1] * cfg.embed_dim * 8))
+
+
+class _Group(NamedTuple):
+    """The instances of one chunk whose kept images stack to the same shape."""
+
+    index: list[int]  # their positions in the section's stream, ascending
+    query: tuple[np.ndarray, np.ndarray]  # unit_rows of their (g, t, d) query stack, or of the explicit query
+    tokens: np.ndarray  # (g, T, d): each instance's kept images, end to end
+    kept: list  # what each instance keeps beside its images
+
+
+def _instances(
+    cfg: SyntheticConfig,
+    n_instances: int,
+    query: np.ndarray | None,
+    keep: Callable[[SyntheticInstance], tuple],
+    images: int = 1,
+):
+    """The master generator and a lazy stream of n_instances seeded instances,
+    one chunk of _Groups at a time.
+
+    keep(instance) gives (images, kept): the images the section scores, at
+    most `images` of them, and what else it reads. The rest of each instance
+    is dropped as soon as it is generated. A chunk groups its instances by
+    their kept token count; with one image size, a chunk is one group. An
+    explicit query is scaled once per section. The instance seeds are the
+    master's first draw; callers may draw more from the master afterwards,
+    before or while consuming the stream.
     """
     master = np.random.default_rng(cfg.seed)
-    return master, _with_unit_query(cfg, master.integers(2**63, size=n_instances), query)
+    seeds = master.integers(2**63, size=n_instances).tolist()
+    return master, _chunks(cfg, seeds, query, keep, _chunk_instances(cfg, images))
 
 
-def _with_unit_query(cfg: SyntheticConfig, seeds: np.ndarray, query: np.ndarray | None):
-    unit = None
-    for seed in seeds:
-        instance = generate_instance(cfg, query, seed=int(seed))
-        if unit is None or query is None:
-            unit = unit_rows(instance.query)
-        yield instance, unit
+def _chunks(cfg: SyntheticConfig, seeds: list[int], query, keep, size: int):
+    shared = None
+    for start in range(0, len(seeds), size):
+        chunk = []
+        for seed in seeds[start : start + size]:
+            instance = generate_instance(cfg, query, seed=seed)
+            chunk.append((instance.query, *keep(instance)))
+        if query is not None and shared is None:
+            shared = unit_rows(query)
+        shapes: dict[int, list[int]] = {}
+        for i, (_, images, _) in enumerate(chunk):
+            shapes.setdefault(sum(len(image) for image in images), []).append(i)
+        groups = []
+        for members in shapes.values():
+            tokens = np.concatenate([image for i in members for image in chunk[i][1]])
+            groups.append(
+                _Group(
+                    index=[start + i for i in members],
+                    query=shared if query is not None else unit_rows(np.stack([chunk[i][0] for i in members])),
+                    tokens=tokens.reshape(len(members), -1, tokens.shape[-1]),
+                    kept=[chunk[i][2] for i in members],
+                )
+            )
+        del chunk  # the stacks hold copies; free the instances' arrays before scoring
+        yield groups
+
+
+def _relevant(instance: SyntheticInstance) -> tuple:
+    """The relevant image and its planted positions."""
+    relevant = instance.relevant_image
+    return (instance.images[relevant],), instance.planted[relevant]
 
 
 def run_pruning_comparison(
@@ -284,31 +346,37 @@ def run_pruning_comparison(
     tokens that survive pruning of the relevant image, pooled over instances.
     An explicit query matrix replaces the per-instance sampled one.
 
-    Each instance is scored and sorted once: a token survives query-aware
-    pruning at every ratio whose budget exceeds its rank in the stable
-    descending score order (the lower index first on ties). The budgets are
-    computed once per image size.
+    A group of relevant images is scored with one cosine call and ranked with
+    one stable sort: a token survives query-aware pruning at every ratio whose
+    budget exceeds its rank in the descending score order (the lower index
+    first on ties). The budgets are computed once per image size. The random
+    baseline draws once per instance and ratio, from a seed of its own.
     """
-    master, instances = _instances(cfg, n_instances, query)
+    master, chunks = _instances(cfg, n_instances, query, _relevant)
     random_seeds = master.integers(2**63, size=(n_instances, len(keep_ratios)))
     budgets: dict[int, np.ndarray] = {}
     kept_t2i = np.zeros(len(keep_ratios), dtype=np.int64)
     kept_random = np.zeros(len(keep_ratios), dtype=np.int64)
     total_planted = 0
-    for i, (instance, unit) in enumerate(instances):
-        image = instance.images[instance.relevant_image]
-        planted = instance.planted[instance.relevant_image]
-        total_planted += len(planted)
-        n_tokens = image.shape[0]
-        if n_tokens not in budgets:
-            budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
-        order = np.argsort(-maxsim_scores(cosine_to_unit(unit, image)), kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n_tokens)
-        kept_t2i += np.count_nonzero(rank[list(planted), None] < budgets[n_tokens], axis=0)
-        for j, budget in enumerate(budgets[n_tokens].tolist()):
-            rand = random_prune(n_tokens, budget, int(random_seeds[i, j]))
-            kept_random[j] += len(set(planted).intersection(rand.tolist()))
+    for groups in chunks:
+        for group in groups:
+            n_tokens = group.tokens.shape[1]
+            if n_tokens not in budgets:
+                budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
+            scores = cosine_to_unit(group.query, group.tokens).max(axis=-2)
+            order = np.argsort(-scores, axis=-1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(n_tokens)[None, :], axis=-1)
+            planted = np.array(group.kept)
+            total_planted += planted.size
+            planted_rank = np.take_along_axis(rank, planted, axis=-1)
+            kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
+            for i, positions in zip(group.index, group.kept):
+                draws = zip(budgets[n_tokens].tolist(), random_seeds[i].tolist())
+                for j, (budget, seed) in enumerate(draws):
+                    rand = random_prune(n_tokens, budget, seed)
+                    kept_random[j] += len(set(positions).intersection(rand.tolist()))
+        del groups, group  # free this chunk's stacks before the next is generated
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
     return {
@@ -330,17 +398,26 @@ def run_correlation_probe(
     Per instance, per-head attention rows at the scoring position are softmax
     distributions over the smooth pooling scores plus head-specific noise; the
     head average is then rank-correlated against the hard-max pruning scores.
-    The value is reported without an acceptance threshold. An instance's noise
-    for all heads is one (n_heads, n_tokens) draw, softmaxed in one call.
+    The value is reported without an acceptance threshold. A chunk's noise is
+    one draw, each instance's (n_heads, n_tokens) in stream order, and a group
+    is pooled and softmaxed with one call each. The correlations are taken in
+    stream order.
     """
-    master, instances = _instances(cfg, n_instances, query)
+    master, chunks = _instances(cfg, n_instances, query, _relevant)
     correlations = []
-    for instance, unit in instances:
-        image = instance.images[instance.relevant_image]
-        hard, smooth = _pool(cosine_to_unit(unit, image))
-        noise = master.normal(0.0, attention_noise, size=(n_heads, image.shape[0]))
-        mass = softmax(smooth + noise).mean(axis=0)
-        correlations.append(spearman(hard, mass))
+    for groups in chunks:
+        n_tokens = dict(sorted((i, group.tokens.shape[1]) for group in groups for i in group.index))
+        sizes = [n_heads * n for n in n_tokens.values()]
+        draws = np.split(master.normal(0.0, attention_noise, size=sum(sizes)), np.cumsum(sizes)[:-1])
+        noise = dict(zip(n_tokens, draws))
+        pooled = {}
+        for group in groups:
+            hard, smooth = _pool(cosine_to_unit(group.query, group.tokens))
+            heads = np.stack([noise[i] for i in group.index]).reshape(len(group.index), n_heads, -1)
+            mass = softmax(smooth[:, None, :] + heads).mean(axis=1)
+            pooled.update(zip(group.index, zip(hard, mass)))
+        del groups, group  # free this chunk's stacks before the next is generated
+        correlations += [spearman(*pooled[i]) for i in n_tokens]
     return {
         "spearman_mean": float(np.mean(correlations)),
         "spearman_min": float(np.min(correlations)),
@@ -362,19 +439,32 @@ def run_synthetic_ranking(
     query-aware pruning always keeps an image's best token, so pruning first
     would not change any score.
 
-    An instance's images are stacked and scored in one cosine GEMM, and each
-    image's best token is a max over its row span. The candidate ids are the
-    image indices, so the ranked ids are the permutation itself.
+    Each instance's images are stacked end to end, a group of such stacks is
+    scored in one cosine call, and each image's best token is a max over its
+    row span, for the whole group in one reduceat. The candidate ids are the
+    image indices, so the ranked ids are the permutation itself. The
+    judgments are kept in stream order.
     """
-    _, instances = _instances(cfg, n_instances, query)
+
+    def keep(instance: SyntheticInstance) -> tuple:
+        starts = accumulate((len(image) for image in instance.images[:-1]), initial=0)
+        return instance.images, (instance.relevant_image, list(starts))
+
+    _, chunks = _instances(cfg, n_instances, query, keep, cfg.n_images)
     judgments = []
-    for instance, unit in instances:
-        starts = np.cumsum([0] + [image.shape[0] for image in instance.images[:-1]])
-        tokens = maxsim_scores(cosine_to_unit(unit, np.concatenate(instance.images)))
-        ranked = rank_from_logits(np.maximum.reduceat(tokens, starts)).tolist()
-        judgments.append(
-            QueryJudgment(relevant=frozenset({instance.relevant_image}), ranked=tuple(ranked))
-        )
+    for groups in chunks:
+        ranked = {}
+        for group in groups:
+            n_tokens = group.tokens.shape[1]
+            offsets = [row * n_tokens + start for row, (_, starts) in enumerate(group.kept) for start in starts]
+            tokens = cosine_to_unit(group.query, group.tokens).max(axis=-2)
+            best = np.maximum.reduceat(tokens.ravel(), offsets).reshape(len(group.index), -1)
+            for i, (relevant, _), logits in zip(group.index, group.kept, best):
+                ranked[i] = QueryJudgment(
+                    relevant=frozenset({relevant}), ranked=tuple(rank_from_logits(logits).tolist())
+                )
+        del groups, group  # free this chunk's stacks before the next is generated
+        judgments += [ranked[i] for i in sorted(ranked)]
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
         "metrics": evaluation["per_subset"]["synthetic"],
@@ -428,23 +518,38 @@ def report_json_bytes(report: Mapping) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+# Every table a command writes, as tables/<name>.csv: the one list of them.
+# A run removes those it does not write, so no table outlives its report.
+TABLES = frozenset({
+    "aggregate", "bound_tallies", "cost_sweep", "failure_taxonomy",
+    "metrics_by_subset", "pruning_comparison", "ranking_quality",
+})
+
+
 def write_report(out_dir, report: Mapping, tables: Mapping[str, tuple] = ()) -> Path:
-    """Write report.json plus optional tables/<name>.csv under out_dir.
+    """Write tables/<name>.csv for each of tables, then report.json, under out_dir.
 
     Each table is (header, rows) with rows as sequences matching the header.
-    Returns the report path.
+    The old report.json is removed first and the new one written last, so a
+    write that fails leaves none. A table of TABLES that this run does not
+    write is removed; no other file is touched. Returns the report path.
     """
     data = report_json_bytes(report)
+    tables = dict(tables)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    report_path.write_bytes(data)
+    report_path.unlink(missing_ok=True)
+    table_dir = out / "tables"
     if tables:
-        table_dir = out / "tables"
         table_dir.mkdir(exist_ok=True)
+    if table_dir.is_dir():
+        for name in TABLES - tables.keys():
+            (table_dir / f"{name}.csv").unlink(missing_ok=True)
         for name, (header, rows) in tables.items():
             with open(table_dir / f"{name}.csv", "w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(header)
                 writer.writerows(rows)
+    report_path.write_bytes(data)
     return report_path

@@ -8,12 +8,19 @@ tokens, and the t x n result is divided by the token norms and clipped in
 place. The query is scaled once (unit_rows) and reused for every image
 (cosine_to_unit).
 
-Each per-call check is one reduction over the row norms, and its diagnostic
-runs only when that fails. A NaN or infinite entry makes its row norm
-non-finite, so the exact np.isfinite scan runs only when the largest norm is
-not finite, and the first (near-)zero row is sought only when the smallest
-norm is below ZERO_NORM_EPS. A row of finite entries whose squared norm
-overflows passes the scan, has an infinite norm and scores 0.
+The kernel also takes stacks: a (k, n, d) stack of token matrices against a
+(k, t, d) stack of queries, one per matrix, or against one shared (t, d)
+query. numpy's matmul makes one GEMM per matrix of the stack, on the same
+strides as the 2-D call, so every slice of a stacked result is bit for bit
+the 2-D call on that slice. The simulate drivers score a chunk of instances
+this way; prune_images calls the kernel on one 2-D image at a time.
+
+Each check is one reduction over the row norms of a whole matrix or stack,
+and its diagnostic runs only when that fails. A NaN or infinite entry makes
+its row norm non-finite, so the exact np.isfinite scan runs only when the
+largest norm is not finite, and the first (near-)zero row is sought only when
+the smallest norm is below ZERO_NORM_EPS. A row of finite entries whose
+squared norm overflows passes the scan, has an infinite norm and scores 0.
 """
 
 from __future__ import annotations
@@ -87,57 +94,66 @@ def as_embedding(m, name: str = "matrix") -> np.ndarray:
 
 
 def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """m as a 2-D float64 array (never copied if it already is one) and its row norms.
+    """m as a 2-D matrix or 3-D stack of float64 matrices (never copied if it
+    already is one) and its row norms, shaped m.shape[:-1].
 
     Raises DimensionMismatchError or EmptyInputError for a bad shape, then
     NonFiniteError.
     """
-    arr = _as_matrix(m, name)
+    arr = _shape_checked(m, (2, 3), name)
     norms = np.sqrt(np.vecdot(arr, arr))
-    if not np.maximum.reduce(norms) < np.inf:
+    if not np.maximum.reduce(norms, axis=None) < np.inf:
         _require_finite(arr, name)
     return arr, norms
 
 
 def _require_nonzero(norms: np.ndarray, name: str) -> None:
-    if np.minimum.reduce(norms) < ZERO_NORM_EPS:
-        bad = int(np.flatnonzero(norms < ZERO_NORM_EPS)[0])
-        raise ZeroNormError(f"{name} row {bad} has (near-)zero norm")
+    if np.minimum.reduce(norms, axis=None) < ZERO_NORM_EPS:
+        *stack, row = np.unravel_index(int(np.flatnonzero(norms < ZERO_NORM_EPS)[0]), norms.shape)
+        where = "".join(f"[{int(i)}]" for i in stack)
+        raise ZeroNormError(f"{name}{where} row {int(row)} has (near-)zero norm")
 
 
 def unit_rows(H) -> tuple[np.ndarray, np.ndarray]:
     """The query rows of H scaled to unit norm, and H's row norms.
 
-    Checks H's shape and finiteness. A (near-)zero row is reported by
-    cosine_to_unit, after the token matrix has passed its shape, finiteness
-    and width checks, so errors keep that order; until then the row is scaled
-    by 1 / ZERO_NORM_EPS and never used.
+    H is a (t, d) query or a (k, t, d) stack of queries. Checks H's shape and
+    finiteness. A (near-)zero row is reported by cosine_to_unit, after the
+    token matrix has passed its shape, finiteness and width checks, so errors
+    keep that order; until then the row is scaled by 1 / ZERO_NORM_EPS and
+    never used.
     """
     arr, norms = _rows_and_norms(H, "H")
-    return arr / np.maximum(norms, ZERO_NORM_EPS)[:, None], norms
+    return arr / np.maximum(norms, ZERO_NORM_EPS)[..., None], norms
 
 
 def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> np.ndarray:
     """Cosine similarity of every query row against every row of V.
 
-    query is unit_rows(H). Errors come in the order shape, finiteness, width,
-    then zero norm (H before V).
+    query is unit_rows(H). V is a (n, d) matrix, giving (t, n), or a (k, n, d)
+    stack, giving (k, t, n) against one (t, d) query or a (k, t, d) stack of
+    them. Errors come in the order shape, finiteness, width (and a query stack
+    that V does not match), then zero norm (H before V).
     """
     unit, query_norms = query
     tokens, norms = _rows_and_norms(V, name)
-    if unit.shape[1] != tokens.shape[1]:
+    if unit.shape[-1] != tokens.shape[-1]:
         raise DimensionMismatchError(
-            f"embedding width mismatch: {unit.shape[1]} vs {tokens.shape[1]}"
+            f"embedding width mismatch: {unit.shape[-1]} vs {tokens.shape[-1]}"
+        )
+    if unit.shape[:-2] not in ((), tokens.shape[:-2]):
+        raise DimensionMismatchError(
+            f"a stack of {unit.shape[0]} queries needs as many token matrices, got shape {tokens.shape}"
         )
     _require_nonzero(query_norms, "H")
     _require_nonzero(norms, name)
-    sims = unit @ tokens.T
-    sims /= norms
+    sims = unit @ tokens.mT
+    sims /= norms[..., None, :]
     # An infinite norm means a finite row whose squared norm overflowed; it
     # scores 0. The division alone gives inf / inf = NaN where the GEMM
     # overflowed too.
-    if np.maximum.reduce(norms) == np.inf:
-        sims[:, np.isinf(norms)] = 0.0
+    if np.maximum.reduce(norms, axis=None) == np.inf:
+        np.copyto(sims, 0.0, where=np.isinf(norms)[..., None, :])
     return np.maximum(np.minimum(sims, 1.0, out=sims), -1.0, out=sims)
 
 

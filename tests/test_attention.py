@@ -62,7 +62,17 @@ class TestSoftmax:
             for row, want in zip(out, scores):
                 assert np.array_equal(row, softmax(want))
 
-    @pytest.mark.parametrize("scores", [[[[1.0]]], 1.0, [[1.0, 2.0], [3.0]]])
+    def test_stacked_rows_equal_row_wise_calls_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for stack, n_rows, n in ((1, 1, 1), (2, 3, 7), (400, 4, 20), (5, 7, 129)):
+            scores = rng.standard_normal((stack, n_rows, n)) * 5
+            out = softmax(scores)
+            assert out.shape == scores.shape
+            for rows, want in zip(out, scores):
+                assert np.array_equal(rows, softmax(want))
+
+    # A stack is 3-D, so a 4-D input is the wrong number of dimensions.
+    @pytest.mark.parametrize("scores", [[[[[1.0]]]], 1.0, [[1.0, 2.0], [3.0]]])
     def test_other_shapes_rejected(self, scores):
         with pytest.raises(DimensionMismatchError):
             softmax(scores)
@@ -70,6 +80,10 @@ class TestSoftmax:
     def test_non_finite_row_rejected(self):
         with pytest.raises(NonFiniteError):
             softmax([[0.0, 1.0], [np.nan, 0.0]])
+
+    def test_non_finite_row_of_a_stack_rejected(self):
+        with pytest.raises(NonFiniteError):
+            softmax([[[0.0, 1.0]], [[0.0, np.inf]]])
 
 
 class TestAttentionOutput:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from prunerank import cli
 from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
 from prunerank.errors import ConfigError, PrunerankError
+from prunerank.experiments import TABLES
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
 SIMULATE_CFG = {
@@ -570,6 +571,52 @@ def test_out_that_cannot_hold_the_report_exits_2(tmp_path, capsys, name, make):
     err = capsys.readouterr().err
     assert "config error: --out" in err
     assert "Traceback" not in err
+    # The tables are written first and report.json last, so no report reads
+    # like a finished run.
+    assert not (tmp_path / "o" / "report.json").is_file()
+
+
+def test_failed_rewrite_removes_the_previous_report(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["cost-model", "--out", out]) == 0
+    (out / "tables" / "cost_sweep.csv").unlink()
+    (out / "tables").rmdir()
+    (out / "tables").touch()
+    assert run(["cost-model", "--out", out]) == 2
+    assert "config error: --out" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_a_run_removes_the_tables_it_does_not_write_and_nothing_else(tmp_path):
+    out = tmp_path / "o"
+    assert run(["cost-model", "--out", out]) == 0
+    assert sorted(path.name for path in (out / "tables").iterdir()) == ["cost_sweep.csv"]
+    (out / "tables" / "notes.csv").write_text("mine\n")
+    (out / "notes.txt").write_text("mine too\n")
+    cfg = write_config(tmp_path, "cfg.json", {"sweep": {"enabled": False}})
+    assert run(["cost-model", "--config", cfg, "--out", out]) == 0
+    assert "sweep" not in json.loads((out / "report.json").read_text())
+    assert sorted(path.name for path in (out / "tables").iterdir()) == ["notes.csv"]
+    assert (out / "tables" / "notes.csv").read_text() == "mine\n"
+    assert sorted(path.name for path in out.iterdir()) == ["notes.txt", "report.json", "tables"]
+
+
+def test_tables_lists_every_table_a_command_writes(tmp_path):
+    """experiments.TABLES names every table, so a run can remove the stale ones."""
+    runs = {
+        "verify-bounds": VERIFY_CFG,
+        "simulate": SIMULATE_CFG,
+        "cost-model": {},
+        "metrics": {"judgments": [{"relevant": [0], "ranked": [0, 1]}]},
+        "metrics-values": {"values_by_subset": {"a": [1.0, 2.0]}},
+    }
+    written = set()
+    for name, payload in runs.items():
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / name
+        assert run([name.removesuffix("-values"), "--config", cfg, "--out", out]) == 0
+        written |= {path.stem for path in (out / "tables").iterdir()}
+    assert written == TABLES
 
 
 # A valid config per command, so that the seed is the only bad input.

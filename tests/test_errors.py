@@ -107,18 +107,18 @@ MATRIX_ENTRY_POINTS = {
     "lse_scores": (lse_scores, ("3-D", "empty", "non-numeric")),
 }
 
-# softmax also takes a 2-D array, one distribution per row, so its wrong
-# number of dimensions is a 3-D input.
-ONE_OR_TWO_D = {"softmax"}
+# softmax also takes a 2-D array, one distribution per row, and a 3-D stack
+# of them, so its wrong number of dimensions is a 4-D input.
+ONE_TO_THREE_D = {"softmax"}
 
 ARRAY_CASES = [
     pytest.param(fn, *VECTOR_CASES[case], id=f"{name}-{case}")
     for name, fn in VECTOR_ENTRY_POINTS.items()
     for case in VECTOR_CASES
-    if not (case == "2-D" and name in ONE_OR_TWO_D)
+    if not (case == "2-D" and name in ONE_TO_THREE_D)
 ] + [
-    pytest.param(VECTOR_ENTRY_POINTS[name], *MATRIX_CASES["3-D"], id=f"{name}-3-D")
-    for name in sorted(ONE_OR_TWO_D)
+    pytest.param(VECTOR_ENTRY_POINTS[name], [[[[0.5, 0.5]]]], DimensionMismatchError, id=f"{name}-4-D")
+    for name in sorted(ONE_TO_THREE_D)
 ] + [
     pytest.param(fn, *MATRIX_CASES[case], id=f"{name}-{case}")
     for name, (fn, cases) in MATRIX_ENTRY_POINTS.items()

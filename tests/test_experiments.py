@@ -9,6 +9,8 @@ from prunerank.cli import DEFAULTS, _merge
 from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
+    CHUNK_BYTES,
+    _chunk_instances,
     report_json_bytes,
     run_bound_verification,
     run_correlation_probe,
@@ -100,6 +102,25 @@ class TestPruningComparison:
     def test_ratio_validation(self):
         with pytest.raises(InvalidRatioError):
             run_pruning_comparison(SyntheticConfig(), [0.5, 1.5], n_instances=5)
+
+
+class TestChunks:
+    def test_default_config_chunk_sizes(self):
+        syn = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"])
+        # One 20 x 16 float64 image is 2 560 bytes, eight of them 20 480.
+        assert CHUNK_BYTES == 1 << 20
+        assert _chunk_instances(syn, 1) == 409
+        assert _chunk_instances(syn, syn.n_images) == 51
+
+    def test_ragged_sizes_count_the_largest_image(self):
+        syn = SyntheticConfig(n_images=3, tokens_per_image=(2, 64), embed_dim=8)
+        assert _chunk_instances(syn, 1) == CHUNK_BYTES // (64 * 8 * 8)
+        assert _chunk_instances(syn, 3) == CHUNK_BYTES // (3 * 64 * 8 * 8)
+
+    def test_an_instance_past_the_budget_is_a_chunk_of_its_own(self):
+        syn = SyntheticConfig(tokens_per_image=(4000, 4000), embed_dim=512)
+        assert _chunk_instances(syn, 1) == 1
+        assert _chunk_instances(syn, syn.n_images) == 1
 
 
 class TestCorrelationProbe:

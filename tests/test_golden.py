@@ -205,22 +205,28 @@ def test_configured_outputs_match_golden_hashes(name, golden_run):
 OTHER_BLAS_KERNEL = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "verify-bounds", "simulate-ragged-noisy", "simulate-explicit-query"]
+)
 def test_default_outputs_do_not_depend_on_the_blas_kernel(command, tmp_path):
     """The hashes hold under another BLAS kernel: the reports rest on no
     last-bit rounding of a GEMM or a dot. A process of its own, since OpenBLAS
-    picks its kernel when it is loaded."""
+    picks its kernel when it is loaded. The two configured simulate runs take
+    the stacked GEMMs a fixed image size does not: shape groups of ragged
+    images, and one explicit query broadcast against a stack."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, **OTHER_BLAS_KERNEL, "PYTHONPATH": src}
     out = tmp_path / "out"
-    result = subprocess.run(
-        [sys.executable, "-m", "prunerank", command, "--seed", "0", "--out", str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    argv = [sys.executable, "-m", "prunerank", command, "--seed", "0", "--out", str(out)]
+    expected = GOLDEN.get(command)
+    if expected is None:
+        argv[3], config, expected = GOLDEN_CONFIGS[command]
+        (tmp_path / QUERY_FILE).write_text(json.dumps(QUERY_EMBEDDING))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    result = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert written_hashes(out) == GOLDEN[command]
+    assert written_hashes(out) == expected
 
 
 # Report keys that may hold the value of the config leaf they are named like:

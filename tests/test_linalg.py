@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,3 +303,77 @@ class TestCosineKernel:
         sims = similarity_matrix(h, v)
         assert sims.max() == 1.0 and sims.min() == -1.0
         np.testing.assert_array_equal(sims.view(np.int64), np.clip(raw, -1.0, 1.0).view(np.int64))
+
+
+# (H, V) pairs that each fail one check of the 2-D call, and pairs that fail
+# two, where the order of the checks decides the error.
+BAD_PAIRS = {
+    "nan-in-H": ([[np.nan, 1.0]], [[1.0, 2.0]]),
+    "inf-in-V-and-zero-H": ([[0.0, 0.0]], [[1.0, np.inf]]),
+    "width-and-zero-H": ([[0.0, 0.0]], [[1.0, 2.0, 3.0]]),
+    "nan-in-V-and-width": ([[1.0, 1.0]], [[np.nan, 1.0, 2.0]]),
+    "zero-H-and-zero-V": ([[0.0, 0.0]], [[0.0, 0.0]]),
+    "zero-V": ([[1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]),
+}
+
+
+def raised(call):
+    """The class of the error call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type
+
+
+class TestStackedCosineKernel:
+    """cosine_to_unit on a (k, n, d) stack: each slice is the 2-D call on it."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["query-stack", "shared-query"])
+    def test_slices_equal_the_two_dimensional_calls(self, shared):
+        rng = np.random.default_rng(11)
+        for k, t, n, d in ((1, 1, 1, 1), (3, 1, 2, 1), (5, 4, 20, 16), (2, 3, 160, 8), (4, 2, 7, 3), (409, 4, 20, 16)):
+            h = rng.standard_normal((t, d) if shared else (k, t, d))
+            v = rng.standard_normal((k, n, d))
+            sims = cosine_to_unit(unit_rows(h), v)
+            assert sims.shape == (k, t, n)
+            for i in range(k):
+                assert np.array_equal(sims[i], similarity_matrix(h if shared else h[i], v[i]))
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["query-stack", "shared-query"])
+    @pytest.mark.parametrize("case", BAD_PAIRS)
+    def test_bad_slice_raises_what_the_two_dimensional_call_raises(self, case, shared):
+        h, v = (np.array(m, dtype=float) for m in BAD_PAIRS[case])
+        stack_h = h if shared else np.stack([np.ones_like(h), h])
+        stack_v = np.stack([np.ones_like(v), v])
+        expected = raised(lambda: similarity_matrix(h, v))
+        assert raised(lambda: cosine_to_unit(unit_rows(stack_h), stack_v)) is expected
+
+    @pytest.mark.parametrize(
+        "operand,shared,name",
+        [("H", False, "H[1]"), ("V", False, "V[1]"), ("H", True, "H"), ("V", True, "V[1]")],
+    )
+    def test_zero_row_names_its_matrix_and_row(self, operand, shared, name):
+        h = np.ones((4, 3) if shared else (2, 4, 3))
+        v = np.ones((2, 5, 3))
+        (h if operand == "H" else v)[..., 2, :] = 0.0
+        if operand == "H" and not shared:
+            h[0, 2] = 1.0
+        if operand == "V":
+            v[0, 2] = 1.0
+        with pytest.raises(ZeroNormError, match=rf"^{re.escape(name)} row 2 has \(near-\)zero norm$"):
+            cosine_to_unit(unit_rows(h), v)
+
+    @pytest.mark.parametrize("h_shape,v_shape", [((3, 2, 4), (2, 5, 4)), ((2, 2, 4), (5, 4))])
+    def test_query_stack_must_match_the_token_stack(self, h_shape, v_shape):
+        with pytest.raises(DimensionMismatchError, match="stack of"):
+            cosine_to_unit(unit_rows(np.ones(h_shape)), np.ones(v_shape))
+
+    def test_overflowing_row_of_a_stack_scores_zero(self):
+        rng = np.random.default_rng(12)
+        h = rng.standard_normal((3, 2, 4))
+        v = rng.standard_normal((3, 6, 4))
+        v[1, 4] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            sims = cosine_to_unit(unit_rows(h), v)
+            for i in range(3):
+                assert np.array_equal(sims[i], similarity_matrix(h[i], v[i]))
+        assert not sims[1, :, 4].any() and sims[0, :, 4].all()

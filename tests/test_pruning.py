@@ -401,6 +401,14 @@ class TestPruneImagesKernel:
         with pytest.raises(DimensionMismatchError):
             prune_images(rng.standard_normal((2, 4)), [rng.standard_normal((5, 3))], 0.5)
 
+    def test_stacks_rejected(self):
+        """The cosine kernel takes stacks; prune_images takes 2-D matrices only."""
+        rng = np.random.default_rng(25)
+        with pytest.raises(DimensionMismatchError, match=r"^images\[1\] must be 2-D"):
+            prune_images(rng.standard_normal((2, 4)), [np.ones((5, 4)), np.ones((3, 5, 4))], 0.5)
+        with pytest.raises(DimensionMismatchError, match="^H must be 2-D"):
+            prune_images(rng.standard_normal((3, 2, 4)), [np.ones((5, 4))], 0.5)
+
     def test_no_image_sized_allocation(self):
         # A per-image normalized copy, a squared-entries temporary or a
         # concatenation of the candidates would each allocate at least one image.

@@ -4,9 +4,10 @@ Each reference below scores one image, one keep ratio or one head at a time:
 per-image similarity_matrix calls, a select_topk_preserve_order sort per keep
 ratio, and a noise draw and softmax per head. Their bodies are kept as they
 were in prunerank.experiments; only their return values no longer echo the
-inputs, as the drivers' no longer do. The one-pass drivers must return dicts
+inputs, as the drivers' no longer do. The chunked drivers must return dicts
 equal to these under ==, so every retention, correlation and metric is bit
-for bit the same.
+for bit the same, at their own chunk size and at one and three instances per
+chunk; the ragged configs put several shape groups in a chunk.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from prunerank import experiments
 from prunerank.attention import attention_mass_per_token, softmax
 from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError, PrunerankError
@@ -204,6 +206,19 @@ def outcome(driver, *args):
         return type(exc), str(exc)
 
 
+def chunked_outcomes(driver, cfg: SyntheticConfig, *args) -> list:
+    """outcome(driver, cfg, *args) at the driver's own chunk budget, then at
+    budgets that fit one and three of its largest instances per chunk."""
+    images = cfg.n_images if driver is run_synthetic_ranking else 1
+    instance_bytes = images * cfg.tokens_per_image[1] * cfg.embed_dim * 8
+    results = [outcome(driver, cfg, *args)]
+    for per_chunk in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "CHUNK_BYTES", (per_chunk + 1) * instance_bytes - 1)
+            results.append(outcome(driver, cfg, *args))
+    return results
+
+
 def explicit_query(cfg: SyntheticConfig) -> np.ndarray:
     return np.random.default_rng(99).standard_normal((cfg.n_query_tokens, cfg.embed_dim))
 
@@ -215,9 +230,8 @@ def test_comparison_equals_reference(name, seed, explicit):
     cfg = dataclasses.replace(CONFIGS[name], seed=seed)
     query = explicit_query(cfg) if explicit else None
     ratios = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
-    assert run_pruning_comparison(cfg, ratios, 25, query) == reference_pruning_comparison(
-        cfg, ratios, 25, query
-    )
+    expected = reference_pruning_comparison(cfg, ratios, 25, query)
+    assert chunked_outcomes(run_pruning_comparison, cfg, ratios, 25, query) == [expected] * 3
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -226,10 +240,9 @@ def test_comparison_equals_reference(name, seed, explicit):
 def test_correlation_equals_reference(name, seed, n_heads, noise):
     cfg = dataclasses.replace(CONFIGS[name], seed=seed)
     for query in (None, explicit_query(cfg)):
-        args = (cfg, 15, n_heads, noise, query)
-        result = outcome(run_correlation_probe, *args)
-        assert result == outcome(reference_correlation_probe, *args)
-        assert isinstance(result, dict) or name == "width-one"
+        results = chunked_outcomes(run_correlation_probe, cfg, 15, n_heads, noise, query)
+        assert results == [outcome(reference_correlation_probe, cfg, 15, n_heads, noise, query)] * 3
+        assert isinstance(results[0], dict) or name == "width-one"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -237,9 +250,8 @@ def test_correlation_equals_reference(name, seed, n_heads, noise):
 def test_ranking_equals_reference(name, seed):
     cfg = dataclasses.replace(CONFIGS[name], seed=seed)
     for query in (None, explicit_query(cfg)):
-        assert run_synthetic_ranking(cfg, 20, (1, 2, 4), query) == reference_synthetic_ranking(
-            cfg, 20, (1, 2, 4), query
-        )
+        expected = reference_synthetic_ranking(cfg, 20, (1, 2, 4), query)
+        assert chunked_outcomes(run_synthetic_ranking, cfg, 20, (1, 2, 4), query) == [expected] * 3
 
 
 def test_tie_configs_tie():
@@ -269,3 +281,28 @@ def test_one_pass_drivers_check_their_inputs_like_the_references():
     for override in ({"correlation": {"n_heads": 0}}, {"ranking": {"n_instances": 0}}):
         with pytest.raises(ConfigError, match="must be >= 1"):
             _merge(DEFAULTS["simulate"], override)
+
+
+@pytest.mark.parametrize("per_chunk, sizes", [(1, [1] * 25), (3, [3] * 8 + [1]), (None, [25])])
+def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
+    """A ragged run's chunks hold their share of the stream, in order, and a
+    chunk of several instances splits into shape groups, one per token count,
+    each stacking its instances' relevant images."""
+    if per_chunk is not None:
+        instance_bytes = RAGGED.tokens_per_image[1] * RAGGED.embed_dim * 8
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * instance_bytes)
+    seeds = np.random.default_rng(RAGGED.seed).integers(2**63, size=25)
+    _, chunks = experiments._instances(RAGGED, 25, None, experiments._relevant)
+    index, n_groups = [], []
+    for groups in chunks:
+        index.append(sorted(i for group in groups for i in group.index))
+        n_groups.append(len(groups))
+        assert len({group.tokens.shape[1] for group in groups}) == len(groups)
+        for group in groups:
+            for i, tokens, planted in zip(group.index, group.tokens, group.kept):
+                instance = generate_instance(RAGGED, seed=int(seeds[i]))
+                assert np.array_equal(tokens, instance.images[instance.relevant_image])
+                assert planted == instance.planted[instance.relevant_image]
+    assert [len(chunk) for chunk in index] == sizes
+    assert sum(index, []) == list(range(25))
+    assert max(n_groups) == min(3, max(sizes)) if per_chunk else max(n_groups) > 3
