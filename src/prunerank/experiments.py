@@ -14,9 +14,10 @@ call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
 the pruning-error check's pass. Each simulate section generates its
-instances one by one, in stream order, in chunks of at most CHUNK_BYTES
-(1 MiB) of the float64 tokens it scores, or one instance if that is larger.
-A chunk splits into groups of instances whose tokens stack to one shape (one
+instances one by one, in stream order, in chunks whose stacks (tokens,
+queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB) unless
+one instance's do, and frees each chunk before it generates the next. A
+chunk splits into groups of instances whose tokens stack to one shape (one
 group when every image has the same size), and each group is scored with one
 call of each kernel on the stack: one cosine GEMM per instance inside one
 matmul, one stable sort for every keep ratio, one softmax for every head, one
@@ -251,21 +252,30 @@ def run_bound_verification(
     }, selftest_failures
 
 
-# Bytes of stacked float64 tokens in one simulate chunk. Each section
+# Bytes of float64 stacks one simulate chunk may hold: its tokens, queries,
+# similarities and, in the correlation, head noise together. Each section
 # generates a chunk's instances one by one, in stream order, keeps only what it
-# scores, scores the chunk with one call of each kernel, and frees it before
-# the next. The count per chunk is fixed per section by its largest possible
-# instance, and is at least one: at the default config a comparison or
-# correlation chunk holds 409 instances and a ranking chunk 51. The bound keeps
-# simulate's memory independent of its instance counts: at the default config
-# its traced peak is 3.7 MiB, against 0.2 MiB one instance at a time.
+# scores and scores the chunk with one call of each kernel; the chunk is freed
+# before the next is generated. The count per chunk is fixed per section by
+# what its largest possible instance adds to those stacks, and is at least
+# one: at the default config a comparison chunk holds 282 instances, a
+# correlation chunk 240 and a ranking chunk 40. The bound keeps simulate's
+# memory independent of its instance counts: at the default config its traced
+# peak is 2.1 MiB, against 0.2 MiB one instance at a time.
 CHUNK_BYTES = 1 << 20
 
 
-def _chunk_instances(cfg: SyntheticConfig, images: int) -> int:
-    """Instances per chunk when each keeps `images` images of up to the largest
-    size: as many as fit CHUNK_BYTES, and at least one."""
-    return max(1, CHUNK_BYTES // (images * cfg.tokens_per_image[1] * cfg.embed_dim * 8))
+def _chunk_instances(instance_floats: int) -> int:
+    """Instances per chunk when each adds instance_floats float64 values to the
+    chunk's stacks: as many as fit CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * instance_floats))
+
+
+def _stacked_floats(cfg: SyntheticConfig, tokens: int) -> int:
+    """Floats an instance adds to a chunk's stacks when it keeps up to `tokens`
+    tokens: the tokens, its query and their similarities."""
+    query = cfg.n_query_tokens
+    return (tokens + query) * cfg.embed_dim + query * tokens
 
 
 class _Group(NamedTuple):
@@ -274,7 +284,7 @@ class _Group(NamedTuple):
     index: list[int]  # their positions in the section's stream, ascending
     query: tuple[np.ndarray, np.ndarray]  # unit_rows of their (g, t, d) query stack, or of the explicit query
     tokens: np.ndarray  # (g, T, d): each instance's kept images, end to end
-    kept: list  # what each instance keeps beside its images
+    kept: list  # what keep gave each instance beside its images
 
 
 def _instances(
@@ -282,49 +292,56 @@ def _instances(
     n_instances: int,
     query: np.ndarray | None,
     keep: Callable[[SyntheticInstance], tuple],
-    images: int = 1,
+    instance_floats: int,
 ):
     """The master generator and a lazy stream of n_instances seeded instances,
-    one chunk of _Groups at a time.
+    one chunk (a list of _Groups) at a time.
 
-    keep(instance) gives (images, kept): the images the section scores, at
-    most `images` of them, and what else it reads. The rest of each instance
-    is dropped as soon as it is generated. A chunk groups its instances by
-    their kept token count; with one image size, a chunk is one group. An
-    explicit query is scaled once per section. The instance seeds are the
-    master's first draw; callers may draw more from the master afterwards,
-    before or while consuming the stream.
+    keep(instance) gives (images, kept): the images the section scores and
+    what else it reads. instance_floats bounds what one instance adds to the
+    chunk's stacks, as _stacked_floats counts it, and sizes the chunks. The
+    rest of each instance is dropped once its chunk is stacked. A chunk groups
+    its instances by their kept token count; with one image size, a chunk is
+    one group. The instance seeds are the master's first draw; callers may
+    draw more from the master afterwards, before or while consuming the
+    stream. The stream keeps no chunk after yielding it, so a consumer that
+    keeps none either (map) holds one chunk at a time.
     """
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(2**63, size=n_instances).tolist()
-    return master, _chunks(cfg, seeds, query, keep, _chunk_instances(cfg, images))
+    size = _chunk_instances(instance_floats)
+    return master, (_chunk(cfg, seeds, start, size, query, keep) for start in range(0, n_instances, size))
 
 
-def _chunks(cfg: SyntheticConfig, seeds: list[int], query, keep, size: int):
-    shared = None
-    for start in range(0, len(seeds), size):
-        chunk = []
-        for seed in seeds[start : start + size]:
-            instance = generate_instance(cfg, query, seed=seed)
-            chunk.append((instance.query, *keep(instance)))
-        if query is not None and shared is None:
-            shared = unit_rows(query)
-        shapes: dict[int, list[int]] = {}
-        for i, (_, images, _) in enumerate(chunk):
-            shapes.setdefault(sum(len(image) for image in images), []).append(i)
-        groups = []
-        for members in shapes.values():
-            tokens = np.concatenate([image for i in members for image in chunk[i][1]])
-            groups.append(
-                _Group(
-                    index=[start + i for i in members],
-                    query=shared if query is not None else unit_rows(np.stack([chunk[i][0] for i in members])),
-                    tokens=tokens.reshape(len(members), -1, tokens.shape[-1]),
-                    kept=[chunk[i][2] for i in members],
-                )
+def _chunk(cfg: SyntheticConfig, seeds: list[int], start: int, size: int, query, keep) -> list[_Group]:
+    """The _Groups of the instances seeded by seeds[start : start + size].
+
+    An explicit query is scaled once per chunk, after its instances are
+    generated, so generate_instance's query check comes first.
+    """
+    chunk = []
+    for seed in seeds[start : start + size]:
+        instance = generate_instance(cfg, query, seed=seed)
+        chunk.append((instance.query, *keep(instance)))
+    shared = None if query is None else unit_rows(query)
+    shapes: dict[int, list[int]] = {}
+    for i, (_, images, _) in enumerate(chunk):
+        shapes.setdefault(sum(len(image) for image in images), []).append(i)
+    groups = []
+    for members in shapes.values():
+        tokens = np.concatenate([image for i in members for image in chunk[i][1]])
+        groups.append(
+            _Group(
+                index=[start + i for i in members],
+                query=(
+                    shared if shared is not None
+                    else unit_rows(np.stack([chunk[i][0] for i in members]), stack=True)
+                ),
+                tokens=tokens.reshape(len(members), -1, tokens.shape[-1]),
+                kept=[chunk[i][2] for i in members],
             )
-        del chunk  # the stacks hold copies; free the instances' arrays before scoring
-        yield groups
+        )
+    return groups
 
 
 def _relevant(instance: SyntheticInstance) -> tuple:
@@ -352,23 +369,27 @@ def run_pruning_comparison(
     first on ties). The budgets are computed once per image size. The random
     baseline draws once per instance and ratio, from a seed of its own.
     """
-    master, chunks = _instances(cfg, n_instances, query, _relevant)
+    master, chunks = _instances(
+        cfg, n_instances, query, _relevant, _stacked_floats(cfg, cfg.tokens_per_image[1])
+    )
     random_seeds = master.integers(2**63, size=(n_instances, len(keep_ratios)))
     budgets: dict[int, np.ndarray] = {}
-    kept_t2i = np.zeros(len(keep_ratios), dtype=np.int64)
-    kept_random = np.zeros(len(keep_ratios), dtype=np.int64)
-    total_planted = 0
-    for groups in chunks:
+
+    def count(groups: list[_Group]) -> tuple[int, np.ndarray, np.ndarray]:
+        """A chunk's planted tokens, and those kept at each ratio by t2i and by random."""
+        planted_total = 0
+        kept_t2i = np.zeros(len(keep_ratios), dtype=np.int64)
+        kept_random = np.zeros(len(keep_ratios), dtype=np.int64)
         for group in groups:
             n_tokens = group.tokens.shape[1]
             if n_tokens not in budgets:
                 budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
-            scores = cosine_to_unit(group.query, group.tokens).max(axis=-2)
+            scores = cosine_to_unit(group.query, group.tokens, stack=True).max(axis=-2)
             order = np.argsort(-scores, axis=-1, kind="stable")
             rank = np.empty_like(order)
             np.put_along_axis(rank, order, np.arange(n_tokens)[None, :], axis=-1)
             planted = np.array(group.kept)
-            total_planted += planted.size
+            planted_total += planted.size
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
             for i, positions in zip(group.index, group.kept):
@@ -376,7 +397,10 @@ def run_pruning_comparison(
                 for j, (budget, seed) in enumerate(draws):
                     rand = random_prune(n_tokens, budget, seed)
                     kept_random[j] += len(set(positions).intersection(rand.tolist()))
-        del groups, group  # free this chunk's stacks before the next is generated
+        return planted_total, kept_t2i, kept_random
+
+    # map hands each chunk to count and keeps no reference to it.
+    total_planted, kept_t2i, kept_random = (sum(column) for column in zip(*map(count, chunks)))
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
     return {
@@ -403,21 +427,26 @@ def run_correlation_probe(
     is pooled and softmaxed with one call each. The correlations are taken in
     stream order.
     """
-    master, chunks = _instances(cfg, n_instances, query, _relevant)
-    correlations = []
-    for groups in chunks:
+    high = cfg.tokens_per_image[1]
+    master, chunks = _instances(
+        cfg, n_instances, query, _relevant, _stacked_floats(cfg, high) + n_heads * high
+    )
+
+    def correlate(groups: list[_Group]) -> list[float]:
+        """The chunk's correlations, in stream order."""
         n_tokens = dict(sorted((i, group.tokens.shape[1]) for group in groups for i in group.index))
         sizes = [n_heads * n for n in n_tokens.values()]
         draws = np.split(master.normal(0.0, attention_noise, size=sum(sizes)), np.cumsum(sizes)[:-1])
         noise = dict(zip(n_tokens, draws))
         pooled = {}
         for group in groups:
-            hard, smooth = _pool(cosine_to_unit(group.query, group.tokens))
+            hard, smooth = _pool(cosine_to_unit(group.query, group.tokens, stack=True))
             heads = np.stack([noise[i] for i in group.index]).reshape(len(group.index), n_heads, -1)
             mass = softmax(smooth[:, None, :] + heads).mean(axis=1)
             pooled.update(zip(group.index, zip(hard, mass)))
-        del groups, group  # free this chunk's stacks before the next is generated
-        correlations += [spearman(*pooled[i]) for i in n_tokens]
+        return [spearman(*pooled[i]) for i in n_tokens]
+
+    correlations = [value for chunk in map(correlate, chunks) for value in chunk]
     return {
         "spearman_mean": float(np.mean(correlations)),
         "spearman_min": float(np.min(correlations)),
@@ -450,21 +479,27 @@ def run_synthetic_ranking(
         starts = accumulate((len(image) for image in instance.images[:-1]), initial=0)
         return instance.images, (instance.relevant_image, list(starts))
 
-    _, chunks = _instances(cfg, n_instances, query, keep, cfg.n_images)
-    judgments = []
-    for groups in chunks:
+    _, chunks = _instances(
+        cfg, n_instances, query, keep, _stacked_floats(cfg, cfg.n_images * cfg.tokens_per_image[1])
+    )
+
+    def judge(groups: list[_Group]) -> list[QueryJudgment]:
+        """The chunk's judgments, in stream order."""
         ranked = {}
         for group in groups:
             n_tokens = group.tokens.shape[1]
-            offsets = [row * n_tokens + start for row, (_, starts) in enumerate(group.kept) for start in starts]
-            tokens = cosine_to_unit(group.query, group.tokens).max(axis=-2)
+            offsets = [
+                row * n_tokens + start for row, (_, starts) in enumerate(group.kept) for start in starts
+            ]
+            tokens = cosine_to_unit(group.query, group.tokens, stack=True).max(axis=-2)
             best = np.maximum.reduceat(tokens.ravel(), offsets).reshape(len(group.index), -1)
             for i, (relevant, _), logits in zip(group.index, group.kept, best):
                 ranked[i] = QueryJudgment(
                     relevant=frozenset({relevant}), ranked=tuple(rank_from_logits(logits).tolist())
                 )
-        del groups, group  # free this chunk's stacks before the next is generated
-        judgments += [ranked[i] for i in sorted(ranked)]
+        return [ranked[i] for i in sorted(ranked)]
+
+    judgments = [judgment for chunk in map(judge, chunks) for judgment in chunk]
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
         "metrics": evaluation["per_subset"]["synthetic"],

@@ -8,12 +8,13 @@ tokens, and the t x n result is divided by the token norms and clipped in
 place. The query is scaled once (unit_rows) and reused for every image
 (cosine_to_unit).
 
-The kernel also takes stacks: a (k, n, d) stack of token matrices against a
-(k, t, d) stack of queries, one per matrix, or against one shared (t, d)
-query. numpy's matmul makes one GEMM per matrix of the stack, on the same
-strides as the 2-D call, so every slice of a stacked result is bit for bit
-the 2-D call on that slice. The simulate drivers score a chunk of instances
-this way; prune_images calls the kernel on one 2-D image at a time.
+With stack=True the kernel also takes stacks: a (k, n, d) stack of token
+matrices against a (k, t, d) stack of queries, one per matrix, or against one
+shared (t, d) query. numpy's matmul makes one GEMM per matrix of the stack, on
+the same strides as the 2-D call, so every slice of a stacked result is bit
+for bit the 2-D call on that slice. The simulate drivers score a chunk of
+instances this way; similarity_matrix and prune_images take 2-D matrices only,
+checked by the kernel's own shape check.
 
 Each check is one reduction over the row norms of a whole matrix or stack,
 and its diagnostic runs only when that fails. A NaN or infinite entry makes
@@ -93,14 +94,15 @@ def as_embedding(m, name: str = "matrix") -> np.ndarray:
     return as_finite_array(m, (2,), name)
 
 
-def _rows_and_norms(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """m as a 2-D matrix or 3-D stack of float64 matrices (never copied if it
-    already is one) and its row norms, shaped m.shape[:-1].
+def _rows_and_norms(m, name: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
+    """m as a 2-D float64 matrix, or with stack a 2-D matrix or 3-D stack of
+    them (never copied if it already is one), and its row norms, shaped
+    m.shape[:-1].
 
     Raises DimensionMismatchError or EmptyInputError for a bad shape, then
     NonFiniteError.
     """
-    arr = _shape_checked(m, (2, 3), name)
+    arr = _shape_checked(m, (2, 3) if stack else (2,), name)
     norms = np.sqrt(np.vecdot(arr, arr))
     if not np.maximum.reduce(norms, axis=None) < np.inf:
         _require_finite(arr, name)
@@ -114,29 +116,31 @@ def _require_nonzero(norms: np.ndarray, name: str) -> None:
         raise ZeroNormError(f"{name}{where} row {int(row)} has (near-)zero norm")
 
 
-def unit_rows(H) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(H, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The query rows of H scaled to unit norm, and H's row norms.
 
-    H is a (t, d) query or a (k, t, d) stack of queries. Checks H's shape and
+    H is a (t, d) query or, with stack, a (k, t, d) stack of queries. Checks H's shape and
     finiteness. A (near-)zero row is reported by cosine_to_unit, after the
     token matrix has passed its shape, finiteness and width checks, so errors
     keep that order; until then the row is scaled by 1 / ZERO_NORM_EPS and
     never used.
     """
-    arr, norms = _rows_and_norms(H, "H")
+    arr, norms = _rows_and_norms(H, "H", stack)
     return arr / np.maximum(norms, ZERO_NORM_EPS)[..., None], norms
 
 
-def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> np.ndarray:
+def cosine_to_unit(
+    query: tuple[np.ndarray, np.ndarray], V, name: str = "V", stack: bool = False
+) -> np.ndarray:
     """Cosine similarity of every query row against every row of V.
 
-    query is unit_rows(H). V is a (n, d) matrix, giving (t, n), or a (k, n, d)
-    stack, giving (k, t, n) against one (t, d) query or a (k, t, d) stack of
-    them. Errors come in the order shape, finiteness, width (and a query stack
+    query is unit_rows(H). V is a (n, d) matrix, giving (t, n), or, with
+    stack, a (k, n, d) stack, giving (k, t, n) against one (t, d) query or a
+    (k, t, d) stack of them. Errors come in the order shape, finiteness, width (and a query stack
     that V does not match), then zero norm (H before V).
     """
     unit, query_norms = query
-    tokens, norms = _rows_and_norms(V, name)
+    tokens, norms = _rows_and_norms(V, name, stack)
     if unit.shape[-1] != tokens.shape[-1]:
         raise DimensionMismatchError(
             f"embedding width mismatch: {unit.shape[-1]} vs {tokens.shape[-1]}"
@@ -160,8 +164,8 @@ def cosine_to_unit(query: tuple[np.ndarray, np.ndarray], V, name: str = "V") -> 
 def similarity_matrix(H, V) -> np.ndarray:
     """Cosine similarity of every row of H against every row of V.
 
-    Entry (t, j) is the cosine of the angle between H[t] and V[j]; the result
-    is clamped entrywise to [-1, 1] to absorb rounding.
+    H and V must be 2-D. Entry (t, j) is the cosine of the angle between H[t]
+    and V[j]; the result is clamped entrywise to [-1, 1] to absorb rounding.
     """
     return cosine_to_unit(unit_rows(H), V)
 

@@ -208,13 +208,12 @@ def prune_images(H, images, rho: float) -> list[PruneResult]:
 
     H is checked and scaled to unit rows once; each image then costs one norm
     pass and one GEMM (linalg.cosine_to_unit) and is never copied. H and each
-    image must be 2-D: the kernel's stacks are not taken here. The result for
-    image i depends only on H, images[i] and rho, so per-image work can run
-    in parallel without changing the output.
+    image must be 2-D. The result for image i depends only on H, images[i]
+    and rho, so per-image work can run in parallel without changing the
+    output.
     """
-    query = unit_rows(_as_matrix(H, "H"))
-    results = []
-    for i, image in enumerate(images):
-        name = f"images[{i}]"
-        results.append(prune_by_scores(maxsim_scores(cosine_to_unit(query, _as_matrix(image, name), name)), rho))
-    return results
+    query = unit_rows(H)
+    return [
+        prune_by_scores(maxsim_scores(cosine_to_unit(query, image, f"images[{i}]")), rho)
+        for i, image in enumerate(images)
+    ]

@@ -103,6 +103,10 @@ MATRIX_ENTRY_POINTS = {
         lambda x: similarity_matrix(x, [[1.0, 0.0]]),
         ("3-D", "empty", "nan", "non-numeric"),
     ),
+    "similarity_matrix-V": (
+        lambda x: similarity_matrix([[1.0, 0.0]], x),
+        ("3-D", "empty", "nan", "non-numeric"),
+    ),
     "maxsim_scores": (maxsim_scores, ("3-D", "empty", "non-numeric")),
     "lse_scores": (lse_scores, ("3-D", "empty", "non-numeric")),
 }

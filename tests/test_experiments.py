@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunerank import experiments
 from prunerank.cli import DEFAULTS, _merge
 from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
@@ -104,23 +106,108 @@ class TestPruningComparison:
             run_pruning_comparison(SyntheticConfig(), [0.5, 1.5], n_instances=5)
 
 
+def chunk_sizes(monkeypatch, run) -> list[int]:
+    """The instances per chunk that each section run() starts sizes its chunks to."""
+    sizes = []
+
+    def spy(instance_floats):
+        sizes.append(_chunk_instances(instance_floats))
+        return sizes[-1]
+
+    monkeypatch.setattr(experiments, "_chunk_instances", spy)
+    run()
+    return sizes
+
+
+def stacked_bytes(monkeypatch) -> list[int]:
+    """Patches the kernels the sections call; the list fills with the bytes of
+    every query stack, token stack, similarity stack and softmax input."""
+    sizes = []
+    cosine, soft = experiments.cosine_to_unit, experiments.softmax
+
+    def cosine_spy(query, V, *args, **kwargs):
+        sims = cosine(query, V, *args, **kwargs)
+        sizes.extend((query[0].nbytes, V.nbytes, sims.nbytes))
+        return sims
+
+    def softmax_spy(scores):
+        sizes.append(scores.nbytes)
+        return soft(scores)
+
+    monkeypatch.setattr(experiments, "cosine_to_unit", cosine_spy)
+    monkeypatch.setattr(experiments, "softmax", softmax_spy)
+    return sizes
+
+
 class TestChunks:
-    def test_default_config_chunk_sizes(self):
+    def test_default_config_chunk_sizes(self, monkeypatch):
         syn = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"])
-        # One 20 x 16 float64 image is 2 560 bytes, eight of them 20 480.
         assert CHUNK_BYTES == 1 << 20
-        assert _chunk_instances(syn, 1) == 409
-        assert _chunk_instances(syn, syn.n_images) == 51
+        # Per instance, in float64s: one 20 x 16 image, a 4 x 16 query and 4 x 20
+        # similarities (464), plus 4 x 20 head noise in the correlation (544);
+        # eight images in the ranking (2 560 + 64 + 640).
+        runs = (
+            lambda: run_pruning_comparison(syn, RATIOS, n_instances=1),
+            lambda: run_correlation_probe(syn, n_instances=1),
+            lambda: run_synthetic_ranking(syn, n_instances=1),
+        )
+        assert [chunk_sizes(monkeypatch, run) for run in runs] == [[282], [240], [40]]
 
     def test_ragged_sizes_count_the_largest_image(self):
-        syn = SyntheticConfig(n_images=3, tokens_per_image=(2, 64), embed_dim=8)
-        assert _chunk_instances(syn, 1) == CHUNK_BYTES // (64 * 8 * 8)
-        assert _chunk_instances(syn, 3) == CHUNK_BYTES // (3 * 64 * 8 * 8)
+        syn = SyntheticConfig(n_images=3, tokens_per_image=(2, 64), embed_dim=8, n_query_tokens=2)
+        assert experiments._stacked_floats(syn, 64) == 64 * 8 + 2 * 8 + 2 * 64
+        assert _chunk_instances(experiments._stacked_floats(syn, 64)) == CHUNK_BYTES // (8 * 656)
 
     def test_an_instance_past_the_budget_is_a_chunk_of_its_own(self):
         syn = SyntheticConfig(tokens_per_image=(4000, 4000), embed_dim=512)
-        assert _chunk_instances(syn, 1) == 1
-        assert _chunk_instances(syn, syn.n_images) == 1
+        assert _chunk_instances(experiments._stacked_floats(syn, 4000)) == 1
+        assert _chunk_instances(experiments._stacked_floats(syn, syn.n_images * 4000)) == 1
+
+    def test_many_heads_keep_each_noise_stack_within_the_budget(self, monkeypatch):
+        # 10**4 heads of 4 tokens: 40 000 noise floats per instance, 3 per chunk.
+        syn = SyntheticConfig(n_images=2, tokens_per_image=(4, 4), seed=1)
+        sizes = stacked_bytes(monkeypatch)
+        run_correlation_probe(syn, n_instances=10, n_heads=10**4)
+        assert len(sizes) == 4 * 4
+        assert max(sizes) <= CHUNK_BYTES
+
+    def test_many_query_tokens_keep_each_query_and_similarity_stack_within_the_budget(self, monkeypatch):
+        # 10**4 query rows of width 4: 40 000 query floats per instance.
+        syn = SyntheticConfig(n_images=2, tokens_per_image=(2, 2), embed_dim=4, n_query_tokens=10**4, seed=2)
+        sizes = stacked_bytes(monkeypatch)
+        run_pruning_comparison(syn, RATIOS, n_instances=6)
+        run_correlation_probe(syn, n_instances=6)
+        run_synthetic_ranking(syn, n_instances=3)
+        assert len(sizes) == 3 * 3 + 4 * 3 + 3 * 3
+        assert max(sizes) <= CHUNK_BYTES
+
+    @pytest.mark.parametrize("section", ["comparison", "correlation", "ranking"])
+    def test_a_section_frees_each_chunk_before_generating_the_next(self, monkeypatch, section):
+        """Every stack a chunk scored is gone by the time the next chunk's first
+        instance is generated."""
+        syn = SyntheticConfig(n_images=3, tokens_per_image=(5, 9), seed=3)
+        scored = []
+        checked = []
+        cosine, generate = experiments.cosine_to_unit, experiments.generate_instance
+
+        def cosine_spy(query, V, *args, **kwargs):
+            scored.extend(weakref.ref(array) for array in (query[0], V, V.base))
+            return cosine(query, V, *args, **kwargs)
+
+        def generate_spy(*args, **kwargs):
+            checked.append(len(scored))
+            assert all(ref() is None for ref in scored)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_chunk_instances", lambda instance_floats: 3)
+        monkeypatch.setattr(experiments, "cosine_to_unit", cosine_spy)
+        monkeypatch.setattr(experiments, "generate_instance", generate_spy)
+        {
+            "comparison": lambda: run_pruning_comparison(syn, RATIOS, n_instances=10),
+            "correlation": lambda: run_correlation_probe(syn, n_instances=10),
+            "ranking": lambda: run_synthetic_ranking(syn, n_instances=10),
+        }[section]()
+        assert len(checked) == 10 and checked[-1] > 0
 
 
 class TestCorrelationProbe:

@@ -333,7 +333,7 @@ class TestStackedCosineKernel:
         for k, t, n, d in ((1, 1, 1, 1), (3, 1, 2, 1), (5, 4, 20, 16), (2, 3, 160, 8), (4, 2, 7, 3), (409, 4, 20, 16)):
             h = rng.standard_normal((t, d) if shared else (k, t, d))
             v = rng.standard_normal((k, n, d))
-            sims = cosine_to_unit(unit_rows(h), v)
+            sims = cosine_to_unit(unit_rows(h, stack=True), v, stack=True)
             assert sims.shape == (k, t, n)
             for i in range(k):
                 assert np.array_equal(sims[i], similarity_matrix(h if shared else h[i], v[i]))
@@ -345,7 +345,7 @@ class TestStackedCosineKernel:
         stack_h = h if shared else np.stack([np.ones_like(h), h])
         stack_v = np.stack([np.ones_like(v), v])
         expected = raised(lambda: similarity_matrix(h, v))
-        assert raised(lambda: cosine_to_unit(unit_rows(stack_h), stack_v)) is expected
+        assert raised(lambda: cosine_to_unit(unit_rows(stack_h, stack=True), stack_v, stack=True)) is expected
 
     @pytest.mark.parametrize(
         "operand,shared,name",
@@ -360,12 +360,26 @@ class TestStackedCosineKernel:
         if operand == "V":
             v[0, 2] = 1.0
         with pytest.raises(ZeroNormError, match=rf"^{re.escape(name)} row 2 has \(near-\)zero norm$"):
-            cosine_to_unit(unit_rows(h), v)
+            cosine_to_unit(unit_rows(h, stack=True), v, stack=True)
 
     @pytest.mark.parametrize("h_shape,v_shape", [((3, 2, 4), (2, 5, 4)), ((2, 2, 4), (5, 4))])
     def test_query_stack_must_match_the_token_stack(self, h_shape, v_shape):
         with pytest.raises(DimensionMismatchError, match="stack of"):
-            cosine_to_unit(unit_rows(np.ones(h_shape)), np.ones(v_shape))
+            cosine_to_unit(unit_rows(np.ones(h_shape), stack=True), np.ones(v_shape), stack=True)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: unit_rows(np.ones((2, 4, 3))),
+            lambda: cosine_to_unit(unit_rows(np.ones((4, 3))), np.ones((2, 5, 3))),
+            lambda: similarity_matrix(np.ones((2, 4, 3)), np.ones((2, 5, 3))),
+            lambda: similarity_matrix(np.ones((4, 3)), np.ones((2, 5, 3))),
+        ],
+        ids=["unit_rows", "cosine_to_unit", "similarity_matrix-H", "similarity_matrix-V"],
+    )
+    def test_a_stack_needs_stack(self, call):
+        with pytest.raises(DimensionMismatchError, match="must be 2-D, got shape"):
+            call()
 
     def test_overflowing_row_of_a_stack_scores_zero(self):
         rng = np.random.default_rng(12)
@@ -373,7 +387,7 @@ class TestStackedCosineKernel:
         v = rng.standard_normal((3, 6, 4))
         v[1, 4] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
-            sims = cosine_to_unit(unit_rows(h), v)
+            sims = cosine_to_unit(unit_rows(h, stack=True), v, stack=True)
             for i in range(3):
                 assert np.array_equal(sims[i], similarity_matrix(h[i], v[i]))
         assert not sims[1, :, 4].any() and sims[0, :, 4].all()

@@ -207,14 +207,12 @@ def outcome(driver, *args):
 
 
 def chunked_outcomes(driver, cfg: SyntheticConfig, *args) -> list:
-    """outcome(driver, cfg, *args) at the driver's own chunk budget, then at
-    budgets that fit one and three of its largest instances per chunk."""
-    images = cfg.n_images if driver is run_synthetic_ranking else 1
-    instance_bytes = images * cfg.tokens_per_image[1] * cfg.embed_dim * 8
+    """outcome(driver, cfg, *args) at the driver's own chunk size, then at one
+    and three instances per chunk."""
     results = [outcome(driver, cfg, *args)]
     for per_chunk in (1, 3):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "CHUNK_BYTES", (per_chunk + 1) * instance_bytes - 1)
+            patch.setattr(experiments, "_chunk_instances", lambda instance_floats: per_chunk)
             results.append(outcome(driver, cfg, *args))
     return results
 
@@ -288,11 +286,11 @@ def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
     """A ragged run's chunks hold their share of the stream, in order, and a
     chunk of several instances splits into shape groups, one per token count,
     each stacking its instances' relevant images."""
+    instance_floats = experiments._stacked_floats(RAGGED, RAGGED.tokens_per_image[1])
     if per_chunk is not None:
-        instance_bytes = RAGGED.tokens_per_image[1] * RAGGED.embed_dim * 8
-        monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * instance_bytes)
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * 8 * instance_floats)
     seeds = np.random.default_rng(RAGGED.seed).integers(2**63, size=25)
-    _, chunks = experiments._instances(RAGGED, 25, None, experiments._relevant)
+    _, chunks = experiments._instances(RAGGED, 25, None, experiments._relevant, instance_floats)
     index, n_groups = [], []
     for groups in chunks:
         index.append(sorted(i for group in groups for i in group.index))
