@@ -13,9 +13,10 @@ calls the subcommand, writes the report, prints and picks the exit code; a
 subcommand only maps (config, seed) to its report sections, tables and stdout
 lines. A config and the seed are checked in full before any work. _merge's
 leaf tables hold the one copy of every rule on a single value, keyed by its
-name; SyntheticConfig, built before simulate's first section, checks only the
-rules that tie values together, and the experiment runners and FLOPs helpers
-check none again.
+name, and _PRODUCTS the bounds on simulate sizes that multiply into one
+allocation; SyntheticConfig, built before simulate's first section, checks
+only the other rules that tie values together, and the experiment runners
+and FLOPs helpers check none again.
 
 The exit code is read from the report's "pass": 0 when it holds or is absent,
 1 when a verification tally failed. Any prunerank.errors error (bad config or
@@ -34,6 +35,7 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -137,10 +139,10 @@ _SET_NULL_DEFAULTS = {"query_embedding_path": "", "judgments": []}
 # copy of each rule. tokens_per_image starts at 2 because the correlation
 # probe rank-correlates each image's tokens; a selftest_constant at or above
 # the proven coefficient cannot detect a violation. n_images is capped by the
-# single-symbol identifiers A..Z. The largest simulate sizes keep each first
-# allocation they size at 8 MB or less (the instance seeds, one image, one
-# query, one noise draw). The trial counts are bounded so that every run ends:
-# a million trials is a hundred times the default. A noise scale of a million
+# single-symbol identifiers A..Z. The simulate sizes are bounded one at a
+# time here and, where they multiply into one allocation of an instance, by
+# _PRODUCTS below. The trial counts are bounded so that every run ends: a
+# million trials is a hundred times the default. A noise scale of a million
 # stays far below the ~1e154 at which the squares in the cosine norms overflow.
 # The cost-model counts meet in exact int sums and products (tokens * count
 # per image size, n_vis, n_full, u_base * layers, u_base * n_full), as do beta and
@@ -168,6 +170,22 @@ _MAXIMUMS = {
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
+
+# Products of sizes that each size one float64 allocation simulate makes for
+# one instance, as dotted paths of their factors (a pair counts its larger
+# entry): all its images' tokens, drawn as one block when the image size is
+# fixed; its query; its head noise in the correlation probe; and its
+# similarities, every image's tokens against the query in the ranking. Each
+# is at most _PRODUCT_FLOATS, 2 * 10**6 float64s (16 MB), which leaves room
+# for any one size leaf at its bound with the others at their defaults: the
+# largest, embed_dim or n_query_tokens at 10**4, make 1.6 * 10**6 floats.
+_PRODUCTS = {
+    "image block": ("synthetic.n_images", "synthetic.tokens_per_image", "synthetic.embed_dim"),
+    "query": ("synthetic.n_query_tokens", "synthetic.embed_dim"),
+    "head noise": ("correlation.n_heads", "synthetic.tokens_per_image"),
+    "similarities": ("synthetic.n_query_tokens", "synthetic.n_images", "synthetic.tokens_per_image"),
+}
+_PRODUCT_FLOATS = 2 * 10**6
 
 
 def _same_json_type(default, value) -> bool:
@@ -231,6 +249,22 @@ def _check_leaf(key: str, default, value, where: str) -> None:
             as_keep_ratio(item)
 
 
+def _check_products(cfg: dict, context: str) -> None:
+    """Raise when one of _PRODUCTS whose factors cfg holds exceeds _PRODUCT_FLOATS."""
+    for name, paths in _PRODUCTS.items():
+        factors = []
+        for path in paths:
+            value = cfg
+            for key in path.split("."):
+                value = value.get(key) if isinstance(value, dict) else None
+            factors.append(max(value) if isinstance(value, list) else value)
+        if None not in factors and math.prod(factors) > _PRODUCT_FLOATS:
+            raise ConfigError(
+                f"{context} makes the {name} {' * '.join(paths)} = {math.prod(factors)} "
+                f"floats, more than {_PRODUCT_FLOATS}"
+            )
+
+
 def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
     """Overlay a user config on the defaults; the one check of every overriding value.
 
@@ -250,6 +284,7 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
         else:
             _check_leaf(key, defaults[key], value, f"{context}.{key}")
             merged[key] = value
+    _check_products(merged, context)
     return merged
 
 
@@ -294,6 +329,7 @@ def _cmd_simulate(cfg: dict, seed: int):
     if cfg["query_embedding_path"] is not None:
         query = embedding_from_json(_load_config(cfg["query_embedding_path"]))
         syn["n_query_tokens"], syn["embed_dim"] = query.shape
+        _check_products({**cfg, "synthetic": syn}, "the query of config.query_embedding_path")
     ranking_cfg = dict(cfg["ranking"])
     ranking_syn = {**syn, "noise_scale": ranking_cfg.pop("noise_scale")}
     # Built, and so checked, before the first section runs.
@@ -346,8 +382,14 @@ def _cmd_cost_model(cfg: dict, seed: int):
     return result, tables, [line]
 
 
+# The keys of a judgment object, and the Python types JSON gives the items
+# it may list: strings and numbers. true, false and null are not items; true
+# would match 1 and false 0.
+_JUDGMENT_KEYS = frozenset({"subset", "relevant", "ranked"})
+_ITEM_TYPES = {str, int, float}
+
+
 def _parse_judgments(raw: list) -> dict:
-    judgments_by_subset: dict[str, list[QueryJudgment]] = {}
     for i, entry in enumerate(raw):
         if not (
             isinstance(entry, dict)
@@ -360,13 +402,27 @@ def _parse_judgments(raw: list) -> dict:
         subset = entry.get("subset", "all")
         if not isinstance(subset, str):
             raise ConfigError(f"judgment {i} subset must be a string, got {subset!r}")
-        try:
-            judgment = QueryJudgment(
-                relevant=frozenset(entry["relevant"]), ranked=tuple(entry["ranked"])
+        if len(entry) != 2 + ("subset" in entry):
+            unknown = min(entry.keys() - _JUDGMENT_KEYS)
+            raise ConfigError(
+                f"unknown judgment {i} key {_capped(repr(unknown))}; known: {sorted(_JUDGMENT_KEYS)}"
             )
-        except TypeError as exc:
-            raise ConfigError(f"judgment {i} items must be strings or numbers") from exc
-        judgments_by_subset.setdefault(subset, []).append(judgment)
+    # One scan of every item's type, before any item is hashed.
+    lists = chain.from_iterable((entry["relevant"], entry["ranked"]) for entry in raw)
+    if not set(map(type, chain.from_iterable(lists))) <= _ITEM_TYPES:
+        i, item = next(
+            (i, item)
+            for i, entry in enumerate(raw)
+            for item in chain(entry["relevant"], entry["ranked"])
+            if type(item) not in _ITEM_TYPES
+        )
+        raise ConfigError(
+            f"judgment {i} items must be strings or numbers, got {_capped(json.dumps(item))}"
+        )
+    judgments_by_subset: dict[str, list[QueryJudgment]] = {}
+    for entry in raw:
+        judgment = QueryJudgment(frozenset(entry["relevant"]), tuple(entry["ranked"]))
+        judgments_by_subset.setdefault(entry.get("subset", "all"), []).append(judgment)
     return judgments_by_subset
 
 

@@ -14,7 +14,8 @@ call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
 the pruning-error check's pass. Each simulate section generates its
-instances one by one, in stream order, in chunks whose stacks (tokens,
+instances one by one, in stream order (an instance with a fixed image size
+draws all its images' tokens in one block), in chunks whose stacks (tokens,
 queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB) unless
 one instance's do, and frees each chunk before it generates the next. A
 chunk splits into groups of instances whose tokens stack to one shape (one
@@ -345,9 +346,14 @@ def _chunk(cfg: SyntheticConfig, seeds: list[int], start: int, size: int, query,
 
 
 def _relevant(instance: SyntheticInstance) -> tuple:
-    """The relevant image and its planted positions."""
+    """A copy of the relevant image, and its planted positions.
+
+    With a fixed image size the image is a view of the instance's whole image
+    block, which a chunk would keep alive until it is stacked; the copy keeps
+    only the image.
+    """
     relevant = instance.relevant_image
-    return (instance.images[relevant],), instance.planted[relevant]
+    return (instance.images[relevant].copy(),), instance.planted[relevant]
 
 
 def run_pruning_comparison(

@@ -8,9 +8,10 @@ with average-rank tie handling.
 
 from __future__ import annotations
 
-import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,32 +32,30 @@ NEAR_MISS = "near_miss"
 MODERATE_MISS = "moderate_miss"
 CATASTROPHIC_MISS = "catastrophic_miss"
 FAILURE_LABELS = (SUCCESS, NEAR_MISS, MODERATE_MISS, CATASTROPHIC_MISS)
+# The deepest best rank of each label but the last: 1, then 2-3, then 4-5.
+_FAILURE_DEPTHS = (1, 3, 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryJudgment:
-    """Ground-truth relevant items plus the system's ranked candidate list."""
+    """Ground-truth relevant items plus the system's ranked candidate list.
+
+    A relevant set that is already a frozenset, and a ranked list that is
+    already a tuple, are kept as given; anything else is converted.
+    """
 
     relevant: frozenset
     ranked: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "relevant", frozenset(self.relevant))
-        object.__setattr__(self, "ranked", tuple(self.ranked))
+        if not isinstance(self.relevant, frozenset):
+            object.__setattr__(self, "relevant", frozenset(self.relevant))
+        if not isinstance(self.ranked, tuple):
+            object.__setattr__(self, "ranked", tuple(self.ranked))
         if not self.relevant:
             raise EmptyRelevantSetError("a judgment needs at least one relevant item")
         if len(set(self.ranked)) != len(self.ranked):
             raise DimensionMismatchError("ranked list entries must be distinct")
-
-
-def _failure_label(rank: int) -> str:
-    if rank == 1:
-        return SUCCESS
-    if rank <= 3:
-        return NEAR_MISS
-    if rank <= 5:
-        return MODERATE_MISS
-    return CATASTROPHIC_MISS
 
 
 def finite_mean(values) -> float:
@@ -133,12 +132,22 @@ def evaluate_judgments(
     mean_rank and the failure taxonomy only cover queries whose ground truth
     appears in the ranked list; the unranked remainder is counted separately.
 
-    One pass per judgment: every metric comes from the 1-based positions of
-    its relevant items. recall@k is the share of relevant items in the top k
-    (all of the list when k exceeds it); ndcg@k sums 1 / log2(p + 1) over the
-    relevant positions p <= k and divides by the same sum over positions
+    Every metric comes from the 1-based positions of each judgment's relevant
+    items. recall@k is the share of relevant items in the top k (all of the
+    list when k exceeds it); ndcg@k sums 1 / log2(p + 1) over the relevant
+    positions p <= k and divides by the same sum over positions
     1..min(k, |relevant|); p@1 is 1.0 when position 1 is relevant; mean_rank
-    averages each query's best relevant position, and _failure_label buckets it.
+    averages each query's best relevant position, which also buckets it in the
+    taxonomy. A k given twice counts each judgment twice in its means.
+
+    One Python pass over the judgments tests each ranked item for membership
+    and lists every hit's position. The rest is array work on the hits, whose
+    number is the memory it takes: per k, one bincount counts each judgment's
+    hits in the top k and another adds their discounts in position order
+    from 0.0, as a Python sum does; the first hits give p@1, mean_rank and,
+    by searchsorted and bincount, the taxonomy; and every mean is np.mean
+    over one contiguous float64 run of values in judgment order, so the
+    floats equal those of a mean over per-judgment lists.
     """
     if not judgments_by_subset:
         raise EmptySubsetError("need at least one subset")
@@ -148,71 +157,85 @@ def evaluate_judgments(
     for subset, judgments in subsets.items():
         if not judgments:
             raise EmptySubsetError(f"subset {subset!r} has no judgments")
-    # DCG discounts by 1-based position, as far as any top-k reaches, and per
+    judgments = [j for subset_judgments in subsets.values() for j in subset_judgments]
+    positions: list[int] = []
+    n_hits: list[int] = []
+    for j in judgments:
+        relevant, ranked = j.relevant, j.ranked
+        if not ranked:
+            raise EmptyInputError("ranked list is empty")
+        hits = [p for p, item in enumerate(ranked) if item in relevant]
+        positions += hits
+        n_hits.append(len(hits))
+    # Every hit's 0-based position and judgment, judgment by judgment in
+    # position order, and each ranked judgment's 1-based best rank.
+    position = np.array(positions, dtype=np.int64)
+    counts = np.array(n_hits, dtype=np.int64)
+    owner = np.repeat(np.arange(len(judgments)), counts)
+    is_ranked = counts > 0
+    best = position[(np.cumsum(counts) - counts)[is_ranked]] + 1
+    n_relevant = np.array([len(j.relevant) for j in judgments], dtype=np.int64)
+
+    # DCG discounts by 0-based position, as far as any top-k reaches, and per
     # relevant-set size the ideal DCG at each k, summed in position order.
-    depth = min(
-        max(k_values, default=0),
-        max(len(j.ranked) for judgments in subsets.values() for j in judgments),
-    )
-    discount = [0.0] + [1.0 / math.log2(p + 1) for p in range(1, depth + 1)]
-    ideal_by_size: dict[int, list[float]] = {}
-    recall_names = [f"recall@{k}" for k in k_values]
-    ndcg_names = [f"ndcg@{k}" for k in k_values]
+    depth = min(max(k_values, default=0), max(len(j.ranked) for j in judgments))
+    discount = np.array([1.0 / math.log2(p + 2) for p in range(depth)])
+    sizes, size_of = np.unique(n_relevant, return_inverse=True)
+    distinct_k = list(dict.fromkeys(k_values))
+    ideal = np.array(
+        [
+            [sum(1.0 / math.log2(p + 1) for p in range(1, min(k, size) + 1)) for k in distinct_k]
+            for size in sizes.tolist()
+        ]
+    ).reshape(sizes.size, len(distinct_k))
+    # Per metric, a (judgments, times its k is given) array of each judgment's value.
+    repeats = Counter(k_values)
+    columns: dict[str, np.ndarray] = {}
+    for i, k in enumerate(distinct_k):
+        in_top = position < k
+        top_owner = owner[in_top]
+        found = np.bincount(top_owner, minlength=len(judgments))
+        # bincount adds each judgment's weights in input order, from 0.0.
+        dcg = np.bincount(top_owner, weights=discount[position[in_top]], minlength=len(judgments))
+        columns[f"recall@{k}"] = np.repeat((found / n_relevant)[:, None], repeats[k], axis=1)
+        columns[f"ndcg@{k}"] = np.repeat((dcg / ideal[size_of, i])[:, None], repeats[k], axis=1)
+    first = np.zeros(len(judgments), dtype=np.int64)
+    first[is_ranked] = best
+    columns["p@1"] = (first == 1).astype(np.float64)[:, None]
+    ranks = best.astype(np.float64)
+    labels = np.searchsorted(_FAILURE_DEPTHS, best)
+    ranked_before = np.concatenate(([0], np.cumsum(is_ranked))).tolist()
 
-    metric_values: dict[str, dict[str, list[float]]] = {}
     per_subset: dict[str, dict] = {}
-    failure_counts = {label: 0 for label in FAILURE_LABELS}
-    unranked = 0
-    for subset, judgments in subsets.items():
-        # One list per metric name; a repeated k appends to its list twice.
-        values = {name: [] for pair in zip(recall_names, ndcg_names) for name in pair}
-        recall_lists = [values[name] for name in recall_names]
-        ndcg_lists = [values[name] for name in ndcg_names]
-        p_at_1 = values["p@1"] = []
-        ranks: list[float] = []
-        subset_failures = {label: 0 for label in FAILURE_LABELS}
-        for j in judgments:
-            relevant = j.relevant
-            if not j.ranked:
-                raise EmptyInputError("ranked list is empty")
-            hits = [p for p, item in enumerate(j.ranked, start=1) if item in relevant]
-            n_relevant = len(relevant)
-            ideals = ideal_by_size.get(n_relevant)
-            if ideals is None:
-                ideals = ideal_by_size[n_relevant] = [
-                    sum(1.0 / math.log2(p + 1) for p in range(1, min(k, n_relevant) + 1))
-                    for k in k_values
-                ]
-            for k, ideal, recall_list, ndcg_list in zip(k_values, ideals, recall_lists, ndcg_lists):
-                top = bisect.bisect_right(hits, k)
-                recall_list.append(top / n_relevant)
-                ndcg_list.append(sum(map(discount.__getitem__, hits[:top])) / ideal)
-            if hits:
-                p_at_1.append(1.0 if hits[0] == 1 else 0.0)
-                ranks.append(float(hits[0]))
-                subset_failures[_failure_label(hits[0])] += 1
-            else:
-                p_at_1.append(0.0)
-        if ranks:
-            values["mean_rank"] = ranks
+    ends = list(accumulate(map(len, subsets.values())))
+    for subset, start, end in zip(subsets, [0, *ends], ends):
+        low, high = ranked_before[start], ranked_before[end]
+        label_counts = np.bincount(labels[low:high], minlength=len(FAILURE_LABELS)).tolist()
         summary = {
-            "n_queries": len(judgments),
-            "failure_counts": subset_failures,
-            "n_unranked": len(judgments) - len(ranks),
+            "n_queries": end - start,
+            "failure_counts": dict(zip(FAILURE_LABELS, label_counts)),
+            "n_unranked": end - start - (high - low),
         }
-        for metric, metric_list in values.items():
-            summary[metric] = float(np.mean(metric_list))
-            metric_values.setdefault(metric, {})[subset] = metric_list
-        summary.setdefault("mean_rank", None)
+        for metric, values in columns.items():
+            summary[metric] = float(np.mean(values[start:end].ravel()))
+        summary["mean_rank"] = float(np.mean(ranks[low:high])) if high > low else None
         per_subset[subset] = summary
-        for label in FAILURE_LABELS:
-            failure_counts[label] += subset_failures[label]
-        unranked += summary["n_unranked"]
 
+    if ranks.size:
+        columns["mean_rank"] = ranks
     overall = {
-        metric: aggregate(by_subset) for metric, by_subset in metric_values.items()
+        metric: {
+            "micro": finite_mean(values.ravel()),
+            "macro": finite_mean(
+                [summary[metric] for summary in per_subset.values() if summary[metric] is not None]
+            ),
+        }
+        for metric, values in columns.items()
     }
-    n_classified = sum(failure_counts.values())
+    failure_counts = dict(
+        zip(FAILURE_LABELS, np.bincount(labels, minlength=len(FAILURE_LABELS)).tolist())
+    )
+    n_classified = ranks.size
     taxonomy = {
         label: (failure_counts[label] / n_classified if n_classified else None)
         for label in FAILURE_LABELS
@@ -223,6 +246,6 @@ def evaluate_judgments(
         "failure_taxonomy": {
             "counts": failure_counts,
             "fractions": taxonomy,
-            "n_unranked": unranked,
+            "n_unranked": len(judgments) - n_classified,
         },
     }

@@ -68,8 +68,10 @@ def generate_instance(
     counts and tokens, planted positions, planted source rows, planted noise.
     Passing an explicit query skips the first draw; its shape must match the
     configured (n_query_tokens, embed_dim). A fixed image size (low == high)
-    draws no count, as numpy's integers(low, low + 1) draws nothing. seed, when
-    given, replaces cfg.seed.
+    draws no count, as numpy's integers(low, low + 1) draws nothing, and draws
+    all images' tokens as one (n_images, low, embed_dim) block: the same
+    values, in C order, as one draw per image, and each image is a view of
+    the block. seed, when given, replaces cfg.seed.
     """
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     if query is None:
@@ -83,19 +85,22 @@ def generate_instance(
             )
     relevant = int(rng.integers(cfg.n_images))
     low, high = cfg.tokens_per_image
-    images = []
-    for _ in range(cfg.n_images):
-        n_tokens = low if low == high else int(rng.integers(low, high + 1))
-        images.append(rng.standard_normal((n_tokens, cfg.embed_dim)))
+    if low == high:
+        images = tuple(rng.standard_normal((cfg.n_images, low, cfg.embed_dim)))
+    else:
+        images = tuple(
+            rng.standard_normal((int(rng.integers(low, high + 1)), cfg.embed_dim))
+            for _ in range(cfg.n_images)
+        )
     target = images[relevant]
     positions = np.sort(rng.choice(target.shape[0], size=cfg.planted_per_image, replace=False))
     sources = rng.integers(cfg.n_query_tokens, size=cfg.planted_per_image)
     noise = rng.standard_normal((cfg.planted_per_image, cfg.embed_dim)) * cfg.noise_scale
-    for row, (pos, src) in enumerate(zip(positions, sources)):
-        target[pos] = query[src] + noise[row]
+    # The positions are distinct, so one fancy assignment plants every copy.
+    target[positions] = query[sources] + noise
     return SyntheticInstance(
         query=query,
-        images=tuple(images),
-        planted={relevant: tuple(int(p) for p in positions)},
+        images=images,
+        planted={relevant: tuple(positions.tolist())},
         relevant_image=relevant,
     )

@@ -24,7 +24,13 @@ from prunerank.errors import (
 )
 from prunerank.linalg import ZERO_NORM_EPS, as_vector
 from prunerank.losses import LossValue
-from prunerank.metrics import QueryJudgment, _failure_label
+from prunerank.metrics import (
+    CATASTROPHIC_MISS,
+    MODERATE_MISS,
+    NEAR_MISS,
+    SUCCESS,
+    QueryJudgment,
+)
 from prunerank.scoring import IDENTIFIER_ALPHABET
 
 
@@ -136,7 +142,15 @@ def classify_failure(gt_best_rank: int) -> FailureClass:
     """
     if gt_best_rank < 1:
         raise KOutOfRangeError(f"rank must be >= 1, got {gt_best_rank}")
-    return FailureClass(label=_failure_label(gt_best_rank), gt_best_rank=int(gt_best_rank))
+    if gt_best_rank == 1:
+        label = SUCCESS
+    elif gt_best_rank <= 3:
+        label = NEAR_MISS
+    elif gt_best_rank <= 5:
+        label = MODERATE_MISS
+    else:
+        label = CATASTROPHIC_MISS
+    return FailureClass(label=label, gt_best_rank=int(gt_best_rank))
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:

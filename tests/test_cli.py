@@ -239,6 +239,14 @@ BAD_INPUT_PROBES = {
         "metrics",
         {"judgments": [{"subset": [1], "relevant": [0], "ranked": [0, 1]}]},
     ),
+    # Each once exited 0: true matched the relevant 1 (True == 1), and null matched itself.
+    "metrics-true-item": ("metrics", {"judgments": [{"relevant": [1], "ranked": [True, 2]}]}),
+    "metrics-null-item": ("metrics", {"judgments": [{"relevant": [None], "ranked": [None, 1]}]}),
+    # Once scored in subset "all", the misspelt key ignored.
+    "metrics-unknown-judgment-key": (
+        "metrics",
+        {"judgments": [{"subest": "a", "relevant": [0], "ranked": [0, 1]}]},
+    ),
     "verify-bounds-nan-constant": ("verify-bounds", {"selftest_constant": float("nan")}),
     "verify-bounds-constant-1e308": ("verify-bounds", {"selftest_constant": 1e308}),
     "verify-bounds-constant-minus-1e308": ("verify-bounds", {"selftest_constant": -1e308}),
@@ -339,7 +347,25 @@ OVERFLOW_LEAVES = (
 # config error named no leaf.
 INFINITE_FLOPS_LEAVES = ("arch.width", "workload.n_query")
 # What a probe's config error must say: each single-leaf 10**307 probe names its leaf.
-ERROR_TEXT = {}
+ERROR_TEXT = {
+    "metrics-true-item": "judgment 0 items must be strings or numbers, got true",
+    "metrics-null-item": "judgment 0 items must be strings or numbers, got null",
+    "metrics-unknown-judgment-key": "unknown judgment 0 key 'subest'",
+}
+# Simulate sizes, each within its own bound, whose product sizes one
+# allocation past cli._PRODUCT_FLOATS, by the allocation's name in that
+# table. Each once passed _merge; the head noise one sizes a 10**8-float
+# (800 MB) draw.
+OVERSIZED_PRODUCTS = {
+    "image block": {"synthetic": {"n_images": 26, "embed_dim": 10**4}},
+    "query": {"synthetic": {"n_query_tokens": 10**4, "embed_dim": 300}},
+    "head noise": {"correlation": {"n_heads": 10**4}, "synthetic": {"tokens_per_image": [2, 10**4]}},
+    "similarities": {"synthetic": {"n_query_tokens": 10**4, "n_images": 26}},
+}
+for _name, _override in OVERSIZED_PRODUCTS.items():
+    _probe = f"simulate-{_name.replace(' ', '-')}-product"
+    BAD_INPUT_PROBES[_probe] = ("simulate", _override)
+    ERROR_TEXT[_probe] = f"config makes the {_name} "
 for _path in OVERFLOW_LEAVES + INFINITE_FLOPS_LEAVES:
     ERROR_TEXT[f"cost-model-{_path}-10**307"] = f"config.{_path} "
     BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
@@ -453,6 +479,28 @@ def test_simulate_sizes_are_bounded_in_merge(name):
     for value in (bound + 1, 2**62):
         with pytest.raises(ConfigError, match=f"must be <= {bound}"):
             _merge(DEFAULTS["simulate"], override(value))
+
+
+@pytest.mark.parametrize("name", OVERSIZED_PRODUCTS)
+def test_simulate_products_are_bounded_in_merge(name):
+    with pytest.raises(ConfigError, match=f"the {name} .* floats, more than {cli._PRODUCT_FLOATS}"):
+        _merge(DEFAULTS["simulate"], OVERSIZED_PRODUCTS[name])
+
+
+def test_a_product_at_the_bound_is_allowed():
+    assert 10**4 * 200 == cli._PRODUCT_FLOATS
+    _merge(DEFAULTS["simulate"], {"synthetic": {"n_query_tokens": 10**4, "embed_dim": 200}})
+
+
+def test_a_query_file_is_held_to_the_product_bounds(tmp_path, capsys, monkeypatch):
+    """The query file sets n_query_tokens and embed_dim after _merge has run."""
+    for step in STEPS:
+        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+    query = write_config(tmp_path, "query.json", {"rows": 1, "dim": 20_000, "data": [1.0] * 20_000})
+    cfg = write_config(tmp_path, "cfg.json", {"query_embedding_path": query})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the query of config.query_embedding_path makes the image block" in err
 
 
 def shaped(default, value):

@@ -139,6 +139,31 @@ def stacked_bytes(monkeypatch) -> list[int]:
     return sizes
 
 
+def kept_bytes(monkeypatch) -> list[int]:
+    """Patches _chunk; the list fills with the bytes each chunk's kept images
+    keep alive until the chunk is stacked: an image's own buffer, or for a
+    view the whole array it views (its .base)."""
+    sizes = []
+    chunk = experiments._chunk
+
+    def chunk_spy(cfg, seeds, start, size, query, keep):
+        owners = {}
+
+        def keep_spy(instance):
+            images, kept = keep(instance)
+            for image in images:
+                owner = image if image.base is None else image.base
+                owners[id(owner)] = owner
+            return images, kept
+
+        groups = chunk(cfg, seeds, start, size, query, keep_spy)
+        sizes.append(sum(owner.nbytes for owner in owners.values()))
+        return groups
+
+    monkeypatch.setattr(experiments, "_chunk", chunk_spy)
+    return sizes
+
+
 class TestChunks:
     def test_default_config_chunk_sizes(self, monkeypatch):
         syn = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"])
@@ -152,6 +177,21 @@ class TestChunks:
             lambda: run_synthetic_ranking(syn, n_instances=1),
         )
         assert [chunk_sizes(monkeypatch, run) for run in runs] == [[282], [240], [40]]
+
+    def test_default_config_chunks_keep_their_budget(self, monkeypatch):
+        """A chunk's stacks, and what its kept images keep alive, each fit
+        CHUNK_BYTES. A fixed-size instance's images are views of one block of
+        all eight, so a kept view of the relevant image would keep eight
+        times its own bytes alive."""
+        syn = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"])
+        kept = kept_bytes(monkeypatch)
+        stacks = stacked_bytes(monkeypatch)
+        run_pruning_comparison(syn, RATIOS, n_instances=300)
+        run_correlation_probe(syn, n_instances=250)
+        run_synthetic_ranking(syn, n_instances=50)
+        assert len(kept) == 2 + 2 + 2
+        assert max(kept) <= CHUNK_BYTES
+        assert max(stacks) <= CHUNK_BYTES
 
     def test_ragged_sizes_count_the_largest_image(self):
         syn = SyntheticConfig(n_images=3, tokens_per_image=(2, 64), embed_dim=8, n_query_tokens=2)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,24 @@ TEN_DOMAIN_RECALL1 = [61.6, 65.3, 64.1, 67.6, 65.7, 56.1, 70.6, 68.8, 76.1, 46.0
 
 def judgment(relevant, ranked):
     return QueryJudgment(relevant=frozenset(relevant), ranked=tuple(ranked))
+
+
+class TestQueryJudgment:
+    def test_a_frozenset_and_a_tuple_are_kept_as_given(self):
+        relevant, ranked = frozenset({1, 2}), (2, 3, 1)
+        j = QueryJudgment(relevant, ranked)
+        assert j.relevant is relevant and j.ranked is ranked
+
+    def test_other_collections_are_converted(self):
+        j = QueryJudgment({1}, [1, 2])
+        assert type(j.relevant) is frozenset and j.relevant == {1}
+        assert type(j.ranked) is tuple and j.ranked == (1, 2)
+
+    def test_frozen_with_slots(self):
+        j = QueryJudgment({1}, [1])
+        assert not hasattr(j, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            j.ranked = (2,)
 
 
 class TestRecallAtK:
@@ -418,3 +438,74 @@ class TestEvaluateJudgmentsMatchesPerMetricFunctions:
     def test_bad_input_raises_its_class(self, judgments_by_subset, k_values, error):
         with pytest.raises(error):
             evaluate_judgments(judgments_by_subset, k_values=k_values)
+
+
+def benchmark_judgments(rng, n, ranked=20, ragged=False):
+    """n judgments shaped like the small-cli benchmark's: 1-3 relevant items
+    from a pool four items larger than a ranked list of `ranked` items (of 1
+    to `ranked` items when ragged), so some queries rank nothing relevant."""
+    pool = ranked + 4
+    return [
+        judgment(
+            rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist(),
+            rng.permutation(pool)[: int(rng.integers(1, ranked + 1)) if ragged else ranked].tolist(),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestEvaluateJudgmentsAtBenchmarkScale:
+    """The array evaluation, bit for bit against the per-judgment reference."""
+
+    @staticmethod
+    def assert_matches_reference(judgments_by_subset, k_values):
+        out = evaluate_judgments(judgments_by_subset, k_values=k_values)
+        expected = reference_evaluation(judgments_by_subset, k_values)
+        assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        return out
+
+    def test_ten_subsets_of_a_thousand(self):
+        rng = np.random.default_rng(0)
+        js = {f"s{s}": benchmark_judgments(rng, 1000) for s in range(10)}
+        self.assert_matches_reference(js, [1, 3, 5])
+
+    def test_one_subset_past_the_reduction_buffer(self):
+        # numpy reduces in 8 192-element buffers where it must cast or copy.
+        rng = np.random.default_rng(1)
+        self.assert_matches_reference({"all": benchmark_judgments(rng, 20_000)}, [1, 3, 5])
+
+    def test_repeated_k(self):
+        # Each judgment counts twice in the k = 3 means; at this seed that
+        # moves their floats, so counting it once fails here.
+        rng = np.random.default_rng(0)
+        js = {name: benchmark_judgments(rng, 500, ragged=True) for name in ("a", "b")}
+        self.assert_matches_reference(js, [3, 3, 1])
+
+    def test_k_beyond_every_list(self):
+        rng = np.random.default_rng(3)
+        js = {name: benchmark_judgments(rng, 300, ragged=True) for name in ("a", "b", "c")}
+        # 2**63, the largest k a metrics config may give, is past any int64.
+        self.assert_matches_reference(js, [1, 21, 2**63])
+
+    def test_one_long_list_and_a_large_k_take_memory_by_the_hits(self):
+        """A (judgments x k) array would hold 10**7 entries here."""
+        rng = np.random.default_rng(5)
+        js = {"short": benchmark_judgments(rng, 1000), "long": [judgment({3, 9_000}, range(10_000))]}
+        tracemalloc.start()
+        try:
+            evaluate_judgments(js, k_values=[10_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        self.assert_matches_reference(js, [10_000])
+
+    def test_a_subset_where_nothing_relevant_is_ranked(self):
+        rng = np.random.default_rng(4)
+        js = {
+            "ranked": benchmark_judgments(rng, 200),
+            "unranked": [judgment({100 + i}, rng.permutation(24)[:20].tolist()) for i in range(50)],
+        }
+        out = self.assert_matches_reference(js, [1, 3, 5])
+        assert out["per_subset"]["unranked"]["mean_rank"] is None
+        assert out["per_subset"]["unranked"]["n_unranked"] == 50

@@ -127,7 +127,20 @@ def instance_by_draw_order(cfg, query=None):
 
 class TestDrawOrder:
     """A fixed image size draws no count; numpy's integers(low, low + 1) draws
-    no bits either, so the stream matches the documented order."""
+    no bits either, and its one block of all images' tokens holds the values
+    one draw per image gives, so the stream matches the documented order."""
+
+    @staticmethod
+    def assert_matches_documented_draw_order(cfg, seed, query):
+        want_query, want_images, relevant, positions = instance_by_draw_order(cfg, query)
+        reseeded = generate_instance(dataclasses.replace(cfg, seed=5), query, seed=seed)
+        for inst in (generate_instance(cfg, query), reseeded):
+            np.testing.assert_array_equal(inst.query, want_query)
+            assert len(inst.images) == len(want_images)
+            for got, want in zip(inst.images, want_images):
+                np.testing.assert_array_equal(got, want)
+            assert inst.relevant_image == relevant
+            assert inst.planted == {relevant: positions}
 
     @pytest.mark.parametrize("tokens_per_image", [(20, 20), (3, 3), (5, 15)])
     @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
@@ -138,12 +151,12 @@ class TestDrawOrder:
             planted_per_image=2, noise_scale=0.3, seed=seed,
         )
         query = np.arange(18, dtype=float).reshape(3, 6) - 4.5 if explicit_query else None
-        want_query, want_images, relevant, positions = instance_by_draw_order(cfg, query)
-        reseeded = generate_instance(dataclasses.replace(cfg, seed=5), query, seed=seed)
-        for inst in (generate_instance(cfg, query), reseeded):
-            np.testing.assert_array_equal(inst.query, want_query)
-            assert len(inst.images) == len(want_images)
-            for got, want in zip(inst.images, want_images):
-                np.testing.assert_array_equal(got, want)
-            assert inst.relevant_image == relevant
-            assert inst.planted == {relevant: positions}
+        self.assert_matches_documented_draw_order(cfg, seed, query)
+
+    @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
+    @pytest.mark.parametrize("explicit_query", [False, True])
+    def test_default_simulate_config_matches_documented_draw_order(self, seed, explicit_query):
+        """8 images of 20 x 16 tokens, one planted copy without noise."""
+        cfg = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"], seed=seed)
+        query = np.arange(64, dtype=float).reshape(4, 16) - 31.5 if explicit_query else None
+        self.assert_matches_documented_draw_order(cfg, seed, query)
