@@ -7,8 +7,8 @@ score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each instance's attention noise from its master generator,
-instance by instance (one draw per chunk, split in order). Only the synthetic instances and the random-pruning
-draws have seeds of their own.
+instance by instance, as the instance is generated. Only the synthetic
+instances and the random-pruning draws have seeds of their own.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -21,8 +21,8 @@ one instance's do, and frees each chunk before it generates the next. A
 chunk splits into groups of instances whose tokens stack to one shape (one
 group when every image has the same size), and each group is scored with one
 call of each kernel on the stack: one cosine GEMM per instance inside one
-matmul, one stable sort for every keep ratio, one softmax for every head, one
-reduceat for every image. Results that depend on order (the correlations and
+matmul, one keep-rule sort (pruning._ranks) for every keep ratio or for the
+ranking, one softmax for every head, one reduceat for every image. Results that depend on order (the correlations and
 the ranking judgments) are put back in stream order. The drivers take their
 counts, ratios and noise scales as cli._merge has checked them and check none
 again, and return only what they computed: the report's config holds their
@@ -61,8 +61,7 @@ from .cost_model import (
 from .errors import NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import _pool, keep_count, random_prune, topk_stability_rows
-from .scoring import rank_from_logits
+from .pruning import _pool, _ranks, _token_scores, keep_count, random_prune, topk_stability_rows
 from .synthetic import SyntheticConfig, SyntheticInstance, generate_instance
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
@@ -370,7 +369,7 @@ def run_pruning_comparison(
     An explicit query matrix replaces the per-instance sampled one.
 
     A group of relevant images is scored with one cosine call and ranked with
-    one stable sort: a token survives query-aware pruning at every ratio whose
+    one pruning._ranks call: a token survives query-aware pruning at every ratio whose
     budget exceeds its rank in the descending score order (the lower index
     first on ties). The budgets are computed once per image size. The random
     baseline draws once per instance and ratio, from a seed of its own.
@@ -390,10 +389,7 @@ def run_pruning_comparison(
             n_tokens = group.tokens.shape[1]
             if n_tokens not in budgets:
                 budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
-            scores = cosine_to_unit(group.query, group.tokens, stack=True).max(axis=-2)
-            order = np.argsort(-scores, axis=-1, kind="stable")
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.arange(n_tokens)[None, :], axis=-1)
+            _, rank = _ranks(_token_scores(group.query, group.tokens, stack=True))
             planted = np.array(group.kept)
             planted_total += planted.size
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
@@ -428,29 +424,27 @@ def run_correlation_probe(
     Per instance, per-head attention rows at the scoring position are softmax
     distributions over the smooth pooling scores plus head-specific noise; the
     head average is then rank-correlated against the hard-max pruning scores.
-    The value is reported without an acceptance threshold. A chunk's noise is
-    one draw, each instance's (n_heads, n_tokens) in stream order, and a group
-    is pooled and softmaxed with one call each. The correlations are taken in
-    stream order.
+    The value is reported without an acceptance threshold. Each instance's
+    (n_heads, n_tokens) noise is drawn as the instance is generated, in stream
+    order, and a group is pooled and softmaxed with one call each. The
+    correlations are taken in stream order.
     """
     high = cfg.tokens_per_image[1]
-    master, chunks = _instances(
-        cfg, n_instances, query, _relevant, _stacked_floats(cfg, high) + n_heads * high
-    )
+
+    def keep(instance: SyntheticInstance) -> tuple:
+        images, _ = _relevant(instance)
+        return images, master.normal(0.0, attention_noise, size=(n_heads, len(images[0])))
+
+    master, chunks = _instances(cfg, n_instances, query, keep, _stacked_floats(cfg, high) + n_heads * high)
 
     def correlate(groups: list[_Group]) -> list[float]:
         """The chunk's correlations, in stream order."""
-        n_tokens = dict(sorted((i, group.tokens.shape[1]) for group in groups for i in group.index))
-        sizes = [n_heads * n for n in n_tokens.values()]
-        draws = np.split(master.normal(0.0, attention_noise, size=sum(sizes)), np.cumsum(sizes)[:-1])
-        noise = dict(zip(n_tokens, draws))
         pooled = {}
         for group in groups:
             hard, smooth = _pool(cosine_to_unit(group.query, group.tokens, stack=True))
-            heads = np.stack([noise[i] for i in group.index]).reshape(len(group.index), n_heads, -1)
-            mass = softmax(smooth[:, None, :] + heads).mean(axis=1)
+            mass = softmax(smooth[:, None, :] + np.stack(group.kept)).mean(axis=1)
             pooled.update(zip(group.index, zip(hard, mass)))
-        return [spearman(*pooled[i]) for i in n_tokens]
+        return [spearman(*pooled[i]) for i in sorted(pooled)]
 
     correlations = [value for chunk in map(correlate, chunks) for value in chunk]
     return {
@@ -476,8 +470,9 @@ def run_synthetic_ranking(
 
     Each instance's images are stacked end to end, a group of such stacks is
     scored in one cosine call, and each image's best token is a max over its
-    row span, for the whole group in one reduceat. The candidate ids are the
-    image indices, so the ranked ids are the permutation itself. The
+    row span, for the whole group in one reduceat, and the group's images are
+    ranked by one pruning._ranks call. The candidate ids are the image
+    indices, so each instance's ranked ids are its row of the order. The
     judgments are kept in stream order.
     """
 
@@ -497,12 +492,11 @@ def run_synthetic_ranking(
             offsets = [
                 row * n_tokens + start for row, (_, starts) in enumerate(group.kept) for start in starts
             ]
-            tokens = cosine_to_unit(group.query, group.tokens, stack=True).max(axis=-2)
+            tokens = _token_scores(group.query, group.tokens, stack=True)
             best = np.maximum.reduceat(tokens.ravel(), offsets).reshape(len(group.index), -1)
-            for i, (relevant, _), logits in zip(group.index, group.kept, best):
-                ranked[i] = QueryJudgment(
-                    relevant=frozenset({relevant}), ranked=tuple(rank_from_logits(logits).tolist())
-                )
+            order, _ = _ranks(best)
+            for i, (relevant, _), row in zip(group.index, group.kept, order.tolist()):
+                ranked[i] = QueryJudgment(relevant=frozenset({relevant}), ranked=tuple(row))
         return [ranked[i] for i in sorted(ranked)]
 
     judgments = [judgment for chunk in map(judge, chunks) for judgment in chunk]

@@ -1,11 +1,14 @@
 """Query-aware visual-token pruning.
 
 Each token gets a relevance score (its maximum cosine similarity to any query
-row); per image the top max(1, round(rho * n_tokens)) tokens are kept, with the
-surviving indices reported in their original order so positional structure is
-preserved. A seeded uniform-random baseline and the top-k stability rule
-(topk_stability_rows, one row kernel shared by the verify-bounds tally and the
-public per-trial check) round out the module.
+row, _token_scores); per image the top max(1, round(rho * n_tokens)) tokens are
+kept, with the surviving indices reported in their original order so
+positional structure is preserved. The keep rule, a stable descending order
+with the lower index first on ties, is written once (_ranks) and read by
+prune_by_scores, select_topk_preserve_order, the row kernels' _top_k and the
+simulate drivers. A seeded uniform-random baseline and the top-k stability
+rule (topk_stability_rows, one row kernel shared by the verify-bounds tally
+and the public per-trial check) round out the module.
 """
 
 from __future__ import annotations
@@ -42,6 +45,22 @@ def as_keep_ratio(rho) -> float:
 def maxsim_scores(s) -> np.ndarray:
     """Per-token relevance: the columnwise maximum over query rows."""
     return _as_matrix(s, "similarity matrix").max(axis=0)
+
+
+def _token_scores(query, tokens, name: str = "V", stack: bool = False) -> np.ndarray:
+    """Each token's relevance, its best cosine to a row of query (unit_rows(H)):
+    (n,) for a (n, d) matrix, or with stack (k, n) for a (k, n, d) stack."""
+    return cosine_to_unit(query, tokens, name, stack).max(axis=-2)
+
+
+def _ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keep rule over the last axis: (order, ranks), the stable descending
+    order (the lower index first on ties) and each entry's place in it. The top
+    k entries are those with ranks < k."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(scores.shape[-1]), axis=-1)
+    return order, ranks
 
 
 def lse_scores(s) -> np.ndarray:
@@ -100,8 +119,7 @@ def select_topk_preserve_order(scores, k: int) -> np.ndarray:
     arr = as_vector(scores, "scores")
     if not 1 <= _as_index(k, "k") <= arr.size:
         raise KOutOfRangeError(f"k must be in [1, {arr.size}], got {k}")
-    top = np.argsort(-arr, kind="stable")[:k]
-    return np.sort(top)
+    return np.flatnonzero(_ranks(arr)[1] < k)
 
 
 def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
@@ -125,17 +143,15 @@ def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):
     columns and the gap between its k-th and (k+1)-th largest scores.
 
     Row t holds widths[t] finite scores and needs 1 <= ks[t] < widths[t], so
-    the top-k set leaves a boundary. Ties go to the lower index, as in
-    select_topk_preserve_order; the padding sorts last.
+    the top-k set leaves a boundary. The mask and the gap both come from
+    _ranks, so ties go to the lower index; the padding sorts last.
     """
     _require_finite(scores[np.arange(scores.shape[1]) < widths[:, None]], name)
     bad = np.flatnonzero((ks < 1) | (ks >= widths))
     if bad.size:
         i = int(bad[0])
         raise KOutOfRangeError(f"k must be in [1, {int(widths[i]) - 1}], got {int(ks[i])}")
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(scores.shape[1])[None, :], axis=1)
+    order, ranks = _ranks(scores)
     rows = np.arange(len(ks))
     gap = scores[rows, order[rows, ks - 1]] - scores[rows, order[rows, ks]]
     return ranks < ks[:, None], gap
@@ -188,15 +204,15 @@ class PruneResult:
 def prune_by_scores(scores, rho: float) -> PruneResult:
     """Select the top keep_count(rho, n) tokens of one image by score.
 
-    One stable descending sort (the lower index first on ties) gives both the
-    kept set, as select_topk_preserve_order takes it, and the margin.
+    One _ranks call gives both the kept set, the tokens ranked below the
+    budget in ascending index order, and the margin, read from its order.
     """
     arr = as_vector(scores, "scores")
     kept = keep_count(rho, arr.size)
-    order = np.argsort(-arr, kind="stable")
+    order, ranks = _ranks(arr)
     margin = None if kept == arr.size else float(arr[order[kept - 1]] - arr[order[kept]])
     return PruneResult(
-        kept_indices=tuple(np.sort(order[:kept]).tolist()),
+        kept_indices=tuple(np.flatnonzero(ranks < kept).tolist()),
         keep_count=kept,
         keep_ratio=float(rho),
         margin=margin,
@@ -214,6 +230,5 @@ def prune_images(H, images, rho: float) -> list[PruneResult]:
     """
     query = unit_rows(H)
     return [
-        prune_by_scores(maxsim_scores(cosine_to_unit(query, image, f"images[{i}]")), rho)
-        for i, image in enumerate(images)
+        prune_by_scores(_token_scores(query, image, f"images[{i}]"), rho) for i, image in enumerate(images)
     ]

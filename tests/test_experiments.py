@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunerank import experiments
+from prunerank import experiments, pruning
 from prunerank.cli import DEFAULTS, _merge
 from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
@@ -120,8 +120,9 @@ def chunk_sizes(monkeypatch, run) -> list[int]:
 
 
 def stacked_bytes(monkeypatch) -> list[int]:
-    """Patches the kernels the sections call; the list fills with the bytes of
-    every query stack, token stack, similarity stack and softmax input."""
+    """Patches the kernels the sections call, the cosine kernel where experiments
+    calls it and where pruning's token score does; the list fills with the
+    bytes of every query stack, token stack, similarity stack and softmax input."""
     sizes = []
     cosine, soft = experiments.cosine_to_unit, experiments.softmax
 
@@ -135,6 +136,7 @@ def stacked_bytes(monkeypatch) -> list[int]:
         return soft(scores)
 
     monkeypatch.setattr(experiments, "cosine_to_unit", cosine_spy)
+    monkeypatch.setattr(pruning, "cosine_to_unit", cosine_spy)
     monkeypatch.setattr(experiments, "softmax", softmax_spy)
     return sizes
 
@@ -241,6 +243,7 @@ class TestChunks:
 
         monkeypatch.setattr(experiments, "_chunk_instances", lambda instance_floats: 3)
         monkeypatch.setattr(experiments, "cosine_to_unit", cosine_spy)
+        monkeypatch.setattr(pruning, "cosine_to_unit", cosine_spy)
         monkeypatch.setattr(experiments, "generate_instance", generate_spy)
         {
             "comparison": lambda: run_pruning_comparison(syn, RATIOS, n_instances=10),
