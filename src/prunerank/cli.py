@@ -169,6 +169,9 @@ _MAXIMUMS = {
     "beta": 10**6, "c_att": 10**6, "c_ffn": 10**6, "c_dec": 10**6, "c_score": 10**6,
 }
 _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
+# The most entries a list leaf may hold. A cost sweep makes a row per pair of
+# rho_values and k_values, so at these bounds it has at most 10 000 rows.
+_MAX_ITEMS = {"keep_ratios": 100, "rho_values": 100, "k_values": 100, "image_sizes": 100}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
 
 # Products of sizes that each size one float64 allocation simulate makes for
@@ -186,6 +189,9 @@ _PRODUCTS = {
     "similarities": ("synthetic.n_query_tokens", "synthetic.n_images", "synthetic.tokens_per_image"),
 }
 _PRODUCT_FLOATS = 2 * 10**6
+# The random baseline's int64 seed table, one seed per instance and keep ratio:
+# n_instances at its bound with the five default ratios, at most 40 MB.
+_MAX_SEEDS = 5 * 10**6
 
 
 def _same_json_type(default, value) -> bool:
@@ -234,6 +240,8 @@ def _check_leaf(key: str, default, value, where: str) -> None:
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{where} must not be empty")
+    if key in _MAX_ITEMS and len(items) > _MAX_ITEMS[key]:
+        raise ConfigError(f"{where} must hold at most {_MAX_ITEMS[key]} entries, got {len(items)}")
     if isinstance(default, list) and default and isinstance(default[0], list):
         items = [entry for item in items for entry in item]
     if any(isinstance(item, (int, float)) and not _is_finite(item) for item in items):
@@ -250,7 +258,13 @@ def _check_leaf(key: str, default, value, where: str) -> None:
 
 
 def _check_products(cfg: dict, context: str) -> None:
-    """Raise when one of _PRODUCTS whose factors cfg holds exceeds _PRODUCT_FLOATS."""
+    """Raise when one of _PRODUCTS whose factors cfg holds exceeds _PRODUCT_FLOATS,
+    or the random baseline's seeds exceed _MAX_SEEDS."""
+    seeds = cfg.get("n_instances", 0) * len(cfg.get("keep_ratios", ()))
+    if seeds > _MAX_SEEDS:
+        raise ConfigError(
+            f"{context}.keep_ratios makes n_instances * len(keep_ratios) = {seeds} seeds, more than {_MAX_SEEDS}"
+        )
     for name, paths in _PRODUCTS.items():
         factors = []
         for path in paths:

@@ -366,6 +366,38 @@ for _name, _override in OVERSIZED_PRODUCTS.items():
     _probe = f"simulate-{_name.replace(' ', '-')}-product"
     BAD_INPUT_PROBES[_probe] = ("simulate", _override)
     ERROR_TEXT[_probe] = f"config makes the {_name} "
+# A list leaf's entry, by command and dotted path: the leaf holding one entry
+# more than cli._MAX_ITEMS allows once passed _merge. A 200 x 200 cost sweep
+# wrote an 11 MB report.
+LIST_LEAVES = {
+    ("simulate", "keep_ratios"): 0.5,
+    ("simulate", "ranking.k_values"): 1,
+    ("cost-model", "sweep.rho_values"): 0.5,
+    ("cost-model", "sweep.k_values"): 10,
+    ("cost-model", "workload.image_sizes"): [1024, 20],
+    ("metrics", "k_values"): 1,
+}
+
+
+def _list_of(command: str, path: str, n: int) -> dict:
+    """The override that sets a LIST_LEAVES leaf to n copies of its entry."""
+    return _at(path, [LIST_LEAVES[command, path]] * n)
+
+
+# Judgments, so that a metrics config would run without its bad list.
+_JUDGED = {"metrics": {"judgments": [{"relevant": [0], "ranked": [0, 1]}]}}
+for _command, _path in LIST_LEAVES:
+    _probe = f"{_command}-{_path}-bound+1-entries"
+    _bound = cli._MAX_ITEMS[_path.split(".")[-1]]
+    BAD_INPUT_PROBES[_probe] = (_command, {**_JUDGED.get(_command, {}), **_list_of(_command, _path, _bound + 1)})
+    ERROR_TEXT[_probe] = f"config.{_path} must hold at most {_bound} entries, got {_bound + 1}"
+# One random-pruning seed per instance and keep ratio: this config once passed
+# _merge and sized a 10**8-entry (800 MB) seed table.
+BAD_INPUT_PROBES["simulate-random-seed-table"] = (
+    "simulate",
+    {"n_instances": 10**6, "keep_ratios": [0.5] * 100},
+)
+ERROR_TEXT["simulate-random-seed-table"] = "config.keep_ratios makes n_instances * len(keep_ratios) = 100000000 "
 for _path in OVERFLOW_LEAVES + INFINITE_FLOPS_LEAVES:
     ERROR_TEXT[f"cost-model-{_path}-10**307"] = f"config.{_path} "
     BAD_INPUT_PROBES[f"cost-model-{_path}-10**307"] = ("cost-model", _at(_path, 10**307))
@@ -452,7 +484,7 @@ def test_each_leaf_rule_fails_in_merge(rule):
 def test_every_rule_table_key_is_a_leaf_of_the_defaults():
     """A misspelt key would drop its rule without a word: the tables are its only copy."""
     leaves = {path[-1] for command in DEFAULTS for path in leaf_paths(DEFAULTS[command])}
-    tables = (cli._MINIMUMS, cli._MAXIMUMS, cli._BELOW, cli._RATIOS, cli._SET_NULL_DEFAULTS)
+    tables = (cli._MINIMUMS, cli._MAXIMUMS, cli._BELOW, cli._MAX_ITEMS, cli._RATIOS, cli._SET_NULL_DEFAULTS)
     assert {key for table in tables for key in table} - leaves == set()
 
 
@@ -490,6 +522,23 @@ def test_simulate_products_are_bounded_in_merge(name):
 def test_a_product_at_the_bound_is_allowed():
     assert 10**4 * 200 == cli._PRODUCT_FLOATS
     _merge(DEFAULTS["simulate"], {"synthetic": {"n_query_tokens": 10**4, "embed_dim": 200}})
+
+
+@pytest.mark.parametrize("command, path", LIST_LEAVES)
+def test_list_lengths_are_bounded_in_merge(command, path):
+    bound = cli._MAX_ITEMS[path.split(".")[-1]]
+    _merge(DEFAULTS[command], _list_of(command, path, bound))  # the bound itself is allowed
+    with pytest.raises(ConfigError, match=rf"^config\.{path} must hold at most {bound} entries, got {bound + 1}$"):
+        _merge(DEFAULTS[command], _list_of(command, path, bound + 1))
+
+
+def test_the_random_seed_table_is_bounded_in_merge():
+    """n_instances at its bound passes with the default keep ratios, and not with one more."""
+    n_instances = _MAXIMUMS["n_instances"]
+    assert n_instances * len(DEFAULTS["simulate"]["keep_ratios"]) == cli._MAX_SEEDS
+    _merge(DEFAULTS["simulate"], {"n_instances": n_instances})
+    with pytest.raises(ConfigError, match=rf"^config\.keep_ratios makes .* = {cli._MAX_SEEDS + n_instances} seeds"):
+        _merge(DEFAULTS["simulate"], {"n_instances": n_instances, "keep_ratios": [0.5] * 6})
 
 
 def test_a_query_file_is_held_to_the_product_bounds(tmp_path, capsys, monkeypatch):
@@ -1115,12 +1164,15 @@ def test_mutated_defaults_keep_the_exit_code_contract(fuzz_dir, command):
 
 # The deterministic exit-code guard: every leaf of a command's defaults, one at
 # a time, set to each number of the fuzzer's pool and to 10**8 and 10**307 (a
-# one-element list of it where the default is a list), and to each type swap.
+# one-element list of it where the default is a list), to each type swap, and
+# where the default is a list, to LONG_LIST of its entries (a cost sweep of
+# that many keep ratios once ran for seconds).
 # The other leaves stay at FUZZ_BASE. Each run keeps the contract above and
 # ends within the wall bound, which catches a run that exits 0 only after
 # seconds of work.
 CROSS_NUMBERS = [*FUZZ_NUMBER_POOL, 10**8, 10**307]
 CROSS_WALL_S = 2.0
+LONG_LIST = 10**5
 # Lists of pairs with a pair of the wrong length or an entry that is not an
 # int in [1, 2**63], fed where the default is a list of pairs.
 BAD_PAIR_LISTS = [
@@ -1132,6 +1184,8 @@ BAD_PAIR_LISTS = [
 def cross_values(default) -> list:
     """The hostile values for a leaf with this default, each once by its JSON."""
     values = [*(shaped(default, n) for n in CROSS_NUMBERS), *FUZZ_SWAP_POOL]
+    if isinstance(default, list):
+        values.append((default * LONG_LIST)[:LONG_LIST])
     if isinstance(default, list) and isinstance(default[0], list):
         values += BAD_PAIR_LISTS
     return list({json.dumps(value): value for value in values}.values())
