@@ -2,9 +2,11 @@
 
 Each function scores one trial with plain per-trial numpy: the 1-D weight
 rule, the exact and the pruned pooled outputs, a sort of the scores, Python
-sets of the top-k indices. They share no code with attention.pruning_error_rows,
-attention.tail_gap_rows or pruning.topk_stability_rows, so the tallies and
-the public one-row checks are compared against an independent reference.
+sets of the top-k indices, chosen by library_oracles.lexsort_top_k. They share
+no code with attention.pruning_error_rows, attention.tail_gap_rows,
+pruning.topk_stability_rows or the keep rule they rank by (pruning._ranks), so
+the tallies and the public one-row checks are compared against an independent
+reference.
 """
 
 import math
@@ -27,7 +29,8 @@ from prunerank.errors import (
     KOutOfRangeError,
 )
 from prunerank.linalg import as_embedding, as_vector
-from prunerank.pruning import StabilityReport, select_topk_preserve_order
+from prunerank.pruning import StabilityReport
+from library_oracles import lexsort_top_k
 
 
 def as_attention_weights(alpha) -> np.ndarray:
@@ -155,6 +158,6 @@ def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
     ordered = np.sort(a)[::-1]
     gap = float(ordered[k - 1] - ordered[k])
     guaranteed = gap > math.log(n_query)
-    top_hard = set(select_topk_preserve_order(a, k).tolist())
-    top_smooth = set(select_topk_preserve_order(g, k).tolist())
+    top_hard = set(lexsort_top_k(a, k).tolist())
+    top_smooth = set(lexsort_top_k(g, k).tolist())
     return StabilityReport(gap=gap, guaranteed_stable=guaranteed, sets_equal=top_hard == top_smooth)

@@ -153,6 +153,17 @@ def classify_failure(gt_best_rank: int) -> FailureClass:
     return FailureClass(label=label, gt_best_rank=int(gt_best_rank))
 
 
+def lexsort_top_k(scores, k: int) -> np.ndarray:
+    """Indices of the k largest scores, ascending, the lower index first on
+    equal scores (-0.0 equals 0.0).
+
+    One lexsort by descending score, then by index: the rule perfbench's
+    brute-force prune oracle uses, sharing no code with pruning._ranks.
+    """
+    arr = np.asarray(scores, dtype=np.float64)
+    return np.sort(np.lexsort((np.arange(arr.size), -arr))[:k])
+
+
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks, smallest first; tied values share the mean of their positions.
 

@@ -22,6 +22,7 @@ from prunerank.experiments import (
     write_report,
 )
 from prunerank.synthetic import SyntheticConfig
+from test_simulate_oracle import RAGGED
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -222,6 +223,34 @@ class TestChunks:
         run_synthetic_ranking(syn, n_instances=3)
         assert len(sizes) == 3 * 3 + 4 * 3 + 3 * 3
         assert max(sizes) <= CHUNK_BYTES
+
+    @pytest.mark.parametrize("section", ["comparison", "correlation", "ranking"])
+    def test_chunk_size_leaves_each_section_unchanged(self, monkeypatch, section):
+        """A ragged run gives the same result at one and three instances per chunk
+        as in its one default chunk of several shape groups: each instance's
+        correlation noise is drawn in stream order, whatever the chunk."""
+        high = RAGGED.tokens_per_image[1]
+        instance_floats, run = {
+            "comparison": (
+                experiments._stacked_floats(RAGGED, high),
+                lambda: run_pruning_comparison(RAGGED, RATIOS, n_instances=25),
+            ),
+            "correlation": (
+                experiments._stacked_floats(RAGGED, high) + 4 * high,
+                lambda: run_correlation_probe(RAGGED, n_instances=25, n_heads=4),
+            ),
+            "ranking": (
+                experiments._stacked_floats(RAGGED, RAGGED.n_images * high),
+                lambda: run_synthetic_ranking(RAGGED, n_instances=25),
+            ),
+        }[section]
+        results, sizes = [], []
+        for per_chunk in (None, 1, 3):
+            if per_chunk is not None:
+                monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * 8 * instance_floats)
+            sizes.append(chunk_sizes(monkeypatch, lambda: results.append(run())))
+        assert sizes[0][0] >= 25 and sizes[1:] == [[1], [3]]
+        assert results[1:] == [results[0]] * 2
 
     @pytest.mark.parametrize("section", ["comparison", "correlation", "ranking"])
     def test_a_section_frees_each_chunk_before_generating_the_next(self, monkeypatch, section):

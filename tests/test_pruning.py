@@ -18,6 +18,8 @@ from prunerank.errors import (
 )
 from prunerank.linalg import similarity_matrix
 from prunerank.pruning import (
+    _ranks,
+    _top_k,
     keep_count,
     lse_scores,
     maxsim_scores,
@@ -28,6 +30,7 @@ from prunerank.pruning import (
     select_topk_preserve_order,
     topk_stability_check,
 )
+from library_oracles import lexsort_top_k
 
 
 class TestMaxsimScores:
@@ -305,11 +308,12 @@ class TestPruneImages:
 
 
 def two_sort_prune(scores, rho):
-    """prune_by_scores as it was written with two sorts: the kept set, then a full sort for the margin."""
+    """prune_by_scores as two sorts: the kept set by the lexsort reference, then a
+    full sort for the margin."""
     arr = np.asarray(scores, dtype=np.float64)
     n = arr.size
     kept = keep_count(rho, n)
-    indices = select_topk_preserve_order(arr, kept)
+    indices = lexsort_top_k(arr, kept)
     if kept == n:
         margin = None
     else:
@@ -338,13 +342,46 @@ class TestPruneByScores:
         assert (result.kept_indices, result.margin) == ((0, 1), 0.0)
 
 
+# Few distinct integer values and both zeros, so most rows tie across every cut.
+TIED_SCORES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])
+
+
+class TestKeepRule:
+    """Every reader of pruning._ranks keeps what the lexsort reference keeps."""
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_reader_matches_the_lexsort_reference(self, rows, data):
+        scores = np.array(rows)
+        n_rows, n = scores.shape
+        ks = np.array([data.draw(st.integers(1, n - 1)) for _ in range(n_rows)])
+        rho = data.draw(st.integers(1, 1000)) / 1000
+        order, ranks = _ranks(scores)
+        stacked_order, stacked_ranks = _ranks(scores.reshape(n_rows, 1, n))
+        assert np.array_equal(stacked_order[:, 0], order) and np.array_equal(stacked_ranks[:, 0], ranks)
+        in_top, gap = _top_k(scores, ks, np.full(n_rows, n), "scores")
+        for row, k, row_order, row_ranks, mask, row_gap in zip(scores, ks, order, ranks, in_top, gap):
+            for budget in range(1, n + 1):
+                want = lexsort_top_k(row, budget)
+                assert np.array_equal(np.flatnonzero(row_ranks < budget), want)
+                assert np.array_equal(np.sort(row_order[:budget]), want)
+                assert np.array_equal(select_topk_preserve_order(row, budget), want)
+            assert np.array_equal(np.flatnonzero(mask), lexsort_top_k(row, k))
+            descending = np.sort(row)[::-1]
+            assert row_gap == descending[k - 1] - descending[k]
+            result = prune_by_scores(row, rho)
+            assert (result.kept_indices, result.keep_count, result.margin) == two_sort_prune(row, rho)
+
+
 def oracle_kept(H, image, rho):
     """Top keep_count tokens by maxsim score, lower index first on equal scores."""
     scores = maxsim_scores(similarity_matrix(H, image))
-    n = scores.size
-    k = decimal_keep_count(rho, n)
-    order = np.lexsort((np.arange(n), -scores))
-    return tuple(int(i) for i in np.sort(order[:k]))
+    return tuple(int(i) for i in lexsort_top_k(scores, decimal_keep_count(rho, scores.size)))
 
 
 class TestPruneImagesKernel:
