@@ -13,22 +13,22 @@ Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
-the pruning-error check's pass. Each simulate section generates its
-instances one by one, in stream order (an instance with a fixed image size
-draws all its images' tokens in one block), in chunks whose stacks (tokens,
-queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB) unless
-one instance's do, and frees each chunk before it generates the next. A
-chunk splits into groups of instances whose tokens stack to one shape (one
-group when every image has the same size), and each group is scored with one
-call of each kernel on the stack: one cosine GEMM per instance inside one
-matmul, one keep-rule sort (pruning._ranks) for every keep ratio or for the
-ranking, one softmax for every head, one reduceat for every image. Results that depend on order (the correlations and
-the ranking judgments) are put back in stream order. The drivers take their
-counts, ratios and noise scales as cli._merge has checked them and check none
-again, and return only what they computed: the report's config holds their
-inputs. A report is written as json.dumps gives it, with
-sorted keys and a two-space indent, after its tables; no report holds bulk
-data, so the standard encoder is fast enough.
+the pruning-error check's pass. Each simulate section generates its instances
+one by one, in stream order (an instance with a fixed image size draws all its
+images' tokens in one block), in chunks whose stacks (tokens, queries,
+similarities, head noise) hold at most CHUNK_BYTES (1 MiB) unless one
+instance's do, and frees each chunk before it generates the next. A chunk
+splits into groups of instances whose tokens stack to one shape (one group
+when every image has the same size), and each group is scored with one call of
+each kernel on the stack: one cosine GEMM per instance inside one matmul, one
+keep-rule sort (pruning._ranks) for every keep ratio or for the ranking, one
+softmax for every head, one reduceat for every image. Results that depend on
+order (the correlations and the ranking judgments) are put back in stream
+order. The drivers take their counts, ratios and noise scales as cli._merge
+has checked them and check none again, and return only what they computed: the
+report's config holds their inputs. A report is written as json.dumps gives
+it, with sorted keys and a two-space indent, after its tables; no report holds
+bulk data, so the standard encoder is fast enough.
 """
 
 from __future__ import annotations
@@ -369,10 +369,11 @@ def run_pruning_comparison(
     An explicit query matrix replaces the per-instance sampled one.
 
     A group of relevant images is scored with one cosine call and ranked with
-    one pruning._ranks call: a token survives query-aware pruning at every ratio whose
-    budget exceeds its rank in the descending score order (the lower index
-    first on ties). The budgets are computed once per image size. The random
-    baseline draws once per instance and ratio, from a seed of its own.
+    one pruning._ranks call: a token survives query-aware pruning at every
+    ratio whose budget exceeds its rank in the descending score order (the
+    lower index first on ties). The budgets are computed once per image size.
+    The random baseline draws once per instance and ratio, from a seed of its
+    own.
     """
     master, chunks = _instances(
         cfg, n_instances, query, _relevant, _stacked_floats(cfg, cfg.tokens_per_image[1])
