@@ -8,7 +8,9 @@ deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each instance's attention noise from its master generator,
 instance by instance, as the instance is generated. Only the synthetic
-instances and the random-pruning draws have seeds of their own.
+instances and the random-pruning draws have seeds of their own, and simulate
+seeds them in bulk (synthetic._generators, one pass per chunk or shape group),
+each bit for bit as np.random.default_rng(seed) over [0, 2**64).
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -61,8 +63,8 @@ from .cost_model import (
 from .errors import NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import _pool, _ranks, _token_scores, keep_count, random_prune, topk_stability_rows
-from .synthetic import SyntheticConfig, SyntheticInstance, generate_instance
+from .pruning import _pool, _random_keep, _ranks, _token_scores, keep_count, topk_stability_rows
+from .synthetic import SyntheticConfig, SyntheticInstance, _generators, generate_instance
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -308,20 +310,20 @@ def _instances(
     keeps none either (map) holds one chunk at a time.
     """
     master = np.random.default_rng(cfg.seed)
-    seeds = master.integers(2**63, size=n_instances).tolist()
+    seeds = master.integers(2**63, size=n_instances)
     size = _chunk_instances(instance_floats)
     return master, (_chunk(cfg, seeds, start, size, query, keep) for start in range(0, n_instances, size))
 
 
-def _chunk(cfg: SyntheticConfig, seeds: list[int], start: int, size: int, query, keep) -> list[_Group]:
+def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, start: int, size: int, query, keep) -> list[_Group]:
     """The _Groups of the instances seeded by seeds[start : start + size].
 
     An explicit query is scaled once per chunk, after its instances are
     generated, so generate_instance's query check comes first.
     """
     chunk = []
-    for seed in seeds[start : start + size]:
-        instance = generate_instance(cfg, query, seed=seed)
+    for rng in _generators(seeds[start : start + size]):
+        instance = generate_instance(cfg, query, seed=rng)
         chunk.append((instance.query, *keep(instance)))
     shared = None if query is None else unit_rows(query)
     shapes: dict[int, list[int]] = {}
@@ -395,10 +397,11 @@ def run_pruning_comparison(
             planted_total += planted.size
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
-            for i, positions in zip(group.index, group.kept):
-                draws = zip(budgets[n_tokens].tolist(), random_seeds[i].tolist())
-                for j, (budget, seed) in enumerate(draws):
-                    rand = random_prune(n_tokens, budget, seed)
+            # zip takes one generator per ratio from the group's rows, none past the last budget.
+            rngs = _generators(random_seeds[group.index])
+            for positions in group.kept:
+                for j, (budget, rng) in enumerate(zip(budgets[n_tokens].tolist(), rngs)):
+                    rand = _random_keep(rng, n_tokens, budget)
                     kept_random[j] += len(set(positions).intersection(rand.tolist()))
         return planted_total, kept_t2i, kept_random
 

@@ -133,7 +133,12 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     seed = _as_index(seed, "seed")
     if seed < 0:
         raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
-    kept = np.random.default_rng(seed).choice(n_tokens, size=k, replace=False)
+    return _random_keep(np.random.default_rng(seed), n_tokens, k)
+
+
+def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
+    """The random keep rule: k of range(n_tokens) drawn by rng without replacement, ascending."""
+    kept = rng.choice(n_tokens, size=k, replace=False)
     kept.sort()
     return kept
 

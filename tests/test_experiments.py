@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunerank import experiments, pruning
-from prunerank.cli import DEFAULTS, _merge
+from prunerank.cli import DEFAULTS, _merge, _section_seeds, main
 from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
@@ -280,6 +280,26 @@ class TestChunks:
             "ranking": lambda: run_synthetic_ranking(syn, n_instances=10),
         }[section]()
         assert len(checked) == 10 and checked[-1] > 0
+
+
+def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_path):
+    """A default simulate run seeds numpy's default_rng from an int only for its
+    three section masters, from cli's section seeds. Every instance passes it a
+    Generator seeded in bulk, and the random baseline draws without calling it."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        calls.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+    from_int = [seed for seed in calls if not isinstance(seed, np.random.Generator)]
+    assert from_int == _section_seeds(0, 3)
+    sim = DEFAULTS["simulate"]
+    n_instances = sim["n_instances"] + sim["correlation"]["n_instances"] + sim["ranking"]["n_instances"]
+    assert len(calls) - len(from_int) == n_instances
 
 
 class TestCorrelationProbe:

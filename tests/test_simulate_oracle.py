@@ -1,13 +1,17 @@
 """The simulate drivers as they scored before the one-pass rewrite, as oracles.
 
 Each reference below scores one image, one keep ratio or one head at a time:
-per-image similarity_matrix calls, a select_topk_preserve_order sort per keep
-ratio, and a noise draw and softmax per head. Their bodies are kept as they
-were in prunerank.experiments; only their return values no longer echo the
-inputs, as the drivers' no longer do. The chunked drivers must return dicts
-equal to these under ==, so every retention, correlation and metric is bit
-for bit the same, at their own chunk size and at one and three instances per
-chunk; the ragged configs put several shape groups in a chunk.
+per-image similarity_matrix calls, a lexsort_top_k selection per keep ratio,
+and a noise draw and softmax per head. Their bodies are kept as they were in
+prunerank.experiments, but for two changes: their return values no longer
+echo the inputs, as the drivers' no longer do, and the comparison selects
+through lexsort_top_k, the keep rule written apart from pruning._ranks. Each
+instance and random draw is still seeded one at a time, by default_rng(seed)
+inside generate_instance and random_prune, which checks the drivers' seeding
+in bulk. The chunked drivers must return dicts equal to these under ==, so
+every retention, correlation and metric is bit for bit the same, at their
+own chunk size and at one and three instances per chunk; the ragged configs
+put several shape groups in a chunk.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from library_oracles import lexsort_top_k
 from prunerank import experiments
 from prunerank.attention import attention_mass_per_token, softmax
 from prunerank.cli import DEFAULTS, _merge
@@ -35,7 +40,6 @@ from prunerank.pruning import (
     keep_count,
     maxsim_scores,
     random_prune,
-    select_topk_preserve_order,
 )
 from prunerank.scoring import apply_permutation, rank_from_logits
 from prunerank.synthetic import SyntheticConfig, generate_instance
@@ -87,7 +91,7 @@ def reference_pruning_comparison(
         n_tokens = image.shape[0]
         for j, rho in enumerate(ratios):
             budget = keep_count(rho, n_tokens)
-            t2i = select_topk_preserve_order(scores, budget)
+            t2i = lexsort_top_k(scores, budget)
             rand = random_prune(n_tokens, budget, int(random_seeds[i, j]))
             kept_t2i[j] += len(planted.intersection(t2i.tolist()))
             kept_random[j] += len(planted.intersection(rand.tolist()))

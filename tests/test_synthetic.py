@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from library_oracles import cosine_similarity
 from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
-from prunerank.synthetic import SyntheticConfig, generate_instance
+from prunerank.synthetic import SyntheticConfig, _generators, generate_instance
 
 
 class TestConfigValidation:
@@ -134,7 +136,9 @@ class TestDrawOrder:
     def assert_matches_documented_draw_order(cfg, seed, query):
         want_query, want_images, relevant, positions = instance_by_draw_order(cfg, query)
         reseeded = generate_instance(dataclasses.replace(cfg, seed=5), query, seed=seed)
-        for inst in (generate_instance(cfg, query), reseeded):
+        bulk_seeded = next(_generators(np.array([seed])))
+        bulk = generate_instance(dataclasses.replace(cfg, seed=5), query, seed=bulk_seeded)
+        for inst in (generate_instance(cfg, query), reseeded, bulk):
             np.testing.assert_array_equal(inst.query, want_query)
             assert len(inst.images) == len(want_images)
             for got, want in zip(inst.images, want_images):
@@ -160,3 +164,42 @@ class TestDrawOrder:
         cfg = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"], seed=seed)
         query = np.arange(64, dtype=float).reshape(4, 16) - 31.5 if explicit_query else None
         self.assert_matches_documented_draw_order(cfg, seed, query)
+
+
+class TestGenerators:
+    """_generators seeds in bulk exactly as np.random.default_rng seeds one at a time."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+    @staticmethod
+    def assert_match_default_rng(seeds, dtype):
+        rngs = _generators(np.array(seeds, dtype=dtype))
+        for seed in seeds:
+            rng, reference = next(rngs), np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            np.testing.assert_array_equal(rng.random(8), reference.random(8))
+            np.testing.assert_array_equal(
+                rng.choice(20, 7, replace=False), reference.choice(20, 7, replace=False)
+            )
+        assert next(rngs, None) is None
+
+    def test_edge_seeds(self):
+        self.assert_match_default_rng(self.EDGE_SEEDS, np.uint64)
+        self.assert_match_default_rng([s for s in self.EDGE_SEEDS if s < 2**63], np.int64)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_seeds(self, seeds):
+        self.assert_match_default_rng(seeds, np.uint64)
+
+    def test_a_2d_int64_seed_table_in_row_order(self):
+        """int64 seeds as simulate draws them, 2-D as the random baseline's table is."""
+        table = np.random.default_rng(3).integers(2**63, size=(40, 5))
+        rngs = _generators(table)
+        for seed in table.ravel().tolist():
+            assert next(rngs).bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert next(rngs, None) is None
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_no_seeds_yield_nothing(self, dtype):
+        assert list(_generators(np.array([], dtype=dtype))) == []
