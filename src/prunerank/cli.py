@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import hashlib
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -108,6 +110,19 @@ DEFAULTS: dict = {
         "values_by_subset": None,
     },
 }
+
+
+@contextmanager
+def _gc_paused():
+    """Cyclic garbage collection off for the block, then as it was: a large
+    config's load and parse make tens of thousands of containers and no cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_config(path: str | None) -> dict:
@@ -465,7 +480,8 @@ def _cmd_metrics(cfg: dict, seed: int):
         rows.append(("macro", result["aggregate"]["macro"]))
         tables["aggregate"] = (["subset", "value"], rows)
     if cfg["judgments"] is not None:
-        judgments_by_subset = _parse_judgments(cfg["judgments"])
+        with _gc_paused():
+            judgments_by_subset = _parse_judgments(cfg["judgments"])
         evaluation = evaluate_judgments(judgments_by_subset, k_values=cfg["k_values"])
         result["evaluation"] = evaluation
         subsets = sorted(evaluation["per_subset"])
@@ -536,7 +552,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         _check_out(args.out)
-        cfg = _merge(DEFAULTS[args.command], _load_config(args.config))
+        with _gc_paused():
+            loaded = _load_config(args.config)
+        cfg = _merge(DEFAULTS[args.command], loaded)
         result, tables, lines = _COMMANDS[args.command](cfg, args.seed)
         report = {"command": args.command, "seed": args.seed, "config": cfg, **result}
         try:

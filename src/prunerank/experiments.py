@@ -9,8 +9,9 @@ draws its trials in order from one generator of its own, and the correlation
 probe draws each instance's attention noise from its master generator,
 instance by instance, as the instance is generated. Only the synthetic
 instances and the random-pruning draws have seeds of their own, and simulate
-seeds them in bulk (synthetic._generators, one pass per chunk or shape group),
-each bit for bit as np.random.default_rng(seed) over [0, 2**64).
+seeds them in bulk, each bit for bit as np.random.default_rng(seed) over
+[0, 2**64): the instances by synthetic._generators, and the random baseline
+by pruning._random_masks, one call per shape group and keep ratio.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -63,7 +64,7 @@ from .cost_model import (
 from .errors import NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, evaluate_judgments, spearman
-from .pruning import _pool, _random_keep, _ranks, _token_scores, keep_count, topk_stability_rows
+from .pruning import _pool, _random_masks, _ranks, _token_scores, keep_count, topk_stability_rows
 from .synthetic import SyntheticConfig, SyntheticInstance, _generators, generate_instance
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
@@ -374,8 +375,9 @@ def run_pruning_comparison(
     one pruning._ranks call: a token survives query-aware pruning at every
     ratio whose budget exceeds its rank in the descending score order (the
     lower index first on ties). The budgets are computed once per image size.
-    The random baseline draws once per instance and ratio, from a seed of its
-    own.
+    The random baseline keeps, per instance and ratio, the set numpy's choice
+    draws from a seed of its own: one pruning._random_masks call per group and
+    ratio, whose masks give the planted hits.
     """
     master, chunks = _instances(
         cfg, n_instances, query, _relevant, _stacked_floats(cfg, cfg.tokens_per_image[1])
@@ -397,12 +399,10 @@ def run_pruning_comparison(
             planted_total += planted.size
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
-            # zip takes one generator per ratio from the group's rows, none past the last budget.
-            rngs = _generators(random_seeds[group.index])
-            for positions in group.kept:
-                for j, (budget, rng) in enumerate(zip(budgets[n_tokens].tolist(), rngs)):
-                    rand = _random_keep(rng, n_tokens, budget)
-                    kept_random[j] += len(set(positions).intersection(rand.tolist()))
+            seeds = random_seeds[group.index]
+            for j, budget in enumerate(budgets[n_tokens].tolist()):
+                kept = _random_masks(seeds[:, j], n_tokens, budget)
+                kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted, axis=-1))
         return planted_total, kept_t2i, kept_random
 
     # map hands each chunk to count and keeps no reference to it.

@@ -6,9 +6,10 @@ kept, with the surviving indices reported in their original order so
 positional structure is preserved. The keep rule, a stable descending order
 with the lower index first on ties, is written once (_ranks) and read by
 prune_by_scores, select_topk_preserve_order, the row kernels' _top_k and the
-simulate drivers. A seeded uniform-random baseline and the top-k stability
-rule (topk_stability_rows, one row kernel shared by the verify-bounds tally
-and the public per-trial check) round out the module.
+simulate drivers. A seeded uniform-random baseline (numpy's choice, which
+_random_masks repeats bit for bit on arrays for many seeds) and the top-k
+stability rule (topk_stability_rows, one row kernel shared by the
+verify-bounds tally and the public per-trial check) round out the module.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     KOutOfRangeError,
 )
 from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
+from .synthetic import _generators, _pcg64_outputs
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -141,6 +143,74 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
     kept = rng.choice(n_tokens, size=k, replace=False)
     kept.sort()
     return kept
+
+
+# numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
+# n = 10 000. _random_masks repeats it on arrays there for budgets up to
+# _MAX_DRAWS over at least _MIN_STREAMS seeds: on a 2-core x86 host the paths
+# cost the same near 96-112 draws a stream and 4-12 streams a call. Slices of
+# _SLICE_DRAWS draws, one more a stream, keep the temporaries below 1 MiB.
+_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _SLICE_DRAWS = 10_000, 96, 8, 4096
+
+
+def _random_masks(seeds: np.ndarray, n_tokens: int, k: int) -> np.ndarray:
+    """(len(seeds), n_tokens) bool: row i marks the k tokens that
+    _random_keep(np.random.default_rng(seeds[i]), n_tokens, k) keeps, from
+    _floyd or, where that does not apply or rejects, from _random_keep itself."""
+    mask = np.zeros((len(seeds), n_tokens), dtype=bool)
+    redo = np.ones(len(seeds), dtype=bool)
+    if n_tokens <= _FLOYD_TOKENS and k <= _MAX_DRAWS and len(seeds) >= _MIN_STREAMS:
+        step = max(1, _SLICE_DRAWS // (k + 1))
+        for start in range(0, len(seeds), step):
+            rows = slice(start, start + step)
+            redo[rows] = _floyd(seeds[rows], n_tokens, k, mask[rows])
+    for row, rng in zip(np.flatnonzero(redo).tolist(), _generators(seeds[redo])):
+        mask[row] = False
+        mask[row, _random_keep(rng, n_tokens, k)] = True
+    return mask
+
+
+def _floyd(seeds: np.ndarray, n_tokens: int, k: int, out: np.ndarray) -> np.ndarray:
+    """Mark in out's rows the k-sets numpy's Floyd sampling draws from range(n_tokens)
+    for seeds; return which streams hit a Lemire rejection, whose rows are wrong.
+
+    Draw t picks v from range(j + 1), j = n_tokens - k + t, as numpy's bounded
+    integers do: the next 32-bit output word u (two per PCG64 output, low
+    first) scaled to (u * (j + 1)) >> 32, unless the product's low word falls
+    below 2**32 mod (j + 1), where numpy rejects u and draws again. A draw
+    from range(1) takes no word. Floyd keeps v, or j when v is already kept:
+    when an earlier draw gave v, or v is the j of an earlier draw that
+    collided. The first rule is read from one stable sort per row; the chain
+    of the second ends within k links, so ceil(log2 k) pointer doublings
+    resolve it.
+    """
+    if n_tokens > _FLOYD_TOKENS:
+        raise KOutOfRangeError(f"Floyd sampling needs n_tokens <= {_FLOYD_TOKENS}, got {n_tokens}")
+    first = n_tokens - k
+    skip = int(first == 0)
+    raw = _pcg64_outputs(seeds, (k - skip + 1) // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(seeds), -1)[:, : k - skip]
+    span = np.arange(first + skip + 1, n_tokens + 1, dtype=np.uint64)
+    scaled = words * span
+    rejected = ((scaled & 0xFFFFFFFF) < (1 << 32) % span).any(axis=1)
+    drawn = np.zeros((len(seeds), k), dtype=np.int64)
+    drawn[:, skip:] = scaled >> 32
+    # Each draw links to where its collision is decided, as flat indices:
+    # the earlier draw whose j it hit, or the end nodes no (size) and yes (size + 1).
+    size = drawn.size
+    base = np.arange(0, size, k)[:, None]
+    back = drawn - first
+    links = np.empty(size + 2, dtype=np.int64)
+    links[:size] = np.where((back >= 0) & (back < np.arange(k)), back + base, size).ravel()
+    links[size:] = size, size + 1
+    order = np.argsort(drawn, axis=1, kind="stable")
+    in_order = np.take_along_axis(drawn, order, axis=1)
+    links[(order[:, 1:] + base)[in_order[:, 1:] == in_order[:, :-1]]] = size + 1
+    for _ in range((k - 1).bit_length()):
+        links = links[links]
+    out[np.arange(len(seeds))[:, None], drawn] = True
+    out[:, first:] |= (links[:size] == size + 1).reshape(-1, k)
+    return rejected
 
 
 def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):

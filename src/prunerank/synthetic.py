@@ -4,15 +4,17 @@ Gaussian embeddings stand in for real query/page-token hidden states. One
 designated relevant image carries planted tokens that copy query rows (plus
 optional Gaussian noise), so query-aware pruning has an unambiguous signal to
 find while every other token is pure noise. Generation is deterministic per
-seed; the draw order below is part of the contract. _generators seeds a whole
-array of seeds in one pass, each bit for bit as np.random.default_rng(seed)
-over [0, 2**64), which is how simulate seeds its instances and random draws.
+seed; the draw order below is part of the contract. _pcg64_states seeds a
+whole array of seeds in one pass, each bit for bit as
+np.random.default_rng(seed) over [0, 2**64), and jumps each to any later
+state: _generators makes simulate's instance generators from it, and
+_pcg64_outputs the raw words of its random baseline (pruning._random_masks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate
 from typing import Iterator, Optional
 
 import numpy as np
@@ -114,46 +116,91 @@ def generate_instance(
 # NEP 19 keeps stable so that default_rng(seed) draws the same in every numpy.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, (2549297995355413924 << 64) + 4865540595714422341
+_WORD = 0xFFFFFFFF
 
 
 def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words under the running constant, and the next constant."""
-    step = const * mult & 0xFFFFFFFF
-    words = (words ^ const) * step
-    return words ^ words >> 16, step
+    """SeedSequence's hash of (rows, n) uint32 words, row by row under the
+    running constant, and the constant after the last row."""
+    consts = list(accumulate([const] + [mult] * len(words), lambda c, m: c * m & _WORD))
+    xors, mults = (np.array(part, dtype=np.uint32)[:, None] for part in (consts[:-1], consts[1:]))
+    words = (words ^ xors) * mults
+    return words ^ words >> 16, consts[-1]
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(x * c) mod 2**128 on uint64 (hi, lo) halves: x_lo * c_lo in full, from
+    32-bit pieces, plus the low words of the cross terms."""
+    a0, a1, b0, b1 = x_lo & _WORD, x_lo >> 32, c_lo & _WORD, c_lo >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    mid2 = a0 * b1 + (mid & _WORD)
+    hi = a1 * b1 + (mid >> 32) + (mid2 >> 32) + x_hi * c_lo + x_lo * c_hi
+    return hi, mid2 << 32 | low & _WORD
+
+
+def _pcg64_states(seeds: np.ndarray, steps) -> tuple[np.ndarray, ...]:
+    """(state_hi, state_lo, inc_hi, inc_lo): for each of seeds (int64 or uint64,
+    in [0, 2**64)), the uint64 halves of np.random.default_rng(seed)'s PCG64
+    state after each of steps draws, (len(seeds), len(steps)), and of its
+    increment, (len(seeds),).
+
+    SeedSequence(seed) hashes the seed's two 32-bit words into a pool of four
+    and gives generate_state(4, uint64): the state s and the stream i. PCG64
+    sets inc = (i << 1) | 1, steps the LCG (state -> M * state + inc) from 0,
+    adds s and steps again, so t draws later the state is
+    M**(t+1) * s + (1 + M + ... + M**(t+1)) * inc mod 2**128.
+    """
+    seeds = np.ravel(seeds).astype(np.uint64)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _WORD, seeds >> 32
+    pool, const = _hashmix(pool, _INIT_A, _MULT_A)
+    for src in range(4):  # each word is mixed into the three others, which it does not read
+        dst = [d for d in range(4) if d != src]
+        hashed, const = _hashmix(pool[[src] * 3], const, _MULT_A)
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, uint64): the pool cycled twice, each uint64 low word first.
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)[0].astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = words[0::2] | words[1::2] << 32
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    # The geometric sum is (M**(t+2) - 1) / (M - 1), exact from a power mod (M - 1) * 2**128.
+    coeff = np.array(
+        [[pow(_PCG_MULT, t + 1, 2**128) for t in steps],
+         [(pow(_PCG_MULT, t + 2, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1) for t in steps]],
+        dtype=object,
+    )[:, None]
+    # One product for both terms: (s, inc) times (M**(t+1), the geometric sum).
+    hi, lo = _mul128(
+        np.stack([s_hi, inc_hi])[..., None], np.stack([s_lo, inc_lo])[..., None],
+        (coeff >> 64).astype(np.uint64), (coeff & 2**64 - 1).astype(np.uint64),
+    )
+    lo_sum = lo[0] + lo[1]
+    return hi[0] + hi[1] + (lo_sum < lo[0]), lo_sum, inc_hi, inc_lo
+
+
+def _pcg64_outputs(seeds: np.ndarray, count: int) -> np.ndarray:
+    """(len(seeds), count) uint64: the first count outputs of each seed's
+    np.random.default_rng(seed).bit_generator, as random_raw gives them. PCG64
+    steps, then outputs hi ^ lo rotated right by the state's top six bits."""
+    hi, lo, *_ = _pcg64_states(seeds, range(1, count + 1))
+    mixed, rotate = hi ^ lo, hi >> 58
+    return mixed >> rotate | mixed << (64 - rotate & 63)
 
 
 def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """A generator for each of seeds (int64 or uint64, in [0, 2**64)), in
     order, drawing bit for bit as np.random.default_rng(seed).
 
-    SeedSequence(seed)'s hashing (the seed's two 32-bit words, an absent high
-    word as 0, into a pool of four, then generate_state(4, uint64)) runs on
-    whole uint32 arrays. Each seed's PCG64 seeding (inc = (i0:i1 << 1) | 1,
-    one LCG step from 0, add s0:s1, step again) is then set on one Generator
-    through the public state setter, so each generator yielded is valid until
-    the next is.
+    Each seed's state, from _pcg64_states, is set on one Generator through
+    the public state setter, so each generator yielded is valid until the
+    next is.
     """
-    seeds = np.ravel(seeds).astype(np.uint64)
-    zero = np.zeros(seeds.size, dtype=np.uint32)
-    pool = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
-    const = _INIT_A
-    for i in range(4):
-        pool[i], const = _hashmix(pool[i], const, _MULT_A)
-    for src, dst in permutations(range(4), 2):
-        hashed, const = _hashmix(pool[src], const, _MULT_A)
-        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
-        pool[dst] = mixed ^ mixed >> 16
-    words, const = [], _INIT_B
-    for i in range(8):  # generate_state(4, uint64): the pool cycled, each uint64 low word first
-        word, const = _hashmix(pool[i % 4], const, _MULT_B)
-        words.append(word.astype(np.uint64))
-    halves = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    hi, lo, inc_hi, inc_lo = (part.ravel().tolist() for part in _pcg64_states(seeds, [0]))
     bit_generator = np.random.PCG64(0)
     state = bit_generator.state  # has_uint32 and uinteger are 0, as after any seeding
     rng = np.random.Generator(bit_generator)
-    for s0, s1, i0, i1 in zip(*(half.tolist() for half in halves)):
-        inc = ((i0 << 64 | i1) << 1 | 1) % 2**128
-        state["state"] = {"state": (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) % 2**128, "inc": inc}
+    for s_hi, s_lo, i_hi, i_lo in zip(hi, lo, inc_hi, inc_lo):
+        state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
         bit_generator.state = state
         yield rng

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -1044,6 +1045,35 @@ class TestMetrics:
 
     def test_config_required(self, tmp_path):
         assert run(["metrics", "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize(
+        "config_text, code, steps",
+        [
+            ('{"judgments": [{"relevant": [0], "ranked": [0, 1]}]}', 0, 2),
+            ('{"judgments": [{"relevant": [0], "ranked": [0, 1], "rank": 1}]}', 2, 2),
+            ('{"judgments": [{"relevant": [0]', 2, 1),
+        ],
+        ids=["good", "bad-judgment", "malformed-json"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collection_pauses_for_the_load_and_parse_and_is_restored(
+        self, tmp_path, monkeypatch, config_text, code, steps, enabled
+    ):
+        """The config load and the judgment parse, as far as a run gets, run with the
+        collector off; main may run in its caller's process, so it leaves the
+        collector as it found it."""
+        seen = []
+        for name in ("_load_config", "_parse_judgments"):
+            step = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda arg, step=step: seen.append(gc.isenabled()) or step(arg))
+        cfg = write_config(tmp_path, "cfg.json", config_text)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["metrics", "--config", cfg, "--out", tmp_path / "o"]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False] * steps
 
     @staticmethod
     def judgments_digest(tmp_path, name, config_text):

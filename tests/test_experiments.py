@@ -302,6 +302,30 @@ def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_pa
     assert len(calls) - len(from_int) == n_instances
 
 
+def path_calls(monkeypatch) -> dict:
+    """The budgets the random baseline draws on each path: pruning._floyd's
+    arrays and numpy's own choice, through pruning._random_keep."""
+    calls = {"floyd": [], "numpy": []}
+    floyd, keep = pruning._floyd, pruning._random_keep
+    monkeypatch.setattr(pruning, "_floyd", lambda *a: calls["floyd"].append(a[2]) or floyd(*a))
+    monkeypatch.setattr(pruning, "_random_keep", lambda *a: calls["numpy"].append(a[2]) or keep(*a))
+    return calls
+
+
+def test_the_default_random_baseline_draws_on_arrays_alone(monkeypatch, tmp_path):
+    calls = path_calls(monkeypatch)
+    assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert calls["numpy"] == [] and sorted(set(calls["floyd"])) == [2, 6, 10, 14, 18]
+
+
+def test_budgets_past_the_array_bound_draw_through_numpy(monkeypatch):
+    """At 200 tokens the budget 20 is drawn on arrays and 180 by numpy's choice."""
+    calls = path_calls(monkeypatch)
+    run_pruning_comparison(SyntheticConfig(tokens_per_image=(200, 200)), [0.1, 0.9], 40)
+    assert set(calls["floyd"]) == {20} and set(calls["numpy"]) == {180}
+    assert len(calls["numpy"]) == 40
+
+
 class TestCorrelationProbe:
     def test_reports_summary_statistics(self):
         cfg = SyntheticConfig(n_images=1, tokens_per_image=(30, 30), seed=5)

@@ -225,11 +225,16 @@ def explicit_query(cfg: SyntheticConfig) -> np.ndarray:
     return np.random.default_rng(99).standard_normal((cfg.n_query_tokens, cfg.embed_dim))
 
 
+# Budgets on both sides of pruning._MAX_DRAWS, so a group's random baseline
+# is drawn on arrays at some ratios and by numpy's choice at the others.
+TWO_PATHS = SyntheticConfig(tokens_per_image=(200, 200))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", [*CONFIGS, "two-paths"])
 @pytest.mark.parametrize("explicit", [False, True], ids=["sampled-query", "explicit-query"])
 def test_comparison_equals_reference(name, seed, explicit):
-    cfg = dataclasses.replace(CONFIGS[name], seed=seed)
+    cfg = dataclasses.replace(CONFIGS.get(name, TWO_PATHS), seed=seed)
     query = explicit_query(cfg) if explicit else None
     ratios = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     expected = reference_pruning_comparison(cfg, ratios, 25, query)
