@@ -148,9 +148,9 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
 # numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
 # n = 10 000. _random_masks repeats it on arrays there for budgets up to
 # _MAX_DRAWS over at least _MIN_STREAMS seeds: on a 2-core x86 host the paths
-# cost the same near 96-112 draws a stream and 4-12 streams a call. Slices of
+# cost the same near 96-112 draws a stream and 10-18 streams a call. Slices of
 # _SLICE_DRAWS draws, one more a stream, keep the temporaries below 1 MiB.
-_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _SLICE_DRAWS = 10_000, 96, 8, 4096
+_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _SLICE_DRAWS = 10_000, 96, 16, 4096
 
 
 def _random_masks(seeds: np.ndarray, n_tokens: int, k: int) -> np.ndarray:

@@ -321,9 +321,9 @@ def test_the_default_random_baseline_draws_on_arrays_alone(monkeypatch, tmp_path
 def test_budgets_past_the_array_bound_draw_through_numpy(monkeypatch):
     """At 200 tokens the budget 20 is drawn on arrays and 180 by numpy's choice."""
     calls = path_calls(monkeypatch)
-    run_pruning_comparison(SyntheticConfig(tokens_per_image=(200, 200)), [0.1, 0.9], 40)
+    run_pruning_comparison(SyntheticConfig(tokens_per_image=(200, 200)), [0.1, 0.9], 64)
     assert set(calls["floyd"]) == {20} and set(calls["numpy"]) == {180}
-    assert len(calls["numpy"]) == 40
+    assert len(calls["numpy"]) == 64
 
 
 class TestCorrelationProbe:

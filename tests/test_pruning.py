@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from prunerank import pruning
 from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -16,7 +17,6 @@ from prunerank.errors import (
     NonFiniteError,
     ZeroNormError,
 )
-from prunerank import pruning
 from prunerank.linalg import similarity_matrix
 from prunerank.pruning import (
     _MAX_DRAWS,
