@@ -10,7 +10,7 @@ from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
-from prunerank.synthetic import SyntheticConfig, _generators, _pcg64_outputs, generate_instance
+from prunerank.synthetic import _BULK_SEEDS, SyntheticConfig, _generators, _pcg64_outputs, generate_instance
 
 
 class TestConfigValidation:
@@ -204,6 +204,15 @@ class TestGenerators:
     def test_no_seeds_yield_nothing(self, dtype):
         assert list(_generators(np.array([], dtype=dtype))) == []
 
+
+
+def test_bulk_seeding_of_the_edge_seeds():
+    """The edge seeds repeated past _BULK_SEEDS, so _generators seeds them in one pass."""
+    seeds = TestGenerators.EDGE_SEEDS * 4
+    below = [s for s in seeds if s < 2**63]
+    assert len(below) >= _BULK_SEEDS
+    TestGenerators.assert_match_default_rng(seeds, np.uint64)
+    TestGenerators.assert_match_default_rng(below, np.int64)
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6), st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
