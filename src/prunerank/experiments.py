@@ -11,7 +11,7 @@ instance by instance, as the instance is generated. Only the synthetic
 instances and the random-pruning draws have seeds of their own, and simulate
 seeds them in bulk, each bit for bit as np.random.default_rng(seed) over
 [0, 2**64): the instances by synthetic._generators, and the random baseline
-by pruning._random_masks, one call per shape group and keep ratio.
+by pruning._random_masks, one call per shape group.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -376,8 +376,9 @@ def run_pruning_comparison(
     ratio whose budget exceeds its rank in the descending score order (the
     lower index first on ties). The budgets are computed once per image size.
     The random baseline keeps, per instance and ratio, the set numpy's choice
-    draws from a seed of its own: one pruning._random_masks call per group and
-    ratio, whose masks give the planted hits.
+    draws from a seed of its own: one pruning._random_masks call per group
+    hashes each of the group's seeds once and gives masks by ratio, whose
+    planted entries are the hits.
     """
     master, chunks = _instances(
         cfg, n_instances, query, _relevant, _stacked_floats(cfg, cfg.tokens_per_image[1])
@@ -399,10 +400,9 @@ def run_pruning_comparison(
             planted_total += planted.size
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
-            seeds = random_seeds[group.index]
-            for j, budget in enumerate(budgets[n_tokens].tolist()):
-                kept = _random_masks(seeds[:, j], n_tokens, budget)
-                kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted, axis=-1))
+            masks = _random_masks(random_seeds[group.index], n_tokens, budgets[n_tokens].tolist())
+            for rows, j, kept in masks:
+                kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted[rows], axis=-1))
         return planted_total, kept_t2i, kept_random
 
     # map hands each chunk to count and keeps no reference to it.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     KOutOfRangeError,
 )
 from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
-from .synthetic import _generators, _pcg64_outputs
+from .synthetic import _pcg64_generators, _pcg64_outputs, _pcg64_seeding
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -146,70 +147,63 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
 
 
 # numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
-# n = 10 000. _random_masks repeats it on arrays there for budgets up to
-# _MAX_DRAWS over at least _MIN_STREAMS seeds: on a 2-core x86 host the paths
-# cost the same near 96-112 draws a stream and 10-18 streams a call. Slices of
-# _SLICE_DRAWS draws, one more a stream, keep the temporaries below 1 MiB.
-_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _SLICE_DRAWS = 10_000, 96, 16, 4096
+# n = 10 000. _random_masks replays it there (_floyd) for budgets up to
+# _MAX_DRAWS and _STREAM_DRAWS a stream (on a 2-core x86 host a draw costs
+# _floyd about 12 us a slice, choice about 25 us a stream), in slices of rows
+# whose hash (about 200 bytes a seed) or replay (80 a draw) fits _SLICE_BYTES.
+_FLOYD_TOKENS, _MAX_DRAWS, _STREAM_DRAWS, _SLICE_BYTES = 10_000, 96, 2, 1 << 19
 
 
-def _random_masks(seeds: np.ndarray, n_tokens: int, k: int) -> np.ndarray:
-    """(len(seeds), n_tokens) bool: row i marks the k tokens that
-    _random_keep(np.random.default_rng(seeds[i]), n_tokens, k) keeps, from
-    _floyd or, where that does not apply or rejects, from _random_keep itself."""
-    mask = np.zeros((len(seeds), n_tokens), dtype=bool)
-    redo = np.ones(len(seeds), dtype=bool)
-    if n_tokens <= _FLOYD_TOKENS and k <= _MAX_DRAWS and len(seeds) >= _MIN_STREAMS:
-        step = max(1, _SLICE_DRAWS // (k + 1))
-        for start in range(0, len(seeds), step):
-            rows = slice(start, start + step)
-            redo[rows] = _floyd(seeds[rows], n_tokens, k, mask[rows])
-    for row, rng in zip(np.flatnonzero(redo).tolist(), _generators(seeds[redo])):
-        mask[row] = False
-        mask[row, _random_keep(rng, n_tokens, k)] = True
-    return mask
+def _random_masks(seeds: np.ndarray, n_tokens: int, budgets) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """(rows, j, mask) for each slice of rows of a (streams, len(budgets)) seed
+    block and each budgets[j] = k: row i of the (rows, n_tokens) bool mask
+    marks the k tokens _random_keep(np.random.default_rng(seeds[rows][i, j]),
+    n_tokens, k) keeps, from _floyd or, where that does not apply or rejects,
+    from _random_keep itself. Each seed is hashed once."""
+    draws = min(max(budgets, default=0), _MAX_DRAWS) + 1
+    step = max(1, _SLICE_BYTES // max(200 * len(budgets), 80 * draws))
+    for start in range(0, len(seeds), step):
+        rows = slice(start, start + step)
+        seeding = _pcg64_seeding(seeds[rows])
+        for j, k in enumerate(budgets):
+            mask = np.zeros((len(seeding), n_tokens), dtype=bool)
+            redo = np.ones(len(seeding), dtype=bool)
+            if n_tokens <= _FLOYD_TOKENS and k <= min(_MAX_DRAWS, _STREAM_DRAWS * len(seeding)):
+                redo = _floyd(seeding[:, j], n_tokens, k, mask)
+            for row, rng in zip(np.flatnonzero(redo).tolist(), _pcg64_generators(seeding[redo, j])):
+                mask[row] = False
+                mask[row, _random_keep(rng, n_tokens, k)] = True
+            yield rows, j, mask
 
 
-def _floyd(seeds: np.ndarray, n_tokens: int, k: int, out: np.ndarray) -> np.ndarray:
-    """Mark in out's rows the k-sets numpy's Floyd sampling draws from range(n_tokens)
-    for seeds; return which streams hit a Lemire rejection, whose rows are wrong.
+def _floyd(seeding: np.ndarray, n_tokens: int, k: int, out: np.ndarray) -> np.ndarray:
+    """Mark in out's rows the k-sets numpy's Floyd sampling draws from
+    range(n_tokens) for _pcg64_seeding's rows; return which streams hit a
+    Lemire rejection, whose rows are wrong.
 
     Draw t picks v from range(j + 1), j = n_tokens - k + t, as numpy's bounded
     integers do: the next 32-bit output word u (two per PCG64 output, low
     first) scaled to (u * (j + 1)) >> 32, unless the product's low word falls
     below 2**32 mod (j + 1), where numpy rejects u and draws again. A draw
-    from range(1) takes no word. Floyd keeps v, or j when v is already kept:
-    when an earlier draw gave v, or v is the j of an earlier draw that
-    collided. The first rule is read from one stable sort per row; the chain
-    of the second ends within k links, so ceil(log2 k) pointer doublings
-    resolve it.
+    from range(1) takes no word. Floyd keeps v, or j when v is already kept;
+    the draws are replayed in order, each over all streams at once. NEP 19
+    does not cover choice's algorithm; TestRandomMasks, which checks this
+    against default_rng(seed).choice, is what holds the two together.
     """
     if n_tokens > _FLOYD_TOKENS:
         raise KOutOfRangeError(f"Floyd sampling needs n_tokens <= {_FLOYD_TOKENS}, got {n_tokens}")
     first = n_tokens - k
     skip = int(first == 0)
-    raw = _pcg64_outputs(seeds, (k - skip + 1) // 2)
-    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(seeds), -1)[:, : k - skip]
+    raw = _pcg64_outputs(seeding, (k - skip + 1) // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(seeding), -1)[:, : k - skip]
     span = np.arange(first + skip + 1, n_tokens + 1, dtype=np.uint64)
     scaled = words * span
     rejected = ((scaled & 0xFFFFFFFF) < (1 << 32) % span).any(axis=1)
-    drawn = np.zeros((len(seeds), k), dtype=np.int64)
+    drawn = np.zeros((len(seeding), k), dtype=np.int64)
     drawn[:, skip:] = scaled >> 32
-    # Each draw links to where its collision is decided, as flat indices:
-    # the earlier draw whose j it hit, or the end nodes no (size) and yes (size + 1).
-    size = drawn.size
-    base = np.arange(0, size, k)[:, None]
-    back = drawn - first
-    links = np.empty(size + 2, dtype=np.int64)
-    links[:size] = np.where((back >= 0) & (back < np.arange(k)), back + base, size).ravel()
-    links[size:] = size, size + 1
-    order = np.argsort(drawn, axis=1, kind="stable")
-    in_order = np.take_along_axis(drawn, order, axis=1)
-    links[(order[:, 1:] + base)[in_order[:, 1:] == in_order[:, :-1]]] = size + 1
-    for _ in range((k - 1).bit_length()):
-        links = links[links]
-    out[np.arange(len(seeds))[:, None], drawn] = True
-    out[:, first:] |= (links[:size] == size + 1).reshape(-1, k)
+    rows = np.arange(len(seeding))
+    for j, v in enumerate(drawn.T, first):
+        out[rows, np.where(out[rows, v], j, v)] = True
     return rejected
 
 

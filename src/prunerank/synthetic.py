@@ -4,11 +4,10 @@ Gaussian embeddings stand in for real query/page-token hidden states. One
 designated relevant image carries planted tokens that copy query rows (plus
 optional Gaussian noise), so query-aware pruning has an unambiguous signal to
 find while every other token is pure noise. Generation is deterministic per
-seed; the draw order below is part of the contract. _pcg64_states seeds a
+seed; the draw order below is part of the contract. _pcg64_seeding seeds a
 whole array of seeds in one pass, each bit for bit as
-np.random.default_rng(seed) over [0, 2**64), and jumps each to any later
-state: _generators makes simulate's instance generators from it, and
-_pcg64_outputs the raw words of its random baseline (pruning._random_masks).
+np.random.default_rng(seed) over [0, 2**64): simulate's instances
+(_generators) and random baseline (pruning._random_masks) start from it.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def generate_instance(
 # NEP 19 keeps stable so that default_rng(seed) draws the same in every numpy.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, (2549297995355413924 << 64) + 4865540595714422341
-_WORD, _BULK_SEEDS = 0xFFFFFFFF, 16
+_WORD = 0xFFFFFFFF
 
 
 def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -139,21 +138,19 @@ def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
     return hi, mid2 << 32 | low & _WORD
 
 
-def _pcg64_states(seeds: np.ndarray, steps) -> tuple[np.ndarray, ...]:
-    """(state_hi, state_lo, inc_hi, inc_lo): for each of seeds (int64 or uint64,
-    in [0, 2**64)), the uint64 halves of np.random.default_rng(seed)'s PCG64
-    state after each of steps draws, (len(seeds), len(steps)), and of its
-    increment, (len(seeds),).
+def _pcg64_seeding(seeds: np.ndarray) -> np.ndarray:
+    """(*seeds.shape, 4) uint64: for each of seeds (int64 or uint64, in
+    [0, 2**64)), the halves (s_hi, s_lo, inc_hi, inc_lo) of the seed s and
+    increment inc that np.random.default_rng(seed) gives its PCG64.
 
     SeedSequence(seed) hashes the seed's two 32-bit words (an absent high word
-    as 0) into a pool of four and gives generate_state(4, uint64): the state s
-    and the stream i. PCG64 sets inc = (i << 1) | 1, steps the LCG
-    (state -> M * state + inc) from 0, adds s and steps again, so t draws
-    later the state is M**(t+1) * s + (1 + M + ... + M**(t+1)) * inc mod 2**128.
+    as 0) into a pool of four and gives generate_state(4, uint64): s and the
+    stream i, and PCG64 takes inc = (i << 1) | 1. The hash runs row-wise on a
+    (4, seeds.size) pool, since its constants do not depend on the data.
     """
-    seeds = np.ravel(seeds).astype(np.uint64)
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0], pool[1] = seeds & _WORD, seeds >> 32
+    flat = np.ravel(seeds).astype(np.uint64)
+    pool = np.zeros((4, flat.size), dtype=np.uint32)
+    pool[0], pool[1] = flat & _WORD, flat >> 32
     pool, const = _hashmix(pool, _INIT_A, _MULT_A)
     for src in range(4):  # each word is mixed into the three others, which it does not read
         dst = [d for d in range(4) if d != src]
@@ -163,49 +160,57 @@ def _pcg64_states(seeds: np.ndarray, steps) -> tuple[np.ndarray, ...]:
     # generate_state(4, uint64): the pool cycled twice, each uint64 low word first.
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)[0].astype(np.uint64)
     s_hi, s_lo, i_hi, i_lo = words[0::2] | words[1::2] << 32
-    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    seeding = np.stack([s_hi, s_lo, i_hi << 1 | i_lo >> 63, i_lo << 1 | 1], axis=-1)
+    return seeding.reshape(*np.shape(seeds), 4)
+
+
+def _pcg64_states(seeding: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """(state_hi, state_lo), each (*seeding.shape[:-1], len(steps)) uint64: the
+    PCG64 state of each of _pcg64_seeding's rows after each of steps draws.
+
+    PCG64 steps the LCG (state -> M * state + inc) from 0, adds s and steps
+    again, so t draws later the state is
+    M**(t+1) * s + (1 + M + ... + M**(t+1)) * inc mod 2**128.
+    """
     # The geometric sum is (M**(t+2) - 1) / (M - 1), exact from a power mod (M - 1) * 2**128.
     coeff = np.array(
         [[pow(_PCG_MULT, t + 1, 2**128) for t in steps],
          [(pow(_PCG_MULT, t + 2, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1) for t in steps]],
         dtype=object,
-    )[:, None]
+    ).reshape(2, -1)
     # One product for both terms: (s, inc) times (M**(t+1), the geometric sum).
     hi, lo = _mul128(
-        np.stack([s_hi, inc_hi])[..., None], np.stack([s_lo, inc_lo])[..., None],
+        seeding[..., 0::2, None], seeding[..., 1::2, None],
         (coeff >> 64).astype(np.uint64), (coeff & 2**64 - 1).astype(np.uint64),
     )
-    lo_sum = lo[0] + lo[1]
-    return hi[0] + hi[1] + (lo_sum < lo[0]), lo_sum, inc_hi, inc_lo
+    lo_sum = lo[..., 0, :] + lo[..., 1, :]
+    return hi[..., 0, :] + hi[..., 1, :] + (lo_sum < lo[..., 0, :]), lo_sum
 
 
-def _pcg64_outputs(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(len(seeds), count) uint64: the first count outputs of each seed's
-    np.random.default_rng(seed).bit_generator, as random_raw gives them. PCG64
-    steps, then outputs hi ^ lo rotated right by the state's top six bits."""
-    hi, lo, *_ = _pcg64_states(seeds, range(1, count + 1))
+def _pcg64_outputs(seeding: np.ndarray, count: int) -> np.ndarray:
+    """(len(seeding), count) uint64: the first count outputs of each row's
+    PCG64, as np.random.default_rng(seed).bit_generator.random_raw gives them.
+    PCG64 steps, then outputs hi ^ lo rotated right by the state's top six bits."""
+    hi, lo = _pcg64_states(seeding, range(1, count + 1))
     mixed, rotate = hi ^ lo, hi >> 58
     return mixed >> rotate | mixed << (64 - rotate & 63)
 
 
-def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    """A generator for each of seeds (int64 or uint64, in [0, 2**64)), in
-    order, drawing bit for bit as np.random.default_rng(seed).
-
-    Each seed's state, from _pcg64_states, is set on one Generator through
-    the public state setter, so each generator yielded is valid until the
-    next is. That pass costs about as much as 15 to 20 default_rng calls
-    (about 10 us each on a 2-core x86 host), so fewer seeds are seeded one
-    by one.
-    """
-    if np.size(seeds) < _BULK_SEEDS:
-        yield from map(np.random.default_rng, np.ravel(seeds).tolist())
-        return
-    hi, lo, inc_hi, inc_lo = (part.ravel().tolist() for part in _pcg64_states(seeds, [0]))
+def _pcg64_generators(seeding: np.ndarray) -> Iterator[np.random.Generator]:
+    """A generator for each of _pcg64_seeding's rows, in C order: one Generator
+    re-stated through the public state setter, each valid until the next."""
+    seeding = seeding.reshape(-1, 4)
+    hi, lo = (part.ravel().tolist() for part in _pcg64_states(seeding, [0]))
     bit_generator = np.random.PCG64(0)
     state = bit_generator.state  # has_uint32 and uinteger are 0, as after any seeding
     rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in zip(hi, lo, inc_hi, inc_lo):
+    for s_hi, s_lo, i_hi, i_lo in zip(hi, lo, seeding[:, 2].tolist(), seeding[:, 3].tolist()):
         state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
         bit_generator.state = state
         yield rng
+
+
+def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """A generator for each of seeds (int64 or uint64, in [0, 2**64)), in C
+    order, drawing bit for bit as np.random.default_rng(seed)."""
+    return _pcg64_generators(_pcg64_seeding(seeds))

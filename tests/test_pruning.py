@@ -18,9 +18,10 @@ from prunerank.errors import (
     ZeroNormError,
 )
 from prunerank.linalg import similarity_matrix
+from prunerank.synthetic import _pcg64_seeding
 from prunerank.pruning import (
     _MAX_DRAWS,
-    _MIN_STREAMS,
+    _STREAM_DRAWS,
     _floyd,
     _random_masks,
     _ranks,
@@ -231,11 +232,21 @@ def keep_calls(monkeypatch) -> list:
     return calls
 
 
+def random_masks(seeds, n_tokens: int, budgets) -> np.ndarray:
+    """_random_masks' slices of a (streams, len(budgets)) seed block put
+    together: (len(budgets), streams, n_tokens)."""
+    masks = np.zeros((len(budgets), len(seeds), n_tokens), dtype=bool)
+    for rows, j, mask in _random_masks(seeds, n_tokens, budgets):
+        masks[j, rows] = mask
+    return masks
+
+
 class TestRandomMasks:
     """_random_masks and its array kernel _floyd draw numpy's own choice sets, bit for bit."""
 
-    # Both seed ends, then simulate's kind of seeds: enough streams for the array path.
-    SEEDS = np.array([0, 2**63 - 1, *np.random.default_rng(11).integers(2**63, size=2 * _MIN_STREAMS)])
+    # Both seed ends, then simulate's kind of seeds: enough streams for the
+    # array path at every budget up to _MAX_DRAWS.
+    SEEDS = np.array([0, 2**63 - 1, *np.random.default_rng(11).integers(2**63, size=_MAX_DRAWS // _STREAM_DRAWS)])
     # k = n draws its first token from range(1), which takes no word; n = 10 000
     # is tokens_per_image's bound and still Floyd's in numpy.
     SHAPES = [
@@ -247,11 +258,11 @@ class TestRandomMasks:
     def test_matches_numpy_choice(self, monkeypatch, n_tokens, k):
         calls = keep_calls(monkeypatch)
         expected = choice_masks(self.SEEDS, n_tokens, k)
-        assert np.array_equal(_random_masks(self.SEEDS, n_tokens, k), expected)
+        assert np.array_equal(random_masks(self.SEEDS[:, None], n_tokens, [k])[0], expected)
         assert len(calls) == (len(self.SEEDS) if k > _MAX_DRAWS else 0)
         if k <= _MAX_DRAWS:
             out = np.zeros_like(expected)
-            assert not _floyd(self.SEEDS, n_tokens, k, out).any()
+            assert not _floyd(_pcg64_seeding(self.SEEDS), n_tokens, k, out).any()
             assert np.array_equal(out, expected)
 
     @given(st.data())
@@ -261,44 +272,67 @@ class TestRandomMasks:
         k = data.draw(st.integers(1, min(n_tokens, _MAX_DRAWS)))
         seeds = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12)), dtype=np.uint64)
         out = np.zeros((len(seeds), n_tokens), dtype=bool)
-        rejected = _floyd(seeds, n_tokens, k, out)
+        rejected = _floyd(_pcg64_seeding(seeds), n_tokens, k, out)
         expected = choice_masks(seeds, n_tokens, k)
         assert np.array_equal(out[~rejected], expected[~rejected])
-        assert np.array_equal(_random_masks(seeds, n_tokens, k), expected)
+        assert np.array_equal(random_masks(seeds[:, None], n_tokens, [k])[0], expected)
+
+    def test_a_seed_block_is_hashed_once_in_slices(self, monkeypatch):
+        """A block whose budgets take both paths, cut into slices of 7 rows: each
+        column matches numpy, and each seed is hashed once, with its row."""
+        budgets = [1, 14, 15, _MAX_DRAWS, _MAX_DRAWS + 1, 200]
+        seeds = np.random.default_rng(7).integers(2**63, size=(50, len(budgets)))
+        monkeypatch.setattr(pruning, "_SLICE_BYTES", 7 * 80 * (_MAX_DRAWS + 1))
+        hashed, seeding = [], pruning._pcg64_seeding
+        monkeypatch.setattr(pruning, "_pcg64_seeding", lambda block: hashed.append(block.shape) or seeding(block))
+        masks = random_masks(seeds, 200, budgets)
+        for mask, column, k in zip(masks, seeds.T, budgets):
+            assert np.array_equal(mask, choice_masks(column, 200, k))
+        assert hashed == [(7, len(budgets))] * 7 + [(1, len(budgets))]
 
     def test_a_lemire_rejection_is_flagged_and_redrawn_by_numpy(self, monkeypatch):
         """Seed 4729's 96 draws from 10 000 tokens hit a rejected word, which shifts
         every later draw; the kernel flags the stream and numpy's own call redraws it."""
         assert 96 <= _MAX_DRAWS
-        seeds = np.arange(4726, 4726 + _MIN_STREAMS)
+        seeds = np.arange(4726, 4726 + 96 // _STREAM_DRAWS)
         out = np.zeros((len(seeds), 10_000), dtype=bool)
-        rejected = _floyd(seeds, 10_000, 96, out)
+        rejected = _floyd(_pcg64_seeding(seeds), 10_000, 96, out)
         expected = choice_masks(seeds, 10_000, 96)
         assert seeds[rejected].tolist() == [4729]
         assert not np.array_equal(out[rejected], expected[rejected])
         calls = keep_calls(monkeypatch)
-        assert np.array_equal(_random_masks(seeds, 10_000, 96), expected)
+        assert np.array_equal(random_masks(seeds[:, None], 10_000, [96])[0], expected)
         assert calls == [(10_000, 96)]
 
-    def test_few_streams_and_more_than_10_000_tokens_take_numpy(self, monkeypatch):
+    def test_few_streams_for_the_draws_and_more_than_10_000_tokens_take_numpy(self, monkeypatch):
         calls = keep_calls(monkeypatch)
-        few = self.SEEDS[: _MIN_STREAMS - 1]
-        assert np.array_equal(_random_masks(few, 20, 5), choice_masks(few, 20, 5))
-        assert np.array_equal(_random_masks(self.SEEDS, 10_001, 5), choice_masks(self.SEEDS, 10_001, 5))
+        k = 20
+        enough, few = self.SEEDS[: k // _STREAM_DRAWS], self.SEEDS[: k // _STREAM_DRAWS - 1]
+        for seeds in (enough, few):
+            assert np.array_equal(random_masks(seeds[:, None], 30, [k])[0], choice_masks(seeds, 30, k))
+        assert len(calls) == len(few)
+        assert np.array_equal(random_masks(self.SEEDS[:, None], 10_001, [5])[0], choice_masks(self.SEEDS, 10_001, 5))
         assert len(calls) == len(few) + len(self.SEEDS)
         with pytest.raises(KOutOfRangeError, match="10000"):
-            _floyd(self.SEEDS, 10_001, 5, np.zeros((len(self.SEEDS), 10_001), dtype=bool))
+            _floyd(_pcg64_seeding(self.SEEDS), 10_001, 5, np.zeros((len(self.SEEDS), 10_001), dtype=bool))
 
-    @pytest.mark.parametrize("n_tokens, k, streams", [(20, 18, 5000), (20, 1, 20_000), (200, _MAX_DRAWS, 2000)])
-    def test_temporaries_stay_below_one_mib(self, n_tokens, k, streams):
-        seeds = np.random.default_rng(5).integers(2**63, size=streams)
+    @pytest.mark.parametrize(
+        "n_tokens, budgets, streams",
+        [
+            (20, [18], 5000), (20, [1], 20_000), (200, [_MAX_DRAWS], 2000),
+            (20, [2, 6, 10, 14, 18], 3000), (20, [1] * 100, 300),
+        ],
+    )
+    def test_temporaries_stay_below_one_mib(self, n_tokens, budgets, streams):
+        seeds = np.random.default_rng(5).integers(2**63, size=(streams, len(budgets)))
         tracemalloc.start()
         try:
-            masks = _random_masks(seeds, n_tokens, k)
+            for _ in _random_masks(seeds, n_tokens, budgets):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - masks.nbytes < 2**20
+        assert peak < 2**20
 
 
 class TestTopKStability:

@@ -10,7 +10,7 @@ from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
-from prunerank.synthetic import _BULK_SEEDS, SyntheticConfig, _generators, _pcg64_outputs, generate_instance
+from prunerank.synthetic import SyntheticConfig, _generators, _pcg64_outputs, _pcg64_seeding, generate_instance
 
 
 class TestConfigValidation:
@@ -205,21 +205,12 @@ class TestGenerators:
         assert list(_generators(np.array([], dtype=dtype))) == []
 
 
-
-def test_bulk_seeding_of_the_edge_seeds():
-    """The edge seeds repeated past _BULK_SEEDS, so _generators seeds them in one pass."""
-    seeds = TestGenerators.EDGE_SEEDS * 4
-    below = [s for s in seeds if s < 2**63]
-    assert len(below) >= _BULK_SEEDS
-    TestGenerators.assert_match_default_rng(seeds, np.uint64)
-    TestGenerators.assert_match_default_rng(below, np.int64)
-
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6), st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
 def test_pcg64_outputs_are_random_raw(seeds, count):
     """_pcg64_outputs jumps to each output as numpy's PCG64 steps to it."""
     seeds = [0, 2**63 - 1, 2**64 - 1, *seeds]
-    outputs = _pcg64_outputs(np.array(seeds, dtype=np.uint64), count)
+    outputs = _pcg64_outputs(_pcg64_seeding(np.array(seeds, dtype=np.uint64)), count)
     assert outputs.shape == (len(seeds), count)
     for row, seed in zip(outputs, seeds):
         assert np.array_equal(row, np.random.default_rng(seed).bit_generator.random_raw(count))
