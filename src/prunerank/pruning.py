@@ -28,7 +28,7 @@ from .errors import (
     KOutOfRangeError,
 )
 from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
-from .synthetic import _pcg64_generators, _pcg64_outputs, _pcg64_seeding
+from .synthetic import _pcg64_outputs, _pcg64_seeding, _restate
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -147,11 +147,13 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
 
 
 # numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
-# n = 10 000. _random_masks replays it there (_floyd) for budgets up to
-# _MAX_DRAWS and _STREAM_DRAWS a stream (on a 2-core x86 host a draw costs
-# _floyd about 12 us a slice, choice about 25 us a stream), in slices of rows
-# whose hash (about 200 bytes a seed) or replay (80 a draw) fits _SLICE_BYTES.
-_FLOYD_TOKENS, _MAX_DRAWS, _STREAM_DRAWS, _SLICE_BYTES = 10_000, 96, 2, 1 << 19
+# n = 10 000. _random_masks replays it there (_floyd) for a budget up to
+# _MAX_DRAWS and up to _STREAM_DRAWS a stream past a slice's first
+# _MIN_STREAMS: on a 2-core x86 host a _floyd call costs about what choice
+# does on 8 streams, and each draw about what it does on half a stream. Its
+# slices of rows keep the hash (about 200 bytes a seed) or the replay (80 a
+# draw) within _SLICE_BYTES.
+_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _STREAM_DRAWS, _SLICE_BYTES = 10_000, 96, 8, 2, 1 << 19
 
 
 def _random_masks(seeds: np.ndarray, n_tokens: int, budgets) -> Iterator[tuple[slice, int, np.ndarray]]:
@@ -162,17 +164,18 @@ def _random_masks(seeds: np.ndarray, n_tokens: int, budgets) -> Iterator[tuple[s
     from _random_keep itself. Each seed is hashed once."""
     draws = min(max(budgets, default=0), _MAX_DRAWS) + 1
     step = max(1, _SLICE_BYTES // max(200 * len(budgets), 80 * draws))
+    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, len(seeds), step):
         rows = slice(start, start + step)
         seeding = _pcg64_seeding(seeds[rows])
         for j, k in enumerate(budgets):
             mask = np.zeros((len(seeding), n_tokens), dtype=bool)
-            redo = np.ones(len(seeding), dtype=bool)
-            if n_tokens <= _FLOYD_TOKENS and k <= min(_MAX_DRAWS, _STREAM_DRAWS * len(seeding)):
-                redo = _floyd(seeding[:, j], n_tokens, k, mask)
-            for row, rng in zip(np.flatnonzero(redo).tolist(), _pcg64_generators(seeding[redo, j])):
+            redo = range(len(seeding))
+            if n_tokens <= _FLOYD_TOKENS and k <= min(_MAX_DRAWS, _STREAM_DRAWS * (len(seeding) - _MIN_STREAMS)):
+                redo = np.flatnonzero(_floyd(seeding[:, j], n_tokens, k, mask)).tolist()
+            for row in redo:
                 mask[row] = False
-                mask[row, _random_keep(rng, n_tokens, k)] = True
+                mask[row, _random_keep(_restate(rng, seeding[row, j].tolist()), n_tokens, k)] = True
             yield rows, j, mask
 
 

@@ -140,13 +140,14 @@ def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
 
 def _pcg64_seeding(seeds: np.ndarray) -> np.ndarray:
     """(*seeds.shape, 4) uint64: for each of seeds (int64 or uint64, in
-    [0, 2**64)), the halves (s_hi, s_lo, inc_hi, inc_lo) of the seed s and
-    increment inc that np.random.default_rng(seed) gives its PCG64.
+    [0, 2**64)), the halves (state_hi, state_lo, inc_hi, inc_lo) of the state
+    and increment np.random.default_rng(seed) seeds its PCG64 with.
 
     SeedSequence(seed) hashes the seed's two 32-bit words (an absent high word
     as 0) into a pool of four and gives generate_state(4, uint64): s and the
-    stream i, and PCG64 takes inc = (i << 1) | 1. The hash runs row-wise on a
-    (4, seeds.size) pool, since its constants do not depend on the data.
+    stream i. PCG64 takes inc = (i << 1) | 1, steps the LCG (x -> M * x + inc)
+    from 0, adds s and steps again: M * s + (1 + M) * inc. The hash runs
+    row-wise on a (4, seeds.size) pool; its constants do not depend on the data.
     """
     flat = np.ravel(seeds).astype(np.uint64)
     pool = np.zeros((4, flat.size), dtype=np.uint32)
@@ -161,30 +162,28 @@ def _pcg64_seeding(seeds: np.ndarray) -> np.ndarray:
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)[0].astype(np.uint64)
     s_hi, s_lo, i_hi, i_lo = words[0::2] | words[1::2] << 32
     seeding = np.stack([s_hi, s_lo, i_hi << 1 | i_lo >> 63, i_lo << 1 | 1], axis=-1)
+    seeding[:, :2] = np.concatenate(_affine(seeding, [(_PCG_MULT, 1 + _PCG_MULT)]), axis=-1)
     return seeding.reshape(*np.shape(seeds), 4)
+
+
+def _affine(seeding: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo), each (*seeding.shape[:-1], len(coeffs)) uint64: a * x + b * inc
+    mod 2**128 for each (a, b) of coeffs, x and inc as seeding's columns hold them."""
+    # One product for both terms: (x, inc) times (a, b), as (2, len(coeffs), 2) halves.
+    coeff = np.array([[[c >> 64, c & 2**64 - 1] for c in part] for part in zip(*coeffs)], dtype=np.uint64)
+    coeff = coeff.reshape(2, -1, 2)
+    hi, lo = _mul128(seeding[..., 0::2, None], seeding[..., 1::2, None], coeff[..., 0], coeff[..., 1])
+    lo_sum = lo[..., 0, :] + lo[..., 1, :]
+    return hi[..., 0, :] + hi[..., 1, :] + (lo_sum < lo[..., 0, :]), lo_sum
 
 
 def _pcg64_states(seeding: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     """(state_hi, state_lo), each (*seeding.shape[:-1], len(steps)) uint64: the
-    PCG64 state of each of _pcg64_seeding's rows after each of steps draws.
-
-    PCG64 steps the LCG (state -> M * state + inc) from 0, adds s and steps
-    again, so t draws later the state is
-    M**(t+1) * s + (1 + M + ... + M**(t+1)) * inc mod 2**128.
-    """
-    # The geometric sum is (M**(t+2) - 1) / (M - 1), exact from a power mod (M - 1) * 2**128.
-    coeff = np.array(
-        [[pow(_PCG_MULT, t + 1, 2**128) for t in steps],
-         [(pow(_PCG_MULT, t + 2, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1) for t in steps]],
-        dtype=object,
-    ).reshape(2, -1)
-    # One product for both terms: (s, inc) times (M**(t+1), the geometric sum).
-    hi, lo = _mul128(
-        seeding[..., 0::2, None], seeding[..., 1::2, None],
-        (coeff >> 64).astype(np.uint64), (coeff & 2**64 - 1).astype(np.uint64),
-    )
-    lo_sum = lo[..., 0, :] + lo[..., 1, :]
-    return hi[..., 0, :] + hi[..., 1, :] + (lo_sum < lo[..., 0, :]), lo_sum
+    PCG64 state of each of _pcg64_seeding's rows after each of steps draws,
+    M**t * x + (1 + M + ... + M**(t-1)) * inc. The geometric sum is
+    (M**t - 1) / (M - 1), exact from a power mod (M - 1) * 2**128."""
+    sums = ((pow(_PCG_MULT, t, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1) for t in steps)
+    return _affine(seeding, list(zip((pow(_PCG_MULT, t, 2**128) for t in steps), sums)))
 
 
 def _pcg64_outputs(seeding: np.ndarray, count: int) -> np.ndarray:
@@ -196,21 +195,18 @@ def _pcg64_outputs(seeding: np.ndarray, count: int) -> np.ndarray:
     return mixed >> rotate | mixed << (64 - rotate & 63)
 
 
-def _pcg64_generators(seeding: np.ndarray) -> Iterator[np.random.Generator]:
-    """A generator for each of _pcg64_seeding's rows, in C order: one Generator
-    re-stated through the public state setter, each valid until the next."""
-    seeding = seeding.reshape(-1, 4)
-    hi, lo = (part.ravel().tolist() for part in _pcg64_states(seeding, [0]))
-    bit_generator = np.random.PCG64(0)
-    state = bit_generator.state  # has_uint32 and uinteger are 0, as after any seeding
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in zip(hi, lo, seeding[:, 2].tolist(), seeding[:, 3].tolist()):
-        state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-        bit_generator.state = state
-        yield rng
+def _restate(rng: np.random.Generator, row: list[int]) -> np.random.Generator:
+    """rng with its PCG64 set, through the public state setter, to a row of
+    _pcg64_seeding's, so it draws as np.random.default_rng(seed)."""
+    s_hi, s_lo, i_hi, i_lo = row
+    state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """A generator for each of seeds (int64 or uint64, in [0, 2**64)), in C
-    order, drawing bit for bit as np.random.default_rng(seed)."""
-    return _pcg64_generators(_pcg64_seeding(seeds))
+    order, drawing bit for bit as np.random.default_rng(seed): one Generator
+    re-stated to each seed in turn, so each is valid until the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    return (_restate(rng, row) for row in _pcg64_seeding(seeds).reshape(-1, 4).tolist())

@@ -21,6 +21,7 @@ from prunerank.linalg import similarity_matrix
 from prunerank.synthetic import _pcg64_seeding
 from prunerank.pruning import (
     _MAX_DRAWS,
+    _MIN_STREAMS,
     _STREAM_DRAWS,
     _floyd,
     _random_masks,
@@ -246,7 +247,8 @@ class TestRandomMasks:
 
     # Both seed ends, then simulate's kind of seeds: enough streams for the
     # array path at every budget up to _MAX_DRAWS.
-    SEEDS = np.array([0, 2**63 - 1, *np.random.default_rng(11).integers(2**63, size=_MAX_DRAWS // _STREAM_DRAWS)])
+    STREAMS = _MIN_STREAMS + _MAX_DRAWS // _STREAM_DRAWS
+    SEEDS = np.array([0, 2**63 - 1, *np.random.default_rng(11).integers(2**63, size=STREAMS - 2)])
     # k = n draws its first token from range(1), which takes no word; n = 10 000
     # is tokens_per_image's bound and still Floyd's in numpy.
     SHAPES = [
@@ -278,23 +280,28 @@ class TestRandomMasks:
         assert np.array_equal(random_masks(seeds[:, None], n_tokens, [k])[0], expected)
 
     def test_a_seed_block_is_hashed_once_in_slices(self, monkeypatch):
-        """A block whose budgets take both paths, cut into slices of 7 rows: each
-        column matches numpy, and each seed is hashed once, with its row."""
-        budgets = [1, 14, 15, _MAX_DRAWS, _MAX_DRAWS + 1, 200]
+        """50 streams in slices of 20, 20 and 10 rows: the array path takes a
+        budget up to _STREAM_DRAWS * (rows - _MIN_STREAMS) and _MAX_DRAWS, 24 and
+        4 here, numpy the rest. Each column matches numpy, and each seed is
+        hashed once, with its row."""
+        budgets = [1, 4, 5, 24, 25, _MAX_DRAWS + 1, 200]
         seeds = np.random.default_rng(7).integers(2**63, size=(50, len(budgets)))
-        monkeypatch.setattr(pruning, "_SLICE_BYTES", 7 * 80 * (_MAX_DRAWS + 1))
+        monkeypatch.setattr(pruning, "_SLICE_BYTES", 20 * 80 * (_MAX_DRAWS + 1))
         hashed, seeding = [], pruning._pcg64_seeding
         monkeypatch.setattr(pruning, "_pcg64_seeding", lambda block: hashed.append(block.shape) or seeding(block))
+        calls = keep_calls(monkeypatch)
         masks = random_masks(seeds, 200, budgets)
         for mask, column, k in zip(masks, seeds.T, budgets):
             assert np.array_equal(mask, choice_masks(column, 200, k))
-        assert hashed == [(7, len(budgets))] * 7 + [(1, len(budgets))]
+        assert hashed == [(20, len(budgets))] * 2 + [(10, len(budgets))]
+        assert sorted(set(calls)) == [(200, k) for k in (5, 24, 25, _MAX_DRAWS + 1, 200)]
+        assert len(calls) == 2 * 20 * 3 + 10 * 5
 
     def test_a_lemire_rejection_is_flagged_and_redrawn_by_numpy(self, monkeypatch):
         """Seed 4729's 96 draws from 10 000 tokens hit a rejected word, which shifts
         every later draw; the kernel flags the stream and numpy's own call redraws it."""
         assert 96 <= _MAX_DRAWS
-        seeds = np.arange(4726, 4726 + 96 // _STREAM_DRAWS)
+        seeds = np.arange(4726, 4726 + _MIN_STREAMS + 96 // _STREAM_DRAWS)
         out = np.zeros((len(seeds), 10_000), dtype=bool)
         rejected = _floyd(_pcg64_seeding(seeds), 10_000, 96, out)
         expected = choice_masks(seeds, 10_000, 96)
@@ -307,7 +314,8 @@ class TestRandomMasks:
     def test_few_streams_for_the_draws_and_more_than_10_000_tokens_take_numpy(self, monkeypatch):
         calls = keep_calls(monkeypatch)
         k = 20
-        enough, few = self.SEEDS[: k // _STREAM_DRAWS], self.SEEDS[: k // _STREAM_DRAWS - 1]
+        enough = self.SEEDS[: _MIN_STREAMS + k // _STREAM_DRAWS]
+        few = enough[:-1]
         for seeds in (enough, few):
             assert np.array_equal(random_masks(seeds[:, None], 30, [k])[0], choice_masks(seeds, 30, k))
         assert len(calls) == len(few)
