@@ -457,8 +457,8 @@ def _parse_judgments(raw: list) -> dict:
 
 def _digest(value) -> str:
     """"sha256:" and the hex sha256 of value's compact, key-sorted JSON."""
-    try:
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    try:  # value comes from json.load, which makes no cycles: no cycle scan
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
     except ValueError as exc:
         raise NonFiniteError(f"config holds a NaN or infinite value: {exc}") from exc
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()

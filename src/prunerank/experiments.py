@@ -6,32 +6,31 @@ comparison on planted-relevance instances, a synthetic ranking-quality run, a
 score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
 deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
-probe draws each instance's attention noise from its master generator,
-instance by instance, as the instance is generated. Only the synthetic
-instances and the random-pruning draws have seeds of their own, and simulate
-seeds them in bulk, each bit for bit as np.random.default_rng(seed) over
-[0, 2**64): the instances by synthetic._generators, and the random baseline
-by pruning._random_masks, one call per shape group.
+probe draws each chunk's attention noise from its master generator, in stream
+order. Only the synthetic instances and the random-pruning draws have seeds of
+their own, and simulate seeds them in bulk, each bit for bit as
+np.random.default_rng(seed) over [0, 2**64): the instances by
+synthetic._generators, and the random baseline by pruning._random_masks, one
+call per shape group.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
-the pruning-error check's pass. Each simulate section generates its instances
-one by one, in stream order (an instance with a fixed image size draws all its
-images' tokens in one block), in chunks whose stacks (tokens, queries,
-similarities, head noise) hold at most CHUNK_BYTES (1 MiB) unless one
-instance's do, and frees each chunk before it generates the next. A chunk
-splits into groups of instances whose tokens stack to one shape (one group
-when every image has the same size), and each group is scored with one call of
-each kernel on the stack: one cosine GEMM per instance inside one matmul, one
-keep-rule sort (pruning._ranks) for every keep ratio or for the ranking, one
-softmax for every head, one reduceat for every image. Results that depend on
-order (the correlations and the ranking judgments) are put back in stream
-order. The drivers take their counts, ratios and noise scales as cli._merge
-has checked them and check none again, and return only what they computed: the
-report's config holds their inputs. A report is written as json.dumps gives
-it, with sorted keys and a two-space indent, after its tables; no report holds
-bulk data, so the standard encoder is fast enough.
+the pruning-error check's pass. Each simulate section draws a chunk's
+instances straight into arrays (synthetic._draw_chunk); a chunk's stacks
+(tokens, queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB)
+unless one instance's do. A chunk splits into groups whose tokens stack to one
+shape (one group, the chunk's own token array, when every image has the same
+size), and each group is scored with one call of each kernel on the stack: one
+cosine GEMM per instance inside one matmul, one keep-rule sort
+(pruning._ranks) for every keep ratio or for the ranking, one softmax for
+every head, one Spearman row kernel (metrics._spearman_rows), one reduceat for
+every image. Results that depend on order are put back in stream order. The
+drivers take their counts, ratios and noise scales as cli._merge has checked
+them and check none again, and return only what they computed: the report's
+config holds their inputs. A report is written as json.dumps gives it, with
+sorted keys and a two-space indent, after its tables; no report holds bulk
+data, so the standard encoder is fast enough.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ import csv
 import dataclasses
 import json
 import math
-from itertools import accumulate
+from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,11 +60,11 @@ from .cost_model import (
     longcontext_prefill_ratio,
     speedup,
 )
-from .errors import NonFiniteError
+from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
-from .metrics import QueryJudgment, evaluate_judgments, spearman
+from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
 from .pruning import _pool, _random_masks, _ranks, _token_scores, keep_count, topk_stability_rows
-from .synthetic import SyntheticConfig, SyntheticInstance, _generators, generate_instance
+from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -257,14 +256,13 @@ def run_bound_verification(
 
 # Bytes of float64 stacks one simulate chunk may hold: its tokens, queries,
 # similarities and, in the correlation, head noise together. Each section
-# generates a chunk's instances one by one, in stream order, keeps only what it
-# scores and scores the chunk with one call of each kernel; the chunk is freed
-# before the next is generated. The count per chunk is fixed per section by
-# what its largest possible instance adds to those stacks, and is at least
-# one: at the default config a comparison chunk holds 282 instances, a
-# correlation chunk 240 and a ranking chunk 40. The bound keeps simulate's
-# memory independent of its instance counts: at the default config its traced
-# peak is 2.1 MiB, against 0.2 MiB one instance at a time.
+# draws a chunk's instances in stream order into arrays, keeping only the
+# tokens it scores, scores the chunk with one call of each kernel and frees it
+# before drawing the next. The count per chunk is fixed per section by what
+# its largest possible instance adds to those stacks, and is at least one: at
+# the default config a comparison chunk holds 282 instances, a correlation
+# chunk 240 and a ranking chunk 40. The bound keeps simulate's memory
+# independent of its instance counts (a default run's traced peak: 1.6 MiB).
 CHUNK_BYTES = 1 << 20
 
 
@@ -282,80 +280,46 @@ def _stacked_floats(cfg: SyntheticConfig, tokens: int) -> int:
 
 
 class _Group(NamedTuple):
-    """The instances of one chunk whose kept images stack to the same shape."""
+    """The instances of one chunk whose scored tokens stack to the same shape."""
 
-    index: list[int]  # their positions in the section's stream, ascending
+    members: np.ndarray  # their rows in the chunk, ascending
     query: tuple[np.ndarray, np.ndarray]  # unit_rows of their (g, t, d) query stack, or of the explicit query
-    tokens: np.ndarray  # (g, T, d): each instance's kept images, end to end
-    kept: list  # what keep gave each instance beside its images
+    tokens: np.ndarray  # (g, T, d): each instance's scored tokens
 
 
 def _instances(
-    cfg: SyntheticConfig,
-    n_instances: int,
-    query: np.ndarray | None,
-    keep: Callable[[SyntheticInstance], tuple],
-    instance_floats: int,
+    cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None, all_images: bool, instance_floats: int
 ):
     """The master generator and a lazy stream of n_instances seeded instances,
-    one chunk (a list of _Groups) at a time.
+    one chunk, as (start, _Chunk, its _Groups), at a time.
 
-    keep(instance) gives (images, kept): the images the section scores and
-    what else it reads. instance_floats bounds what one instance adds to the
-    chunk's stacks, as _stacked_floats counts it, and sizes the chunks. The
-    rest of each instance is dropped once its chunk is stacked. A chunk groups
-    its instances by their kept token count; with one image size, a chunk is
-    one group. The instance seeds are the master's first draw; callers may
-    draw more from the master afterwards, before or while consuming the
-    stream. The stream keeps no chunk after yielding it, so a consumer that
-    keeps none either (map) holds one chunk at a time.
+    all_images scores every image of an instance, end to end, else only the
+    relevant one. instance_floats bounds what one instance adds to the chunk's
+    stacks, as _stacked_floats counts it, and sizes the chunks. The instance
+    seeds are the master's first draw; callers may draw more from the master
+    afterwards. The stream keeps no chunk after yielding it, so a consumer that
+    keeps none either (starmap) holds one chunk at a time.
     """
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(2**63, size=n_instances)
     size = _chunk_instances(instance_floats)
-    return master, (_chunk(cfg, seeds, start, size, query, keep) for start in range(0, n_instances, size))
+    return master, (_chunk(cfg, seeds, start, size, query, all_images) for start in range(0, n_instances, size))
 
 
-def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, start: int, size: int, query, keep) -> list[_Group]:
-    """The _Groups of the instances seeded by seeds[start : start + size].
-
-    An explicit query is scaled once per chunk, after its instances are
-    generated, so generate_instance's query check comes first.
-    """
-    chunk = []
-    for rng in _generators(seeds[start : start + size]):
-        instance = generate_instance(cfg, query, seed=rng)
-        chunk.append((instance.query, *keep(instance)))
-    shared = None if query is None else unit_rows(query)
-    shapes: dict[int, list[int]] = {}
-    for i, (_, images, _) in enumerate(chunk):
-        shapes.setdefault(sum(len(image) for image in images), []).append(i)
+def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, start: int, size: int, query, all_images: bool):
+    """start, the _Chunk of the instances seeded by seeds[start : start + size],
+    and its _Groups, one per scored token count in order of first appearance."""
+    block = seeds[start : start + size]
+    chunk = _draw_chunk(cfg, _generators(block), len(block), query, all_images)
+    shared = None if query is None else unit_rows(chunk.query)
     groups = []
-    for members in shapes.values():
-        tokens = np.concatenate([image for i in members for image in chunk[i][1]])
-        groups.append(
-            _Group(
-                index=[start + i for i in members],
-                query=(
-                    shared if shared is not None
-                    else unit_rows(np.stack([chunk[i][0] for i in members]), stack=True)
-                ),
-                tokens=tokens.reshape(len(members), -1, tokens.shape[-1]),
-                kept=[chunk[i][2] for i in members],
-            )
-        )
-    return groups
-
-
-def _relevant(instance: SyntheticInstance) -> tuple:
-    """A copy of the relevant image, and its planted positions.
-
-    With a fixed image size the image is a view of the instance's whole image
-    block, which a chunk would keep alive until it is stacked; the copy keeps
-    only the image.
-    """
-    relevant = instance.relevant_image
-    return (instance.images[relevant].copy(),), instance.planted[relevant]
+    for n_tokens in dict.fromkeys(chunk.lengths.tolist()):
+        members = np.flatnonzero(chunk.lengths == n_tokens)
+        rows = slice(None) if members.size == chunk.lengths.size else members
+        group_query = shared if shared is not None else unit_rows(chunk.query[rows], stack=True)
+        # A copy only when the rows are padded or some of them left out.
+        groups.append(_Group(members, group_query, np.ascontiguousarray(chunk.tokens[rows, :n_tokens])))
+    return start, chunk, groups
 
 
 def run_pruning_comparison(
@@ -380,33 +344,28 @@ def run_pruning_comparison(
     hashes each of the group's seeds once and gives masks by ratio, whose
     planted entries are the hits.
     """
-    master, chunks = _instances(
-        cfg, n_instances, query, _relevant, _stacked_floats(cfg, cfg.tokens_per_image[1])
-    )
+    master, chunks = _instances(cfg, n_instances, query, False, _stacked_floats(cfg, cfg.tokens_per_image[1]))
     random_seeds = master.integers(2**63, size=(n_instances, len(keep_ratios)))
     budgets: dict[int, np.ndarray] = {}
 
-    def count(groups: list[_Group]) -> tuple[int, np.ndarray, np.ndarray]:
+    def count(start: int, chunk: _Chunk, groups: list[_Group]) -> tuple[int, np.ndarray, np.ndarray]:
         """A chunk's planted tokens, and those kept at each ratio by t2i and by random."""
-        planted_total = 0
-        kept_t2i = np.zeros(len(keep_ratios), dtype=np.int64)
-        kept_random = np.zeros(len(keep_ratios), dtype=np.int64)
+        kept_t2i, kept_random = np.zeros((2, len(keep_ratios)), dtype=np.int64)
         for group in groups:
             n_tokens = group.tokens.shape[1]
             if n_tokens not in budgets:
                 budgets[n_tokens] = np.array([keep_count(rho, n_tokens) for rho in keep_ratios])
             _, rank = _ranks(_token_scores(group.query, group.tokens, stack=True))
-            planted = np.array(group.kept)
-            planted_total += planted.size
+            planted = chunk.planted[group.members]
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
-            masks = _random_masks(random_seeds[group.index], n_tokens, budgets[n_tokens].tolist())
+            masks = _random_masks(random_seeds[start + group.members], n_tokens, budgets[n_tokens].tolist())
             for rows, j, kept in masks:
                 kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted[rows], axis=-1))
-        return planted_total, kept_t2i, kept_random
+        return chunk.planted.size, kept_t2i, kept_random
 
-    # map hands each chunk to count and keeps no reference to it.
-    total_planted, kept_t2i, kept_random = (sum(column) for column in zip(*map(count, chunks)))
+    # starmap hands each chunk to count and keeps no reference to it.
+    total_planted, kept_t2i, kept_random = (sum(column) for column in zip(*starmap(count, chunks)))
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
     return {
@@ -428,29 +387,40 @@ def run_correlation_probe(
     Per instance, per-head attention rows at the scoring position are softmax
     distributions over the smooth pooling scores plus head-specific noise; the
     head average is then rank-correlated against the hard-max pruning scores.
-    The value is reported without an acceptance threshold. Each instance's
-    (n_heads, n_tokens) noise is drawn as the instance is generated, in stream
-    order, and a group is pooled and softmaxed with one call each. The
-    correlations are taken in stream order.
+    The value is reported without an acceptance threshold. A chunk's head
+    noise is one master draw, each instance's (n_heads, n_tokens) block in
+    stream order, the values per-instance draws would give; a group is pooled,
+    softmaxed and correlated (metrics._spearman_rows) with one call each. A
+    degenerate instance raises what spearman raises for the first one in
+    stream order.
     """
     high = cfg.tokens_per_image[1]
+    master, chunks = _instances(cfg, n_instances, query, False, _stacked_floats(cfg, high) + n_heads * high)
 
-    def keep(instance: SyntheticInstance) -> tuple:
-        images, _ = _relevant(instance)
-        return images, master.normal(0.0, attention_noise, size=(n_heads, len(images[0])))
-
-    master, chunks = _instances(cfg, n_instances, query, keep, _stacked_floats(cfg, high) + n_heads * high)
-
-    def correlate(groups: list[_Group]) -> list[float]:
+    def correlate(start: int, chunk: _Chunk, groups: list[_Group]) -> np.ndarray:
         """The chunk's correlations, in stream order."""
-        pooled = {}
+        widths = n_heads * chunk.lengths
+        noise = master.normal(0.0, attention_noise, size=int(widths.sum()))
+        offsets = np.cumsum(widths) - widths
+        pooled = []
         for group in groups:
+            n_tokens = group.tokens.shape[1]
             hard, smooth = _pool(cosine_to_unit(group.query, group.tokens, stack=True))
-            mass = softmax(smooth[:, None, :] + np.stack(group.kept)).mean(axis=1)
-            pooled.update(zip(group.index, zip(hard, mass)))
-        return [spearman(*pooled[i]) for i in sorted(pooled)]
+            heads = noise[offsets[group.members, None] + np.arange(n_heads * n_tokens)]
+            mass = softmax(smooth[:, None, :] + heads.reshape(-1, n_heads, n_tokens)).mean(axis=1)
+            pooled.append((group.members, hard, mass))
+        correlations = np.empty(widths.size)
+        try:
+            for members, hard, mass in pooled:
+                correlations[members] = _spearman_rows(hard, mass)
+        except (EmptyInputError, DegenerateConstantError):  # raised by the first bad instance, as spearman
+            rows = {i: row for members, *group in pooled for i, row in zip(members.tolist(), zip(*group))}
+            for i in sorted(rows):
+                spearman(*rows[i])
+            raise
+        return correlations
 
-    correlations = [value for chunk in map(correlate, chunks) for value in chunk]
+    correlations = np.concatenate(list(starmap(correlate, chunks)))
     return {
         "spearman_mean": float(np.mean(correlations)),
         "spearman_min": float(np.min(correlations)),
@@ -479,31 +449,26 @@ def run_synthetic_ranking(
     indices, so each instance's ranked ids are its row of the order. The
     judgments are kept in stream order.
     """
-
-    def keep(instance: SyntheticInstance) -> tuple:
-        starts = accumulate((len(image) for image in instance.images[:-1]), initial=0)
-        return instance.images, (instance.relevant_image, list(starts))
-
     _, chunks = _instances(
-        cfg, n_instances, query, keep, _stacked_floats(cfg, cfg.n_images * cfg.tokens_per_image[1])
+        cfg, n_instances, query, True, _stacked_floats(cfg, cfg.n_images * cfg.tokens_per_image[1])
     )
 
-    def judge(groups: list[_Group]) -> list[QueryJudgment]:
+    def judge(start: int, chunk: _Chunk, groups: list[_Group]) -> list[QueryJudgment]:
         """The chunk's judgments, in stream order."""
-        ranked = {}
+        relevant = chunk.relevant.tolist()
+        firsts = np.cumsum(chunk.counts, axis=1) - chunk.counts  # each image's first row
+        ranked = [None] * len(relevant)
         for group in groups:
             n_tokens = group.tokens.shape[1]
-            offsets = [
-                row * n_tokens + start for row, (_, starts) in enumerate(group.kept) for start in starts
-            ]
+            offsets = np.arange(group.members.size)[:, None] * n_tokens + firsts[group.members]
             tokens = _token_scores(group.query, group.tokens, stack=True)
-            best = np.maximum.reduceat(tokens.ravel(), offsets).reshape(len(group.index), -1)
+            best = np.maximum.reduceat(tokens.ravel(), offsets.ravel()).reshape(group.members.size, -1)
             order, _ = _ranks(best)
-            for i, (relevant, _), row in zip(group.index, group.kept, order.tolist()):
-                ranked[i] = QueryJudgment(relevant=frozenset({relevant}), ranked=tuple(row))
-        return [ranked[i] for i in sorted(ranked)]
+            for i, row in zip(group.members.tolist(), order.tolist()):
+                ranked[i] = QueryJudgment(relevant=frozenset({relevant[i]}), ranked=tuple(row))
+        return ranked
 
-    judgments = [judgment for chunk in map(judge, chunks) for judgment in chunk]
+    judgments = [judgment for chunk in starmap(judge, chunks) for judgment in chunk]
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
         "metrics": evaluation["per_subset"]["synthetic"],

@@ -89,38 +89,51 @@ def aggregate(values_by_subset: Mapping[str, Sequence[float]]) -> dict:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, smallest first; tied values share the mean of their positions.
+    """1-based ranks over the last axis, smallest first; tied values share the
+    mean of their positions.
 
-    One stable sort puts each run of equal values together; a run over sorted
-    positions i..j gets the rank 0.5 * (i + j) + 1.
+    One stable sort per row puts each run of equal values together; a run over
+    sorted positions i..j gets the rank 0.5 * (i + j) + 1. No run crosses a
+    row, so the runs are found on the rows end to end.
     """
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], x.size) - 1
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], first.size) - 1
+    ranks = np.empty(rows.shape, dtype=np.float64)
+    sorted_ranks = np.repeat(0.5 * (starts % n + ends % n) + 1.0, ends - starts + 1)
+    ranks[np.arange(len(rows))[:, None], order] = sorted_ranks.reshape(rows.shape)
+    return ranks.reshape(x.shape)
+
+
+def _spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """spearman of each pair of rows of two equal-shape float64 arrays, as
+    spearman raises and computes it for that row alone: np.vecdot takes each
+    row's products with np.dot's inner loop."""
+    n = x.shape[-1]
+    if n < 2:
+        raise EmptyInputError(f"need at least two observations, got {n}")
+    if any((np.minimum.reduce(v, axis=-1) == np.maximum.reduce(v, axis=-1)).any() for v in (x, y)):
+        raise DegenerateConstantError("rank correlation undefined for constant input")
+    ranks = _average_ranks(np.stack([x, y]))
+    ranks -= np.add.reduce(ranks, axis=-1, keepdims=True) / n
+    ra, rb = ranks
+    denom = np.sqrt(np.vecdot(ra, ra) * np.vecdot(rb, rb))
+    if (denom == 0.0).any():
+        raise DegenerateConstantError("rank correlation undefined: zero rank variance")
+    return np.clip(np.vecdot(ra, rb) / denom, -1.0, 1.0)
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation: Pearson correlation of average ranks."""
-    a = as_vector(x, "x")
-    b = as_vector(y, "y")
+    """Spearman rank correlation, Pearson correlation of average ranks: _spearman_rows on one row."""
+    a, b = as_vector(x, "x"), as_vector(y, "y")
     if a.size != b.size:
         raise DimensionMismatchError(f"need equal-length inputs, got {a.size} and {b.size}")
-    if a.size < 2:
-        raise EmptyInputError(f"need at least two observations, got {a.size}")
-    if np.minimum.reduce(a) == np.maximum.reduce(a) or np.minimum.reduce(b) == np.maximum.reduce(b):
-        raise DegenerateConstantError("rank correlation undefined for constant input")
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    ra -= np.add.reduce(ra) / ra.size
-    rb -= np.add.reduce(rb) / rb.size
-    denom = math.sqrt(float(np.dot(ra, ra)) * float(np.dot(rb, rb)))
-    if denom == 0.0:
-        raise DegenerateConstantError("rank correlation undefined: zero rank variance")
-    return float(np.clip(float(np.dot(ra, rb)) / denom, -1.0, 1.0))
+    return float(_spearman_rows(a, b))
 
 
 def evaluate_judgments(

@@ -4,8 +4,9 @@ Gaussian embeddings stand in for real query/page-token hidden states. One
 designated relevant image carries planted tokens that copy query rows (plus
 optional Gaussian noise), so query-aware pruning has an unambiguous signal to
 find while every other token is pure noise. Generation is deterministic per
-seed; the draw order below is part of the contract. _pcg64_seeding seeds a
-whole array of seeds in one pass, each bit for bit as
+seed, and _draw_chunk's draw order is part of the contract: it draws a chunk
+of instances into arrays, and generate_instance is its one-instance case.
+_pcg64_seeding seeds a whole array of seeds in one pass, each bit for bit as
 np.random.default_rng(seed) over [0, 2**64): simulate's instances
 (_generators) and random baseline (pruning._random_masks) start from it.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,47 +69,88 @@ def generate_instance(
     """Draw one instance: Gaussian tokens everywhere, planted copies of query
     rows (plus noise_scale * Gaussian noise) inside the single relevant image.
 
-    Draw order per seed: query rows, relevant-image index, per-image token
-    counts and tokens, planted positions, planted source rows, planted noise.
-    Passing an explicit query skips the first draw; its shape must match the
+    _draw_chunk's one-instance case, with all images kept: each image is a
+    view of the instance's row of tokens. seed, when given, replaces cfg.seed;
+    a Generator given as seed is drawn from as it stands, as
+    np.random.default_rng returns it.
+    """
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    chunk = _draw_chunk(cfg, [rng], 1, query, all_images=True)
+    relevant = int(chunk.relevant[0])
+    return SyntheticInstance(
+        query=chunk.query if query is not None else chunk.query[0],
+        images=tuple(np.split(chunk.tokens[0], np.cumsum(chunk.counts[0]))[:-1]),
+        planted={relevant: tuple(chunk.planted[0].tolist())},
+        relevant_image=relevant,
+    )
+
+
+class _Chunk(NamedTuple):
+    """Instances drawn by _draw_chunk, one row each, in generator order."""
+
+    query: np.ndarray  # (g, n_query_tokens, embed_dim) drawn queries, or the explicit query
+    relevant: np.ndarray  # (g,) relevant-image indices
+    counts: np.ndarray  # (g, n_images) token counts
+    lengths: np.ndarray  # (g,) tokens written to each row of tokens
+    tokens: np.ndarray  # (g, rows, embed_dim): the relevant image, or all images end to end, then padding
+    planted: np.ndarray  # (g, planted_per_image) planted positions in the relevant image, ascending
+
+
+def _draw_chunk(
+    cfg: SyntheticConfig, generators: Iterable[np.random.Generator], size: int, query, all_images: bool
+) -> _Chunk:
+    """size instances, one from each of generators, written straight into a
+    _Chunk's rows: every image end to end with all_images, else the relevant one.
+
+    Draw order per generator: query rows, relevant-image index, per-image
+    token counts and tokens, planted positions, planted source rows, planted
+    noise. An explicit query skips the first draw; its shape must match the
     configured (n_query_tokens, embed_dim). A fixed image size (low == high)
     draws no count, as numpy's integers(low, low + 1) draws nothing, and draws
     all images' tokens as one (n_images, low, embed_dim) block: the same
-    values, in C order, as one draw per image, and each image is a view of
-    the block. seed, when given, replaces cfg.seed; a Generator given as seed
-    is drawn from as it stands, as np.random.default_rng returns it.
+    values, in C order, as one draw per image. Tokens not kept go to scratch.
+    One fancy assignment then plants every copy: query[source] + noise *
+    noise_scale.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    if query is None:
-        query = rng.standard_normal((cfg.n_query_tokens, cfg.embed_dim))
-    else:
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (cfg.n_query_tokens, cfg.embed_dim):
-            raise ConfigError(
-                f"query shape {query.shape} does not match configured "
-                f"({cfg.n_query_tokens}, {cfg.embed_dim})"
-            )
-    relevant = int(rng.integers(cfg.n_images))
+    n, t, d, p = cfg.n_images, cfg.n_query_tokens, cfg.embed_dim, cfg.planted_per_image
     low, high = cfg.tokens_per_image
-    if low == high:
-        images = tuple(rng.standard_normal((cfg.n_images, low, cfg.embed_dim)))
-    else:
-        images = tuple(
-            rng.standard_normal((int(rng.integers(low, high + 1)), cfg.embed_dim))
-            for _ in range(cfg.n_images)
-        )
-    target = images[relevant]
-    positions = np.sort(rng.choice(target.shape[0], size=cfg.planted_per_image, replace=False))
-    sources = rng.integers(cfg.n_query_tokens, size=cfg.planted_per_image)
-    noise = rng.standard_normal((cfg.planted_per_image, cfg.embed_dim)) * cfg.noise_scale
-    # The positions are distinct, so one fancy assignment plants every copy.
-    target[positions] = query[sources] + noise
-    return SyntheticInstance(
-        query=query,
-        images=images,
-        planted={relevant: tuple(positions.tolist())},
-        relevant_image=relevant,
-    )
+    queries = np.empty((size, t, d)) if query is None else np.asarray(query, dtype=np.float64)
+    if query is not None and queries.shape != (t, d):
+        raise ConfigError(f"query shape {queries.shape} does not match configured ({t}, {d})")
+    relevant = np.empty(size, dtype=np.int64)
+    counts = np.full((size, n), low, dtype=np.int64)
+    tokens = np.empty((size, n * high if all_images else high, d))
+    scratch = None if all_images else np.empty((n, low, d) if low == high else (high, d))
+    positions, sources = np.empty((2, size, p), dtype=np.int64)
+    noise = np.empty((size, p, d))
+    for i, rng in enumerate(generators):
+        if query is None:
+            rng.standard_normal(out=queries[i])
+        relevant[i] = target = int(rng.integers(n))
+        if low == high and all_images:
+            rng.standard_normal(out=tokens[i].reshape(n, low, d))
+        elif low == high:
+            tokens[i] = rng.standard_normal(out=scratch)[target]
+        else:
+            start = 0
+            for j in range(n):
+                counts[i, j] = count = int(rng.integers(low, high + 1))
+                if all_images:
+                    out, start = tokens[i, start : start + count], start + count
+                else:
+                    out = tokens[i, :count] if j == target else scratch[:count]
+                rng.standard_normal(out=out)
+        positions[i] = rng.choice(int(counts[i, target]), size=p, replace=False)
+        sources[i] = rng.integers(t, size=p)
+        rng.standard_normal(out=noise[i])
+    positions.sort(axis=1)
+    noise *= cfg.noise_scale
+    rows = np.arange(size)[:, None]
+    # Where the relevant image starts in its row; the positions are distinct.
+    offset = (np.cumsum(counts, axis=1) - counts)[rows, relevant[:, None]] if all_images else 0
+    tokens[rows, offset + positions] = (queries[rows, sources] if query is None else queries[sources]) + noise
+    lengths = counts.sum(axis=1) if all_images else counts[rows[:, 0], relevant]
+    return _Chunk(queries, relevant, counts, lengths, tokens, positions)
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier, which

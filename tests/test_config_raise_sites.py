@@ -20,7 +20,7 @@ ALLOWED = Counter(
         # planted_per_image is at most low.
         "synthetic.py:SyntheticConfig.__post_init__": 3,
         # An explicit query has the configured (n_query_tokens, embed_dim) shape.
-        "synthetic.py:generate_instance": 1,
+        "synthetic.py:_draw_chunk": 1,
         # The zero-denominator checks.
         "cost_model.py:speedup": 1,
         "cost_model.py:longcontext_prefill_ratio": 1,

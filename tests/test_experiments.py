@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -143,25 +144,17 @@ def stacked_bytes(monkeypatch) -> list[int]:
 
 
 def kept_bytes(monkeypatch) -> list[int]:
-    """Patches _chunk; the list fills with the bytes each chunk's kept images
-    keep alive until the chunk is stacked: an image's own buffer, or for a
-    view the whole array it views (its .base)."""
+    """Patches _chunk; the list fills with the bytes each chunk's drawn tokens
+    keep alive until the chunk is scored: the token array's own buffer, or
+    for a view the whole array it views (its .base)."""
     sizes = []
     chunk = experiments._chunk
 
-    def chunk_spy(cfg, seeds, start, size, query, keep):
-        owners = {}
-
-        def keep_spy(instance):
-            images, kept = keep(instance)
-            for image in images:
-                owner = image if image.base is None else image.base
-                owners[id(owner)] = owner
-            return images, kept
-
-        groups = chunk(cfg, seeds, start, size, query, keep_spy)
-        sizes.append(sum(owner.nbytes for owner in owners.values()))
-        return groups
+    def chunk_spy(*args):
+        start, drawn, groups = chunk(*args)
+        owner = drawn.tokens if drawn.tokens.base is None else drawn.tokens.base
+        sizes.append(owner.nbytes)
+        return start, drawn, groups
 
     monkeypatch.setattr(experiments, "_chunk", chunk_spy)
     return sizes
@@ -182,10 +175,10 @@ class TestChunks:
         assert [chunk_sizes(monkeypatch, run) for run in runs] == [[282], [240], [40]]
 
     def test_default_config_chunks_keep_their_budget(self, monkeypatch):
-        """A chunk's stacks, and what its kept images keep alive, each fit
-        CHUNK_BYTES. A fixed-size instance's images are views of one block of
-        all eight, so a kept view of the relevant image would keep eight
-        times its own bytes alive."""
+        """A chunk's stacks, and what its drawn tokens keep alive, each fit
+        CHUNK_BYTES. The comparison and the probe draw each instance's block
+        of all eight images into scratch and keep a copy of the relevant
+        image, so their token arrays hold one image per instance."""
         syn = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"])
         kept = kept_bytes(monkeypatch)
         stacks = stacked_bytes(monkeypatch)
@@ -254,26 +247,27 @@ class TestChunks:
 
     @pytest.mark.parametrize("section", ["comparison", "correlation", "ranking"])
     def test_a_section_frees_each_chunk_before_generating_the_next(self, monkeypatch, section):
-        """Every stack a chunk scored is gone by the time the next chunk's first
-        instance is generated."""
+        """Every stack a chunk scored is gone by the time the next chunk's
+        instances are drawn; checked holds, per instance drawn, how many
+        stacks had been scored before its chunk was."""
         syn = SyntheticConfig(n_images=3, tokens_per_image=(5, 9), seed=3)
         scored = []
         checked = []
-        cosine, generate = experiments.cosine_to_unit, experiments.generate_instance
+        cosine, draw = experiments.cosine_to_unit, experiments._draw_chunk
 
         def cosine_spy(query, V, *args, **kwargs):
-            scored.extend(weakref.ref(array) for array in (query[0], V, V.base))
+            scored.extend(weakref.ref(array) for array in (query[0], V, V.base) if array is not None)
             return cosine(query, V, *args, **kwargs)
 
-        def generate_spy(*args, **kwargs):
-            checked.append(len(scored))
+        def draw_spy(cfg, generators, size, *args):
+            checked.extend([len(scored)] * size)
             assert all(ref() is None for ref in scored)
-            return generate(*args, **kwargs)
+            return draw(cfg, generators, size, *args)
 
         monkeypatch.setattr(experiments, "_chunk_instances", lambda instance_floats: 3)
         monkeypatch.setattr(experiments, "cosine_to_unit", cosine_spy)
         monkeypatch.setattr(pruning, "cosine_to_unit", cosine_spy)
-        monkeypatch.setattr(experiments, "generate_instance", generate_spy)
+        monkeypatch.setattr(experiments, "_draw_chunk", draw_spy)
         {
             "comparison": lambda: run_pruning_comparison(syn, RATIOS, n_instances=10),
             "correlation": lambda: run_correlation_probe(syn, n_instances=10),
@@ -282,24 +276,43 @@ class TestChunks:
         assert len(checked) == 10 and checked[-1] > 0
 
 
+def test_default_simulate_traced_peak_stays_below_its_bound(tmp_path):
+    """Chunked simulate's memory: the default run's tracemalloc peak, after a
+    first run has warmed every import and cache, stays below 2.25 MiB."""
+    assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2**20
+
+
 def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_path):
-    """A default simulate run seeds numpy's default_rng from an int only for its
-    three section masters, from cli's section seeds. Every instance passes it a
+    """A default simulate run calls numpy's default_rng only for its three
+    section masters, from cli's section seeds. Every instance is drawn from a
     Generator seeded in bulk, and the random baseline draws without calling it."""
-    calls = []
-    default_rng = np.random.default_rng
+    calls, seeded = [], []
+    default_rng, generators = np.random.default_rng, experiments._generators
 
     def spy(seed=None):
         calls.append(seed)
         return default_rng(seed)
 
+    def generators_spy(seeds):
+        seeded.extend(seeds.tolist())
+        return generators(seeds)
+
     monkeypatch.setattr(np.random, "default_rng", spy)
+    monkeypatch.setattr(experiments, "_generators", generators_spy)
     assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
     from_int = [seed for seed in calls if not isinstance(seed, np.random.Generator)]
     assert from_int == _section_seeds(0, 3)
+    assert calls == from_int
     sim = DEFAULTS["simulate"]
     n_instances = sim["n_instances"] + sim["correlation"]["n_instances"] + sim["ranking"]["n_instances"]
-    assert len(calls) - len(from_int) == n_instances
+    assert len(seeded) == n_instances
 
 
 def path_calls(monkeypatch) -> dict:

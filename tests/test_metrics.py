@@ -35,6 +35,7 @@ from prunerank.metrics import (
     SUCCESS,
     QueryJudgment,
     _average_ranks,
+    _spearman_rows,
     aggregate,
     evaluate_judgments,
     spearman,
@@ -277,6 +278,8 @@ class TestSpearman:
         ]
         for x in cases:
             assert _average_ranks(x).tolist() == average_ranks(x).tolist()
+        rows = [x for x in cases if x.size == n]  # the same cases as the rows of one array
+        assert _average_ranks(np.stack(rows)).tolist() == [average_ranks(x).tolist() for x in rows]
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -289,6 +292,61 @@ class TestSpearman:
     def test_nan_input_rejected_as_non_finite(self):
         with pytest.raises(NonFiniteError):
             spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
+
+
+def _dot_spearman(x, y) -> float:
+    """spearman as one row's loop once computed it: loop average ranks,
+    np.add.reduce centring and np.dot products."""
+    ra, rb = np.array(average_ranks(x)), np.array(average_ranks(y))
+    ra -= np.add.reduce(ra) / ra.size
+    rb -= np.add.reduce(rb) / rb.size
+    denom = math.sqrt(float(np.dot(ra, ra)) * float(np.dot(rb, rb)))
+    return float(np.clip(float(np.dot(ra, rb)) / denom, -1.0, 1.0))
+
+
+class TestSpearmanRows:
+    """_spearman_rows gives each row what spearman gives it alone, bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_spearman(x, y):
+        values = _spearman_rows(x, y)
+        assert values.tolist() == [spearman(a, b) for a, b in zip(x, y)]
+        assert values.tolist() == [_dot_spearman(a, b) for a, b in zip(x, y)]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 129])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_rows_equal_spearman(rng.standard_normal((40, n)), rng.standard_normal((40, n)))
+
+    @pytest.mark.parametrize("n", [3, 20, 64])
+    def test_rows_with_ties(self, n):
+        """Two planted copies of one query row each score exactly 1.0, beside
+        rounded scores that tie among themselves."""
+        rng = np.random.default_rng(n)
+        hard = np.round(rng.uniform(-1.0, 0.9, size=(30, n)), 1)
+        for row in hard:
+            row[rng.choice(n, size=2, replace=False)] = 1.0
+        mass = np.round(rng.random((30, n)), 2)
+        self.assert_rows_equal_spearman(hard, mass)
+
+    def test_a_constant_row_raises_as_spearman_does(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+        for rows in (x, y):
+            saved = rows[3].copy()
+            rows[3] = 0.25
+            with pytest.raises(DegenerateConstantError) as rows_error:
+                _spearman_rows(x, y)
+            with pytest.raises(DegenerateConstantError) as row_error:
+                spearman(x[3], y[3])
+            assert str(rows_error.value) == str(row_error.value)
+            rows[3] = saved
+
+    def test_one_column_raises_as_spearman_does(self):
+        with pytest.raises(EmptyInputError, match="got 1$"):
+            _spearman_rows(np.ones((4, 1)), np.ones((4, 1)))
+        with pytest.raises(EmptyInputError, match="got 1$"):
+            spearman([1.0], [2.0])
 
 
 def _brute_spearman(x, y):

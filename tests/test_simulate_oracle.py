@@ -26,7 +26,7 @@ from library_oracles import lexsort_top_k
 from prunerank import experiments
 from prunerank.attention import attention_mass_per_token, softmax
 from prunerank.cli import DEFAULTS, _merge
-from prunerank.errors import ConfigError, PrunerankError
+from prunerank.errors import ConfigError, DegenerateConstantError, EmptyInputError, PrunerankError
 from prunerank.experiments import (
     run_correlation_probe,
     run_pruning_comparison,
@@ -261,6 +261,24 @@ def test_ranking_equals_reference(name, seed):
         assert chunked_outcomes(run_synthetic_ranking, cfg, 20, (1, 2, 4), query) == [expected] * 3
 
 
+# One-token images, which spearman rejects for having one observation, beside
+# width-1 images whose hard scores are often constant: in one chunk the two
+# errors interleave in stream order.
+DEGENERATE = SyntheticConfig(n_images=3, tokens_per_image=(1, 3), embed_dim=1, n_query_tokens=1)
+
+
+def test_correlation_raises_the_first_degenerate_instance_in_stream_order():
+    """The probe correlates a group at once, but raises what the per-instance
+    reference raises: the error of the first degenerate instance."""
+    errors = set()
+    for seed in range(12):
+        cfg = dataclasses.replace(DEGENERATE, seed=seed)
+        expected = outcome(reference_correlation_probe, cfg, 15, 2, 0.5, None)
+        assert chunked_outcomes(run_correlation_probe, cfg, 15, 2, 0.5, None) == [expected] * 3
+        errors.add(expected[0])
+    assert errors == {EmptyInputError, DegenerateConstantError}
+
+
 def test_tie_configs_tie():
     """TIED's planted copies mostly tie, some at exactly 1.0; at width 1 every score is +-1."""
     tied = at_one = 0
@@ -299,17 +317,17 @@ def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
     if per_chunk is not None:
         monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * 8 * instance_floats)
     seeds = np.random.default_rng(RAGGED.seed).integers(2**63, size=25)
-    _, chunks = experiments._instances(RAGGED, 25, None, experiments._relevant, instance_floats)
+    _, chunks = experiments._instances(RAGGED, 25, None, False, instance_floats)
     index, n_groups = [], []
-    for groups in chunks:
-        index.append(sorted(i for group in groups for i in group.index))
+    for start, chunk, groups in chunks:
+        index.append(sorted(start + i for group in groups for i in group.members.tolist()))
         n_groups.append(len(groups))
         assert len({group.tokens.shape[1] for group in groups}) == len(groups)
         for group in groups:
-            for i, tokens, planted in zip(group.index, group.tokens, group.kept):
-                instance = generate_instance(RAGGED, seed=int(seeds[i]))
+            for i, tokens, planted in zip(group.members, group.tokens, chunk.planted[group.members]):
+                instance = generate_instance(RAGGED, seed=int(seeds[start + i]))
                 assert np.array_equal(tokens, instance.images[instance.relevant_image])
-                assert planted == instance.planted[instance.relevant_image]
+                assert tuple(planted.tolist()) == instance.planted[instance.relevant_image]
     assert [len(chunk) for chunk in index] == sizes
     assert sum(index, []) == list(range(25))
     assert max(n_groups) == min(3, max(sizes)) if per_chunk else max(n_groups) > 3

@@ -10,7 +10,14 @@ from prunerank.cli import DEFAULTS, _merge
 from prunerank.errors import ConfigError
 from prunerank.pruning import maxsim_scores
 from prunerank.linalg import similarity_matrix
-from prunerank.synthetic import SyntheticConfig, _generators, _pcg64_outputs, _pcg64_seeding, generate_instance
+from prunerank.synthetic import (
+    SyntheticConfig,
+    _draw_chunk,
+    _generators,
+    _pcg64_outputs,
+    _pcg64_seeding,
+    generate_instance,
+)
 
 
 class TestConfigValidation:
@@ -164,6 +171,37 @@ class TestDrawOrder:
         cfg = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"], seed=seed)
         query = np.arange(64, dtype=float).reshape(4, 16) - 31.5 if explicit_query else None
         self.assert_matches_documented_draw_order(cfg, seed, query)
+
+
+class TestDrawChunk:
+    """One _draw_chunk call over a block of seeds draws each instance as the
+    documented draw order does, in either layout."""
+
+    SEEDS = [0, 1, 977, 2**63 - 1]
+
+    @pytest.mark.parametrize("tokens_per_image", [(20, 20), (5, 15)])
+    @pytest.mark.parametrize("explicit_query", [False, True])
+    @pytest.mark.parametrize("all_images", [False, True])
+    def test_each_row_matches_documented_draw_order(self, tokens_per_image, explicit_query, all_images):
+        cfg = SyntheticConfig(
+            n_images=7, tokens_per_image=tokens_per_image, embed_dim=6, n_query_tokens=3,
+            planted_per_image=2, noise_scale=0.3,
+        )
+        query = np.arange(18, dtype=float).reshape(3, 6) - 4.5 if explicit_query else None
+        seeds = np.array(self.SEEDS, dtype=np.int64)
+        chunk = _draw_chunk(cfg, _generators(seeds), len(seeds), query, all_images)
+        high = tokens_per_image[1]
+        assert chunk.tokens.shape == (len(seeds), 7 * high if all_images else high, 6)
+        for row, seed in enumerate(self.SEEDS):
+            want_query, images, relevant, positions = instance_by_draw_order(
+                dataclasses.replace(cfg, seed=seed), query
+            )
+            np.testing.assert_array_equal(chunk.query if explicit_query else chunk.query[row], want_query)
+            assert chunk.relevant[row] == relevant
+            assert chunk.counts[row].tolist() == [len(image) for image in images]
+            scored = np.concatenate(images) if all_images else images[relevant]
+            np.testing.assert_array_equal(chunk.tokens[row, : len(scored)], scored)
+            assert tuple(chunk.planted[row].tolist()) == positions
 
 
 class TestGenerators:
