@@ -204,8 +204,8 @@ _PRODUCTS = {
     "similarities": ("synthetic.n_query_tokens", "synthetic.n_images", "synthetic.tokens_per_image"),
 }
 _PRODUCT_FLOATS = 2 * 10**6
-# The random baseline's int64 seed table, one seed per instance and keep ratio:
-# n_instances at its bound with the five default ratios, at most 40 MB.
+# The random baseline's seeded draws, one per instance and keep ratio, seeded
+# chunk by chunk: n_instances at its bound with the five default ratios.
 _MAX_SEEDS = 5 * 10**6
 
 

@@ -8,10 +8,9 @@ deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each chunk's attention noise from its master generator, in stream
 order. Only the synthetic instances and the random-pruning draws have seeds of
-their own, and simulate seeds them in bulk, each bit for bit as
-np.random.default_rng(seed) over [0, 2**64): the instances by
-synthetic._generators, and the random baseline by pruning._random_masks, one
-call per shape group.
+their own, and simulate draws them in bulk through synthetic, which states
+numpy's stream format once: the instances by synthetic._generators, and the
+random baseline by synthetic._random_masks, one call per shape group.
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -63,8 +62,8 @@ from .cost_model import (
 from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
-from .pruning import _pool, _random_masks, _ranks, _token_scores, keep_count, topk_stability_rows
-from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators
+from .pruning import _pool, _ranks, _token_scores, keep_count, topk_stability_rows
+from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators, _random_masks
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -291,26 +290,26 @@ def _instances(
     cfg: SyntheticConfig, n_instances: int, query: np.ndarray | None, all_images: bool, instance_floats: int
 ):
     """The master generator and a lazy stream of n_instances seeded instances,
-    one chunk, as (start, _Chunk, its _Groups), at a time.
+    one chunk, as (_Chunk, its _Groups), at a time.
 
     all_images scores every image of an instance, end to end, else only the
     relevant one. instance_floats bounds what one instance adds to the chunk's
     stacks, as _stacked_floats counts it, and sizes the chunks. The instance
     seeds are the master's first draw; callers may draw more from the master
-    afterwards. The stream keeps no chunk after yielding it, so a consumer that
-    keeps none either (starmap) holds one chunk at a time.
+    afterwards, as each chunk is scored. The stream keeps no chunk after
+    yielding it, so a consumer that keeps none either (starmap) holds one chunk
+    at a time.
     """
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(2**63, size=n_instances)
     size = _chunk_instances(instance_floats)
-    return master, (_chunk(cfg, seeds, start, size, query, all_images) for start in range(0, n_instances, size))
+    return master, (_chunk(cfg, seeds[i : i + size], query, all_images) for i in range(0, n_instances, size))
 
 
-def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, start: int, size: int, query, all_images: bool):
-    """start, the _Chunk of the instances seeded by seeds[start : start + size],
-    and its _Groups, one per scored token count in order of first appearance."""
-    block = seeds[start : start + size]
-    chunk = _draw_chunk(cfg, _generators(block), len(block), query, all_images)
+def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, query, all_images: bool):
+    """The _Chunk of the instances seeded by seeds, and its _Groups, one per
+    scored token count in order of first appearance."""
+    chunk = _draw_chunk(cfg, _generators(seeds), len(seeds), query, all_images)
     shared = None if query is None else unit_rows(chunk.query)
     groups = []
     for n_tokens in dict.fromkeys(chunk.lengths.tolist()):
@@ -319,7 +318,7 @@ def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, start: int, size: int, query
         group_query = shared if shared is not None else unit_rows(chunk.query[rows], stack=True)
         # A copy only when the rows are padded or some of them left out.
         groups.append(_Group(members, group_query, np.ascontiguousarray(chunk.tokens[rows, :n_tokens])))
-    return start, chunk, groups
+    return chunk, groups
 
 
 def run_pruning_comparison(
@@ -340,16 +339,16 @@ def run_pruning_comparison(
     ratio whose budget exceeds its rank in the descending score order (the
     lower index first on ties). The budgets are computed once per image size.
     The random baseline keeps, per instance and ratio, the set numpy's choice
-    draws from a seed of its own: one pruning._random_masks call per group
-    hashes each of the group's seeds once and gives masks by ratio, whose
-    planted entries are the hits.
+    draws from a seed of its own, which each chunk draws from the master as it
+    is scored: one synthetic._random_masks call per group gives masks by
+    ratio, whose planted entries are the hits.
     """
     master, chunks = _instances(cfg, n_instances, query, False, _stacked_floats(cfg, cfg.tokens_per_image[1]))
-    random_seeds = master.integers(2**63, size=(n_instances, len(keep_ratios)))
     budgets: dict[int, np.ndarray] = {}
 
-    def count(start: int, chunk: _Chunk, groups: list[_Group]) -> tuple[int, np.ndarray, np.ndarray]:
+    def count(chunk: _Chunk, groups: list[_Group]) -> tuple[int, np.ndarray, np.ndarray]:
         """A chunk's planted tokens, and those kept at each ratio by t2i and by random."""
+        random_seeds = master.integers(2**63, size=(len(chunk.relevant), len(keep_ratios)))
         kept_t2i, kept_random = np.zeros((2, len(keep_ratios)), dtype=np.int64)
         for group in groups:
             n_tokens = group.tokens.shape[1]
@@ -359,7 +358,7 @@ def run_pruning_comparison(
             planted = chunk.planted[group.members]
             planted_rank = np.take_along_axis(rank, planted, axis=-1)
             kept_t2i += np.count_nonzero(planted_rank[..., None] < budgets[n_tokens], axis=(0, 1))
-            masks = _random_masks(random_seeds[start + group.members], n_tokens, budgets[n_tokens].tolist())
+            masks = _random_masks(random_seeds[group.members], n_tokens, budgets[n_tokens].tolist())
             for rows, j, kept in masks:
                 kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted[rows], axis=-1))
         return chunk.planted.size, kept_t2i, kept_random
@@ -397,7 +396,7 @@ def run_correlation_probe(
     high = cfg.tokens_per_image[1]
     master, chunks = _instances(cfg, n_instances, query, False, _stacked_floats(cfg, high) + n_heads * high)
 
-    def correlate(start: int, chunk: _Chunk, groups: list[_Group]) -> np.ndarray:
+    def correlate(chunk: _Chunk, groups: list[_Group]) -> np.ndarray:
         """The chunk's correlations, in stream order."""
         widths = n_heads * chunk.lengths
         noise = master.normal(0.0, attention_noise, size=int(widths.sum()))
@@ -453,7 +452,7 @@ def run_synthetic_ranking(
         cfg, n_instances, query, True, _stacked_floats(cfg, cfg.n_images * cfg.tokens_per_image[1])
     )
 
-    def judge(start: int, chunk: _Chunk, groups: list[_Group]) -> list[QueryJudgment]:
+    def judge(chunk: _Chunk, groups: list[_Group]) -> list[QueryJudgment]:
         """The chunk's judgments, in stream order."""
         relevant = chunk.relevant.tolist()
         firsts = np.cumsum(chunk.counts, axis=1) - chunk.counts  # each image's first row

@@ -6,10 +6,10 @@ kept, with the surviving indices reported in their original order so
 positional structure is preserved. The keep rule, a stable descending order
 with the lower index first on ties, is written once (_ranks) and read by
 prune_by_scores, select_topk_preserve_order, the row kernels' _top_k and the
-simulate drivers. A seeded uniform-random baseline (numpy's choice, which
-_random_masks repeats bit for bit on arrays for many seeds) and the top-k
-stability rule (topk_stability_rows, one row kernel shared by the
-verify-bounds tally and the public per-trial check) round out the module.
+simulate drivers. A seeded uniform-random baseline (_random_keep, numpy's
+choice; synthetic replays it on arrays for simulate) and the top-k stability
+rule (topk_stability_rows, one row kernel shared by the verify-bounds tally
+and the public per-trial check) round out the module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .errors import (
     KOutOfRangeError,
 )
 from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
-from .synthetic import _pcg64_outputs, _pcg64_seeding, _restate
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -126,10 +124,8 @@ def select_topk_preserve_order(scores, k: int) -> np.ndarray:
 
 
 def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
-    """k distinct token indices sampled uniformly without replacement, ascending.
-
-    Uses numpy's seeded PCG64 generator so results reproduce across platforms.
-    """
+    """k distinct token indices sampled uniformly without replacement, ascending:
+    _random_keep drawing from np.random.default_rng(seed)."""
     n_tokens = _as_count(n_tokens, "n_tokens")
     if not 1 <= _as_index(k, "k") <= n_tokens:
         raise KOutOfRangeError(f"k must be in [1, {n_tokens}], got {k}")
@@ -144,70 +140,6 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
     kept = rng.choice(n_tokens, size=k, replace=False)
     kept.sort()
     return kept
-
-
-# numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
-# n = 10 000. _random_masks replays it there (_floyd) for a budget up to
-# _MAX_DRAWS and up to _STREAM_DRAWS a stream past a slice's first
-# _MIN_STREAMS: on a 2-core x86 host a _floyd call costs about what choice
-# does on 8 streams, and each draw about what it does on half a stream. Its
-# slices of rows keep the hash (about 200 bytes a seed) or the replay (80 a
-# draw) within _SLICE_BYTES.
-_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _STREAM_DRAWS, _SLICE_BYTES = 10_000, 96, 8, 2, 1 << 19
-
-
-def _random_masks(seeds: np.ndarray, n_tokens: int, budgets) -> Iterator[tuple[slice, int, np.ndarray]]:
-    """(rows, j, mask) for each slice of rows of a (streams, len(budgets)) seed
-    block and each budgets[j] = k: row i of the (rows, n_tokens) bool mask
-    marks the k tokens _random_keep(np.random.default_rng(seeds[rows][i, j]),
-    n_tokens, k) keeps, from _floyd or, where that does not apply or rejects,
-    from _random_keep itself. Each seed is hashed once."""
-    draws = min(max(budgets, default=0), _MAX_DRAWS) + 1
-    step = max(1, _SLICE_BYTES // max(200 * len(budgets), 80 * draws))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, len(seeds), step):
-        rows = slice(start, start + step)
-        seeding = _pcg64_seeding(seeds[rows])
-        for j, k in enumerate(budgets):
-            mask = np.zeros((len(seeding), n_tokens), dtype=bool)
-            redo = range(len(seeding))
-            if n_tokens <= _FLOYD_TOKENS and k <= min(_MAX_DRAWS, _STREAM_DRAWS * (len(seeding) - _MIN_STREAMS)):
-                redo = np.flatnonzero(_floyd(seeding[:, j], n_tokens, k, mask)).tolist()
-            for row in redo:
-                mask[row] = False
-                mask[row, _random_keep(_restate(rng, seeding[row, j].tolist()), n_tokens, k)] = True
-            yield rows, j, mask
-
-
-def _floyd(seeding: np.ndarray, n_tokens: int, k: int, out: np.ndarray) -> np.ndarray:
-    """Mark in out's rows the k-sets numpy's Floyd sampling draws from
-    range(n_tokens) for _pcg64_seeding's rows; return which streams hit a
-    Lemire rejection, whose rows are wrong.
-
-    Draw t picks v from range(j + 1), j = n_tokens - k + t, as numpy's bounded
-    integers do: the next 32-bit output word u (two per PCG64 output, low
-    first) scaled to (u * (j + 1)) >> 32, unless the product's low word falls
-    below 2**32 mod (j + 1), where numpy rejects u and draws again. A draw
-    from range(1) takes no word. Floyd keeps v, or j when v is already kept;
-    the draws are replayed in order, each over all streams at once. NEP 19
-    does not cover choice's algorithm; TestRandomMasks, which checks this
-    against default_rng(seed).choice, is what holds the two together.
-    """
-    if n_tokens > _FLOYD_TOKENS:
-        raise KOutOfRangeError(f"Floyd sampling needs n_tokens <= {_FLOYD_TOKENS}, got {n_tokens}")
-    first = n_tokens - k
-    skip = int(first == 0)
-    raw = _pcg64_outputs(seeding, (k - skip + 1) // 2)
-    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(seeding), -1)[:, : k - skip]
-    span = np.arange(first + skip + 1, n_tokens + 1, dtype=np.uint64)
-    scaled = words * span
-    rejected = ((scaled & 0xFFFFFFFF) < (1 << 32) % span).any(axis=1)
-    drawn = np.zeros((len(seeding), k), dtype=np.int64)
-    drawn[:, skip:] = scaled >> 32
-    rows = np.arange(len(seeding))
-    for j, v in enumerate(drawn.T, first):
-        out[rows, np.where(out[rows, v], j, v)] = True
-    return rejected
 
 
 def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):

@@ -1,4 +1,4 @@
-"""Synthetic embedding instances with planted relevance.
+"""Synthetic embedding instances with planted relevance, and numpy's streams.
 
 Gaussian embeddings stand in for real query/page-token hidden states. One
 designated relevant image carries planted tokens that copy query rows (plus
@@ -6,9 +6,14 @@ optional Gaussian noise), so query-aware pruning has an unambiguous signal to
 find while every other token is pure noise. Generation is deterministic per
 seed, and _draw_chunk's draw order is part of the contract: it draws a chunk
 of instances into arrays, and generate_instance is its one-instance case.
-_pcg64_seeding seeds a whole array of seeds in one pass, each bit for bit as
-np.random.default_rng(seed) over [0, 2**64): simulate's instances
-(_generators) and random baseline (pruning._random_masks) start from it.
+
+This is the one module that knows how np.random.default_rng(seed) draws, and
+it replays that bit for bit for a whole array of seeds in [0, 2**64) at once.
+_pcg64_seeding is SeedSequence's hash and PCG64's seeding, which NEP 19 keeps
+stable; _generators re-states a Generator to each seed for _draw_chunk.
+_random_masks replays numpy's choice (pruning._random_keep) with _floyd:
+Floyd's sampling over Lemire's bounded integers, which NEP 19 does not cover
+and only the tests' TestRandomMasks ties to numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, KOutOfRangeError
+from .pruning import _random_keep
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,7 @@ def _draw_chunk(
     return _Chunk(queries, relevant, counts, lengths, tokens, positions)
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier, which
-# NEP 19 keeps stable so that default_rng(seed) draws the same in every numpy.
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, (2549297995355413924 << 64) + 4865540595714422341
 _WORD = 0xFFFFFFFF
@@ -252,3 +257,65 @@ def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     re-stated to each seed in turn, so each is valid until the next."""
     rng = np.random.Generator(np.random.PCG64(0))
     return (_restate(rng, row) for row in _pcg64_seeding(seeds).reshape(-1, 4).tolist())
+
+
+# numpy's choice(n, k, replace=False) runs Floyd's sampling for every k up to
+# n = 10 000. _random_masks replays it there (_floyd) for a budget up to
+# _MAX_DRAWS and up to _STREAM_DRAWS a stream past a slice's first
+# _MIN_STREAMS: on a 2-core x86 host a _floyd call costs about what choice
+# does on 8 streams, and each draw about what it does on half a stream. Its
+# slices of rows keep the hash (about 200 bytes a seed) or the replay (80 a
+# draw) within _SLICE_BYTES.
+_FLOYD_TOKENS, _MAX_DRAWS, _MIN_STREAMS, _STREAM_DRAWS, _SLICE_BYTES = 10_000, 96, 8, 2, 1 << 19
+
+
+def _random_masks(seeds: np.ndarray, n_tokens: int, budgets) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """(rows, j, mask) for each slice of rows of a (streams, len(budgets)) seed
+    block and each budgets[j] = k: row i of the (rows, n_tokens) bool mask
+    marks the k tokens _random_keep(np.random.default_rng(seeds[rows][i, j]),
+    n_tokens, k) keeps, from _floyd or, where that does not apply or rejects,
+    from _random_keep itself. Each seed is hashed once."""
+    draws = min(max(budgets, default=0), _MAX_DRAWS) + 1
+    step = max(1, _SLICE_BYTES // max(200 * len(budgets), 80 * draws))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, len(seeds), step):
+        rows = slice(start, start + step)
+        seeding = _pcg64_seeding(seeds[rows])
+        for j, k in enumerate(budgets):
+            mask = np.zeros((len(seeding), n_tokens), dtype=bool)
+            redo = range(len(seeding))
+            if n_tokens <= _FLOYD_TOKENS and k <= min(_MAX_DRAWS, _STREAM_DRAWS * (len(seeding) - _MIN_STREAMS)):
+                redo = np.flatnonzero(_floyd(seeding[:, j], n_tokens, k, mask)).tolist()
+            for row in redo:
+                mask[row] = False
+                mask[row, _random_keep(_restate(rng, seeding[row, j].tolist()), n_tokens, k)] = True
+            yield rows, j, mask
+
+
+def _floyd(seeding: np.ndarray, n_tokens: int, k: int, out: np.ndarray) -> np.ndarray:
+    """Mark in out's rows the k-sets numpy's Floyd sampling draws from
+    range(n_tokens) for _pcg64_seeding's rows; return which streams hit a
+    Lemire rejection, whose rows are wrong.
+
+    Draw t picks v from range(j + 1), j = n_tokens - k + t, as numpy's bounded
+    integers do: the next 32-bit output word u (two per PCG64 output, low
+    first) scaled to (u * (j + 1)) >> 32, unless the product's low word falls
+    below 2**32 mod (j + 1), where numpy rejects u and draws again. A draw
+    from range(1) takes no word. Floyd keeps v, or j when v is already kept;
+    the draws are replayed in order, each over all streams at once.
+    """
+    if n_tokens > _FLOYD_TOKENS:
+        raise KOutOfRangeError(f"Floyd sampling needs n_tokens <= {_FLOYD_TOKENS}, got {n_tokens}")
+    first = n_tokens - k
+    skip = int(first == 0)
+    raw = _pcg64_outputs(seeding, (k - skip + 1) // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(seeding), -1)[:, : k - skip]
+    span = np.arange(first + skip + 1, n_tokens + 1, dtype=np.uint64)
+    scaled = words * span
+    rejected = ((scaled & 0xFFFFFFFF) < (1 << 32) % span).any(axis=1)
+    drawn = np.zeros((len(seeding), k), dtype=np.int64)
+    drawn[:, skip:] = scaled >> 32
+    rows = np.arange(len(seeding))
+    for j, v in enumerate(drawn.T, first):
+        out[rows, np.where(out[rows, v], j, v)] = True
+    return rejected

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunerank import experiments, pruning
+from prunerank import experiments, pruning, synthetic
 from prunerank.cli import DEFAULTS, _merge, _section_seeds, main
 from prunerank.cost_model import ArchParams, WorkloadSpec
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
@@ -151,10 +151,10 @@ def kept_bytes(monkeypatch) -> list[int]:
     chunk = experiments._chunk
 
     def chunk_spy(*args):
-        start, drawn, groups = chunk(*args)
+        drawn, groups = chunk(*args)
         owner = drawn.tokens if drawn.tokens.base is None else drawn.tokens.base
         sizes.append(owner.nbytes)
-        return start, drawn, groups
+        return drawn, groups
 
     monkeypatch.setattr(experiments, "_chunk", chunk_spy)
     return sizes
@@ -289,6 +289,28 @@ def test_default_simulate_traced_peak_stays_below_its_bound(tmp_path):
     assert peak < 2.25 * 2**20
 
 
+def test_the_random_baseline_seeds_each_chunk_as_it_is_scored(monkeypatch):
+    """The comparison draws a chunk's random-baseline seeds when it scores the
+    chunk, so its traced peak does not follow its instance count. In chunks of
+    48 instances at 20 ratios, ten times the instances raise the peak by less
+    than half of what one int64 seed per instance and ratio would take. A warm-up
+    call first fills the caches a process allocates once."""
+    syn = SyntheticConfig()
+    ratios = [i / 20 for i in range(1, 21)]
+    per_chunk = 48 * 8 * experiments._stacked_floats(syn, syn.tokens_per_image[1])
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk)
+    run_pruning_comparison(syn, ratios, 48)
+    peaks = []
+    for n_instances in (200, 2000):
+        tracemalloc.start()
+        try:
+            run_pruning_comparison(syn, ratios, n_instances)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2000 * len(ratios) * 8 / 2
+
+
 def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_path):
     """A default simulate run calls numpy's default_rng only for its three
     section masters, from cli's section seeds. Every instance is drawn from a
@@ -316,12 +338,12 @@ def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_pa
 
 
 def path_calls(monkeypatch) -> dict:
-    """The budgets the random baseline draws on each path: pruning._floyd's
-    arrays and numpy's own choice, through pruning._random_keep."""
+    """The budgets the random baseline draws on each path: synthetic._floyd's
+    arrays and numpy's own choice, through synthetic._random_keep."""
     calls = {"floyd": [], "numpy": []}
-    floyd, keep = pruning._floyd, pruning._random_keep
-    monkeypatch.setattr(pruning, "_floyd", lambda *a: calls["floyd"].append(a[2]) or floyd(*a))
-    monkeypatch.setattr(pruning, "_random_keep", lambda *a: calls["numpy"].append(a[2]) or keep(*a))
+    floyd, keep = synthetic._floyd, synthetic._random_keep
+    monkeypatch.setattr(synthetic, "_floyd", lambda *a: calls["floyd"].append(a[2]) or floyd(*a))
+    monkeypatch.setattr(synthetic, "_random_keep", lambda *a: calls["numpy"].append(a[2]) or keep(*a))
     return calls
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from prunerank import pruning
 from prunerank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -18,13 +17,7 @@ from prunerank.errors import (
     ZeroNormError,
 )
 from prunerank.linalg import similarity_matrix
-from prunerank.synthetic import _pcg64_seeding
 from prunerank.pruning import (
-    _MAX_DRAWS,
-    _MIN_STREAMS,
-    _STREAM_DRAWS,
-    _floyd,
-    _random_masks,
     _ranks,
     _top_k,
     keep_count,
@@ -216,131 +209,6 @@ class TestRandomPrune:
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRangeError):
             random_prune(5, 6, seed=0)
-
-
-def choice_masks(seeds, n_tokens: int, k: int) -> np.ndarray:
-    """The kept sets of np.random.default_rng(seed).choice(n_tokens, k, replace=False), as mask rows."""
-    masks = np.zeros((len(seeds), n_tokens), dtype=bool)
-    for row, seed in zip(masks, np.asarray(seeds).tolist()):
-        row[np.random.default_rng(seed).choice(n_tokens, k, replace=False)] = True
-    return masks
-
-
-def keep_calls(monkeypatch) -> list:
-    """The (n_tokens, k) of every pruning._random_keep call from here on."""
-    calls, keep = [], pruning._random_keep
-    monkeypatch.setattr(pruning, "_random_keep", lambda rng, n, k: calls.append((n, k)) or keep(rng, n, k))
-    return calls
-
-
-def random_masks(seeds, n_tokens: int, budgets) -> np.ndarray:
-    """_random_masks' slices of a (streams, len(budgets)) seed block put
-    together: (len(budgets), streams, n_tokens)."""
-    masks = np.zeros((len(budgets), len(seeds), n_tokens), dtype=bool)
-    for rows, j, mask in _random_masks(seeds, n_tokens, budgets):
-        masks[j, rows] = mask
-    return masks
-
-
-class TestRandomMasks:
-    """_random_masks and its array kernel _floyd draw numpy's own choice sets, bit for bit."""
-
-    # Both seed ends, then simulate's kind of seeds: enough streams for the
-    # array path at every budget up to _MAX_DRAWS.
-    STREAMS = _MIN_STREAMS + _MAX_DRAWS // _STREAM_DRAWS
-    SEEDS = np.array([0, 2**63 - 1, *np.random.default_rng(11).integers(2**63, size=STREAMS - 2)])
-    # k = n draws its first token from range(1), which takes no word; n = 10 000
-    # is tokens_per_image's bound and still Floyd's in numpy.
-    SHAPES = [
-        (1, 1), (2, 1), (2, 2), (7, 3), (20, 2), (20, 18), (20, 20), (_MAX_DRAWS, _MAX_DRAWS),
-        (200, _MAX_DRAWS), (200, _MAX_DRAWS + 1), (10_000, 1), (10_000, _MAX_DRAWS), (10_000, 300),
-    ]
-
-    @pytest.mark.parametrize("n_tokens, k", SHAPES)
-    def test_matches_numpy_choice(self, monkeypatch, n_tokens, k):
-        calls = keep_calls(monkeypatch)
-        expected = choice_masks(self.SEEDS, n_tokens, k)
-        assert np.array_equal(random_masks(self.SEEDS[:, None], n_tokens, [k])[0], expected)
-        assert len(calls) == (len(self.SEEDS) if k > _MAX_DRAWS else 0)
-        if k <= _MAX_DRAWS:
-            out = np.zeros_like(expected)
-            assert not _floyd(_pcg64_seeding(self.SEEDS), n_tokens, k, out).any()
-            assert np.array_equal(out, expected)
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_sampled_streams(self, data):
-        n_tokens = data.draw(st.integers(1, 300))
-        k = data.draw(st.integers(1, min(n_tokens, _MAX_DRAWS)))
-        seeds = np.array(data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12)), dtype=np.uint64)
-        out = np.zeros((len(seeds), n_tokens), dtype=bool)
-        rejected = _floyd(_pcg64_seeding(seeds), n_tokens, k, out)
-        expected = choice_masks(seeds, n_tokens, k)
-        assert np.array_equal(out[~rejected], expected[~rejected])
-        assert np.array_equal(random_masks(seeds[:, None], n_tokens, [k])[0], expected)
-
-    def test_a_seed_block_is_hashed_once_in_slices(self, monkeypatch):
-        """50 streams in slices of 20, 20 and 10 rows: the array path takes a
-        budget up to _STREAM_DRAWS * (rows - _MIN_STREAMS) and _MAX_DRAWS, 24 and
-        4 here, numpy the rest. Each column matches numpy, and each seed is
-        hashed once, with its row."""
-        budgets = [1, 4, 5, 24, 25, _MAX_DRAWS + 1, 200]
-        seeds = np.random.default_rng(7).integers(2**63, size=(50, len(budgets)))
-        monkeypatch.setattr(pruning, "_SLICE_BYTES", 20 * 80 * (_MAX_DRAWS + 1))
-        hashed, seeding = [], pruning._pcg64_seeding
-        monkeypatch.setattr(pruning, "_pcg64_seeding", lambda block: hashed.append(block.shape) or seeding(block))
-        calls = keep_calls(monkeypatch)
-        masks = random_masks(seeds, 200, budgets)
-        for mask, column, k in zip(masks, seeds.T, budgets):
-            assert np.array_equal(mask, choice_masks(column, 200, k))
-        assert hashed == [(20, len(budgets))] * 2 + [(10, len(budgets))]
-        assert sorted(set(calls)) == [(200, k) for k in (5, 24, 25, _MAX_DRAWS + 1, 200)]
-        assert len(calls) == 2 * 20 * 3 + 10 * 5
-
-    def test_a_lemire_rejection_is_flagged_and_redrawn_by_numpy(self, monkeypatch):
-        """Seed 4729's 96 draws from 10 000 tokens hit a rejected word, which shifts
-        every later draw; the kernel flags the stream and numpy's own call redraws it."""
-        assert 96 <= _MAX_DRAWS
-        seeds = np.arange(4726, 4726 + _MIN_STREAMS + 96 // _STREAM_DRAWS)
-        out = np.zeros((len(seeds), 10_000), dtype=bool)
-        rejected = _floyd(_pcg64_seeding(seeds), 10_000, 96, out)
-        expected = choice_masks(seeds, 10_000, 96)
-        assert seeds[rejected].tolist() == [4729]
-        assert not np.array_equal(out[rejected], expected[rejected])
-        calls = keep_calls(monkeypatch)
-        assert np.array_equal(random_masks(seeds[:, None], 10_000, [96])[0], expected)
-        assert calls == [(10_000, 96)]
-
-    def test_few_streams_for_the_draws_and_more_than_10_000_tokens_take_numpy(self, monkeypatch):
-        calls = keep_calls(monkeypatch)
-        k = 20
-        enough = self.SEEDS[: _MIN_STREAMS + k // _STREAM_DRAWS]
-        few = enough[:-1]
-        for seeds in (enough, few):
-            assert np.array_equal(random_masks(seeds[:, None], 30, [k])[0], choice_masks(seeds, 30, k))
-        assert len(calls) == len(few)
-        assert np.array_equal(random_masks(self.SEEDS[:, None], 10_001, [5])[0], choice_masks(self.SEEDS, 10_001, 5))
-        assert len(calls) == len(few) + len(self.SEEDS)
-        with pytest.raises(KOutOfRangeError, match="10000"):
-            _floyd(_pcg64_seeding(self.SEEDS), 10_001, 5, np.zeros((len(self.SEEDS), 10_001), dtype=bool))
-
-    @pytest.mark.parametrize(
-        "n_tokens, budgets, streams",
-        [
-            (20, [18], 5000), (20, [1], 20_000), (200, [_MAX_DRAWS], 2000),
-            (20, [2, 6, 10, 14, 18], 3000), (20, [1] * 100, 300),
-        ],
-    )
-    def test_temporaries_stay_below_one_mib(self, n_tokens, budgets, streams):
-        seeds = np.random.default_rng(5).integers(2**63, size=(streams, len(budgets)))
-        tracemalloc.start()
-        try:
-            for _ in _random_masks(seeds, n_tokens, budgets):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
 
 
 class TestTopKStability:

@@ -81,3 +81,22 @@ def test_every_private_name_is_referenced_from_src():
         return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
     assert unreached_names(private) == []
+
+
+def test_numpy_stream_format_lives_in_synthetic_alone():
+    """synthetic replays numpy's seeding and choice for pruning's keep rule, so
+    pruning imports nothing from it, and no other module names PCG64 or a
+    generator's bit_generator."""
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "pruning.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            imported.update(part for name in modules + [a.name for a in node.names] for part in name.split("."))
+    assert "synthetic" not in imported
+    naming = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "synthetic.py"
+        and {"PCG64", "bit_generator"} & referenced_names([ast.parse(path.read_text())], strings=True)
+    ]
+    assert naming == []

@@ -225,7 +225,7 @@ def explicit_query(cfg: SyntheticConfig) -> np.ndarray:
     return np.random.default_rng(99).standard_normal((cfg.n_query_tokens, cfg.embed_dim))
 
 
-# Budgets on both sides of pruning._MAX_DRAWS, so a group's random baseline
+# Budgets on both sides of synthetic._MAX_DRAWS, so a group's random baseline
 # is drawn on arrays at some ratios and by numpy's choice at the others.
 TWO_PATHS = SyntheticConfig(tokens_per_image=(200, 200))
 
@@ -318,8 +318,8 @@ def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
         monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk * 8 * instance_floats)
     seeds = np.random.default_rng(RAGGED.seed).integers(2**63, size=25)
     _, chunks = experiments._instances(RAGGED, 25, None, False, instance_floats)
-    index, n_groups = [], []
-    for start, chunk, groups in chunks:
+    index, n_groups, start = [], [], 0
+    for chunk, groups in chunks:
         index.append(sorted(start + i for group in groups for i in group.members.tolist()))
         n_groups.append(len(groups))
         assert len({group.tokens.shape[1] for group in groups}) == len(groups)
@@ -328,6 +328,7 @@ def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
                 instance = generate_instance(RAGGED, seed=int(seeds[start + i]))
                 assert np.array_equal(tokens, instance.images[instance.relevant_image])
                 assert tuple(planted.tolist()) == instance.planted[instance.relevant_image]
+        start += len(chunk.relevant)
     assert [len(chunk) for chunk in index] == sizes
     assert sum(index, []) == list(range(25))
     assert max(n_groups) == min(3, max(sizes)) if per_chunk else max(n_groups) > 3
