@@ -8,9 +8,7 @@ deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each chunk's attention noise from its master generator, in stream
 order. Only the synthetic instances and the random-pruning draws have seeds of
-their own, and simulate draws them in bulk through synthetic, which states
-numpy's stream format once: the instances by synthetic._generators, and the
-random baseline by synthetic._random_masks, one call per shape group.
+their own, drawn in bulk as synthetic states (_generators, _random_masks).
 Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning.topk_stability_rows,
 attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
@@ -254,14 +252,12 @@ def run_bound_verification(
 
 
 # Bytes of float64 stacks one simulate chunk may hold: its tokens, queries,
-# similarities and, in the correlation, head noise together. Each section
-# draws a chunk's instances in stream order into arrays, keeping only the
-# tokens it scores, scores the chunk with one call of each kernel and frees it
-# before drawing the next. The count per chunk is fixed per section by what
-# its largest possible instance adds to those stacks, and is at least one: at
-# the default config a comparison chunk holds 282 instances, a correlation
-# chunk 240 and a ranking chunk 40. The bound keeps simulate's memory
-# independent of its instance counts (a default run's traced peak: 1.6 MiB).
+# similarities and, in the correlation, head noise together, kept only until
+# the chunk is scored. The count per chunk is fixed per section by what its
+# largest possible instance adds to those stacks, and is at least one: at the
+# default config a comparison chunk holds 282 instances, a correlation chunk
+# 240 and a ranking chunk 40. The bound keeps simulate's memory independent of
+# its instance counts (a default run's traced peak: 1.6 MiB).
 CHUNK_BYTES = 1 << 20
 
 
@@ -295,10 +291,9 @@ def _instances(
     all_images scores every image of an instance, end to end, else only the
     relevant one. instance_floats bounds what one instance adds to the chunk's
     stacks, as _stacked_floats counts it, and sizes the chunks. The instance
-    seeds are the master's first draw; callers may draw more from the master
-    afterwards, as each chunk is scored. The stream keeps no chunk after
-    yielding it, so a consumer that keeps none either (starmap) holds one chunk
-    at a time.
+    seeds are the master's first draw; callers may draw more from it as they
+    score each chunk. The stream keeps no chunk after yielding it, so a
+    consumer that keeps none either (starmap) holds one chunk at a time.
     """
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(2**63, size=n_instances)

@@ -79,6 +79,13 @@ def _as_index(value, name: str) -> int:
         raise KOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _as_seed(value) -> int:
+    """The one seed rule: an integer (_as_index) of at least 0, else KOutOfRangeError."""
+    if (seed := _as_index(value, "seed")) < 0:
+        raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array with at least one entry."""
     return as_finite_array(v, (1,), name)

@@ -26,7 +26,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import _as_index, _as_matrix, _require_finite, as_vector, cosine_to_unit, unit_rows
+from .linalg import _as_index, _as_matrix, _as_seed, _require_finite, as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -129,10 +129,7 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     n_tokens = _as_count(n_tokens, "n_tokens")
     if not 1 <= _as_index(k, "k") <= n_tokens:
         raise KOutOfRangeError(f"k must be in [1, {n_tokens}], got {k}")
-    seed = _as_index(seed, "seed")
-    if seed < 0:
-        raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
-    return _random_keep(np.random.default_rng(seed), n_tokens, k)
+    return _random_keep(np.random.default_rng(_as_seed(seed)), n_tokens, k)
 
 
 def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:

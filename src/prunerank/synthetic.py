@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, KOutOfRangeError
+from .linalg import _as_seed
 from .pruning import _random_keep
 
 
@@ -33,8 +34,8 @@ class SyntheticConfig:
     """Shape and randomness of one synthetic retrieval instance.
 
     tokens_per_image is an inclusive (low, high) range sampled per image. The
-    constructor checks only the rules that tie fields together; the bounds on
-    each single field are cli._merge's.
+    constructor checks one single field, the seed (linalg._as_seed), and the
+    rules that tie fields together; cli._merge bounds every other field.
     """
 
     n_images: int = 8
@@ -46,6 +47,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         object.__setattr__(self, "tokens_per_image", tuple(int(t) for t in self.tokens_per_image))
         if len(self.tokens_per_image) != 2:
             raise ConfigError("tokens_per_image must be an inclusive (low, high) pair")
@@ -76,11 +78,11 @@ def generate_instance(
     rows (plus noise_scale * Gaussian noise) inside the single relevant image.
 
     _draw_chunk's one-instance case, with all images kept: each image is a
-    view of the instance's row of tokens. seed, when given, replaces cfg.seed;
-    a Generator given as seed is drawn from as it stands, as
-    np.random.default_rng returns it.
+    view of the instance's row of tokens. seed, when given, replaces cfg.seed:
+    an int as linalg._as_seed checks it, or a Generator, drawn from as it stands.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    generator = isinstance(seed, np.random.Generator)
+    rng = np.random.default_rng(seed if generator else _as_seed(cfg.seed if seed is None else seed))
     chunk = _draw_chunk(cfg, [rng], 1, query, all_images=True)
     relevant = int(chunk.relevant[0])
     return SyntheticInstance(

@@ -41,6 +41,7 @@ from prunerank.pruning import (
     topk_stability_check,
 )
 from prunerank.scoring import rank_from_logits
+from prunerank.synthetic import SyntheticConfig, generate_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "prunerank"
 
@@ -201,6 +202,7 @@ NON_INTEGER_CASES = {
     ),
     "random_prune-n_tokens": lambda n: random_prune(n, 1, 0),
     "random_prune-seed": lambda seed: random_prune(5, 2, seed),
+    "SyntheticConfig-seed": lambda seed: SyntheticConfig(seed=seed),
     "keep_count-n_tokens": lambda n: keep_count(0.5, n),
     "topk_stability_check-n_query": lambda n: topk_stability_check([1.0, 2.0], [1.0, 2.0], 1, n),
 }
@@ -223,6 +225,8 @@ INTEGER_RANGE_CASES = {
         EmptyInputError,
     ),
     "random_prune-seed-minus-1": (lambda: random_prune(5, 2, -1), KOutOfRangeError),
+    "SyntheticConfig-seed-minus-1": (lambda: SyntheticConfig(seed=-1), KOutOfRangeError),
+    "generate_instance-seed-minus-1": (lambda: generate_instance(SyntheticConfig(), seed=-1), KOutOfRangeError),
 }
 
 
@@ -232,6 +236,33 @@ def test_integer_counts_below_1_are_empty_and_a_negative_seed_is_out_of_range(ca
     with pytest.raises(errors.PrunerankError) as raised:
         call()
     assert type(raised.value) is expected
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "1", 2**63 - 2**64], ids=repr)
+def test_one_seed_rule_for_every_library_seed(bad):
+    """random_prune, SyntheticConfig and generate_instance's int seed share
+    linalg._as_seed: a bad seed raises the same class and message from each,
+    where it once gave KOutOfRangeError, numpy's bare ValueError or a TypeError."""
+    calls = (
+        lambda: random_prune(20, 3, bad),
+        lambda: SyntheticConfig(seed=bad),
+        lambda: generate_instance(SyntheticConfig(), seed=bad),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(errors.PrunerankError) as raised:
+            call()
+        assert type(raised.value) is KOutOfRangeError
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
+def test_numpy_integer_seeds_pass_and_a_generator_is_drawn_from_as_it_stands():
+    assert SyntheticConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    rng = np.random.default_rng(7)
+    drawn = generate_instance(SyntheticConfig(), seed=rng)
+    np.testing.assert_array_equal(drawn.query, generate_instance(SyntheticConfig(), seed=np.int64(7)).query)
+    assert rng.bit_generator.state != np.random.default_rng(7).bit_generator.state
 
 
 def test_numpy_integers_and_integral_float_kept_entries_pass():
