@@ -358,8 +358,10 @@ def run_pruning_comparison(
                 kept_random[j] += np.count_nonzero(np.take_along_axis(kept, planted[rows], axis=-1))
         return chunk.planted.size, kept_t2i, kept_random
 
+    total_planted = kept_t2i = kept_random = 0
     # starmap hands each chunk to count and keeps no reference to it.
-    total_planted, kept_t2i, kept_random = (sum(column) for column in zip(*starmap(count, chunks)))
+    for planted, t2i, rand in starmap(count, chunks):
+        total_planted, kept_t2i, kept_random = total_planted + planted, kept_t2i + t2i, kept_random + rand
     t2i_retention = (kept_t2i / total_planted).tolist()
     random_retention = (kept_random / total_planted).tolist()
     return {

@@ -63,11 +63,12 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class SyntheticInstance:
-    """One generated query with candidate images and planted-token bookkeeping."""
+    """One generated query with candidate images; planted holds the relevant
+    image's planted token positions, ascending."""
 
     query: np.ndarray
     images: tuple[np.ndarray, ...]
-    planted: dict
+    planted: tuple[int, ...]
     relevant_image: int
 
 
@@ -84,12 +85,11 @@ def generate_instance(
     generator = isinstance(seed, np.random.Generator)
     rng = np.random.default_rng(seed if generator else _as_seed(cfg.seed if seed is None else seed))
     chunk = _draw_chunk(cfg, [rng], 1, query, all_images=True)
-    relevant = int(chunk.relevant[0])
     return SyntheticInstance(
         query=chunk.query if query is not None else chunk.query[0],
         images=tuple(np.split(chunk.tokens[0], np.cumsum(chunk.counts[0]))[:-1]),
-        planted={relevant: tuple(chunk.planted[0].tolist())},
-        relevant_image=relevant,
+        planted=tuple(chunk.planted[0].tolist()),
+        relevant_image=int(chunk.relevant[0]),
     )
 
 

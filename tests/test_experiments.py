@@ -291,17 +291,19 @@ def test_default_simulate_traced_peak_stays_below_its_bound(tmp_path):
 
 def test_the_random_baseline_seeds_each_chunk_as_it_is_scored(monkeypatch):
     """The comparison draws a chunk's random-baseline seeds when it scores the
-    chunk, so its traced peak does not follow its instance count. In chunks of
-    48 instances at 20 ratios, ten times the instances raise the peak by less
-    than half of what one int64 seed per instance and ratio would take. A warm-up
-    call first fills the caches a process allocates once."""
+    chunk and adds up its counts as each chunk is scored, so its traced peak
+    does not follow its instance count. In chunks of 48 instances at 20
+    ratios, ten times the instances raise the peak by less than half of what
+    one int64 seed per instance and ratio would take, and twenty times by at
+    most 8 KiB past the one int64 instance seed per instance that is drawn up
+    front. A warm-up call first fills the caches a process allocates once."""
     syn = SyntheticConfig()
     ratios = [i / 20 for i in range(1, 21)]
     per_chunk = 48 * 8 * experiments._stacked_floats(syn, syn.tokens_per_image[1])
     monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk)
     run_pruning_comparison(syn, ratios, 48)
     peaks = []
-    for n_instances in (200, 2000):
+    for n_instances in (200, 2000, 4000):
         tracemalloc.start()
         try:
             run_pruning_comparison(syn, ratios, n_instances)
@@ -309,6 +311,7 @@ def test_the_random_baseline_seeds_each_chunk_as_it_is_scored(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2000 * len(ratios) * 8 / 2
+    assert peaks[2] - peaks[0] - 8 * (4000 - 200) < 8 * 1024
 
 
 def test_simulate_seeds_only_its_section_masters_from_an_int(monkeypatch, tmp_path):

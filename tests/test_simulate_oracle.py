@@ -85,7 +85,7 @@ def reference_pruning_comparison(
     total_planted = 0
     for i, instance in enumerate(instances):
         image = instance.images[instance.relevant_image]
-        planted = set(instance.planted[instance.relevant_image])
+        planted = set(instance.planted)
         total_planted += len(planted)
         scores = maxsim_scores(similarity_matrix(instance.query, image))
         n_tokens = image.shape[0]
@@ -286,7 +286,7 @@ def test_tie_configs_tie():
         instance = generate_instance(dataclasses.replace(TIED, seed=seed))
         image = instance.images[instance.relevant_image]
         planted = maxsim_scores(similarity_matrix(instance.query, image))[
-            list(instance.planted[instance.relevant_image])
+            list(instance.planted)
         ]
         tied += len(set(planted.tolist())) < planted.size
         at_one += bool((planted == 1.0).all())
@@ -327,7 +327,7 @@ def test_chunks_cover_the_stream_in_order(monkeypatch, per_chunk, sizes):
             for i, tokens, planted in zip(group.members, group.tokens, chunk.planted[group.members]):
                 instance = generate_instance(RAGGED, seed=int(seeds[start + i]))
                 assert np.array_equal(tokens, instance.images[instance.relevant_image])
-                assert tuple(planted.tolist()) == instance.planted[instance.relevant_image]
+                assert tuple(planted.tolist()) == instance.planted
         start += len(chunk.relevant)
     assert [len(chunk) for chunk in index] == sizes
     assert sum(index, []) == list(range(25))

@@ -80,13 +80,16 @@ class TestGenerateInstance:
         cfg = SyntheticConfig(seed=7, noise_scale=0.0, planted_per_image=2, n_query_tokens=3)
         inst = generate_instance(cfg)
         image = inst.images[inst.relevant_image]
-        for pos in inst.planted[inst.relevant_image]:
+        for pos in inst.planted:
             best = max(cosine_similarity(image[pos], q) for q in inst.query)
             assert best == pytest.approx(1.0, abs=1e-12)
 
     def test_only_relevant_image_has_planted_tokens(self):
-        inst = generate_instance(SyntheticConfig(seed=3, n_images=6))
-        assert set(inst.planted) == {inst.relevant_image}
+        inst = generate_instance(SyntheticConfig(seed=3, n_images=6, planted_per_image=2))
+        for j, image in enumerate(inst.images):
+            scores = maxsim_scores(similarity_matrix(inst.query, image))
+            copies = tuple(np.flatnonzero(np.isclose(scores, 1.0, rtol=0, atol=1e-12)).tolist())
+            assert copies == (inst.planted if j == inst.relevant_image else ())
 
     def test_planted_scores_dominate_noise(self):
         # At noise 0.05 and dim 64 the planted tokens should clear the 99th
@@ -104,7 +107,7 @@ class TestGenerateInstance:
             inst = generate_instance(SyntheticConfig(**{**cfg.__dict__, "seed": seed}))
             image = inst.images[inst.relevant_image]
             scores = maxsim_scores(similarity_matrix(inst.query, image))
-            planted = set(inst.planted[inst.relevant_image])
+            planted = set(inst.planted)
             for j, score in enumerate(scores):
                 (planted_scores if j in planted else background).append(score)
         threshold = np.percentile(background, 99)
@@ -158,7 +161,7 @@ class TestDrawOrder:
             for got, want in zip(inst.images, want_images):
                 np.testing.assert_array_equal(got, want)
             assert inst.relevant_image == relevant
-            assert inst.planted == {relevant: positions}
+            assert inst.planted == positions
 
     @pytest.mark.parametrize("tokens_per_image", [(20, 20), (3, 3), (5, 15)])
     @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
