@@ -188,6 +188,10 @@ _BELOW = {"selftest_constant": ERROR_BOUND_CONSTANT}
 # rho_values and k_values, so at these bounds it has at most 10 000 rows.
 _MAX_ITEMS = {"keep_ratios": 100, "rho_values": 100, "k_values": 100, "image_sizes": 100}
 _RATIOS = {"keep_ratios", "rho", "rho_values"}
+# List leaves that hold each entry once: a repeated ratio or k would state its
+# row or metric twice. image_sizes may repeat a size, which adds its counts,
+# and tokens_per_image is a (low, high) pair.
+_DISTINCT = {"keep_ratios", "rho_values", "k_values"}
 
 # Products of sizes that each size one float64 allocation simulate makes for
 # one instance, as dotted paths of their factors (a pair counts its larger
@@ -261,6 +265,8 @@ def _check_leaf(key: str, default, value, where: str) -> None:
         items = [entry for item in items for entry in item]
     if any(isinstance(item, (int, float)) and not _is_finite(item) for item in items):
         raise ConfigError(f"{where} must be finite, got {_capped(json.dumps(value))}")
+    if key in _DISTINCT and len(set(items)) < len(items):
+        raise ConfigError(f"{where} must hold each entry once, got {_capped(json.dumps(value))}")
     if key in _MINIMUMS and min(items) < _MINIMUMS[key]:
         raise ConfigError(f"{where} must be >= {_MINIMUMS[key]}, got {_capped(json.dumps(value))}")
     if key in _MAXIMUMS and max(items) > _MAXIMUMS[key]:

@@ -9,7 +9,6 @@ with average-rank tie handling.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -151,7 +150,7 @@ def evaluate_judgments(
     positions p <= k and divides by the same sum over positions
     1..min(k, |relevant|); p@1 is 1.0 when position 1 is relevant; mean_rank
     averages each query's best relevant position, which also buckets it in the
-    taxonomy. A k given twice counts each judgment twice in its means.
+    taxonomy. Each k is given once: a repeated k raises KOutOfRangeError.
 
     One Python pass over the judgments tests each ranked item for membership
     and lists every hit's position. The rest is array work on the hits, whose
@@ -166,6 +165,8 @@ def evaluate_judgments(
         raise EmptySubsetError("need at least one subset")
     if any(_as_index(k, "k") < 1 for k in k_values):
         raise KOutOfRangeError(f"k must be >= 1, got {list(k_values)}")
+    if len(set(k_values)) < len(k_values):
+        raise KOutOfRangeError(f"each k must be given once, got {list(k_values)}")
     subsets = {subset: list(judgments) for subset, judgments in judgments_by_subset.items()}
     for subset, judgments in subsets.items():
         if not judgments:
@@ -194,27 +195,25 @@ def evaluate_judgments(
     depth = min(max(k_values, default=0), max(len(j.ranked) for j in judgments))
     discount = np.array([1.0 / math.log2(p + 2) for p in range(depth)])
     sizes, size_of = np.unique(n_relevant, return_inverse=True)
-    distinct_k = list(dict.fromkeys(k_values))
     ideal = np.array(
         [
-            [sum(1.0 / math.log2(p + 1) for p in range(1, min(k, size) + 1)) for k in distinct_k]
+            [sum(1.0 / math.log2(p + 1) for p in range(1, min(k, size) + 1)) for k in k_values]
             for size in sizes.tolist()
         ]
-    ).reshape(sizes.size, len(distinct_k))
-    # Per metric, a (judgments, times its k is given) array of each judgment's value.
-    repeats = Counter(k_values)
+    ).reshape(sizes.size, len(k_values))
+    # Per metric, each judgment's value.
     columns: dict[str, np.ndarray] = {}
-    for i, k in enumerate(distinct_k):
+    for i, k in enumerate(k_values):
         in_top = position < k
         top_owner = owner[in_top]
         found = np.bincount(top_owner, minlength=len(judgments))
         # bincount adds each judgment's weights in input order, from 0.0.
         dcg = np.bincount(top_owner, weights=discount[position[in_top]], minlength=len(judgments))
-        columns[f"recall@{k}"] = np.repeat((found / n_relevant)[:, None], repeats[k], axis=1)
-        columns[f"ndcg@{k}"] = np.repeat((dcg / ideal[size_of, i])[:, None], repeats[k], axis=1)
+        columns[f"recall@{k}"] = found / n_relevant
+        columns[f"ndcg@{k}"] = dcg / ideal[size_of, i]
     first = np.zeros(len(judgments), dtype=np.int64)
     first[is_ranked] = best
-    columns["p@1"] = (first == 1).astype(np.float64)[:, None]
+    columns["p@1"] = (first == 1).astype(np.float64)
     ranks = best.astype(np.float64)
     labels = np.searchsorted(_FAILURE_DEPTHS, best)
     ranked_before = np.concatenate(([0], np.cumsum(is_ranked))).tolist()
@@ -230,7 +229,7 @@ def evaluate_judgments(
             "n_unranked": end - start - (high - low),
         }
         for metric, values in columns.items():
-            summary[metric] = float(np.mean(values[start:end].ravel()))
+            summary[metric] = float(np.mean(values[start:end]))
         summary["mean_rank"] = float(np.mean(ranks[low:high])) if high > low else None
         per_subset[subset] = summary
 
@@ -238,7 +237,7 @@ def evaluate_judgments(
         columns["mean_rank"] = ranks
     overall = {
         metric: {
-            "micro": finite_mean(values.ravel()),
+            "micro": finite_mean(values),
             "macro": finite_mean(
                 [summary[metric] for summary in per_subset.values() if summary[metric] is not None]
             ),

@@ -381,8 +381,12 @@ LIST_LEAVES = {
 
 
 def _list_of(command: str, path: str, n: int) -> dict:
-    """The override that sets a LIST_LEAVES leaf to n copies of its entry."""
-    return _at(path, [LIST_LEAVES[command, path]] * n)
+    """The override that sets a LIST_LEAVES leaf to n entries made from its
+    entry: n copies of an image size, which may repeat, else n distinct ones."""
+    entry = LIST_LEAVES[command, path]
+    if isinstance(entry, list):
+        return _at(path, [entry] * n)
+    return _at(path, [entry + i if isinstance(entry, int) else entry * (i + 1) / n for i in range(n)])
 
 
 # Judgments, so that a metrics config would run without its bad list.
@@ -392,11 +396,17 @@ for _command, _path in LIST_LEAVES:
     _bound = cli._MAX_ITEMS[_path.split(".")[-1]]
     BAD_INPUT_PROBES[_probe] = (_command, {**_JUDGED.get(_command, {}), **_list_of(_command, _path, _bound + 1)})
     ERROR_TEXT[_probe] = f"config.{_path} must hold at most {_bound} entries, got {_bound + 1}"
+    # A repeated ratio or k once ran and stated its row or metric twice.
+    if not _path.endswith("image_sizes"):
+        _probe = f"{_command}-{_path}-repeated-entry"
+        _entry = LIST_LEAVES[_command, _path]
+        BAD_INPUT_PROBES[_probe] = (_command, {**_JUDGED.get(_command, {}), **_at(_path, [_entry, _entry])})
+        ERROR_TEXT[_probe] = f"config.{_path} must hold each entry once, got {json.dumps([_entry, _entry])}"
 # One random-pruning seed per instance and keep ratio: this config once passed
 # _merge and sized a 10**8-entry (800 MB) seed table.
 BAD_INPUT_PROBES["simulate-random-seed-table"] = (
     "simulate",
-    {"n_instances": 10**6, "keep_ratios": [0.5] * 100},
+    {"n_instances": 10**6, "keep_ratios": [i / 100 for i in range(1, 101)]},
 )
 ERROR_TEXT["simulate-random-seed-table"] = "config.keep_ratios makes n_instances * len(keep_ratios) = 100000000 "
 for _path in OVERFLOW_LEAVES + INFINITE_FLOPS_LEAVES:
@@ -539,7 +549,7 @@ def test_the_random_seed_table_is_bounded_in_merge():
     assert n_instances * len(DEFAULTS["simulate"]["keep_ratios"]) == cli._MAX_SEEDS
     _merge(DEFAULTS["simulate"], {"n_instances": n_instances})
     with pytest.raises(ConfigError, match=rf"^config\.keep_ratios makes .* = {cli._MAX_SEEDS + n_instances} seeds"):
-        _merge(DEFAULTS["simulate"], {"n_instances": n_instances, "keep_ratios": [0.5] * 6})
+        _merge(DEFAULTS["simulate"], {"n_instances": n_instances, "keep_ratios": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]})
 
 
 def test_a_query_file_is_held_to_the_product_bounds(tmp_path, capsys, monkeypatch):
