@@ -104,12 +104,7 @@ def _sandwich_tally(rng: np.random.Generator, trials: int) -> dict:
         ok &= (~constant_cols | (np.abs(smooth - ceiling) <= BOUND_SLACK)).all(axis=1)
         equality_checks += int(np.count_nonzero(constant_cols.any(axis=1)))
         failures += int(np.count_nonzero(~ok))
-    return {
-        "name": "score_sandwich",
-        "trials": trials,
-        "failures": failures,
-        "equality_checks": equality_checks,
-    }
+    return {"trials": trials, "failures": failures, "equality_checks": equality_checks}
 
 
 def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
@@ -138,12 +133,7 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
         _, guaranteed, sets_equal = topk_stability_rows(*_pool(sims), ks, widths, log_nq)
         premise_count += int(np.count_nonzero(guaranteed))
         failures += int(np.count_nonzero(guaranteed & ~sets_equal))
-    return {
-        "name": "topk_stability",
-        "trials": trials,
-        "failures": failures,
-        "premise_count": premise_count,
-    }
+    return {"trials": trials, "failures": failures, "premise_count": premise_count}
 
 
 def _pruning_error_tally(
@@ -189,7 +179,6 @@ def _pruning_error_tally(
         selftest_failures += int(np.count_nonzero(~holds[1, :selftest]))
         start += size
     return {
-        "name": "pruning_error_bound",
         "trials": trials,
         "failures": failures,
         "constant": constant,
@@ -218,7 +207,7 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
             widths[t], ks[t] = n_scores, int(rng.integers(1, n_scores))
         *_, holds = tail_gap_rows(scores, ks, widths)
         failures += int(np.count_nonzero(~holds))
-    return {"name": "tail_gap_bound", "trials": trials, "failures": failures}
+    return {"trials": trials, "failures": failures}
 
 
 def _tally_rngs(seed: int) -> list[np.random.Generator]:
@@ -238,16 +227,18 @@ def run_bound_verification(
     below the proven one must report some.
     """
     rngs = _tally_rngs(seed)
-    checks = [
-        _sandwich_tally(rngs[0], trials),
-        _stability_tally(rngs[1], trials),
-        _pruning_error_tally(rngs[2], trials, ERROR_BOUND_CONSTANT, selftest_trials, selftest_constant),
-        _tail_gap_tally(rngs[3], trials),
-    ]
-    selftest_failures = checks[2].pop("selftest_failures")
+    checks = {
+        "score_sandwich": _sandwich_tally(rngs[0], trials),
+        "topk_stability": _stability_tally(rngs[1], trials),
+        "pruning_error_bound": _pruning_error_tally(
+            rngs[2], trials, ERROR_BOUND_CONSTANT, selftest_trials, selftest_constant
+        ),
+        "tail_gap_bound": _tail_gap_tally(rngs[3], trials),
+    }
+    selftest_failures = checks["pruning_error_bound"].pop("selftest_failures")
     return {
-        "checks": {check["name"]: check for check in checks},
-        "total_failures": sum(check["failures"] for check in checks),
+        "checks": checks,
+        "total_failures": sum(check["failures"] for check in checks.values()),
     }, selftest_failures
 
 
@@ -466,9 +457,10 @@ def run_synthetic_ranking(
 
     judgments = [judgment for chunk in starmap(judge, chunks) for judgment in chunk]
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
+    # The one subset's metrics hold the failure counts and n_unranked.
     return {
         "metrics": evaluation["per_subset"]["synthetic"],
-        "failure_taxonomy": evaluation["failure_taxonomy"],
+        "failure_taxonomy": {"fractions": evaluation["failure_taxonomy"]["fractions"]},
     }
 
 

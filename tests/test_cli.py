@@ -86,7 +86,8 @@ class TestSimulate:
         code = run(["simulate", "--config", cfg, "--seed", 5, "--out", tmp_path / "o"])
         assert code == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["checks"]["t2i_ge_random"] is True
+        assert report["pruning_comparison"]["t2i_ge_random"] is True
+        assert report["pass"] is True
         assert report["pruning_comparison"]["t2i_retention"] == [1.0, 1.0]
         assert -1.0 <= report["correlation"]["spearman_mean"] <= 1.0
         assert "p@1" in report["ranking_quality"]["metrics"]

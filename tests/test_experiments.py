@@ -393,12 +393,12 @@ class TestSyntheticRanking:
         report = run_synthetic_ranking(cfg, n_instances=60)
         assert report["metrics"]["p@1"] == 1.0
         assert report["metrics"]["mean_rank"] == 1.0
-        assert report["failure_taxonomy"]["counts"]["success"] == 60
+        assert report["metrics"]["failure_counts"]["success"] == 60
 
     def test_noisy_instances_report_failures(self):
         cfg = SyntheticConfig(n_images=8, noise_scale=2.5, embed_dim=8, seed=9)
         report = run_synthetic_ranking(cfg, n_instances=80)
-        counts = report["failure_taxonomy"]["counts"]
+        counts = report["metrics"]["failure_counts"]
         assert sum(counts.values()) == 80
         assert report["metrics"]["recall@3"] >= report["metrics"]["recall@1"]
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from fnmatch import fnmatch
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,11 @@ from prunerank.cli import main
 
 GOLDEN = {
     "verify-bounds": {
-        "report.json": "e20aebc16ac878ee8f8d529399adbe171f983144c1edd5cfe648135af0a3149c",
+        "report.json": "496480e3de482a6ce3243f3f4de03aca2ed8b326617910bcddbb38cd4fc7d40a",
         "tables/bound_tallies.csv": "54339e76d2760855aa5b2ba69b1354dee1024bbcf6db9d0a5180edceaacdc3c0",
     },
     "simulate": {
-        "report.json": "1c58cf16ffdedc843b8cfc8fb03bb0e9de40dd0bbe9dd6b8629b871d667286c3",
+        "report.json": "9430986990de29e5e243e49a898e6dfb6cd65101ad80b78f10a67b8a7c124de8",
         "tables/pruning_comparison.csv": "a1fb174779b3ed16708b422f66e158aae03f018372d7d3240da686a88f6c6e7a",
         "tables/ranking_quality.csv": "132bf5f8efecd2cc32ab0051b8816559c296791c493c57b6a5cbce24ab97088a",
     },
@@ -84,7 +85,7 @@ GOLDEN_CONFIGS = {
             "ranking": {"n_instances": 30, "noise_scale": 1.5, "k_values": [1, 2, 4]},
         },
         {
-            "report.json": "5b51fb851963e067df76a5311812b8a84d0c79993ec602c54e6eeeafec74fa06",
+            "report.json": "7c7309460635e603d7a91338e12eb5ce4ea89e8fcafd0f49e1623c5d50b38e94",
             "tables/pruning_comparison.csv": "42e0aa952e7ceed79293c7e39fc061a407375f21111eb63209b7a469c193d884",
             "tables/ranking_quality.csv": "7a83643ed2c959ad85402a95e536650153a232bbaef238450cdc0d11eee468a7",
         },
@@ -100,7 +101,7 @@ GOLDEN_CONFIGS = {
             "query_embedding_path": QUERY_FILE,
         },
         {
-            "report.json": "3f10d4a70051d9fe207e47d1817f326d26388b918c3e9340d41404774447c254",
+            "report.json": "6a808c5f3be7cb8ea292870d77dc9f628b43487cc06a064d47c530b5307434ee",
             "tables/pruning_comparison.csv": "9f9c5d892c64e2160045955d0007bd6b16e0b34af280146cf81d984f49d5a930",
             "tables/ranking_quality.csv": "ac6c758fb043daa8d7e2e686942eeb15020699b45ae008f26c290827da5cae40",
         },
@@ -109,7 +110,7 @@ GOLDEN_CONFIGS = {
         "verify-bounds",
         {"trials": 200, "selftest_trials": 400},
         {
-            "report.json": "e6bca94917d768dd63dcfd8a97b23d51147da1918abcba305210fd972b659cdd",
+            "report.json": "abbda2f2ba795a149caf8c4be375e9523d38dd194939d8dbe56ade400f61b2c5",
             "tables/bound_tallies.csv": "5a2eebc8e53233fc6b7dfd43ca48b246c52ee58d52763eb687c175cc4fcee783",
         },
     ),
@@ -117,7 +118,7 @@ GOLDEN_CONFIGS = {
         "verify-bounds",
         {"trials": 131, "selftest_trials": 70, "selftest_constant": 0.0},
         {
-            "report.json": "5d17b4fe9e0bef0ec56a48a2988fca9be2d6af48adc874a99bd6d7adcc713f32",
+            "report.json": "dce007c6b7497926c1cd9030f257def71049ec4309208e3f3cb37c3471ee3fe0",
             "tables/bound_tallies.csv": "49a3636138743657822518c1e009268b51d603b64a361e9b697804a85119a415",
         },
     ),
@@ -266,3 +267,76 @@ def test_report_states_no_config_leaf_twice(name, golden_run):
     report = json.loads((out / "report.json").read_text())
     found = echoes(report, leaf_values(report["config"]))
     assert [path for path in found if not any(fnmatch(path, allowed) for allowed in ECHOES_ALLOWED)] == []
+
+
+def result_paths(tree, path=()):
+    """(path, value) of every key outside `config` and outside list items."""
+    for key, value in tree.items():
+        where = path + (key,)
+        if where == ("config",):
+            continue
+        yield where, value
+        if isinstance(value, dict):
+            yield from result_paths(value, where)
+
+
+def restatements(report):
+    """Dotted paths of result values that state another result's fact again.
+
+    A leaf may not repeat its parent's key. Two paths part at two entries of
+    one mapping; entries that share two or more keys are records of one kind
+    (the bound checks, the subsets, the metrics, a taxonomy's counts and
+    fractions), and equal values across them are one column of a table. Any
+    other two paths may not hold equal dicts or lists of two or more entries,
+    nor, under their two entries, one key with equal values.
+    """
+    paths = list(result_paths(report))
+    for where, value in paths:
+        if len(where) > 1 and value == where[-2]:
+            yield ".".join(where)
+    for (p, a), (q, b) in combinations(paths, 2):
+        part = next((i for i, (x, y) in enumerate(zip(p, q)) if x != y), None)
+        if part is None or a != b:
+            continue
+        x, y = (report_at(report, path[: part + 1]) for path in (p, q))
+        if isinstance(x, dict) and isinstance(y, dict) and len(x.keys() & y.keys()) >= 2:
+            continue
+        if (isinstance(a, (dict, list)) and len(a) >= 2) or (len(p) == len(q) == part + 2 and p[-1] == q[-1]):
+            yield f"{'.'.join(p)} = {'.'.join(q)}"
+
+
+def report_at(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(GOLDEN_CONFIGS))
+def test_report_states_each_result_once(name, golden_run):
+    """No result section repeats its own key or another section's fact: a
+    copy is one more value to keep equal to the first."""
+    _, out = golden_run(name)
+    assert list(restatements(json.loads((out / "report.json").read_text()))) == []
+
+
+def test_the_restatement_guard_names_each_kind_of_copy():
+    report = {
+        "config": {"k_values": [1, 3]},
+        "bounds": {"checks": {
+            "sandwich": {"name": "sandwich", "trials": 5, "failures": 0},
+            "tail": {"trials": 5, "failures": 0},
+        }},
+        "comparison": {"ok": True, "retention": [1.0, 0.5]},
+        "checks": {"ok": True},
+        "ranking": {
+            "metrics": {"counts": {"a": 1, "b": 2}, "n_unranked": 0},
+            "taxonomy": {"counts": {"a": 1, "b": 2}},
+        },
+        "pass": True,
+        "selftest": {"pass": True},
+    }
+    assert list(restatements(report)) == [
+        "bounds.checks.sandwich.name",
+        "comparison.ok = checks.ok",
+        "ranking.metrics.counts = ranking.taxonomy.counts",
+    ]

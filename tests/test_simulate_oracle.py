@@ -175,7 +175,7 @@ def reference_synthetic_ranking(
     evaluation = evaluate_judgments({"synthetic": judgments}, k_values=k_values)
     return {
         "metrics": evaluation["per_subset"]["synthetic"],
-        "failure_taxonomy": evaluation["failure_taxonomy"],
+        "failure_taxonomy": {"fractions": evaluation["failure_taxonomy"]["fractions"]},
     }
 
 
