@@ -24,10 +24,10 @@ cosine GEMM per instance inside one matmul, one keep-rule sort
 every head, one Spearman row kernel (metrics._spearman_rows), one reduceat for
 every image. Results that depend on order are put back in stream order. The
 drivers take their counts, ratios and noise scales as cli._merge has checked
-them and check none again, and return only what they computed: the report's
-config holds their inputs. A report is written as json.dumps gives it, with
-sorted keys and a two-space indent, after its tables; no report holds bulk
-data, so the standard encoder is fast enough.
+them and check none again, and return only what they computed, each fact
+once: the report's config holds their inputs. A report is written as
+json.dumps gives it, with sorted keys and a two-space indent, after its
+tables; no report holds bulk data, so the standard encoder is fast enough.
 """
 
 from __future__ import annotations

@@ -280,6 +280,13 @@ def result_paths(tree, path=()):
             yield from result_paths(value, where)
 
 
+def report_at(report, path):
+    """The value at path, a tuple of keys."""
+    for key in path:
+        report = report[key]
+    return report
+
+
 def restatements(report):
     """Dotted paths of result values that state another result's fact again.
 
@@ -303,12 +310,6 @@ def restatements(report):
             continue
         if (isinstance(a, (dict, list)) and len(a) >= 2) or (len(p) == len(q) == part + 2 and p[-1] == q[-1]):
             yield f"{'.'.join(p)} = {'.'.join(q)}"
-
-
-def report_at(report, path):
-    for key in path:
-        report = report[key]
-    return report
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(GOLDEN_CONFIGS))
