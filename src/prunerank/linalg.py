@@ -6,7 +6,10 @@ each token matrix twice and never copies it: one BLAS dot per row computes the
 row norms, then one GEMM multiplies the unit-scaled query rows by the raw
 tokens, and the t x n result is divided by the token norms and clipped in
 place. The query is scaled once (unit_rows) and reused for every image
-(cosine_to_unit).
+(cosine_to_unit). Its two halves are _checked_tokens (every check, and the
+row norms) and _unit_cosines (GEMM, division, clip): prune_images runs the
+first for every image in a thread pool, then the second in the calling
+thread, with the checks, and so the errors, in the same order.
 
 With stack=True the kernel also takes stacks: a (k, n, d) stack of token
 matrices against a (k, t, d) stack of queries, one per matrix, or against one
@@ -146,6 +149,12 @@ def cosine_to_unit(
     (k, t, d) stack of them. Errors come in the order shape, finiteness, width (and a query stack
     that V does not match), then zero norm (H before V).
     """
+    return _unit_cosines(query[0], *_checked_tokens(query, V, name, stack))
+
+
+def _checked_tokens(query, V, name: str, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The check-and-norm half of cosine_to_unit: V and its row norms, after
+    every check cosine_to_unit makes, in its order."""
     unit, query_norms = query
     tokens, norms = _rows_and_norms(V, name, stack)
     if unit.shape[-1] != tokens.shape[-1]:
@@ -158,6 +167,11 @@ def cosine_to_unit(
         )
     _require_nonzero(query_norms, "H")
     _require_nonzero(norms, name)
+    return tokens, norms
+
+
+def _unit_cosines(unit: np.ndarray, tokens: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The GEMM half of cosine_to_unit: unit rows against checked tokens and their norms."""
     sims = unit @ tokens.mT
     sims /= norms[..., None, :]
     # An infinite norm means a finite row whose squared norm overflowed; it

@@ -15,8 +15,10 @@ and the public per-trial check) round out the module.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import _as_index, _as_matrix, _as_seed, _require_finite, as_vector, cosine_to_unit, unit_rows
+from .linalg import _as_index, _as_matrix, _as_seed, _checked_tokens, _require_finite, _unit_cosines
+from .linalg import as_vector, cosine_to_unit, unit_rows
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -223,13 +226,19 @@ def prune_by_scores(scores, rho: float) -> PruneResult:
 def prune_images(H, images, rho: float) -> list[PruneResult]:
     """Prune every image independently against the same query rows H.
 
-    H is checked and scaled to unit rows once; each image then costs one norm
-    pass and one GEMM (linalg.cosine_to_unit) and is never copied. H and each
-    image must be 2-D. The result for image i depends only on H, images[i]
-    and rho, so per-image work can run in parallel without changing the
-    output.
+    H is checked and scaled to unit rows once, then rho is checked, before any
+    image is read. images is read once, in order, and each is held as float64
+    (copied only if it is not) until the call returns. Every image's checks
+    and row norms run in a thread pool, one worker per CPU this process may
+    use; then each image's GEMM and keep rule run in the calling thread, in
+    order, so BLAS threads the GEMM as before. The results and errors are
+    those of one image at a time. H and each image must be 2-D.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     query = unit_rows(H)
-    return [
-        prune_by_scores(_token_scores(query, image, f"images[{i}]"), rho) for i, image in enumerate(images)
-    ]
+    as_keep_ratio(rho)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        checked = list(pool.map(lambda i, image: _checked_tokens(query, image, f"images[{i}]"), count(), images))
+    return [prune_by_scores(_unit_cosines(query[0], *pair).max(axis=0), rho) for pair in checked]

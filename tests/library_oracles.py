@@ -22,7 +22,7 @@ from prunerank.errors import (
     PrunerankError,
     ZeroNormError,
 )
-from prunerank.linalg import ZERO_NORM_EPS, as_vector
+from prunerank.linalg import ZERO_NORM_EPS, as_vector, unit_rows
 from prunerank.losses import LossValue
 from prunerank.metrics import (
     CATASTROPHIC_MISS,
@@ -31,6 +31,7 @@ from prunerank.metrics import (
     SUCCESS,
     QueryJudgment,
 )
+from prunerank.pruning import _token_scores, prune_by_scores
 from prunerank.scoring import IDENTIFIER_ALPHABET
 
 
@@ -162,6 +163,14 @@ def lexsort_top_k(scores, k: int) -> np.ndarray:
     """
     arr = np.asarray(scores, dtype=np.float64)
     return np.sort(np.lexsort((np.arange(arr.size), -arr))[:k])
+
+
+def sequential_prune_images(H, images, rho) -> list:
+    """pruning.prune_images one image at a time: each image's checks, row
+    norms, GEMM and keep rule run before the next image is read. The package
+    checks and norms every image in a thread pool before the first GEMM."""
+    query = unit_rows(H)
+    return [prune_by_scores(_token_scores(query, image, f"images[{i}]"), rho) for i, image in enumerate(images)]
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:

@@ -1299,3 +1299,22 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert "verify-bounds" in result.stdout
+
+
+def test_the_thread_pool_is_imported_only_when_prune_images_runs(tmp_path):
+    """CLI start-up stays lean: prune_images imports concurrent.futures when
+    it is called, and a cost-model run never loads it."""
+    code = "\n".join([
+        "import sys, prunerank.cli",
+        f"assert prunerank.cli.main(['cost-model', '--out', {str(tmp_path)!r}]) == 0",
+        "print('pool after cost-model:', 'concurrent.futures' in sys.modules)",
+        "import numpy as np",
+        "from prunerank.pruning import prune_images",
+        "prune_images(np.ones((1, 2)), [np.eye(2)], 0.5)",
+        "print('pool after prune_images:', 'concurrent.futures' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "pool after cost-model: False" in result.stdout
+    assert "pool after prune_images: True" in result.stdout

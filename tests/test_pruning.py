@@ -16,6 +16,8 @@ from prunerank.errors import (
     NonFiniteError,
     ZeroNormError,
 )
+from prunerank import linalg, pruning
+from prunerank.errors import PrunerankError
 from prunerank.linalg import similarity_matrix
 from prunerank.pruning import (
     _ranks,
@@ -30,7 +32,7 @@ from prunerank.pruning import (
     select_topk_preserve_order,
     topk_stability_check,
 )
-from library_oracles import lexsort_top_k
+from library_oracles import lexsort_top_k, sequential_prune_images
 
 
 class TestMaxsimScores:
@@ -460,3 +462,111 @@ class TestPruneImagesKernel:
         finally:
             tracemalloc.stop()
         assert peak < images[0].nbytes
+
+
+def laid_out(image, layout):
+    """image's values as a C-ordered, Fortran-ordered or strided array."""
+    if layout == "fortran":
+        return np.asfortranarray(image)
+    if layout == "strided":
+        padded = np.zeros((2 * image.shape[0], 3 * image.shape[1]))
+        padded[::2, ::3] = image
+        return padded[::2, ::3]
+    return image
+
+
+def drawn(n, d=4):
+    return np.random.default_rng(n).standard_normal((n, d))
+
+
+def with_row(image, row, value):
+    image = image.copy()
+    image[row] = value
+    return image
+
+
+# (H, images) whose first bad input comes before a later, different one.
+ERROR_ORDER = {
+    "zero-row-then-width": lambda: (drawn(2), [drawn(5), with_row(drawn(6), 3, 0.0), drawn(7), drawn(5, 3)]),
+    "zero-row-then-nan": lambda: (drawn(2), [with_row(drawn(5), 1, 0.0), drawn(6), with_row(drawn(7), 2, np.nan)]),
+    "width-then-zero-row": lambda: (drawn(2), [drawn(5, 3), with_row(drawn(6), 0, 0.0)]),
+    "H-zero-row-then-ndim": lambda: (with_row(drawn(2), 0, 0.0), [np.ones(4), drawn(5)]),
+    "H-zero-row-then-image-zero-row": lambda: (with_row(drawn(2), 1, 0.0), [with_row(drawn(5), 0, 0.0)]),
+    "3-D-entry": lambda: (drawn(2), [drawn(5), np.ones((3, 5, 4)), with_row(drawn(6), 0, np.inf)]),
+    "empty-then-ragged": lambda: (drawn(2), [drawn(5), np.ones((0, 4)), [[1.0, 2.0], [3.0]]]),
+}
+
+
+def raised(call):
+    """The class and message of the error call() raises."""
+    with pytest.raises(PrunerankError) as info:
+        call()
+    return info.type, str(info.value)
+
+
+class TestPruneImagesPool:
+    """prune_images checks and norms every image in a thread pool before any
+    GEMM: the results and errors of one image at a time (the reference)."""
+
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from(["c", "fortran", "strided"]), st.booleans()),
+            max_size=5,
+        ),
+        st.integers(1, 8),
+        st.integers(1, 1000).map(lambda i: i / 1000),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_sequential_reference(self, t, specs, d, rho, as_generator, seed):
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((t, d))
+        images = []
+        for n, layout, tied in specs:
+            if tied:
+                # Small integer entries and repeated rows give exactly tied scores.
+                image = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+                image[np.abs(image).sum(axis=1) == 0, 0] = 1.0
+                image[rng.integers(n, size=n // 2)] = image[0]
+            else:
+                image = rng.standard_normal((n, d))
+            images.append(laid_out(image, layout))
+        got = prune_images(H, (image for image in images) if as_generator else images, rho)
+        want = sequential_prune_images(H, images, rho)
+        # == compares each margin as a float; repr also tells -0.0 from 0.0.
+        assert got == want
+        assert [repr(result.margin) for result in got] == [repr(result.margin) for result in want]
+
+    @pytest.mark.parametrize("case", ERROR_ORDER.values(), ids=ERROR_ORDER.keys())
+    def test_raises_what_the_sequential_reference_raises(self, case):
+        H, images = case()
+        assert raised(lambda: prune_images(H, images, 0.5)) == raised(lambda: sequential_prune_images(H, images, 0.5))
+
+    def test_the_first_bad_image_raises_before_any_gemm(self, monkeypatch):
+        gemms = []
+        monkeypatch.setattr(pruning, "_unit_cosines", lambda *args: gemms.append(args))
+        with pytest.raises(ZeroNormError, match=r"images\[2\] row 1"):
+            prune_images(drawn(2), [drawn(5), drawn(6), with_row(drawn(7), 1, 0.0), drawn(8)], 0.5)
+        assert gemms == []
+
+    @pytest.mark.parametrize("rho", [2.0, 0.0, -0.5, np.nan])
+    def test_bad_rho_raises_with_no_images(self, rho):
+        with pytest.raises(InvalidRatioError, match="keep ratio must be in"):
+            prune_images(drawn(2), [], rho)
+        with pytest.raises(NonFiniteError, match="^H contains"):
+            prune_images(with_row(drawn(2), 0, np.nan), [], rho)
+
+    def test_bad_rho_raises_before_any_image_is_normed(self, monkeypatch):
+        normed = []
+        rows_and_norms = linalg._rows_and_norms
+
+        def spy(m, name, stack):
+            normed.append(name)
+            return rows_and_norms(m, name, stack)
+
+        monkeypatch.setattr(linalg, "_rows_and_norms", spy)
+        with pytest.raises(InvalidRatioError):
+            prune_images(drawn(2), [drawn(5)], 1.5)
+        assert normed == ["H"]
