@@ -1,8 +1,8 @@
 """Softmax attention pooling and the two bounds on pruning it.
 
-Each bound, pruning error and softmax tail gap, is one row kernel over a
-padded chunk of trials that holds its input rules, inequality and constant.
-The verify-bounds tallies call it once per chunk, the public checks with one row.
+Each bound, pruning error and softmax tail gap, is one private row kernel
+over a padded chunk of finite trials that holds its value rules, inequality
+and constant; verify-bounds calls it per chunk, each public check on one row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import (
     InvalidProbabilityError,
     KOutOfRangeError,
 )
-from .linalg import _as_index, _require_finite, as_embedding, as_finite_array, as_vector
+from .linalg import _as_index, as_embedding, as_finite_array, as_vector
 from .pruning import _top_k
 
 # Absolute slack applied to every inequality check to absorb float rounding.
@@ -65,19 +65,17 @@ def as_attention_weights(alpha) -> np.ndarray:
     return _weight_rows(as_vector(alpha, "attention weights")[None])[0]
 
 
-def pruning_error_rows(alpha, values, kept, constant) -> tuple[np.ndarray, ...]:
-    """Per row of zero-padded weights (rows, width), value rows (rows, width, dim)
-    and kept mask: (error_norm, tail_mass, v_max, bound, holds).
+def _pruning_error_rows(alpha, values, kept, constants) -> tuple[np.ndarray, ...]:
+    """Per row of finite zero-padded weights (rows, width), value rows (rows,
+    width, dim) and kept mask: (error_norm, tail_mass, v_max, bound, holds).
 
     Pooling only the kept rows, renormalized, moves the output by error_norm;
     the bound is constant * tail_mass * v_max, with the removed weight and the
     largest value-row norm. Zero padding adds nothing to any of them, so no
-    row widths are needed. bound and holds take the shape of constant (a float
-    or a sequence) followed by the rows. At ERROR_BOUND_CONSTANT the bound
-    holds for every valid input and the antipodal case attains it.
+    row widths are needed. bound and holds have shape (len(constants), rows).
+    At ERROR_BOUND_CONSTANT the bound holds for every valid input and the
+    antipodal case attains it.
     """
-    _require_finite(alpha, "attention weights")
-    _require_finite(values, "V")
     weights = _weight_rows(alpha)
     if not kept.any(axis=1).all():
         raise EmptyInputError("kept index set must be nonempty")
@@ -90,7 +88,7 @@ def pruning_error_rows(alpha, values, kept, constant) -> tuple[np.ndarray, ...]:
     pruned = np.einsum("tn,tnd->td", renormalized, values)
     v_max = np.sqrt(np.einsum("tnd,tnd->tn", values, values).max(axis=1))
     error_norm = np.sqrt(np.einsum("td,td->t", exact - pruned, exact - pruned))
-    bound = np.multiply.outer(constant, tail_mass) * v_max
+    bound = np.multiply.outer(constants, tail_mass) * v_max
     return error_norm, tail_mass, v_max, bound, error_norm <= bound + BOUND_SLACK
 
 
@@ -107,7 +105,7 @@ class PruneErrorReport:
 
 def check_pruning_error_bound(alpha, V, kept) -> PruneErrorReport:
     """Whether keeping only the indices in kept moves the pooled output by at most
-    2 * tail_mass * v_max: one row of pruning_error_rows. False means a bug."""
+    2 * tail_mass * v_max: one row of _pruning_error_rows. False means a bug."""
     weights = as_vector(alpha, "attention weights")
     values = as_embedding(V, "V")
     n = weights.size
@@ -120,17 +118,17 @@ def check_pruning_error_bound(alpha, V, kept) -> PruneErrorReport:
         raise KOutOfRangeError(f"kept indices must lie in [0, {n - 1}]")
     mask = np.zeros((1, n), dtype=bool)
     mask[0, idx] = True
-    rows = pruning_error_rows(weights[None], values[None], mask, ERROR_BOUND_CONSTANT)
+    rows = _pruning_error_rows(weights[None], values[None], mask, (ERROR_BOUND_CONSTANT,))
     return PruneErrorReport(*(field.item() for field in rows))
 
 
-def tail_gap_rows(scores, ks, widths) -> tuple[np.ndarray, ...]:
-    """Per row of -inf-padded scores: (epsilon, delta, bound, holds).
+def _tail_gap_rows(scores, ks, widths) -> tuple[np.ndarray, ...]:
+    """Per row of -inf-padded finite scores: (epsilon, delta, bound, holds).
 
     epsilon is the softmax mass outside the top ks[row] and delta the score
     gap at k; the removed mass decays as bound = ((n - k) / k) * exp(-delta).
     """
-    in_top, delta = _top_k(scores, ks, widths, "scores")
+    in_top, delta = _top_k(scores, ks, widths)
     epsilon = np.clip(1.0 - np.where(in_top, _softmax(scores), 0.0).sum(axis=1), 0.0, None)
     bound = (widths - ks) / ks * np.exp(-delta)
     return epsilon, delta, bound, epsilon <= bound + BOUND_SLACK
@@ -147,9 +145,9 @@ class TailGapReport:
 
 
 def tail_gap_bound_check(g_scores, k: int) -> TailGapReport:
-    """Check epsilon <= ((n - k) / k) * exp(-delta): one row of tail_gap_rows."""
+    """Check epsilon <= ((n - k) / k) * exp(-delta): one row of _tail_gap_rows."""
     g = as_vector(g_scores, "scores")
-    rows = tail_gap_rows(g[None], np.array([_as_index(k, "k")]), np.array([g.size]))
+    rows = _tail_gap_rows(g[None], np.array([_as_index(k, "k")]), np.array([g.size]))
     return TailGapReport(*(field.item() for field in rows))
 
 

@@ -30,7 +30,7 @@ class NonFiniteError(PrunerankError):
 
 
 class InvalidRatioError(PrunerankError):
-    """A keep ratio lies outside (0, 1]."""
+    """A keep ratio is not a real number in (0, 1]."""
 
 
 class KOutOfRangeError(PrunerankError):
@@ -42,7 +42,7 @@ class InvalidPermutationError(PrunerankError):
 
 
 class InvalidGammaError(PrunerankError):
-    """A geometric decay factor lies outside (0, 1)."""
+    """A geometric decay factor is not a real number in (0, 1)."""
 
 
 class InvalidProbabilityError(PrunerankError):

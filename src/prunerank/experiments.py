@@ -10,8 +10,8 @@ probe draws each chunk's attention noise from its master generator, in stream
 order. Only the synthetic instances and the random-pruning draws have seeds of
 their own, drawn in bulk as synthetic states (_generators, _random_masks).
 Each bound check draws its trials once and scores each chunk of them with one
-call of its bound's row kernel (pruning.topk_stability_rows,
-attention.pruning_error_rows, attention.tail_gap_rows), the kernel the public
+call of its bound's row kernel (pruning._topk_stability_rows,
+attention._pruning_error_rows, attention._tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
 the pruning-error check's pass. Each simulate section draws a chunk's
 instances straight into arrays (synthetic._draw_chunk); a chunk's stacks
@@ -42,13 +42,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import (
-    BOUND_SLACK,
-    ERROR_BOUND_CONSTANT,
-    pruning_error_rows,
-    softmax,
-    tail_gap_rows,
-)
+from .attention import BOUND_SLACK, ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
 from .cost_model import (
     ArchParams,
     WorkloadSpec,
@@ -60,7 +54,7 @@ from .cost_model import (
 from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
-from .pruning import _pool, _ranks, _token_scores, keep_count, topk_stability_rows
+from .pruning import _pool, _ranks, _token_scores, _topk_stability_rows, keep_count
 from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators, _random_masks
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
@@ -130,7 +124,7 @@ def _stability_tally(rng: np.random.Generator, trials: int) -> dict:
                 trial[:] = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
                 trial[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
             widths[t], ks[t], log_nq[t] = n_tokens, k, math.log(n_query)
-        _, guaranteed, sets_equal = topk_stability_rows(*_pool(sims), ks, widths, log_nq)
+        _, guaranteed, sets_equal = _topk_stability_rows(*_pool(sims), ks, widths, log_nq)
         premise_count += int(np.count_nonzero(guaranteed))
         failures += int(np.count_nonzero(guaranteed & ~sets_equal))
     return {"trials": trials, "failures": failures, "premise_count": premise_count}
@@ -173,7 +167,7 @@ def _pruning_error_tally(
                     chosen = np.append(chosen, int(np.argmax(weights)))
                 alpha[t, :n_tokens] = weights
                 kept[t, chosen] = True
-        *_, holds = pruning_error_rows(alpha, values, kept, (constant, selftest_constant))
+        *_, holds = _pruning_error_rows(alpha, values, kept, (constant, selftest_constant))
         main, selftest = max(trials - start, 0), max(selftest_trials - start, 0)
         failures += int(np.count_nonzero(~holds[0, :main]))
         selftest_failures += int(np.count_nonzero(~holds[1, :selftest]))
@@ -205,7 +199,7 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
             else:
                 scores[t, :n_scores] = rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n_scores)
             widths[t], ks[t] = n_scores, int(rng.integers(1, n_scores))
-        *_, holds = tail_gap_rows(scores, ks, widths)
+        *_, holds = _tail_gap_rows(scores, ks, widths)
         failures += int(np.count_nonzero(~holds))
     return {"trials": trials, "failures": failures}
 

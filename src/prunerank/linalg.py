@@ -29,7 +29,9 @@ squared norm overflows passes the scan, has an infinite norm and scores 0.
 
 from __future__ import annotations
 
+import numbers
 import operator
+from decimal import Decimal
 
 import numpy as np
 
@@ -80,6 +82,15 @@ def _as_index(value, name: str) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise KOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _is_real(value) -> bool:
+    """The one real-number rule for a ratio or a decay factor: numbers.Real,
+    Decimal, or a numpy scalar or 0-d array whose item is one (bool included)."""
+    # float first: an isinstance check against the numbers.Real ABC is slow on a float.
+    if isinstance(value, (float, numbers.Real, Decimal)):
+        return True
+    return getattr(value, "ndim", None) == 0 and _is_real(value.item())
 
 
 def _as_seed(value) -> int:

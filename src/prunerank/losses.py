@@ -39,7 +39,7 @@ from .errors import (
     InvalidPermutationError,
     InvalidProbabilityError,
 )
-from .linalg import as_vector
+from .linalg import _is_real, as_vector
 from .scoring import validate_permutation
 
 # Distinct list lengths (and gammas) whose tables stay cached.
@@ -168,7 +168,7 @@ def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     teacher_order[p] is the candidate index placed at position p (position 0
     being the teacher's most relevant pick).
     """
-    if not 0.0 < gamma < 1.0:
+    if not (_is_real(gamma) and 0.0 < gamma < 1.0):
         raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma}")
     gamma = float(gamma)
     order = validate_permutation(teacher_order)

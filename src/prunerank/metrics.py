@@ -121,10 +121,7 @@ def _spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ranks = _average_ranks(np.stack([x, y]))
     ranks -= np.add.reduce(ranks, axis=-1, keepdims=True) / n
     ra, rb = ranks
-    denom = np.sqrt(np.vecdot(ra, ra) * np.vecdot(rb, rb))
-    if (denom == 0.0).any():
-        raise DegenerateConstantError("rank correlation undefined: zero rank variance")
-    return np.clip(np.vecdot(ra, rb) / denom, -1.0, 1.0)
+    return np.clip(np.vecdot(ra, rb) / np.sqrt(np.vecdot(ra, ra) * np.vecdot(rb, rb)), -1.0, 1.0)
 
 
 def spearman(x, y) -> float:

@@ -8,8 +8,8 @@ with the lower index first on ties, is written once (_ranks) and read by
 prune_by_scores, select_topk_preserve_order, the row kernels' _top_k and the
 simulate drivers. A seeded uniform-random baseline (_random_keep, numpy's
 choice; synthetic replays it on arrays for simulate) and the top-k stability
-rule (topk_stability_rows, one row kernel shared by the verify-bounds tally
-and the public per-trial check) round out the module.
+rule (_topk_stability_rows, one private row kernel shared by the verify-bounds
+tally and the public per-trial check) round out the module.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     InvalidRatioError,
     KOutOfRangeError,
 )
-from .linalg import _as_index, _as_matrix, _as_seed, _checked_tokens, _require_finite, _unit_cosines
+from .linalg import _as_index, _as_matrix, _as_seed, _checked_tokens, _is_real, _unit_cosines
 from .linalg import as_vector, cosine_to_unit, unit_rows
 
 
@@ -40,8 +40,8 @@ def round_half_away_from_zero(x: float) -> int:
 
 
 def as_keep_ratio(rho) -> float:
-    """rho as a float; the one check that a keep ratio lies in (0, 1]."""
-    if not 0.0 < rho <= 1.0:
+    """rho as a float; the one check that a keep ratio is a real number in (0, 1]."""
+    if not (_is_real(rho) and 0.0 < rho <= 1.0):
         raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
     return float(rho)
 
@@ -142,7 +142,7 @@ def _random_keep(rng: np.random.Generator, n_tokens: int, k: int) -> np.ndarray:
     return kept
 
 
-def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):
+def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray):
     """Per row of a -inf-padded (rows, width) score array: the mask of its top k
     columns and the gap between its k-th and (k+1)-th largest scores.
 
@@ -150,7 +150,6 @@ def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):
     the top-k set leaves a boundary. The mask and the gap both come from
     _ranks, so ties go to the lower index; the padding sorts last.
     """
-    _require_finite(scores[np.arange(scores.shape[1]) < widths[:, None]], name)
     bad = np.flatnonzero((ks < 1) | (ks >= widths))
     if bad.size:
         i = int(bad[0])
@@ -161,15 +160,15 @@ def _top_k(scores: np.ndarray, ks: np.ndarray, widths: np.ndarray, name: str):
     return ranks < ks[:, None], gap
 
 
-def topk_stability_rows(hard, smooth, ks, widths, log_nq) -> tuple[np.ndarray, ...]:
+def _topk_stability_rows(hard, smooth, ks, widths, log_nq) -> tuple[np.ndarray, ...]:
     """Per row of -inf-padded max and log-sum-exp scores: (gap, guaranteed, sets_equal).
 
     gap is the hard-max margin at ks[row]. The smooth scores exceed the hard
     max by at most log(n_query), so when gap > log_nq[row] they cannot reorder
     across the boundary and the two top-k sets are guaranteed equal.
     """
-    in_hard, gap = _top_k(hard, ks, widths, "max_sim")
-    in_smooth, _ = _top_k(smooth, ks, widths, "lse")
+    in_hard, gap = _top_k(hard, ks, widths)
+    in_smooth, _ = _top_k(smooth, ks, widths)
     return gap, gap > log_nq, (in_hard == in_smooth).all(axis=1)
 
 
@@ -184,14 +183,14 @@ class StabilityReport:
 
 def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
     """Whether the hard-max and smooth-pooling top-k token sets agree: one row of
-    topk_stability_rows."""
+    _topk_stability_rows."""
     a = as_vector(max_sim, "max_sim")
     g = as_vector(lse, "lse")
     if a.size != g.size:
         raise DimensionMismatchError(f"length mismatch: {a.size} vs {g.size}")
     n_query = _as_count(n_query, "n_query")
     ks = np.array([_as_index(k, "k")])
-    rows = topk_stability_rows(a[None], g[None], ks, np.array([a.size]), math.log(n_query))
+    rows = _topk_stability_rows(a[None], g[None], ks, np.array([a.size]), math.log(n_query))
     return StabilityReport(*(field.item() for field in rows))
 
 

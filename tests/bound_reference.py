@@ -3,8 +3,8 @@
 Each function scores one trial with plain per-trial numpy: the 1-D weight
 rule, the exact and the pruned pooled outputs, a sort of the scores, Python
 sets of the top-k indices, chosen by library_oracles.lexsort_top_k. They share
-no code with attention.pruning_error_rows, attention.tail_gap_rows,
-pruning.topk_stability_rows or the keep rule they rank by (pruning._ranks), so
+no code with attention._pruning_error_rows, attention._tail_gap_rows,
+pruning._topk_stability_rows or the keep rule they rank by (pruning._ranks), so
 the tallies and the public one-row checks are compared against an independent
 reference.
 """

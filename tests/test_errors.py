@@ -7,6 +7,8 @@ raises, for every bad input, the class its per-trial reference raises.
 """
 
 import ast
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +27,22 @@ from prunerank.errors import (
     AllMassPrunedError,
     DimensionMismatchError,
     EmptyInputError,
+    InvalidGammaError,
     InvalidProbabilityError,
+    InvalidRatioError,
     KOutOfRangeError,
     NonFiniteError,
 )
 from prunerank.linalg import as_vector, similarity_matrix
-from prunerank.losses import nll_loss, soft_rank_loss, weighted_ranknet_loss
+from prunerank.losses import geometric_target, nll_loss, soft_rank_loss, weighted_ranknet_loss
 from prunerank.metrics import QueryJudgment, evaluate_judgments, spearman
 from prunerank.pruning import (
+    as_keep_ratio,
     keep_count,
     lse_scores,
     maxsim_scores,
+    prune_by_scores,
+    prune_images,
     random_prune,
     select_topk_preserve_order,
     topk_stability_check,
@@ -106,6 +113,10 @@ MATRIX_ENTRY_POINTS = {
     ),
     "similarity_matrix-V": (
         lambda x: similarity_matrix([[1.0, 0.0]], x),
+        ("3-D", "empty", "nan", "non-numeric"),
+    ),
+    "check_pruning_error_bound-V": (
+        lambda x: check_pruning_error_bound([0.5, 0.5], x, [0]),
         ("3-D", "empty", "nan", "non-numeric"),
     ),
     "maxsim_scores": (maxsim_scores, ("3-D", "empty", "non-numeric")),
@@ -214,6 +225,45 @@ def test_non_integer_k_or_position_is_out_of_range(name, bad):
     with pytest.raises(errors.PrunerankError) as raised:
         NON_INTEGER_CASES[name](bad)
     assert type(raised.value) is KOutOfRangeError
+
+
+# The entry points that take a keep ratio or a decay factor: anything but one
+# real number is out of its range. These once escaped as a TypeError or, for
+# an array of two ratios, numpy's bare ValueError; a numpy complex scalar
+# passed as its real part, with a ComplexWarning.
+NON_REAL_CASES = {
+    "as_keep_ratio": (as_keep_ratio, InvalidRatioError),
+    "keep_count": (lambda rho: keep_count(rho, 10), InvalidRatioError),
+    "prune_by_scores": (lambda rho: prune_by_scores([1.0, 2.0], rho), InvalidRatioError),
+    "prune_images": (lambda rho: prune_images([[1.0, 0.0]], [], rho), InvalidRatioError),
+    "geometric_target": (lambda gamma: geometric_target([0, 1], gamma), InvalidGammaError),
+}
+NON_REAL = [
+    "0.5", b"0.5", None, 0.5j, np.complex64(0.5), np.array(0.5 + 0j), np.array([0.5]), np.array([0.3, 0.5]), [0.5]
+]
+
+
+@pytest.mark.parametrize("bad", NON_REAL, ids=repr)
+@pytest.mark.parametrize("name", NON_REAL_CASES)
+def test_a_ratio_or_decay_factor_that_is_not_one_real_number_is_out_of_range(name, bad):
+    call, expected = NON_REAL_CASES[name]
+    with pytest.raises(errors.PrunerankError) as raised:
+        call(bad)
+    assert type(raised.value) is expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.5, 1, True, np.float32(0.5), np.int64(1), np.True_, np.array(0.25), Fraction(1, 3), Decimal("0.5"),
+        np.array(Fraction(1, 2), dtype=object),
+    ],
+    ids=repr,
+)
+def test_every_real_ratio_and_decay_factor_passes_as_its_float(value):
+    assert as_keep_ratio(value) == float(value)
+    if value != 1:
+        assert geometric_target([0, 1], value).gamma == float(value)
 
 
 # An integer count below 1 is empty input; a negative seed is out of range.

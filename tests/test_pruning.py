@@ -366,7 +366,7 @@ class TestKeepRule:
         order, ranks = _ranks(scores)
         stacked_order, stacked_ranks = _ranks(scores.reshape(n_rows, 1, n))
         assert np.array_equal(stacked_order[:, 0], order) and np.array_equal(stacked_ranks[:, 0], ranks)
-        in_top, gap = _top_k(scores, ks, np.full(n_rows, n), "scores")
+        in_top, gap = _top_k(scores, ks, np.full(n_rows, n))
         for row, k, row_order, row_ranks, mask, row_gap in zip(scores, ks, order, ranks, in_top, gap):
             for budget in range(1, n + 1):
                 want = lexsort_top_k(row, budget)
