@@ -305,8 +305,10 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
 
     The defaults are deep-copied, so a merged config never aliases DEFAULTS.
     Each checked override leaf is taken by reference, not copied: _load_config
-    parses the override fresh for every run and nothing mutates a merged
-    config, so a copy would only cost time (a 10 000-judgment list, say).
+    parses the override fresh for every run, so a copy would only cost time (a
+    10 000-judgment list, say). One leaf changes after the merge: the metrics
+    parse swaps each judgment's "ranked" list for the equal tuple its
+    QueryJudgment holds, so the run keeps one copy, and the digest is unmoved.
     """
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
@@ -452,20 +454,35 @@ def _parse_judgments(raw: list) -> dict:
         raise ConfigError(
             f"judgment {i} items must be strings or numbers, got {_capped(json.dumps(item))}"
         )
+    # Each entry's ranked list gives way to the tuple its judgment holds: one copy.
     judgments_by_subset: dict[str, list[QueryJudgment]] = {}
     for entry in raw:
-        judgment = QueryJudgment(frozenset(entry["relevant"]), tuple(entry["ranked"]))
+        entry["ranked"] = ranked = tuple(entry["ranked"])
+        judgment = QueryJudgment(frozenset(entry["relevant"]), ranked)
         judgments_by_subset.setdefault(entry.get("subset", "all"), []).append(judgment)
     return judgments_by_subset
 
 
+_DIGEST_ENTRIES = 256
+
+
 def _digest(value) -> str:
-    """"sha256:" and the hex sha256 of value's compact, key-sorted JSON."""
-    try:  # value comes from json.load, which makes no cycles: no cycle scan
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
+    """"sha256:" and the hex sha256 of value's compact, key-sorted JSON. A list
+    is encoded _DIGEST_ENTRIES entries at a time, since json's encoder holds
+    every piece of its output until it returns, several times the text."""
+    # value comes from json.load, which makes no cycles: no cycle scan
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False).encode
+    digest = hashlib.sha256()
+    try:
+        if isinstance(value, list):  # "[", the entries joined by ",", then "]"
+            for start in range(0, len(value), _DIGEST_ENTRIES):
+                digest.update((("," if start else "[") + encode(value[start : start + _DIGEST_ENTRIES])[1:-1]).encode())
+            digest.update(b"]" if value else b"[]")
+        else:
+            digest.update(encode(value).encode())
     except ValueError as exc:
         raise NonFiniteError(f"config holds a NaN or infinite value: {exc}") from exc
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    return "sha256:" + digest.hexdigest()
 
 
 def _cmd_metrics(cfg: dict, seed: int):
@@ -487,6 +504,7 @@ def _cmd_metrics(cfg: dict, seed: int):
         with _gc_paused():
             judgments_by_subset = _parse_judgments(cfg["judgments"])
         evaluation = evaluate_judgments(judgments_by_subset, k_values=cfg["k_values"])
+        del judgments_by_subset  # freed before the tables and the digest are built
         result["evaluation"] = evaluation
         subsets = sorted(evaluation["per_subset"])
         header = ["metric"] + subsets + ["micro", "macro"]

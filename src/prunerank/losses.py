@@ -168,13 +168,13 @@ def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     teacher_order[p] is the candidate index placed at position p (position 0
     being the teacher's most relevant pick).
     """
-    if not (_is_real(gamma) and 0.0 < gamma < 1.0):
+    # Both gamma and its float must lie in (0, 1): a value inside may round to 0.0 or 1.0.
+    if not (_is_real(gamma) and 0.0 < gamma < 1.0 and 0.0 < (decay := float(gamma)) < 1.0):
         raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma}")
-    gamma = float(gamma)
     order = validate_permutation(teacher_order)
     q = np.empty(order.size)
-    q[order] = _geometric_decay(gamma, order.size)
-    return SoftTarget._from_checked(q, gamma)
+    q[order] = _geometric_decay(decay, order.size)
+    return SoftTarget._from_checked(q, decay)
 
 
 def soft_rank_loss(s, target) -> LossValue:

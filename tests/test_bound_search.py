@@ -1,20 +1,29 @@
-"""Guided search for violations of the pruning-error bound.
+"""Guided search for violations of the pruning-error and tail-gap bounds.
 
 verify-bounds samples its trials, and its self-test at a weakened constant
 catches violations only through the planted antipodal family, so a bug that
-broke the bound off that family could go unseen. Here a deterministic numpy
-hill-climb, after targeted property-based testing (Löscher and Sagonas,
-ISSTA 2017), climbs error / (tail_mass * v_max) from random 3-token inputs in
-2 dimensions with token 0 removed, and plants no case. It scores every input
-through attention._pruning_error_rows, the row kernel the tally calls. Every
-input it visits must hold at ERROR_BOUND_CONSTANT, and each climb must find
-one that breaks the bound at the self-test's weakened constant 1.9.
+broke the bound off that family could go unseen. Here deterministic numpy
+hill-climbs, after targeted property-based testing (Löscher and Sagonas,
+ISSTA 2017), climb toward each bound's worst case from random starts and plant
+no case.
+
+The pruning-error climb raises error / (tail_mass * v_max) from random 3-token
+inputs in 2 dimensions with token 0 removed. It scores every input through
+attention._pruning_error_rows, the row kernel the tally calls. Every input it
+visits must hold at ERROR_BOUND_CONSTANT, and each climb must find one that
+breaks the bound at the self-test's weakened constant 1.9.
+
+The tail-gap climb raises epsilon / (r / (1 + r)), with r = ((n - k) / k) *
+exp(-delta) the stated bound, over short score rows, through
+attention._tail_gap_rows. The top k tied and the rest tied delta below them
+attain r / (1 + r), so every input it visits must hold at the stated bound and
+at the attained form, and each climb must come within 0.1% of the attained form.
 """
 
 import numpy as np
 import pytest
 
-from prunerank.attention import ERROR_BOUND_CONSTANT, _pruning_error_rows, softmax
+from prunerank.attention import ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
 
 WEAKENED_CONSTANT = 1.9
 STEPS = 400
@@ -64,3 +73,61 @@ def test_the_climb_holds_at_the_proven_constant_and_breaks_the_weakened_one(seed
     best, holds = climb(seed)
     assert holds[0].all()
     assert not holds[1].all(), f"the climb reached only {best} of the proven 2.0"
+
+
+# Every (n, k) with 1 <= k < n <= TAIL_WIDTH, one climb each; a row's scores
+# past its n are -inf padding.
+TAIL_WIDTH = 8
+TAIL_PAIRS = np.array([(n, k) for n in range(2, TAIL_WIDTH + 1) for k in range(1, n)])
+TAIL_STEPS = 200
+TAIL_MIN_STEP = 1e-3
+# Scores lie in [-2, 2], so delta <= 4 and the tail mass stays far above the
+# rounding of 1 - (the top k's mass).
+SCORE_RANGE = 2.0
+# The attained form may be exceeded by rounding alone, never by more.
+ROUNDING = 1e-9
+
+
+def tail_score(scores: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's epsilon / (r / (1 + r)) and its holds at the stated bound r,
+    from one kernel call over the (rows, TAIL_WIDTH) -inf-padded scores."""
+    padded = np.where(np.arange(TAIL_WIDTH) < n[:, None], scores, -np.inf)
+    epsilon, _, bound, holds = _tail_gap_rows(padded, k, n)
+    return epsilon / (bound / (1.0 + bound)), holds
+
+
+def tail_climb(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best ratio each (n, k) climb reaches, and the ratios and holds of
+    every input they visit. Each step scores one Gaussian move of each score
+    of the current row and takes the best if it climbs: moving every score at
+    once breaks the ties the worst case needs faster than it closes the gaps.
+    The step widens on a climb and narrows otherwise, down to TAIL_MIN_STEP."""
+    rng = np.random.default_rng(seed)
+    n, k = TAIL_PAIRS.T
+    rows, moves = len(TAIL_PAIRS), np.eye(TAIL_WIDTH)
+    scores = rng.uniform(-SCORE_RANGE, SCORE_RANGE, (rows, TAIL_WIDTH))
+    best, holds = tail_score(scores, n, k)
+    visited, visited_holds, step = [best], [holds], np.full(rows, 0.5)
+    for _ in range(TAIL_STEPS):
+        shifts = step[:, None, None] * rng.standard_normal((rows, TAIL_WIDTH, 1)) * moves
+        moved = np.clip(scores[:, None, :] + shifts, -SCORE_RANGE, SCORE_RANGE)
+        ratios, holds = tail_score(moved.reshape(-1, TAIL_WIDTH), n.repeat(TAIL_WIDTH), k.repeat(TAIL_WIDTH))
+        visited.append(ratios)
+        visited_holds.append(holds)
+        ratios = ratios.reshape(rows, TAIL_WIDTH)
+        i = ratios.argmax(axis=1)
+        top = ratios[np.arange(rows), i]
+        climbed = top > best
+        scores[climbed] = moved[np.arange(rows), i][climbed]
+        best = np.where(climbed, top, best)
+        step = np.where(climbed, step * 1.5, np.maximum(step * 0.8, TAIL_MIN_STEP))
+    return best, np.concatenate(visited), np.concatenate(visited_holds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_tail_gap_climb_holds_at_the_attained_form_and_reaches_it(seed):
+    best, ratios, holds = tail_climb(seed)
+    assert holds.all()
+    assert ratios.max() <= 1.0 + ROUNDING
+    # So every climb finds an input that breaks the attained form scaled by 0.99.
+    assert best.min() >= 0.999

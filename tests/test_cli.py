@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +19,8 @@ from prunerank import cli
 from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
 from prunerank.errors import ConfigError, PrunerankError
 from prunerank.experiments import TABLES
+
+from peak_memory import traced_peak
 
 VERIFY_CFG = {"trials": 300, "selftest_trials": 200, "selftest_constant": 1.9}
 SIMULATE_CFG = {
@@ -505,14 +506,12 @@ def test_trial_counts_are_bounded_in_merge_before_any_allocation(leaf):
     bound = _MAXIMUMS[leaf]
     _merge(DEFAULTS["verify-bounds"], {leaf: bound})  # the bound itself is allowed
     for value in (bound + 1, 2**63):
-        tracemalloc.start()
-        try:
+
+        def merge():
             with pytest.raises(ConfigError, match=f"must be <= {bound}"):
                 _merge(DEFAULTS["verify-bounds"], {leaf: value})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+
+        assert traced_peak(merge) < 64 * 1024
 
 
 @pytest.mark.parametrize("name", OVERSIZED_LEAVES)
@@ -1129,6 +1128,52 @@ class TestMetrics:
             for name, value in (("base", judgments), ("changed", changed))
         }
         assert len(digests) == 2
+
+    @pytest.mark.parametrize("n", [0, 1, cli._DIGEST_ENTRIES, cli._DIGEST_ENTRIES + 1, 3 * cli._DIGEST_ENTRIES - 1])
+    def test_a_list_digested_in_parts_is_the_digest_of_its_json(self, n):
+        value = [{"relevant": [i], "ranked": (i, "x", 0.5)} for i in range(n)]
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert cli._digest(value) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+    def test_each_judgment_shares_its_ranked_tuple_with_the_config(self):
+        """The parse swaps each entry's ranked list for the tuple its judgment
+        holds, so the command keeps one copy; the digest reads it as the list."""
+        raw = [
+            {"relevant": [0], "ranked": [0, 1]},
+            {"subset": "b", "relevant": ["x"], "ranked": ["x", 2.5, 7]},
+            {"relevant": [1], "ranked": [2, 1]},
+        ]
+        digest = cli._digest(raw)
+        by_subset = cli._parse_judgments(raw)
+        parsed = [*by_subset["all"][:1], *by_subset["b"], *by_subset["all"][1:]]
+        assert all(judgment.ranked is entry["ranked"] for judgment, entry in zip(parsed, raw, strict=True))
+        assert cli._digest(raw) == digest
+
+    def test_the_command_holds_each_judgment_once(self, tmp_path):
+        """On 5,000 judgments the command's traced peak stays within twice the
+        traced peak of loading its config alone (about 1.5 times here): the
+        config, each judgment's relevant set beside a ranked tuple it shares
+        with the config, and the digest's encoder a few hundred entries at a
+        time. A second copy of every ranked list, held until the whole config
+        was encoded at once, took it to about 2.5 times."""
+        rng = np.random.default_rng(0)
+        judgments = [
+            {
+                "subset": f"s{i % 10}",
+                "relevant": rng.choice(24, size=int(rng.integers(1, 4)), replace=False).tolist(),
+                "ranked": rng.permutation(24)[:20].tolist(),
+            }
+            for i in range(5000)
+        ]
+        cfg = write_config(tmp_path, "cfg.json", {"k_values": [1, 3, 5], "judgments": judgments})
+        load_peak = traced_peak(lambda: cli._load_config(cfg))
+        args = ["metrics", "--config", cfg, "--out", tmp_path / "o"]
+        assert run(args) == 0  # warms every import and cache first
+
+        def command():
+            assert run(args) == 0
+
+        assert traced_peak(command) < 2 * load_peak
 
 
 # The generative exit-code guard: 1-3 leaves of a command's defaults set to a

@@ -252,6 +252,46 @@ def test_a_ratio_or_decay_factor_that_is_not_one_real_number_is_out_of_range(nam
     assert type(raised.value) is expected
 
 
+# A real number inside the range whose float is not: a positive value that
+# rounds to 0.0 and, for a decay factor, a value below 1 that rounds to 1.0.
+# These once passed the check on the value and returned the float (0.0 kept one
+# token; 1.0 gave a uniform target).
+ROUNDS_TO_ZERO = {
+    "Fraction": Fraction(1, 10**400),
+    "Decimal": Decimal("1e-400"),
+    "longdouble": np.longdouble("1e-400"),
+}
+ROUNDS_TO_ONE = {
+    "Fraction": Fraction(10**20 - 1, 10**20),
+    "longdouble": np.longdouble(1) - np.longdouble(2) ** -60,
+}
+
+
+# Over one candidate, so that a gamma of 0.0 would not fail as an underflow.
+ROUNDS_OUT_CASES = {
+    **NON_REAL_CASES,
+    "geometric_target": (lambda gamma: geometric_target([0], gamma), InvalidGammaError),
+}
+
+
+@pytest.mark.parametrize("bad", ROUNDS_TO_ZERO.values(), ids=ROUNDS_TO_ZERO.keys())
+@pytest.mark.parametrize("name", ROUNDS_OUT_CASES)
+def test_a_ratio_or_decay_factor_whose_float_is_zero_is_out_of_range(name, bad):
+    call, expected = ROUNDS_OUT_CASES[name]
+    with pytest.raises(errors.PrunerankError) as raised:
+        call(bad)
+    assert type(raised.value) is expected
+
+
+@pytest.mark.parametrize("value", ROUNDS_TO_ONE.values(), ids=ROUNDS_TO_ONE.keys())
+def test_a_decay_factor_whose_float_is_one_is_out_of_range(value):
+    with pytest.raises(errors.PrunerankError) as raised:
+        geometric_target([0, 1, 2], value)
+    assert type(raised.value) is InvalidGammaError
+    # A keep ratio may be 1, so the same value passes as 1.0.
+    assert as_keep_ratio(value) == 1.0
+
+
 @pytest.mark.parametrize(
     "value",
     [

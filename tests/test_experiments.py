@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +22,7 @@ from prunerank.experiments import (
     write_report,
 )
 from prunerank.synthetic import SyntheticConfig
+from peak_memory import traced_peak
 from test_simulate_oracle import RAGGED
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -280,13 +280,11 @@ def test_default_simulate_traced_peak_stays_below_its_bound(tmp_path):
     """Chunked simulate's memory: the default run's tracemalloc peak, after a
     first run has warmed every import and cache, stays below 2.25 MiB."""
     assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
-    tracemalloc.start()
-    try:
+
+    def simulate():
         assert main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.25 * 2**20
+
+    assert traced_peak(simulate) < 2.25 * 2**20
 
 
 def test_the_random_baseline_seeds_each_chunk_as_it_is_scored(monkeypatch):
@@ -303,14 +301,7 @@ def test_the_random_baseline_seeds_each_chunk_as_it_is_scored(monkeypatch):
     per_chunk = 48 * 8 * experiments._stacked_floats(syn, syn.tokens_per_image[1])
     monkeypatch.setattr(experiments, "CHUNK_BYTES", per_chunk)
     run_pruning_comparison(syn, ratios, 48)
-    peaks = []
-    for n_instances in (200, 1000, 2000):
-        tracemalloc.start()
-        try:
-            run_pruning_comparison(syn, ratios, n_instances)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: run_pruning_comparison(syn, ratios, n)) for n in (200, 1000, 2000)]
     assert peaks[2] - peaks[0] < 2000 * len(ratios) * 8 / 2
     assert peaks[2] - peaks[1] - 8 * 1000 < 8 * 1024
 

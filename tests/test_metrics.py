@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from library_oracles import (
     precision_at_1,
     recall_at_k,
 )
+from peak_memory import traced_peak
 from prunerank.errors import (
     DegenerateConstantError,
     DimensionMismatchError,
@@ -548,13 +548,7 @@ class TestEvaluateJudgmentsAtBenchmarkScale:
         """A (judgments x k) array would hold 10**7 entries here."""
         rng = np.random.default_rng(5)
         js = {"short": benchmark_judgments(rng, 1000), "long": [judgment({3, 9_000}, range(10_000))]}
-        tracemalloc.start()
-        try:
-            evaluate_judgments(js, k_values=[10_000])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(lambda: evaluate_judgments(js, k_values=[10_000])) < 4 * 2**20
         self.assert_matches_reference(js, [10_000])
 
     def test_a_subset_where_nothing_relevant_is_ranked(self):

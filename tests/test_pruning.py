@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,7 @@ from prunerank.pruning import (
     topk_stability_check,
 )
 from library_oracles import lexsort_top_k, sequential_prune_images
+from peak_memory import traced_peak
 
 
 class TestMaxsimScores:
@@ -455,17 +456,29 @@ class TestPruneImagesKernel:
         H = rng.standard_normal((8, 512))
         images = [rng.standard_normal((256, 512)) for _ in range(4)]
         prune_images(H, images, 0.3)
-        tracemalloc.start()
-        try:
-            prune_images(H, images, 0.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < images[0].nbytes
+        assert traced_peak(lambda: prune_images(H, images, 0.3)) < images[0].nbytes
+
+    def test_an_image_of_another_dtype_is_copied_once_per_thread(self, monkeypatch):
+        """The pool keeps a float32 image as given and the calling thread
+        converts it again for its GEMM, so with 2 workers at most 3 float64
+        copies are alive, not one per image (8 here)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(24)
+        H = rng.standard_normal((8, 512))
+        images = [rng.standard_normal((256, 512)).astype(np.float32) for _ in range(8)]
+        prune_images(H, images, 0.3)
+        assert traced_peak(lambda: prune_images(H, images, 0.3)) < 3 * 2 * images[0].nbytes
 
 
 def laid_out(image, layout):
-    """image's values as a C-ordered, Fortran-ordered or strided array."""
+    """image's values as a C-ordered, Fortran-ordered or strided array, or
+    its values as float32 or rounded to int64 with no zero row."""
+    if layout == "float32":
+        return image.astype(np.float32)
+    if layout == "int64":
+        image = np.rint(8 * image).astype(np.int64)
+        image[~image.any(axis=1), 0] = 1
+        return image
     if layout == "fortran":
         return np.asfortranarray(image)
     if layout == "strided":
@@ -511,7 +524,9 @@ class TestPruneImagesPool:
     @given(
         st.integers(1, 5),
         st.lists(
-            st.tuples(st.integers(1, 40), st.sampled_from(["c", "fortran", "strided"]), st.booleans()),
+            st.tuples(
+                st.integers(1, 40), st.sampled_from(["c", "fortran", "strided", "float32", "int64"]), st.booleans()
+            ),
             max_size=5,
         ),
         st.integers(1, 8),

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from library_oracles import cosine_similarity
+from peak_memory import traced_peak
 from prunerank.cli import DEFAULTS, _merge
 from prunerank import synthetic
 from prunerank.errors import ConfigError, KOutOfRangeError
@@ -368,14 +368,12 @@ class TestRandomMasks:
     )
     def test_temporaries_stay_below_one_mib(self, n_tokens, budgets, streams):
         seeds = np.random.default_rng(5).integers(2**63, size=(streams, len(budgets)))
-        tracemalloc.start()
-        try:
+
+        def drain():
             for _ in _random_masks(seeds, n_tokens, budgets):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(drain) < 2**20
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6), st.integers(0, 40))
