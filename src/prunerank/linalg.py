@@ -86,10 +86,13 @@ def _as_index(value, name: str) -> int:
 
 def _is_real(value) -> bool:
     """The one real-number rule for a ratio or a decay factor: numbers.Real,
-    Decimal, or a numpy scalar or 0-d array whose item is one (bool included)."""
+    a Decimal that is not NaN, or a numpy scalar or 0-d array whose item is
+    one (bool included)."""
     # float first: an isinstance check against the numbers.Real ABC is slow on a float.
-    if isinstance(value, (float, numbers.Real, Decimal)):
+    if isinstance(value, (float, numbers.Real)):
         return True
+    if isinstance(value, Decimal):  # a Decimal NaN signals when compared
+        return not value.is_nan()
     return getattr(value, "ndim", None) == 0 and _is_real(value.item())
 
 

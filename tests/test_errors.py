@@ -239,7 +239,8 @@ NON_REAL_CASES = {
     "geometric_target": (lambda gamma: geometric_target([0, 1], gamma), InvalidGammaError),
 }
 NON_REAL = [
-    "0.5", b"0.5", None, 0.5j, np.complex64(0.5), np.array(0.5 + 0j), np.array([0.5]), np.array([0.3, 0.5]), [0.5]
+    "0.5", b"0.5", None, 0.5j, np.complex64(0.5), np.array(0.5 + 0j), np.array([0.5]), np.array([0.3, 0.5]), [0.5],
+    Decimal("NaN"), Decimal("sNaN"),
 ]
 
 
