@@ -227,24 +227,18 @@ def prune_images(H, images, rho: float) -> list[PruneResult]:
     """Prune every image independently against the same query rows H.
 
     H is checked and scaled to unit rows once, then rho is checked, before any
-    image is read. images is read once, in order. Every image's checks and row
-    norms run in a thread pool, one worker per CPU this process may use; then
-    each image's GEMM and keep rule run in the calling thread, in order, so
-    BLAS threads the GEMM as before. The results and errors are those of one
-    image at a time. H and each image must be 2-D. A float64 array is never
-    copied; one of another dtype is converted in the pool and again for its
-    GEMM, so each thread holds at most one float64 copy of it.
+    image is read. images is read once, in order, and each is held as float64
+    (copied only if it is not) until the call returns. Every image's checks
+    and row norms run in a thread pool, one worker per CPU this process may
+    use; then each image's GEMM and keep rule run in the calling thread, in
+    order, so BLAS threads the GEMM as before. The results and errors are
+    those of one image at a time. H and each image must be 2-D.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     query = unit_rows(H)
     as_keep_ratio(rho)
-
-    def checked(i, image):  # an array of another dtype is converted again, to the same floats
-        tokens, norms = _checked_tokens(query, image, f"images[{i}]")
-        return (image if isinstance(image, np.ndarray) and image.dtype != np.float64 else tokens), norms
-
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(workers) as pool:
-        pairs = list(pool.map(checked, count(), images))
-    return [prune_by_scores(_unit_cosines(query[0], np.asarray(v, np.float64), n).max(axis=0), rho) for v, n in pairs]
+        checked = list(pool.map(lambda i, image: _checked_tokens(query, image, f"images[{i}]"), count(), images))
+    return [prune_by_scores(_unit_cosines(query[0], *pair).max(axis=0), rho) for pair in checked]

@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -457,17 +456,6 @@ class TestPruneImagesKernel:
         images = [rng.standard_normal((256, 512)) for _ in range(4)]
         prune_images(H, images, 0.3)
         assert traced_peak(lambda: prune_images(H, images, 0.3)) < images[0].nbytes
-
-    def test_an_image_of_another_dtype_is_copied_once_per_thread(self, monkeypatch):
-        """The pool keeps a float32 image as given and the calling thread
-        converts it again for its GEMM, so with 2 workers at most 3 float64
-        copies are alive, not one per image (8 here)."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        rng = np.random.default_rng(24)
-        H = rng.standard_normal((8, 512))
-        images = [rng.standard_normal((256, 512)).astype(np.float32) for _ in range(8)]
-        prune_images(H, images, 0.3)
-        assert traced_peak(lambda: prune_images(H, images, 0.3)) < 3 * 2 * images[0].nbytes
 
 
 def laid_out(image, layout):
