@@ -16,7 +16,13 @@ pair: the value is one dot product and the gradient two bincount scatters.
 The pair positions and weights depend only on m and the normalized geometric
 decay only on gamma and m, so each comes from a small cache. The cached
 arrays are read-only, and a caller only ever receives fresh arrays computed
-from them.
+from them. Each loss computes in the array it returns or in one it already
+holds: the pair differences become the weighted pulls, the second scatter is
+subtracted from the first, and the soft-rank gradient is formed in its
+exponentials. Each dot product is the array's dot method: the same BLAS dot
+as @, without matmul's ufunc dispatch. Each float operation is the one a
+fresh-array form would make, in the same order, so every value and gradient
+is the same bit for bit.
 
 Each input is checked once. The public SoftTarget constructor checks its
 distribution and keeps a read-only copy, so the invariant holds for as long as
@@ -104,12 +110,17 @@ def weighted_ranknet_loss(s, ranks) -> LossValue:
     t = np.empty(m)
     t[positions] = logits  # t[a] is the logit of the item ranked a + 1
     a, b, w = _pairs(m)
-    diffs = t[b] - t[a]
+    diffs = t[b]
+    diffs -= t[a]
     softplus = np.logaddexp(0.0, diffs)
-    # sigmoid(d) = exp(d - softplus(d)), which never overflows.
-    pull = w * np.exp(diffs - softplus)
-    by_rank = np.bincount(b, pull, m) - np.bincount(a, pull, m)
-    return LossValue(value=float(w @ softplus), gradient=by_rank[positions])
+    value = float(w.dot(softplus))
+    # diffs becomes each pair's pull w * sigmoid(d) = w * exp(d - softplus(d)), which never overflows.
+    diffs -= softplus
+    np.exp(diffs, out=diffs)
+    diffs *= w
+    by_rank = np.bincount(b, diffs, m)
+    by_rank -= np.bincount(a, diffs, m)
+    return LossValue(value, by_rank[positions])
 
 
 def _check_distribution(arr: np.ndarray) -> None:
@@ -170,7 +181,7 @@ def geometric_target(teacher_order, gamma: float) -> SoftTarget:
     """
     # Both gamma and its float must lie in (0, 1): a value inside may round to 0.0 or 1.0.
     if not (_is_real(gamma) and 0.0 < gamma < 1.0 and 0.0 < (decay := float(gamma)) < 1.0):
-        raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma}")
+        raise InvalidGammaError(f"gamma must be in (0, 1), got {gamma!s}")
     order = validate_permutation(teacher_order)
     q = np.empty(order.size)
     q[order] = _geometric_decay(decay, order.size)
@@ -188,10 +199,13 @@ def soft_rank_loss(s, target) -> LossValue:
     if q.size != logits.size:
         raise DimensionMismatchError(f"{q.size} target entries for {logits.size} logits")
     shift = np.maximum.reduce(logits)
-    e = np.exp(logits - shift)
+    e = logits - shift
+    np.exp(e, out=e)
     total = np.add.reduce(e)
-    value = float(shift + np.log(total) - q @ logits)
-    return LossValue(value=value, gradient=e / total - q)
+    value = float(shift + np.log(total) - q.dot(logits))
+    e /= total
+    e -= q
+    return LossValue(value, e)
 
 
 def nll_loss(step_probs) -> float:

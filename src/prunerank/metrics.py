@@ -160,9 +160,10 @@ def evaluate_judgments(
     """
     if not judgments_by_subset:
         raise EmptySubsetError("need at least one subset")
-    if any(_as_index(k, "k") < 1 for k in k_values):
+    ks = [_as_index(k, "k") for k in k_values]
+    if any(k < 1 for k in ks):
         raise KOutOfRangeError(f"k must be >= 1, got {list(k_values)}")
-    if len(set(k_values)) < len(k_values):
+    if len(set(ks)) < len(ks):
         raise KOutOfRangeError(f"each k must be given once, got {list(k_values)}")
     subsets = {subset: list(judgments) for subset, judgments in judgments_by_subset.items()}
     for subset, judgments in subsets.items():
@@ -189,18 +190,18 @@ def evaluate_judgments(
 
     # DCG discounts by 0-based position, as far as any top-k reaches, and per
     # relevant-set size the ideal DCG at each k, summed in position order.
-    depth = min(max(k_values, default=0), max(len(j.ranked) for j in judgments))
+    depth = min(max(ks, default=0), max(len(j.ranked) for j in judgments))
     discount = np.array([1.0 / math.log2(p + 2) for p in range(depth)])
     sizes, size_of = np.unique(n_relevant, return_inverse=True)
     ideal = np.array(
         [
-            [sum(1.0 / math.log2(p + 1) for p in range(1, min(k, size) + 1)) for k in k_values]
+            [sum(1.0 / math.log2(p + 1) for p in range(1, min(k, size) + 1)) for k in ks]
             for size in sizes.tolist()
         ]
-    ).reshape(sizes.size, len(k_values))
+    ).reshape(sizes.size, len(ks))
     # Per metric, each judgment's value.
     columns: dict[str, np.ndarray] = {}
-    for i, k in enumerate(k_values):
+    for i, k in enumerate(ks):
         in_top = position < k
         top_owner = owner[in_top]
         found = np.bincount(top_owner, minlength=len(judgments))

@@ -43,7 +43,7 @@ def as_keep_ratio(rho) -> float:
     """rho as a float; the one check that a keep ratio is a real number in
     (0, 1] whose float is too (a positive value may round to 0.0)."""
     if not (_is_real(rho) and 0.0 < rho <= 1.0 and 0.0 < (ratio := float(rho))):
-        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho}")
+        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho!s}")
     return ratio
 
 

@@ -6,6 +6,10 @@ by their analytic gradients. Here each rule is written out for one item at a
 time, and the tests check the bulk results against them. assign_identifiers,
 the labels of test_scoring's CandidateList, lives here too: no package path
 labels candidates, and cli._merge holds the 26-image cap it once applied.
+allocating_ranknet_loss and allocating_soft_rank_loss are the two losses as
+they were before each computed in the array it returns: every operation in
+the same order, each into a fresh array, so the package must match them bit
+for bit.
 """
 
 import math
@@ -18,12 +22,13 @@ from prunerank.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyInputError,
+    InvalidPermutationError,
     KOutOfRangeError,
     PrunerankError,
     ZeroNormError,
 )
 from prunerank.linalg import ZERO_NORM_EPS, as_vector, unit_rows
-from prunerank.losses import LossValue
+from prunerank.losses import LossValue, SoftTarget, _as_distribution, _pairs
 from prunerank.metrics import (
     CATASTROPHIC_MISS,
     MODERATE_MISS,
@@ -32,7 +37,7 @@ from prunerank.metrics import (
     QueryJudgment,
 )
 from prunerank.pruning import _token_scores, prune_by_scores
-from prunerank.scoring import IDENTIFIER_ALPHABET
+from prunerank.scoring import IDENTIFIER_ALPHABET, validate_permutation
 
 
 # The errors only these references raise; prunerank.errors holds the ones the
@@ -82,6 +87,45 @@ def finite_difference_gradcheck(
         err = abs(float(analytic[i]) - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)
     return worst
+
+
+def allocating_ranknet_loss(s, ranks) -> LossValue:
+    """losses.weighted_ranknet_loss with a fresh array for each step."""
+    logits = as_vector(s, "logits")
+    m = logits.size
+    if m < 2:
+        raise EmptyInputError(f"need at least two candidates, got {m}")
+    r = np.asarray(ranks)
+    if r.ndim != 1 or r.size != m:
+        raise DimensionMismatchError(f"{r.size} ranks for {m} logits")
+    try:
+        positions = validate_permutation(r - 1)
+    except (TypeError, InvalidPermutationError) as exc:
+        raise InvalidPermutationError(
+            f"ranks must be a permutation of 1..{m}, got {r.tolist()}"
+        ) from exc
+
+    t = np.empty(m)
+    t[positions] = logits
+    a, b, w = _pairs(m)
+    diffs = t[b] - t[a]
+    softplus = np.logaddexp(0.0, diffs)
+    pull = w * np.exp(diffs - softplus)
+    by_rank = np.bincount(b, pull, m) - np.bincount(a, pull, m)
+    return LossValue(value=float(w @ softplus), gradient=by_rank[positions])
+
+
+def allocating_soft_rank_loss(s, target) -> LossValue:
+    """losses.soft_rank_loss with a fresh array for each step."""
+    logits = as_vector(s, "logits")
+    q = target.q if isinstance(target, SoftTarget) else _as_distribution(target)
+    if q.size != logits.size:
+        raise DimensionMismatchError(f"{q.size} target entries for {logits.size} logits")
+    shift = np.maximum.reduce(logits)
+    e = np.exp(logits - shift)
+    total = np.add.reduce(e)
+    value = float(shift + np.log(total) - q @ logits)
+    return LossValue(value=value, gradient=e / total - q)
 
 
 def recall_at_k(judgment: QueryJudgment, k: int) -> float:

@@ -253,6 +253,32 @@ def test_a_ratio_or_decay_factor_that_is_not_one_real_number_is_out_of_range(nam
     assert type(raised.value) is expected
 
 
+# A ratio or decay message shows the caller's value as str gives it; an
+# f-string formats a numpy scalar through float, so a longdouble once read 0.0.
+SHOWN_AS_STR = {
+    "float": (1.5, "1.5"),
+    "int": (2, "2"),
+    "Fraction": (Fraction(3, 2), "3/2"),
+    "Decimal": (Decimal("1.5"), "1.5"),
+    "float64": (np.float64(1.5), "1.5"),
+    "float32": (np.float32(-0.5), "-0.5"),
+    "longdouble": (np.longdouble("1e-400"), "1e-400"),
+    "str": ("0.5", "0.5"),
+    "None": (None, "None"),
+    "list": ([0.5], "[0.5]"),
+}
+
+
+@pytest.mark.parametrize("value,shown", SHOWN_AS_STR.values(), ids=SHOWN_AS_STR.keys())
+def test_a_ratio_or_decay_factor_out_of_range_is_shown_as_str_gives_it(value, shown):
+    with pytest.raises(InvalidRatioError) as ratio:
+        as_keep_ratio(value)
+    assert str(ratio.value) == f"keep ratio must be in (0, 1], got {shown}"
+    with pytest.raises(InvalidGammaError) as gamma:
+        geometric_target([0], value)
+    assert str(gamma.value) == f"gamma must be in (0, 1), got {shown}"
+
+
 # A real number inside the range whose float is not: a positive value that
 # rounds to 0.0 and, for a decay factor, a value below 1 that rounds to 1.0.
 # These once passed the check on the value and returned the float (0.0 kept one

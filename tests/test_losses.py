@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from library_oracles import finite_difference_gradcheck
+from library_oracles import allocating_ranknet_loss, allocating_soft_rank_loss, finite_difference_gradcheck
 from prunerank import losses, scoring
 from prunerank.errors import (
     DimensionMismatchError,
@@ -327,6 +327,45 @@ def test_per_list_sequence_checks_each_input_once(monkeypatch):
     losses.stage_loss(losses.nll_loss(rng.uniform(0.05, 1.0, m)), ranknet, 0.5)
     assert sorted(reranked) == list("ABCDEFGHIJKLMNOPQRST")
     assert counts == {"validate_permutation": 3, "_as_distribution": 0}
+
+
+@st.composite
+def listwise_cases(draw):
+    """Logits with ties and +-1e3 extremes, their ranks, a teacher order and a gamma."""
+    m = draw(st.integers(2, 26))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e3, -1.0, 0.0, 1.0, 1e3]))
+    s = draw(st.lists(value, min_size=m, max_size=m))
+    ranks = draw(st.permutations(range(1, m + 1)))
+    teacher = draw(st.permutations(range(m)))
+    return s, ranks, teacher, draw(st.floats(0.05, 0.95))
+
+
+def read_only(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
+@given(listwise_cases())
+@settings(max_examples=300, deadline=None)
+def test_each_loss_is_the_allocating_reference_bit_for_bit_in_a_fresh_gradient(case):
+    """Both losses compute in the array they return: every value and gradient
+    equals the allocating reference's exactly, read-only inputs are accepted,
+    and no gradient shares memory with an input, a cached table or the previous
+    call's gradient."""
+    s, ranks, teacher, gamma = case
+    logits, r = read_only(s), read_only(ranks)
+    target = geometric_target(teacher, gamma)
+    for loss, reference, arg in (
+        (weighted_ranknet_loss, allocating_ranknet_loss, r),
+        (soft_rank_loss, allocating_soft_rank_loss, target),
+    ):
+        want, first, second = reference(logits, arg), loss(logits, arg), loss(logits, arg)
+        for got in (first, second):
+            assert got.value == want.value
+            assert np.array_equal(got.gradient, want.gradient)
+        for held in (logits, r, target.q, *_pairs(logits.size), first.gradient):
+            assert not np.shares_memory(second.gradient, held)
 
 
 class TestSoftRankLoss:

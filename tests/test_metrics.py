@@ -538,6 +538,14 @@ class TestEvaluateJudgmentsAtBenchmarkScale:
         with pytest.raises(KOutOfRangeError, match="each k must be given once"):
             evaluate_judgments(js, k_values=[3, 3, 1])
 
+    def test_each_metric_is_named_by_its_integer_k(self):
+        # True is the integer 1 to the k rule; its name once read recall@True.
+        rng = np.random.default_rng(6)
+        js = {"a": benchmark_judgments(rng, 100)}
+        out = evaluate_judgments(js, k_values=[True, np.int64(3)])
+        assert out == evaluate_judgments(js, k_values=[1, 3])
+        assert [m for m in out["overall"] if m.startswith("recall@")] == ["recall@1", "recall@3"]
+
     def test_k_beyond_every_list(self):
         rng = np.random.default_rng(3)
         js = {name: benchmark_judgments(rng, 300, ragged=True) for name in ("a", "b", "c")}
