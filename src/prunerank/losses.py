@@ -17,12 +17,9 @@ The pair positions and weights depend only on m and the normalized geometric
 decay only on gamma and m, so each comes from a small cache. The cached
 arrays are read-only, and a caller only ever receives fresh arrays computed
 from them. Each loss computes in the array it returns or in one it already
-holds: the pair differences become the weighted pulls, the second scatter is
-subtracted from the first, and the soft-rank gradient is formed in its
-exponentials. Each dot product is the array's dot method: the same BLAS dot
-as @, without matmul's ufunc dispatch. Each float operation is the one a
-fresh-array form would make, in the same order, so every value and gradient
-is the same bit for bit.
+holds, and takes each dot product by the array's dot method (the BLAS dot of
+@ without matmul's ufunc dispatch): the same float operations in the same
+order as with fresh arrays, so every result is the same bit for bit.
 
 Each input is checked once. The public SoftTarget constructor checks its
 distribution and keeps a read-only copy, so the invariant holds for as long as

@@ -6,10 +6,10 @@ by their analytic gradients. Here each rule is written out for one item at a
 time, and the tests check the bulk results against them. assign_identifiers,
 the labels of test_scoring's CandidateList, lives here too: no package path
 labels candidates, and cli._merge holds the 26-image cap it once applied.
-allocating_ranknet_loss and allocating_soft_rank_loss are the two losses as
-they were before each computed in the array it returns: every operation in
-the same order, each into a fresh array, so the package must match them bit
-for bit.
+allocating_ranknet_loss and allocating_soft_rank_loss compute the two losses
+with a fresh array for each step; the package makes the same float
+operations in the same order in arrays it already holds, so it must match
+them bit for bit.
 """
 
 import math

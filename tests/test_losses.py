@@ -55,8 +55,8 @@ def ranknet_oracle(s, ranks):
 @st.composite
 def logits_and_ranks(draw):
     m = draw(st.integers(2, 26))
-    # A few shared values make tied logits common.
-    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1.0, 0.0, 1.0]))
+    # A few shared values make tied logits common; +-1e3 are the extremes.
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e3, -1.0, 0.0, 1.0, 1e3]))
     s = draw(st.lists(value, min_size=m, max_size=m))
     ranks = draw(st.permutations(range(1, m + 1)))
     return s, ranks
@@ -329,33 +329,16 @@ def test_per_list_sequence_checks_each_input_once(monkeypatch):
     assert counts == {"validate_permutation": 3, "_as_distribution": 0}
 
 
-@st.composite
-def listwise_cases(draw):
-    """Logits with ties and +-1e3 extremes, their ranks, a teacher order and a gamma."""
-    m = draw(st.integers(2, 26))
-    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e3, -1.0, 0.0, 1.0, 1e3]))
-    s = draw(st.lists(value, min_size=m, max_size=m))
-    ranks = draw(st.permutations(range(1, m + 1)))
-    teacher = draw(st.permutations(range(m)))
-    return s, ranks, teacher, draw(st.floats(0.05, 0.95))
-
-
-def read_only(values) -> np.ndarray:
-    arr = np.array(values)
-    arr.flags.writeable = False
-    return arr
-
-
-@given(listwise_cases())
+@given(logits_and_ranks(), st.floats(0.05, 0.95), st.data())
 @settings(max_examples=300, deadline=None)
-def test_each_loss_is_the_allocating_reference_bit_for_bit_in_a_fresh_gradient(case):
+def test_each_loss_is_the_allocating_reference_bit_for_bit_in_a_fresh_gradient(case, gamma, data):
     """Both losses compute in the array they return: every value and gradient
     equals the allocating reference's exactly, read-only inputs are accepted,
     and no gradient shares memory with an input, a cached table or the previous
     call's gradient."""
-    s, ranks, teacher, gamma = case
-    logits, r = read_only(s), read_only(ranks)
-    target = geometric_target(teacher, gamma)
+    logits, r = (np.array(values) for values in case)
+    logits.flags.writeable = r.flags.writeable = False
+    target = geometric_target(data.draw(st.permutations(range(r.size))), gamma)
     for loss, reference, arg in (
         (weighted_ranknet_loss, allocating_ranknet_loss, r),
         (soft_rank_loss, allocating_soft_rank_loss, target),
