@@ -13,8 +13,12 @@ Each bound check draws its trials once and scores each chunk of them with one
 call of its bound's row kernel (pruning._topk_stability_rows,
 attention._pruning_error_rows, attention._tail_gap_rows), the kernel the public
 per-trial checks call with one row; the verify-bounds self-test is scored in
-the pruning-error check's pass. Each simulate section draws a chunk's
-instances straight into arrays (synthetic._draw_chunk); a chunk's stacks
+the pruning-error check's pass. The tallies draw each scalar uniform with
+synthetic._uniform; the pruning-error tally normalizes a direction by
+math.sqrt of its dot product, np.linalg.norm's 1-D path, and sums the kept
+weights only when the first is below the zero-mass guard, bit for bit as the
+full sum decides. Each simulate section draws a chunk's instances straight
+into arrays (synthetic._draw_chunk); a chunk's stacks
 (tokens, queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB)
 unless one instance's do. A chunk splits into groups whose tokens stack to one
 shape (one group, the chunk's own token array, when every image has the same
@@ -55,7 +59,7 @@ from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
 from .pruning import _pool, _ranks, _token_scores, _topk_stability_rows, keep_count
-from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators, _random_masks
+from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators, _random_masks, _uniform
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -145,11 +149,11 @@ def _pruning_error_tally(
             if rng.random() < 0.2:
                 # Antipodal worst case: removed mass points one way, kept mass the
                 # other, which attains the bound with equality.
-                tail = float(rng.uniform(0.1, 0.5))
-                scale = float(rng.uniform(0.5, 2.0))
+                tail = _uniform(rng, 0.1, 0.5)
+                scale = _uniform(rng, 0.5, 2.0)
                 dim = int(rng.integers(1, 9))
                 direction = rng.standard_normal(dim)
-                direction /= np.linalg.norm(direction)
+                direction /= math.sqrt(direction.dot(direction))
                 values[t, 0, :dim] = scale * direction
                 values[t, 1, :dim] = -scale * direction
                 alpha[t, :2] = (tail, 1.0 - tail)
@@ -157,13 +161,12 @@ def _pruning_error_tally(
             else:
                 n_tokens = int(rng.integers(2, 65))
                 dim = int(rng.integers(1, 17))
-                weights = rng.dirichlet(np.full(n_tokens, float(rng.uniform(0.2, 2.0))))
-                values[t, :n_tokens, :dim] = rng.standard_normal((n_tokens, dim)) * float(
-                    rng.uniform(0.1, 3.0)
-                )
+                weights = rng.dirichlet(np.full(n_tokens, _uniform(rng, 0.2, 2.0)))
+                values[t, :n_tokens, :dim] = rng.standard_normal((n_tokens, dim)) * _uniform(rng, 0.1, 3.0)
                 size_kept = int(rng.integers(1, n_tokens + 1))
                 chosen = rng.choice(n_tokens, size=size_kept, replace=False)
-                if weights[chosen].sum() < 1e-9:
+                # A rounded sum of non-negative weights is never below one of its terms.
+                if weights[chosen[0]] < 1e-9 and weights[chosen].sum() < 1e-9:
                     chosen = np.append(chosen, int(np.argmax(weights)))
                 alpha[t, :n_tokens] = weights
                 kept[t, chosen] = True
@@ -190,14 +193,14 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
             n_scores = int(rng.integers(2, 129))
             draw = rng.random()
             if draw < 0.15:
-                scores[t, :n_scores] = float(rng.uniform(-3.0, 3.0))
+                scores[t, :n_scores] = _uniform(rng, -3.0, 3.0)
             elif draw < 0.3:
                 row = rng.normal(0.0, 1.0, size=n_scores)
                 boosted = int(rng.integers(1, n_scores))
-                row[:boosted] += float(rng.uniform(2.0, 6.0))
+                row[:boosted] += _uniform(rng, 2.0, 6.0)
                 scores[t, :n_scores] = row
             else:
-                scores[t, :n_scores] = rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n_scores)
+                scores[t, :n_scores] = rng.normal(0.0, _uniform(rng, 0.3, 3.0), size=n_scores)
             widths[t], ks[t] = n_scores, int(rng.integers(1, n_scores))
         *_, holds = _tail_gap_rows(scores, ks, widths)
         failures += int(np.count_nonzero(~holds))

@@ -13,7 +13,8 @@ _pcg64_seeding is SeedSequence's hash and PCG64's seeding, which NEP 19 keeps
 stable; _generators re-states a Generator to each seed for _draw_chunk.
 _random_masks replays numpy's choice (pruning._random_keep) with _floyd:
 Floyd's sampling over Lemire's bounded integers, which NEP 19 does not cover
-and only the tests' TestRandomMasks ties to numpy.
+and only the tests' TestRandomMasks ties to numpy. _uniform is numpy's scalar
+uniform() drawn from one rng.random(), for the bound tallies.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ def _draw_chunk(
     tokens[rows, offset + positions] = (queries[rows, sources] if query is None else queries[sources]) + noise
     lengths = counts.sum(axis=1) if all_images else counts[rows[:, 0], relevant]
     return _Chunk(queries, relevant, counts, lengths, tokens, positions)
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """float(rng.uniform(low, high)) bit for bit, value and stream, at one random()'s
+    cost: numpy's random_uniform returns low + range * next_double, range = high - low."""
+    return low + (high - low) * rng.random()
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.

@@ -1,12 +1,20 @@
-"""The bound checks written out for one trial at a time: the oracle for the row kernels.
+"""The bound checks written out for one trial at a time: the oracle for the row
+kernels; and the tallies' draws as numpy's own calls make them.
 
-Each function scores one trial with plain per-trial numpy: the 1-D weight
-rule, the exact and the pruned pooled outputs, a sort of the scores, Python
-sets of the top-k indices, chosen by library_oracles.lexsort_top_k. They share
-no code with attention._pruning_error_rows, attention._tail_gap_rows,
+Each check function scores one trial with plain per-trial numpy: the 1-D
+weight rule, the exact and the pruned pooled outputs, a sort of the scores,
+Python sets of the top-k indices, chosen by library_oracles.lexsort_top_k.
+They share no code with attention._pruning_error_rows, attention._tail_gap_rows,
 pruning._topk_stability_rows or the keep rule they rank by (pruning._ranks), so
 the tallies and the public one-row checks are compared against an independent
 reference.
+
+The four *_tally functions are the experiments tallies as they were before
+synthetic._uniform: every scalar uniform from rng.uniform, the antipodal
+direction normalized by np.linalg.norm, the zero-mass guard on the full sum.
+They call the same row kernels as the tallies, looked up in this module, so a
+test can replace each kernel here and in experiments with a recorder and
+compare every array the two sides pass it.
 """
 
 import math
@@ -17,8 +25,11 @@ import numpy as np
 from prunerank.attention import (
     ALL_MASS_EPS,
     BOUND_SLACK,
+    ERROR_BOUND_CONSTANT,
     PruneErrorReport,
     TailGapReport,
+    _pruning_error_rows,
+    _tail_gap_rows,
     softmax,
 )
 from prunerank.errors import (
@@ -29,7 +40,8 @@ from prunerank.errors import (
     KOutOfRangeError,
 )
 from prunerank.linalg import as_embedding, as_vector
-from prunerank.pruning import StabilityReport
+from prunerank.experiments import _chunk_sizes
+from prunerank.pruning import StabilityReport, _pool, _topk_stability_rows
 from library_oracles import lexsort_top_k
 
 
@@ -161,3 +173,135 @@ def topk_stability_check(max_sim, lse, k: int, n_query: int) -> StabilityReport:
     top_hard = set(lexsort_top_k(a, k).tolist())
     top_smooth = set(lexsort_top_k(g, k).tolist())
     return StabilityReport(gap=gap, guaranteed_stable=guaranteed, sets_equal=top_hard == top_smooth)
+
+
+def sandwich_tally(rng: np.random.Generator, trials: int) -> dict:
+    failures = 0
+    equality_checks = 0
+    for size in _chunk_sizes(trials):
+        # Zero padding satisfies every comparison below and is never constant.
+        hard = np.zeros((size, 256))
+        smooth = np.zeros((size, 256))
+        constant_cols = np.zeros((size, 256), dtype=bool)
+        log_nq = np.empty(size)
+        for t in range(size):
+            n_query = int(rng.integers(1, 33))
+            n_tokens = int(rng.integers(1, 257))
+            sims = rng.uniform(-1.0, 1.0, size=(n_query, n_tokens))
+            if rng.random() < 0.5:
+                n_const = int(rng.integers(1, n_tokens + 1))
+                cols = rng.choice(n_tokens, size=n_const, replace=False)
+                sims[:, cols] = rng.uniform(-1.0, 1.0, size=n_const)[None, :]
+                constant_cols[t, cols] = True
+            hard[t, :n_tokens], smooth[t, :n_tokens] = _pool(sims)
+            log_nq[t] = math.log(n_query)
+        ceiling = hard + log_nq[:, None]
+        ok = (hard <= smooth + BOUND_SLACK).all(axis=1)
+        ok &= (smooth <= ceiling + BOUND_SLACK).all(axis=1)
+        ok &= (~constant_cols | (np.abs(smooth - ceiling) <= BOUND_SLACK)).all(axis=1)
+        equality_checks += int(np.count_nonzero(constant_cols.any(axis=1)))
+        failures += int(np.count_nonzero(~ok))
+    return {"trials": trials, "failures": failures, "equality_checks": equality_checks}
+
+
+def stability_tally(rng: np.random.Generator, trials: int) -> dict:
+    failures = 0
+    premise_count = 0
+    for size in _chunk_sizes(trials):
+        # -inf padding: nothing past a trial's query rows, -inf (last) past its tokens.
+        sims = np.full((size, 6, 64), -np.inf)
+        widths = np.empty(size, dtype=np.int64)
+        ks = np.empty(size, dtype=np.int64)
+        log_nq = np.empty(size)
+        for t in range(size):
+            n_query = int(rng.integers(1, 7))
+            n_tokens = int(rng.integers(2, 65))
+            trial = sims[t, :n_query, :n_tokens]
+            if rng.random() < 0.5:
+                trial[:] = rng.uniform(-1.0, 1.0, size=(n_query, n_tokens))
+                k = int(rng.integers(1, n_tokens))
+            else:
+                # Planted margin: k high-similarity columns against a low block,
+                # so the gap premise actually fires on a healthy share of trials.
+                k = int(rng.integers(1, n_tokens))
+                trial[:] = rng.uniform(-1.0, -0.93, size=(n_query, n_tokens))
+                trial[:, :k] = rng.uniform(0.93, 1.0, size=(n_query, k))
+            widths[t], ks[t], log_nq[t] = n_tokens, k, math.log(n_query)
+        _, guaranteed, sets_equal = _topk_stability_rows(*_pool(sims), ks, widths, log_nq)
+        premise_count += int(np.count_nonzero(guaranteed))
+        failures += int(np.count_nonzero(guaranteed & ~sets_equal))
+    return {"trials": trials, "failures": failures, "premise_count": premise_count}
+
+
+def pruning_error_tally(
+    rng: np.random.Generator, trials: int, constant: float, selftest_trials: int = 0,
+    selftest_constant: float = ERROR_BOUND_CONSTANT,
+) -> dict:
+    """Bound failures at constant among the first `trials` trials and at
+    selftest_constant among the first `selftest_trials`, drawing the larger count once."""
+    failures = selftest_failures = start = 0
+    for size in _chunk_sizes(max(trials, selftest_trials)):
+        alpha = np.zeros((size, 64))
+        values = np.zeros((size, 64, 16))
+        kept = np.zeros((size, 64), dtype=bool)
+        for t in range(size):
+            if rng.random() < 0.2:
+                # Antipodal worst case: removed mass points one way, kept mass the
+                # other, which attains the bound with equality.
+                tail = float(rng.uniform(0.1, 0.5))
+                scale = float(rng.uniform(0.5, 2.0))
+                dim = int(rng.integers(1, 9))
+                direction = rng.standard_normal(dim)
+                direction /= np.linalg.norm(direction)
+                values[t, 0, :dim] = scale * direction
+                values[t, 1, :dim] = -scale * direction
+                alpha[t, :2] = (tail, 1.0 - tail)
+                kept[t, 1] = True
+            else:
+                n_tokens = int(rng.integers(2, 65))
+                dim = int(rng.integers(1, 17))
+                weights = rng.dirichlet(np.full(n_tokens, float(rng.uniform(0.2, 2.0))))
+                values[t, :n_tokens, :dim] = rng.standard_normal((n_tokens, dim)) * float(
+                    rng.uniform(0.1, 3.0)
+                )
+                size_kept = int(rng.integers(1, n_tokens + 1))
+                chosen = rng.choice(n_tokens, size=size_kept, replace=False)
+                if weights[chosen].sum() < 1e-9:
+                    chosen = np.append(chosen, int(np.argmax(weights)))
+                alpha[t, :n_tokens] = weights
+                kept[t, chosen] = True
+        *_, holds = _pruning_error_rows(alpha, values, kept, (constant, selftest_constant))
+        main, selftest = max(trials - start, 0), max(selftest_trials - start, 0)
+        failures += int(np.count_nonzero(~holds[0, :main]))
+        selftest_failures += int(np.count_nonzero(~holds[1, :selftest]))
+        start += size
+    return {
+        "trials": trials,
+        "failures": failures,
+        "constant": constant,
+        "selftest_failures": selftest_failures,
+    }
+
+
+def tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
+    failures = 0
+    for size in _chunk_sizes(trials):
+        scores = np.full((size, 128), -np.inf)
+        widths = np.empty(size, dtype=np.int64)
+        ks = np.empty(size, dtype=np.int64)
+        for t in range(size):
+            n_scores = int(rng.integers(2, 129))
+            draw = rng.random()
+            if draw < 0.15:
+                scores[t, :n_scores] = float(rng.uniform(-3.0, 3.0))
+            elif draw < 0.3:
+                row = rng.normal(0.0, 1.0, size=n_scores)
+                boosted = int(rng.integers(1, n_scores))
+                row[:boosted] += float(rng.uniform(2.0, 6.0))
+                scores[t, :n_scores] = row
+            else:
+                scores[t, :n_scores] = rng.normal(0.0, float(rng.uniform(0.3, 3.0)), size=n_scores)
+            widths[t], ks[t] = n_scores, int(rng.integers(1, n_scores))
+        *_, holds = _tail_gap_rows(scores, ks, widths)
+        failures += int(np.count_nonzero(~holds))
+    return {"trials": trials, "failures": failures}

@@ -1,4 +1,4 @@
-"""Guided search for violations of the pruning-error and tail-gap bounds.
+"""Guided search for violations of the four bounds verify-bounds samples.
 
 verify-bounds samples its trials, and its self-test at a weakened constant
 catches violations only through the planted antipodal family, so a bug that
@@ -18,12 +18,28 @@ exp(-delta) the stated bound, over short score rows, through
 attention._tail_gap_rows. The top k tied and the rest tied delta below them
 attain r / (1 + r), so every input it visits must hold at the stated bound and
 at the attained form, and each climb must come within 0.1% of the attained form.
+
+The sandwich climbs move (smooth - hard) / log(n_query) of every column of a
+random similarity matrix down toward 0 and up toward 1, through pruning._pool:
+one dominant row attains the lower side, a constant column the upper. Every
+input they visit must hold both sides as the sandwich tally checks them, the
+downward climbs must close the lower slack, and the upward ones must break the
+upper side with log(n_query) scaled by 0.999.
+
+The stability climbs raise gap / log(n_query) over inputs whose hard and
+smooth top-k sets differ, through pruning._topk_stability_rows. The premise
+gap > log(n_query) proves the sets equal, so no input they visit may meet it
+with sets that differ, and each seed's climbs must find such an input once
+log(n_query) is scaled by 0.999.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from prunerank.attention import ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
+from prunerank.attention import BOUND_SLACK, ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
+from prunerank.pruning import _pool, _topk_stability_rows
 
 WEAKENED_CONSTANT = 1.9
 STEPS = 400
@@ -131,3 +147,130 @@ def test_the_tail_gap_climb_holds_at_the_attained_form_and_reaches_it(seed):
     assert ratios.max() <= 1.0 + ROUNDING
     # So every climb finds an input that breaks the attained form scaled by 0.99.
     assert best.min() >= 0.999
+
+
+# log(n_query) scaled by this is a premise constant too weak for the climbs.
+MUTATED_LOG = 0.999
+SANDWICH_QUERIES = (2, 3, 5, 8)
+SANDWICH_COLUMNS = 8
+SANDWICH_STEPS = 250
+CLIMB_MIN_STEP = 1e-4
+# Wide enough that one row can dominate a column: exp(-60) vanishes beside 1.
+SIM_RANGE = 30.0
+
+
+def sandwich_climb(seed: int, n_query: int, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's best sign * (smooth - hard) / log(n_query), and the hard
+    and smooth scores of every input visited. Each column of an (n_query,
+    SANDWICH_COLUMNS) matrix is its own climb; a step scores one Gaussian move
+    of each of its entries, all columns in one _pool call, and takes the best
+    if it climbs. The step widens on a climb and narrows otherwise."""
+    rng = np.random.default_rng(seed)
+    log_nq, columns = math.log(n_query), np.arange(SANDWICH_COLUMNS)
+    sims = rng.uniform(-1.0, 1.0, (n_query, SANDWICH_COLUMNS))
+    hard, smooth = _pool(sims)
+    best, visited, step = sign * (smooth - hard) / log_nq, [(hard, smooth)], np.full(SANDWICH_COLUMNS, 0.5)
+    moves = np.eye(n_query)[:, :, None]
+    for _ in range(SANDWICH_STEPS):
+        shifts = step * rng.standard_normal((n_query, 1, SANDWICH_COLUMNS)) * moves
+        moved = np.clip(sims + shifts, -SIM_RANGE, SIM_RANGE)
+        hard, smooth = _pool(moved)
+        visited.append((hard, smooth))
+        ratios = sign * (smooth - hard) / log_nq
+        i = ratios.argmax(axis=0)
+        top = ratios[i, columns]
+        climbed = top > best
+        sims[:, climbed] = moved[i, :, columns].T[:, climbed]
+        best = np.where(climbed, top, best)
+        step = np.where(climbed, step * 1.5, np.maximum(step * 0.8, CLIMB_MIN_STEP))
+    hard, smooth = (np.concatenate([np.atleast_2d(pair[side]) for pair in visited]) for side in (0, 1))
+    return best, hard, smooth
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_sandwich_climbs_hold_both_sides_and_reach_each(seed):
+    for n_query in SANDWICH_QUERIES:
+        log_nq = math.log(n_query)
+        for sign in (-1, 1):
+            best, hard, smooth = sandwich_climb(seed, n_query, sign)
+            assert (hard <= smooth + BOUND_SLACK).all()
+            assert (smooth <= hard + log_nq + BOUND_SLACK).all()
+            if sign < 0:
+                assert (-best * log_nq <= BOUND_SLACK).all()
+            else:
+                # Every column breaks the upper side at the mutated constant.
+                assert (best * log_nq > MUTATED_LOG * log_nq + BOUND_SLACK).all(), best.min()
+
+
+# (n_query, n_tokens, k) of each stability climb, -inf-padded to one stack.
+STABILITY_CASES = np.array([(q, n, k) for q in (2, 3, 5) for n in (2, 3, 4) for k in range(1, n)])
+STABILITY_SHAPE = (5, 4)
+STABILITY_STEPS = 400
+# Weight of the boundary pair's pooling excesses beside the gap: it leads a
+# climb through inputs where the gap alone cannot rise without making the
+# sets equal.
+EXCESS_WEIGHT = 0.01
+
+
+def stability_score(sims, q, n, k):
+    """Each input's climb objective, gap / log(n_query), and the verdict rows
+    guaranteed and sets_equal, from one _pool and one _topk_stability_rows call
+    over the -inf-padded stack. The objective is gap / log(n_query) plus
+    EXCESS_WEIGHT times how much more the (k+1)-th hard-max token's smooth
+    score exceeds its hard one than the k-th's does, and -inf where the sets
+    are equal."""
+    rows, cols = STABILITY_SHAPE
+    real = (np.arange(rows)[:, None] < q[:, None, None]) & (np.arange(cols) < n[:, None, None])
+    hard, smooth = _pool(np.where(real, sims, -np.inf))
+    log_nq = np.log(q)
+    gap, guaranteed, sets_equal = _topk_stability_rows(hard, smooth, k, n, log_nq)
+    order, index = np.argsort(-hard, axis=1, kind="stable"), np.arange(len(k))
+    inner, outer = order[index, k - 1], order[index, k]
+    excess = smooth[index, outer] - hard[index, outer] - (smooth[index, inner] - hard[index, inner])
+    ratio = gap / log_nq
+    return np.where(sets_equal, -np.inf, ratio + EXCESS_WEIGHT * excess / log_nq), ratio, guaranteed, sets_equal
+
+
+def stability_climb(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each case's best gap / log(n_query) over inputs with differing sets, and
+    the ratio, guaranteed and sets_equal rows of every input visited. Each
+    case starts from uniform draws in [-1, 1], redrawn until its sets differ,
+    and a step scores one Gaussian move of each entry of every case's input in
+    one kernel call, taking the best if it climbs."""
+    rng = np.random.default_rng(seed)
+    q, n, k = STABILITY_CASES.T
+    cases, shape = len(STABILITY_CASES), STABILITY_SHAPE
+    sims = np.empty((cases, *shape))
+    redraw = np.ones(cases, dtype=bool)
+    while redraw.any():
+        sims[redraw] = rng.uniform(-1.0, 1.0, (int(redraw.sum()), *shape))
+        redraw = stability_score(sims, q, n, k)[3]
+    best, *rows = stability_score(sims, q, n, k)
+    visited, step = [rows], np.full(cases, 0.5)
+    proposals = shape[0] * shape[1]
+    moves = np.eye(proposals).reshape(proposals, *shape)
+    for _ in range(STABILITY_STEPS):
+        shifts = step[:, None, None, None] * rng.standard_normal((cases, proposals, 1, 1)) * moves
+        moved = np.clip(sims[:, None] + shifts, -SIM_RANGE, SIM_RANGE)
+        objective, *rows = stability_score(
+            moved.reshape(-1, *shape), q.repeat(proposals), n.repeat(proposals), k.repeat(proposals)
+        )
+        visited.append(rows)
+        objective = objective.reshape(cases, proposals)
+        i = objective.argmax(axis=1)
+        top = objective[np.arange(cases), i]
+        climbed = top > best
+        sims[climbed] = moved[np.arange(cases), i][climbed]
+        best = np.where(climbed, top, best)
+        step = np.where(climbed, step * 1.5, np.maximum(step * 0.8, CLIMB_MIN_STEP))
+    reached = stability_score(sims, q, n, k)[1]
+    return (reached, *(np.concatenate(column) for column in zip(*visited)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_stability_climb_never_meets_the_premise_with_differing_sets(seed):
+    reached, ratios, guaranteed, sets_equal = stability_climb(seed)
+    assert not (guaranteed & ~sets_equal).any()
+    assert reached.min() >= 0.99
+    # With log(n_query) scaled by 0.999 the premise is met by differing sets.
+    assert ((ratios > MUTATED_LOG) & ~sets_equal).any()
