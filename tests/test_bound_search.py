@@ -169,7 +169,7 @@ def sandwich_climb(seed: int, n_query: int, sign: int) -> tuple[np.ndarray, np.n
     log_nq, columns = math.log(n_query), np.arange(SANDWICH_COLUMNS)
     sims = rng.uniform(-1.0, 1.0, (n_query, SANDWICH_COLUMNS))
     hard, smooth = _pool(sims)
-    best, visited, step = sign * (smooth - hard) / log_nq, [(hard, smooth)], np.full(SANDWICH_COLUMNS, 0.5)
+    best, visited, step = sign * (smooth - hard) / log_nq, [(hard[None], smooth[None])], np.full(SANDWICH_COLUMNS, 0.5)
     moves = np.eye(n_query)[:, :, None]
     for _ in range(SANDWICH_STEPS):
         shifts = step * rng.standard_normal((n_query, 1, SANDWICH_COLUMNS)) * moves
@@ -183,7 +183,7 @@ def sandwich_climb(seed: int, n_query: int, sign: int) -> tuple[np.ndarray, np.n
         sims[:, climbed] = moved[i, :, columns].T[:, climbed]
         best = np.where(climbed, top, best)
         step = np.where(climbed, step * 1.5, np.maximum(step * 0.8, CLIMB_MIN_STEP))
-    hard, smooth = (np.concatenate([np.atleast_2d(pair[side]) for pair in visited]) for side in (0, 1))
+    hard, smooth = (np.concatenate(side) for side in zip(*visited))
     return best, hard, smooth
 
 
