@@ -77,9 +77,11 @@ def _pruning_error_rows(alpha, values, kept, constants) -> tuple[np.ndarray, ...
     antipodal case attains it.
     """
     weights = _weight_rows(alpha)
+    # The bound assumes weights that sum to 1 exactly; _weight_rows admits sums within 1e-9 of 1.
+    weights /= weights.sum(axis=1, keepdims=True)
     if not kept.any(axis=1).all():
         raise EmptyInputError("kept index set must be nonempty")
-    tail_mass = np.clip(np.where(kept, 0.0, weights).sum(axis=1), 0.0, None)
+    tail_mass = np.where(kept, 0.0, weights).sum(axis=1)
     bad = np.flatnonzero(tail_mass >= 1.0 - ALL_MASS_EPS)
     if bad.size:
         raise AllMassPrunedError(f"kept mass {1.0 - tail_mass[bad[0]]:.3e} is too small to renormalize")

@@ -173,14 +173,10 @@ class TestPruningErrorBound:
         assert report.error_norm == pytest.approx(report.bound, abs=1e-12)
         assert report.holds
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 13: the weights may sum to 1 + 9e-10, and 2 * tail * v_max "
-        "assumes they sum to 1; BOUND_SLACK is absolute, so at v_max 1000 it cannot cover that",
-    )
     def test_holds_on_valid_weights_that_sum_just_above_one(self):
-        # Accepted as weights (|sum - 1| <= 1e-9), and the bound fails:
-        # error 1000.0000009 against 2 * 0.5 * 1000.
+        # Accepted as weights (|sum - 1| <= 1e-9). Unless the weights are divided
+        # by their sum, the error 1000.0000009 exceeds the bound 2 * 0.5 * 1000,
+        # and the absolute BOUND_SLACK cannot cover that at v_max 1000.
         report = check_pruning_error_bound([0.5, 0.5 + 9e-10], [[1000.0], [-1000.0]], [1])
         assert report.holds
 
