@@ -47,14 +47,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .attention import BOUND_SLACK, ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
-from .cost_model import (
-    ArchParams,
-    WorkloadSpec,
-    f_base,
-    f_zip,
-    longcontext_prefill_ratio,
-    speedup,
-)
+from .cost_model import ArchParams, WorkloadSpec, cost_report
 from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
@@ -471,25 +464,16 @@ def run_cost_sweep(
     """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes.
 
     Each row is the workload with k candidates of tokens_per_candidate tokens
-    each at keep ratio rho, its other fields unchanged.
+    each at keep ratio rho, its other fields unchanged: cost_report of that
+    spec, its regime estimates replaced by the long-context prefill ratio.
     """
     rows = []
     for k in k_values:
         for rho in map(float, rho_values):
             row = dataclasses.replace(workload, rho=rho, image_sizes=((tokens_per_candidate, k),))
-            rows.append(
-                {
-                    "k": k,
-                    "rho": rho,
-                    "n_full": row.n_full,
-                    "n_rho": row.n_rho,
-                    "u_base": row.u_base,
-                    "f_base": f_base(row, arch),
-                    "f_zip": f_zip(row, arch),
-                    "speedup": speedup(row, arch),
-                    "prefill_ratio": longcontext_prefill_ratio(row),
-                }
-            )
+            cost = cost_report(row, arch)
+            regimes = cost.pop("regime_estimates")
+            rows.append({"k": k, "rho": rho, **cost, "prefill_ratio": regimes["longcontext_prefill_ratio"]})
     return {"rows": rows}
 
 
