@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConfigError
-from .pruning import keep_count, round_half_away_from_zero
+from .pruning import _round_product, keep_count
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class WorkloadSpec:
 
     @property
     def u_base(self) -> int:
-        """Baseline generated tokens: ranking output (~beta*k) plus reasoning."""
-        return round_half_away_from_zero(self.beta * self.k) + self.u_reason
+        """Baseline generated tokens: ranking output (~beta*k, keep_count's rounding) plus reasoning."""
+        return _round_product(float(self.beta), self.k) + self.u_reason
 
     @cached_property
     def n_rho(self) -> float:

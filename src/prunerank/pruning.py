@@ -32,13 +32,6 @@ from .linalg import _as_index, _as_matrix, _as_seed, _checked_tokens, _is_real, 
 from .linalg import as_vector, cosine_to_unit, unit_rows
 
 
-def round_half_away_from_zero(x: float) -> int:
-    """round() with .5 ties moving away from zero (builtin round is half-even)."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
-
-
 def as_keep_ratio(rho) -> float:
     """rho as a float; the one check that a keep ratio is a real number in
     (0, 1] whose float is too (a positive value may round to 0.0)."""
@@ -98,22 +91,27 @@ def _as_count(value, name: str) -> int:
     return count
 
 
+def _round_product(value: float, count: int) -> int:
+    """The one rounding rule for value * count, value >= 0: half away from zero
+    on the decimal value of value as typed (its shortest repr). Only a product
+    within 1e-9 (relative, above 1) of a .5 boundary takes the exact Fraction
+    path, and every product above 5e8 does, so a large product rounds exactly.
+    """
+    product = value * count
+    if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
+        return math.floor(Fraction(repr(value)) * count + Fraction(1, 2))
+    return math.floor(product + 0.5)
+
+
 def keep_count(rho: float, n_tokens: int) -> int:
     """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens.
 
-    The rounding is half away from zero on the decimal value of rho as typed
-    (its shortest repr), so keep_count(0.009, 1500) is 14 although the float
-    product is 13.4999.... Only a product within 1e-9 (relative, above 1) of a
-    .5 boundary takes the exact Fraction path.
+    The rounding is _round_product's, so keep_count(0.009, 1500) is 14 although
+    the float product is 13.4999....
     """
     rho = as_keep_ratio(rho)
     n_tokens = _as_count(n_tokens, "n_tokens")
-    product = rho * n_tokens
-    if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
-        rounded = math.floor(Fraction(repr(rho)) * n_tokens + Fraction(1, 2))
-    else:
-        rounded = round_half_away_from_zero(product)
-    return min(n_tokens, max(1, rounded))
+    return min(n_tokens, max(1, _round_product(rho, n_tokens)))
 
 
 def select_topk_preserve_order(scores, k: int) -> np.ndarray:

@@ -1009,6 +1009,14 @@ class TestCostModel:
         # rho 0.5 keeps exactly half of each image's 1024 tokens.
         assert row["n_rho"] == float(n_text + tokens // 2 * k)
 
+    def test_u_base_is_the_exact_integer(self, tmp_path):
+        # The float product 3.0 * (2**62 + 1) is 3 * 2**62.
+        workload = {"beta": 3, "image_sizes": [[1, 2**62 + 1]]}
+        cfg = write_config(tmp_path, "cfg.json", {"workload": workload, "sweep": {"enabled": False}})
+        assert run(["cost-model", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["cost"]["u_base"] == 3 * (2**62 + 1) == 13835058055282163715
+
     def test_integral_rho_reports_the_cost_of_its_float(self, tmp_path):
         costs = []
         for rho in (1, 1.0):

@@ -195,6 +195,17 @@ class TestFBase:
     def test_u_base_rounds_half_away_from_zero(self):
         assert workload(beta=0.5, image_sizes=((10, 7),)).u_base == 4  # round(3.5) -> 4
 
+    @pytest.mark.parametrize(
+        "beta,k,expected",
+        [
+            (3, 2**62 + 1, 3 * (2**62 + 1)),  # exact, where the float product is 3 * 2**62
+            (0.7, 45, 32),  # the decimal 31.5, where the float product is 31.499999999999996
+            (0.49999999999999994, 1, 0),  # below .5, where the float sum with 0.5 is 1.0
+        ],
+    )
+    def test_u_base_rounds_the_decimal_product(self, beta, k, expected):
+        assert workload(beta=beta, image_sizes=((1, k),)).u_base == expected
+
 
 class TestFZip:
     def test_no_pruning_no_score_cost(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from prunerank import experiments, pruning, synthetic
 from prunerank.cli import DEFAULTS, _merge, _section_seeds, main
-from prunerank.cost_model import ArchParams, WorkloadSpec
+from prunerank.cost_model import ArchParams, WorkloadSpec, cost_report
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
     CHUNK_BYTES,
@@ -427,6 +428,22 @@ class TestCostSweep:
             arch, sweep_workload(n_text=16, n_query=4, beta=1.0), 64, [1.0], [10, 20]
         )
         assert all(row["speedup"] >= 1.0 for row in sweep["rows"])
+
+    def test_each_row_is_the_cost_report_of_its_spec(self):
+        arch = ArchParams(layers=3, width=16, c_att=2.0, c_score=0.5)
+        workload = WorkloadSpec(
+            n_text=7, image_sizes=((1, 1),), n_query=3, beta=0.7, u_reason=2, rho=1.0
+        )
+        sweep = run_cost_sweep(arch, workload, 45, [0.1, 0.3, 1.0], [1, 45])
+        assert len(sweep["rows"]) == 6
+        for row in sweep["rows"]:
+            spec = dataclasses.replace(workload, rho=row["rho"], image_sizes=((45, row["k"]),))
+            cost = cost_report(spec, arch)
+            regimes = cost.pop("regime_estimates")
+            assert row.keys() == {"k", "rho", "prefill_ratio", *cost}
+            for key, value in cost.items():
+                assert row[key] == value, key
+            assert row["prefill_ratio"] == regimes["longcontext_prefill_ratio"]
 
     def test_longcontext_prefill_ratio_column(self):
         arch = ArchParams(layers=1, width=1, c_ffn=0.0, c_dec=0.0, c_score=0.0)

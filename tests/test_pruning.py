@@ -18,8 +18,10 @@ from prunerank.errors import (
 from prunerank import linalg, pruning
 from prunerank.errors import PrunerankError
 from prunerank.linalg import similarity_matrix
+from prunerank.cost_model import WorkloadSpec
 from prunerank.pruning import (
     _ranks,
+    _round_product,
     _top_k,
     keep_count,
     lse_scores,
@@ -27,7 +29,6 @@ from prunerank.pruning import (
     prune_by_scores,
     prune_images,
     random_prune,
-    round_half_away_from_zero,
     select_topk_preserve_order,
     topk_stability_check,
 )
@@ -116,10 +117,19 @@ class TestKeepCount:
         assert keep_count(rho, n) == expected
 
     def test_half_ties_round_away_from_zero(self):
-        # round(3.5) -> 4, unlike banker's rounding.
-        assert round_half_away_from_zero(3.5) == 4
-        assert round_half_away_from_zero(2.5) == 3
-        assert round_half_away_from_zero(-2.5) == -3
+        # round(3.5) -> 4, unlike banker's rounding, in the keep count and in u_base.
+        assert keep_count(0.5, 7) == 4
+        assert keep_count(0.5, 5) == 3
+        spec = dict(n_text=0, n_query=1, beta=0.5, u_reason=0, rho=1.0)
+        assert WorkloadSpec(image_sizes=((1, 7),), **spec).u_base == 4
+        assert WorkloadSpec(image_sizes=((1, 5),), **spec).u_base == 3
+
+    @given(st.integers(0, 10**10), st.integers(1, 2**63))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_round_product_matches_the_exact_decimal_rule(self, tenthousandths, n):
+        # Every decimal with up to 4 places up to beta's bound of 10**6, as typed.
+        value = tenthousandths / 10**4
+        assert _round_product(value, n) == math.floor(Fraction(repr(value)) * n + Fraction(1, 2))
 
     @pytest.mark.parametrize("rho", [0.0, -0.1, 1.2])
     def test_invalid_ratio(self, rho):
