@@ -206,12 +206,15 @@ def similarity_matrix(H, V) -> np.ndarray:
 
 
 def embedding_from_json(obj: dict) -> np.ndarray:
-    """Parse the shared {rows, dim, data} JSON object into a matrix."""
+    """Parse the shared {rows, dim, data} JSON object into a matrix. As in the
+    config leaf rules, rows and dim must be JSON integers and data's entries
+    JSON numbers: 2.0, "2" and true are refused, not converted."""
     try:
-        rows = int(obj["rows"])
-        dim = int(obj["dim"])
-        flat = np.asarray(obj["data"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, dim, data = obj["rows"], obj["dim"], obj["data"]
+        if type(rows) is not int or type(dim) is not int or any(type(x) not in (int, float) for x in data):
+            raise TypeError("rows, dim or a data entry has the wrong JSON type")
+        flat = np.asarray(data, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(
             "embedding JSON must be an object with integer rows and dim and a list of numbers as data"
         ) from exc

@@ -161,8 +161,10 @@ class TestSimulate:
         [
             {"rows": 2, "dim": 2, "data": [1, 2, 3]},
             {"rows": 1, "dim": 2, "data": [1.0, float("nan")]},
+            {"rows": 2.7, "dim": 2, "data": [1, 2, 3, 4]},
+            {"rows": 1, "dim": 1, "data": [10**400]},
         ],
-        ids=["wrong-length", "nan"],
+        ids=["wrong-length", "nan", "fractional-rows", "int-past-float-range"],
     )
     def test_malformed_embedding_file_is_a_config_error(self, tmp_path, capsys, embedding):
         query_path = tmp_path / "query.json"

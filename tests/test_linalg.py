@@ -121,6 +121,14 @@ class TestEmbeddingJson:
             {"rows": "x", "dim": 2, "data": [1.0, 2.0]},
             {"rows": 1, "dim": 2, "data": ["a", 2.0]},
             {"rows": -1, "dim": -2, "data": [1.0, 2.0]},
+            # JSON integers only, as in the config leaf rules: none of these is converted.
+            {"rows": 2.7, "dim": 2, "data": [1, 2, 3, 4]},
+            {"rows": 2.0, "dim": 2, "data": [1, 2, 3, 4]},
+            {"rows": True, "dim": 2, "data": [1, 2]},
+            {"rows": "2", "dim": 2, "data": [1, 2, 3, 4]},
+            {"rows": 1, "dim": 2, "data": [True, 2.0]},
+            # An int past the float range once escaped as an OverflowError.
+            {"rows": 1, "dim": 1, "data": [10**400]},
         ],
     )
     def test_malformed_fields_rejected(self, obj):
