@@ -11,12 +11,15 @@ directory, and writing tables/*.csv, then report.json:
 main alone runs a subcommand. It checks the seed and --out, merges the config,
 calls the subcommand, writes the report, prints and picks the exit code; a
 subcommand only maps (config, seed) to its report sections, tables and stdout
-lines. A config and the seed are checked in full before any work. _merge's
-leaf tables hold the one copy of every rule on a single value, keyed by its
-name, and _PRODUCTS the bounds on simulate sizes that multiply into one
-allocation; SyntheticConfig, built before simulate's first section, checks
-only the other rules that tie values together, and the experiment runners
-and FLOPs helpers check none again.
+lines, and derives every stream it draws from the seed: verify-bounds spawns
+one generator per bound check (sandwich, stability, pruning error, tail gap)
+and calls each check's tally, and simulate draws one seed per section. A
+config and the seed are checked in full before any work. _merge's leaf tables
+hold the one copy of every rule on a single value, keyed by its name, and
+_PRODUCTS the bounds on simulate sizes that multiply into one allocation;
+SyntheticConfig, built before simulate's first section, checks only the other
+rules that tie values together, and the experiment kernels and FLOPs helpers
+check none again.
 
 The exit code is read from the report's "pass": 0 when it holds or is absent,
 1 when a verification tally failed. Any prunerank.errors error (bad config or
@@ -46,7 +49,10 @@ from .attention import ERROR_BOUND_CONSTANT
 from .cost_model import ArchParams, WorkloadSpec, cost_report
 from .errors import ConfigError, NonFiniteError, PrunerankError
 from .experiments import (
-    run_bound_verification,
+    _pruning_error_tally,
+    _sandwich_tally,
+    _stability_tally,
+    _tail_gap_tally,
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
@@ -330,21 +336,29 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
 # replaces the merged one), its CSV tables as {name: (header, rows)} and its
 # stdout lines. main does everything else.
 def _cmd_verify_bounds(cfg: dict, seed: int):
-    bounds, selftest_failures = run_bound_verification(
-        cfg["trials"], seed, cfg["selftest_trials"], cfg["selftest_constant"]
-    )
+    trials, selftest_trials = cfg["trials"], cfg["selftest_trials"]
+    # One generator per check, spawned from the seed in the order the checks run.
+    sandwich, stability, pruning_error, tail_gap = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
+    checks = {
+        "score_sandwich": _sandwich_tally(sandwich, trials),
+        "topk_stability": _stability_tally(stability, trials),
+        "pruning_error_bound": _pruning_error_tally(
+            pruning_error, trials, ERROR_BOUND_CONSTANT, selftest_trials, cfg["selftest_constant"]
+        ),
+        "tail_gap_bound": _tail_gap_tally(tail_gap, trials),
+    }
+    selftest_failures = checks["pruning_error_bound"].pop("selftest_failures")
+    # A failure with the proven constant is an implementation bug; the
+    # weakened self-test constant must show some.
     selftest_pass = selftest_failures > 0
+    total_failures = sum(check["failures"] for check in checks.values())
     result = {
-        "bounds": bounds,
-        "selftest": {
-            "trials": cfg["selftest_trials"],
-            "failures_detected": selftest_failures,
-            "pass": selftest_pass,
-        },
-        "pass": bounds["total_failures"] == 0 and selftest_pass,
+        "bounds": {"checks": checks, "total_failures": total_failures},
+        "selftest": {"trials": selftest_trials, "failures_detected": selftest_failures, "pass": selftest_pass},
+        "pass": total_failures == 0 and selftest_pass,
     }
     rows, lines = [], []
-    for name, check in bounds["checks"].items():
+    for name, check in checks.items():
         rows.append((name, check["trials"], check["failures"]))
         verdict = "PASS" if check["failures"] == 0 else "FAIL"
         lines.append(f"{verdict} {name}: {check['trials']} trials, {check['failures']} failures")

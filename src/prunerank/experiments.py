@@ -1,9 +1,11 @@
-"""Experiment drivers and deterministic report serialization.
+"""Experiment kernels and deterministic report serialization.
 
 Four randomized bound checks (score sandwich, top-k stability margin,
-pruning-error tail-mass bound, tail-gap decay), a pruning-strategy retention
+pruning-error tail-mass bound, tail-gap decay), each a tally over the
+generator and trial count it is given (cli._cmd_verify_bounds spawns the
+generators from --seed and calls the four), a pruning-strategy retention
 comparison on planted-relevance instances, a synthetic ranking-quality run, a
-score-vs-attention correlation probe, and rho/k cost sweeps. Every driver is
+score-vs-attention correlation probe, and rho/k cost sweeps. Every kernel is
 deterministic given its seed, and only in its draw order: each bound check
 draws its trials in order from one generator of its own, and the correlation
 probe draws each chunk's attention noise from its master generator, in stream
@@ -27,7 +29,7 @@ cosine GEMM per instance inside one matmul, one keep-rule sort
 (pruning._ranks) for every keep ratio or for the ranking, one softmax for
 every head, one Spearman row kernel (metrics._spearman_rows), one reduceat for
 every image. Results that depend on order are put back in stream order. The
-drivers take their counts, ratios and noise scales as cli._merge has checked
+kernels take their counts, ratios and noise scales as cli._merge has checked
 them and check none again, and return only what they computed, each fact
 once: the report's config holds their inputs. A report is written as
 json.dumps gives it, with sorted keys and a two-space indent, after its
@@ -198,38 +200,6 @@ def _tail_gap_tally(rng: np.random.Generator, trials: int) -> dict:
         *_, holds = _tail_gap_rows(scores, ks, widths)
         failures += int(np.count_nonzero(~holds))
     return {"trials": trials, "failures": failures}
-
-
-def _tally_rngs(seed: int) -> list[np.random.Generator]:
-    """One generator per tally, in the order sandwich, stability, pruning error, tail gap."""
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)]
-
-
-def run_bound_verification(
-    trials: int, seed: int, selftest_trials: int = 0, selftest_constant: float = ERROR_BOUND_CONSTANT
-) -> tuple[dict, int]:
-    """Run all four randomized bound checks; return their tallies and the self-test count.
-
-    With the proven ERROR_BOUND_CONSTANT the expected failure count is zero for
-    every seed; any failure indicates an implementation bug. The self-test
-    count is the violations at a weakened selftest_constant among the first
-    selftest_trials pruning-error trials, drawn in the same pass; a constant
-    below the proven one must report some.
-    """
-    rngs = _tally_rngs(seed)
-    checks = {
-        "score_sandwich": _sandwich_tally(rngs[0], trials),
-        "topk_stability": _stability_tally(rngs[1], trials),
-        "pruning_error_bound": _pruning_error_tally(
-            rngs[2], trials, ERROR_BOUND_CONSTANT, selftest_trials, selftest_constant
-        ),
-        "tail_gap_bound": _tail_gap_tally(rngs[3], trials),
-    }
-    selftest_failures = checks["pruning_error_bound"].pop("selftest_failures")
-    return {
-        "checks": checks,
-        "total_failures": sum(check["failures"] for check in checks.values()),
-    }, selftest_failures
 
 
 # Bytes of float64 stacks one simulate chunk may hold: its tokens, queries,

@@ -15,9 +15,10 @@ import pytest
 
 from library_oracles import finite_difference_gradcheck, ndcg_at_k, recall_at_k
 from prunerank.attention import check_pruning_error_bound, tail_gap_bound_check
+from prunerank.cli import DEFAULTS, _cmd_verify_bounds
 from prunerank.cli import main as cli_main
 from prunerank.cost_model import ArchParams, WorkloadSpec, speedup
-from prunerank.experiments import run_bound_verification, run_pruning_comparison
+from prunerank.experiments import run_pruning_comparison
 from prunerank.losses import geometric_target, soft_rank_loss, weighted_ranknet_loss
 from prunerank.metrics import QueryJudgment, aggregate, spearman
 from prunerank.synthetic import SyntheticConfig
@@ -38,7 +39,8 @@ def criterion(num: int, label: str):
 
 @pytest.fixture(scope="module")
 def bound_tallies():
-    return run_bound_verification(trials=TRIALS, seed=MASTER_SEED)[0]["checks"]
+    cfg = {**DEFAULTS["verify-bounds"], "trials": TRIALS}
+    return _cmd_verify_bounds(cfg, MASTER_SEED)[0]["bounds"]["checks"]
 
 
 def test_criterion_01_score_sandwich(bound_tallies):

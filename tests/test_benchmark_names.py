@@ -11,6 +11,7 @@ may run off the main thread.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 import threading
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunerank import experiments, pruning
+from prunerank import cli, experiments, pruning
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,14 +51,14 @@ def test_tally_takes_the_trial_count_second(name):
     assert list(inspect.signature(getattr(experiments, name)).parameters)[1] == "trials"
 
 
-def test_no_traced_name_runs_off_the_main_thread(monkeypatch):
-    """prune_images's pool workers check and norm images; every traced name
-    it reaches runs in the calling thread."""
-    calls, workers = [], set()
+def record_every_binding(monkeypatch) -> list:
+    """(name, thread, args) of every call of a traced name from here on, through
+    each prunerank module that binds it, as the benchmark's tracer wraps them."""
+    calls = []
 
     def recording(fn, name):
         def recorder(*args, **kwargs):
-            calls.append((name, threading.current_thread()))
+            calls.append((name, threading.current_thread(), args))
             return fn(*args, **kwargs)
 
         return recorder
@@ -69,6 +70,13 @@ def test_no_traced_name_runs_off_the_main_thread(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, recording(original, f"{mod}.{fn}"))
+    return calls
+
+
+def test_no_traced_name_runs_off_the_main_thread(monkeypatch):
+    """prune_images's pool workers check and norm images; every traced name
+    it reaches runs in the calling thread."""
+    calls, workers = record_every_binding(monkeypatch), set()
     checked = pruning._checked_tokens
 
     def checked_spy(*args):
@@ -79,6 +87,18 @@ def test_no_traced_name_runs_off_the_main_thread(monkeypatch):
     rng = np.random.default_rng(0)
     pruning.prune_images(rng.standard_normal((2, 4)), [rng.standard_normal((n, 4)) for n in (5, 6, 7)], 0.5)
     assert workers and threading.main_thread() not in workers
-    names = {name for name, _ in calls}
+    names = {name for name, *_ in calls}
     assert {"pruning.prune_images", "pruning.keep_count", "linalg.as_vector"} <= names
-    assert {thread for _, thread in calls} == {threading.main_thread()}
+    assert {thread for _, thread, _ in calls} == {threading.main_thread()}
+
+
+def test_verify_bounds_runs_each_traced_tally_once_with_its_trial_count(tmp_path, monkeypatch):
+    """The benchmark's per-tally rows count one call of each tally per run and
+    read its trial count from the second positional argument."""
+    calls = record_every_binding(monkeypatch)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trials": 3, "selftest_trials": 5}))
+    cli.main(["verify-bounds", "--config", str(config), "--out", str(tmp_path / "out")])
+    tallies = [(name, args[1:2]) for name, _, args in calls if name.endswith("_tally")]
+    order = ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally")
+    assert tallies == [(f"experiments.{name}", (3,)) for name in order]

@@ -594,6 +594,7 @@ FOUND_BY_A_STEP = {
     "cost-model-prefill-ratio-overflows",
     "cost-model-sweep-prefill-ratio-overflows",
 }
+TALLIES = ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally")
 STEPS = (
     "run_pruning_comparison",
     "run_correlation_probe",
@@ -608,8 +609,8 @@ STEPS = (
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, probe):
     command, override = BAD_INPUT_PROBES[probe]
     monkeypatch.chdir(tmp_path)
-    for tally in ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally"):
-        monkeypatch.setattr(f"prunerank.experiments.{tally}", never)
+    for tally in TALLIES:
+        monkeypatch.setattr(f"prunerank.cli.{tally}", never)
     if probe not in FOUND_BY_A_STEP:
         for step in STEPS:
             monkeypatch.setattr(f"prunerank.cli.{step}", never)
@@ -742,7 +743,7 @@ SEED_PROBE_CONFIGS = {
 def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
     # verify-bounds and simulate once ended in SeedSequence's ValueError
     # traceback with exit 1; cost-model and metrics ran and exited 0.
-    for step in (*STEPS, "run_bound_verification", "evaluate_judgments", "write_report"):
+    for step in (*STEPS, *TALLIES, "evaluate_judgments", "write_report"):
         monkeypatch.setattr(f"prunerank.cli.{step}", never)
     cfg = write_config(tmp_path, "cfg.json", SEED_PROBE_CONFIGS[command])
     assert run([command, "--config", cfg, "--seed", -1, "--out", tmp_path / "o"]) == 2

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunerank import experiments, pruning, synthetic
-from prunerank.cli import DEFAULTS, _merge, _section_seeds, main
+from prunerank.cli import DEFAULTS, _cmd_verify_bounds, _merge, _section_seeds, main
 from prunerank.cost_model import ArchParams, WorkloadSpec, cost_report
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
     CHUNK_BYTES,
     _chunk_instances,
     report_json_bytes,
-    run_bound_verification,
     run_correlation_probe,
     run_cost_sweep,
     run_pruning_comparison,
@@ -29,9 +28,15 @@ from test_simulate_oracle import RAGGED
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def verify_bounds(trials: int, seed: int, selftest_trials: int = 1, selftest_constant: float = 1.9) -> dict:
+    """The report sections of verify-bounds at these trial counts and seed."""
+    cfg = {"trials": trials, "selftest_trials": selftest_trials, "selftest_constant": selftest_constant}
+    return _cmd_verify_bounds(_merge(DEFAULTS["verify-bounds"], cfg), seed)[0]
+
+
 class TestBoundVerification:
     def test_zero_failures_across_all_checks(self):
-        report, _ = run_bound_verification(trials=800, seed=123)
+        report = verify_bounds(trials=800, seed=123)["bounds"]
         assert set(report["checks"]) == {
             "score_sandwich",
             "topk_stability",
@@ -44,25 +49,25 @@ class TestBoundVerification:
         assert report["total_failures"] == 0
 
     def test_stability_premise_actually_fires(self):
-        report, _ = run_bound_verification(trials=800, seed=5)
+        report = verify_bounds(trials=800, seed=5)["bounds"]
         assert report["checks"]["topk_stability"]["premise_count"] > 50
 
     def test_equality_cases_are_exercised(self):
-        report, _ = run_bound_verification(trials=800, seed=5)
+        report = verify_bounds(trials=800, seed=5)["bounds"]
         assert report["checks"]["score_sandwich"]["equality_checks"] > 100
 
     def test_reproducible_per_seed(self):
-        a = run_bound_verification(trials=50, seed=9)
-        b = run_bound_verification(trials=50, seed=9)
+        a = verify_bounds(trials=50, seed=9)
+        b = verify_bounds(trials=50, seed=9)
         assert a == b
 
     def test_corrupted_constant_is_detected(self):
         # Weakening the proven coefficient must produce visible violations,
         # proving the checker can actually fail.
-        assert run_bound_verification(1, 7, 400, 1.9)[1] > 0
+        assert verify_bounds(1, 7, 400, 1.9)["selftest"]["failures_detected"] > 0
 
     def test_trials_validated(self):
-        # Checked once, in cli._merge, before run_bound_verification runs.
+        # Checked once, in cli._merge, before any tally runs.
         for override in ({"trials": 0}, {"selftest_trials": -1}):
             with pytest.raises(ConfigError, match="must be >= 1"):
                 _merge(DEFAULTS["verify-bounds"], override)
