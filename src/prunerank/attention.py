@@ -167,7 +167,7 @@ def attention_mass_per_token(per_head_attention, position: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a nonempty stack of 2-D head matrices, got shape {stacked.shape}"
         )
-    if not 0 <= _as_index(position, "position") < stacked.shape[1]:
+    if not 0 <= (position := _as_index(position, "position")) < stacked.shape[1]:
         raise KOutOfRangeError(
             f"position must be in [0, {stacked.shape[1] - 1}], got {position}"
         )

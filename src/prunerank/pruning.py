@@ -120,7 +120,7 @@ def select_topk_preserve_order(scores, k: int) -> np.ndarray:
     Ties break toward the lower original index so selection is deterministic.
     """
     arr = as_vector(scores, "scores")
-    if not 1 <= _as_index(k, "k") <= arr.size:
+    if not 1 <= (k := _as_index(k, "k")) <= arr.size:
         raise KOutOfRangeError(f"k must be in [1, {arr.size}], got {k}")
     return np.flatnonzero(_ranks(arr)[1] < k)
 
@@ -129,7 +129,7 @@ def random_prune(n_tokens: int, k: int, seed: int) -> np.ndarray:
     """k distinct token indices sampled uniformly without replacement, ascending:
     _random_keep drawing from np.random.default_rng(seed)."""
     n_tokens = _as_count(n_tokens, "n_tokens")
-    if not 1 <= _as_index(k, "k") <= n_tokens:
+    if not 1 <= (k := _as_index(k, "k")) <= n_tokens:
         raise KOutOfRangeError(f"k must be in [1, {n_tokens}], got {k}")
     return _random_keep(np.random.default_rng(_as_seed(seed)), n_tokens, k)
 

@@ -227,6 +227,16 @@ def test_non_integer_k_or_position_is_out_of_range(name, bad):
     assert type(raised.value) is KOutOfRangeError
 
 
+# An integer the rule accepts is used as the int it gives: True once reached
+# numpy's choice as a bool (a bare TypeError) and indexed the head stack as a
+# mask (the whole stack, not row 1).
+@pytest.mark.parametrize("value", [True, np.int64(1)], ids=repr)
+@pytest.mark.parametrize("name", NON_INTEGER_CASES)
+def test_an_integer_gives_what_its_int_gives(name, value):
+    # repr tells apart type, shape, dtype and value of every result here.
+    assert repr(NON_INTEGER_CASES[name](value)) == repr(NON_INTEGER_CASES[name](1))
+
+
 # The entry points that take a keep ratio or a decay factor: anything but one
 # real number is out of its range. These once escaped as a TypeError or, for
 # an array of two ratios, numpy's bare ValueError; a numpy complex scalar
