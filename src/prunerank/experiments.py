@@ -229,7 +229,7 @@ class _Group(NamedTuple):
     """The instances of one chunk whose scored tokens stack to the same shape."""
 
     members: np.ndarray  # their rows in the chunk, ascending
-    query: tuple[np.ndarray, np.ndarray]  # unit_rows of their (g, t, d) query stack, or of the explicit query
+    query: tuple[np.ndarray, np.ndarray]  # unit_rows of their (g, t, d) query stack
     tokens: np.ndarray  # (g, T, d): each instance's scored tokens
 
 
@@ -256,14 +256,13 @@ def _chunk(cfg: SyntheticConfig, seeds: np.ndarray, query, all_images: bool):
     """The _Chunk of the instances seeded by seeds, and its _Groups, one per
     scored token count in order of first appearance."""
     chunk = _draw_chunk(cfg, _generators(seeds), len(seeds), query, all_images)
-    shared = None if query is None else unit_rows(chunk.query)
     groups = []
     for n_tokens in dict.fromkeys(chunk.lengths.tolist()):
         members = np.flatnonzero(chunk.lengths == n_tokens)
         rows = slice(None) if members.size == chunk.lengths.size else members
-        group_query = shared if shared is not None else unit_rows(chunk.query[rows], stack=True)
-        # A copy only when the rows are padded or some of them left out.
-        groups.append(_Group(members, group_query, np.ascontiguousarray(chunk.tokens[rows, :n_tokens])))
+        # A copy of the tokens only when the rows are padded or some of them left out.
+        tokens = np.ascontiguousarray(chunk.tokens[rows, :n_tokens])
+        groups.append(_Group(members, unit_rows(chunk.query[rows], stack=True), tokens))
     return chunk, groups
 
 

@@ -12,12 +12,12 @@ first for every image in a thread pool, then the second in the calling
 thread, with the checks, and so the errors, in the same order.
 
 With stack=True the kernel also takes stacks: a (k, n, d) stack of token
-matrices against a (k, t, d) stack of queries, one per matrix, or against one
-shared (t, d) query. numpy's matmul makes one GEMM per matrix of the stack, on
-the same strides as the 2-D call, so every slice of a stacked result is bit
-for bit the 2-D call on that slice. The simulate drivers score a chunk of
-instances this way; similarity_matrix and prune_images take 2-D matrices only,
-checked by the kernel's own shape check.
+matrices against a (k, t, d) stack of queries, one per matrix; a query they
+share is broadcast to such a stack. numpy's matmul makes one GEMM per
+matrix, on the same strides as the 2-D call, so every slice of a stacked
+result is bit for bit the 2-D call on that slice. The simulate drivers score
+a chunk of instances this way; similarity_matrix and prune_images take 2-D
+matrices only, checked by the kernel's own shape check.
 
 Each check is one reduction over the row norms of a whole matrix or stack,
 and its diagnostic runs only when that fails. A NaN or infinite entry makes
@@ -159,9 +159,9 @@ def cosine_to_unit(
     """Cosine similarity of every query row against every row of V.
 
     query is unit_rows(H). V is a (n, d) matrix, giving (t, n), or, with
-    stack, a (k, n, d) stack, giving (k, t, n) against one (t, d) query or a
-    (k, t, d) stack of them. Errors come in the order shape, finiteness, width (and a query stack
-    that V does not match), then zero norm (H before V).
+    stack, a (k, n, d) stack, giving (k, t, n) against a (k, t, d) stack of
+    queries. Errors come in the order shape, finiteness, width (and a query
+    stack that V's stack does not match), then zero norm (H before V).
     """
     return _unit_cosines(query[0], *_checked_tokens(query, V, name, stack))
 
@@ -175,9 +175,9 @@ def _checked_tokens(query, V, name: str, stack: bool = False) -> tuple[np.ndarra
         raise DimensionMismatchError(
             f"embedding width mismatch: {unit.shape[-1]} vs {tokens.shape[-1]}"
         )
-    if unit.shape[:-2] not in ((), tokens.shape[:-2]):
+    if unit.shape[:-2] != tokens.shape[:-2]:
         raise DimensionMismatchError(
-            f"a stack of {unit.shape[0]} queries needs as many token matrices, got shape {tokens.shape}"
+            f"a token stack needs a stack of as many queries, got queries {unit.shape} for tokens {tokens.shape}"
         )
     _require_nonzero(query_norms, "H")
     _require_nonzero(norms, name)

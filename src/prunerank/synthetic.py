@@ -87,7 +87,7 @@ def generate_instance(
     rng = np.random.default_rng(seed if generator else _as_seed(cfg.seed if seed is None else seed))
     chunk = _draw_chunk(cfg, [rng], 1, query, all_images=True)
     return SyntheticInstance(
-        query=chunk.query if query is not None else chunk.query[0],
+        query=chunk.query[0],
         images=tuple(np.split(chunk.tokens[0], np.cumsum(chunk.counts[0]))[:-1]),
         planted=tuple(chunk.planted[0].tolist()),
         relevant_image=int(chunk.relevant[0]),
@@ -97,7 +97,7 @@ def generate_instance(
 class _Chunk(NamedTuple):
     """Instances drawn by _draw_chunk, one row each, in generator order."""
 
-    query: np.ndarray  # (g, n_query_tokens, embed_dim) drawn queries, or the explicit query
+    query: np.ndarray  # (g, n_query_tokens, embed_dim): drawn queries, or the explicit one broadcast
     relevant: np.ndarray  # (g,) relevant-image indices
     counts: np.ndarray  # (g, n_images) token counts
     lengths: np.ndarray  # (g,) tokens written to each row of tokens
@@ -114,18 +114,19 @@ def _draw_chunk(
     Draw order per generator: query rows, relevant-image index, per-image
     token counts and tokens, planted positions, planted source rows, planted
     noise. An explicit query skips the first draw; its shape must match the
-    configured (n_query_tokens, embed_dim). A fixed image size (low == high)
-    draws no count, as numpy's integers(low, low + 1) draws nothing, and draws
-    all images' tokens as one (n_images, low, embed_dim) block: the same
-    values, in C order, as one draw per image. Tokens not kept go to scratch.
-    One fancy assignment then plants every copy: query[source] + noise *
-    noise_scale.
+    configured (n_query_tokens, embed_dim), and it is broadcast as every
+    instance's query. A fixed image size (low == high) draws no count, as
+    numpy's integers(low, low + 1) draws nothing, and draws all images' tokens
+    as one (n_images, low, embed_dim) block: the same values, in C order, as
+    one draw per image. Tokens not kept go to scratch. One fancy assignment
+    then plants every copy: query[source] + noise * noise_scale.
     """
     n, t, d, p = cfg.n_images, cfg.n_query_tokens, cfg.embed_dim, cfg.planted_per_image
     low, high = cfg.tokens_per_image
     queries = np.empty((size, t, d)) if query is None else np.asarray(query, dtype=np.float64)
     if query is not None and queries.shape != (t, d):
         raise ConfigError(f"query shape {queries.shape} does not match configured ({t}, {d})")
+    queries = queries if query is None else np.broadcast_to(queries, (size, t, d))
     relevant = np.empty(size, dtype=np.int64)
     counts = np.full((size, n), low, dtype=np.int64)
     tokens = np.empty((size, n * high if all_images else high, d))
@@ -157,7 +158,7 @@ def _draw_chunk(
     rows = np.arange(size)[:, None]
     # Where the relevant image starts in its row; the positions are distinct.
     offset = (np.cumsum(counts, axis=1) - counts)[rows, relevant[:, None]] if all_images else 0
-    tokens[rows, offset + positions] = (queries[rows, sources] if query is None else queries[sources]) + noise
+    tokens[rows, offset + positions] = queries[rows, sources] + noise
     lengths = counts.sum(axis=1) if all_images else counts[rows[:, 0], relevant]
     return _Chunk(queries, relevant, counts, lengths, tokens, positions)
 

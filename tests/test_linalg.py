@@ -335,42 +335,40 @@ def raised(call):
 class TestStackedCosineKernel:
     """cosine_to_unit on a (k, n, d) stack: each slice is the 2-D call on it."""
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["query-stack", "shared-query"])
-    def test_slices_equal_the_two_dimensional_calls(self, shared):
+    # A broadcast query is one (t, d) query read as a (k, t, d) stack, as
+    # simulate scores an explicit query.
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["query-stack", "broadcast-query"])
+    def test_slices_equal_the_two_dimensional_calls(self, broadcast):
         rng = np.random.default_rng(11)
         for k, t, n, d in ((1, 1, 1, 1), (3, 1, 2, 1), (5, 4, 20, 16), (2, 3, 160, 8), (4, 2, 7, 3), (409, 4, 20, 16)):
-            h = rng.standard_normal((t, d) if shared else (k, t, d))
+            h = np.broadcast_to(rng.standard_normal((t, d)), (k, t, d)) if broadcast else rng.standard_normal((k, t, d))
             v = rng.standard_normal((k, n, d))
             sims = cosine_to_unit(unit_rows(h, stack=True), v, stack=True)
             assert sims.shape == (k, t, n)
             for i in range(k):
-                assert np.array_equal(sims[i], similarity_matrix(h if shared else h[i], v[i]))
+                assert np.array_equal(sims[i], similarity_matrix(h[i], v[i]))
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["query-stack", "shared-query"])
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["query-stack", "broadcast-query"])
     @pytest.mark.parametrize("case", BAD_PAIRS)
-    def test_bad_slice_raises_what_the_two_dimensional_call_raises(self, case, shared):
+    def test_bad_slice_raises_what_the_two_dimensional_call_raises(self, case, broadcast):
         h, v = (np.array(m, dtype=float) for m in BAD_PAIRS[case])
-        stack_h = h if shared else np.stack([np.ones_like(h), h])
+        stack_h = np.broadcast_to(h, (2, *h.shape)) if broadcast else np.stack([np.ones_like(h), h])
         stack_v = np.stack([np.ones_like(v), v])
         expected = raised(lambda: similarity_matrix(h, v))
         assert raised(lambda: cosine_to_unit(unit_rows(stack_h, stack=True), stack_v, stack=True)) is expected
 
-    @pytest.mark.parametrize(
-        "operand,shared,name",
-        [("H", False, "H[1]"), ("V", False, "V[1]"), ("H", True, "H"), ("V", True, "V[1]")],
-    )
-    def test_zero_row_names_its_matrix_and_row(self, operand, shared, name):
-        h = np.ones((4, 3) if shared else (2, 4, 3))
+    @pytest.mark.parametrize("operand,name", [("H", "H[1]"), ("V", "V[1]")])
+    def test_zero_row_names_its_matrix_and_row(self, operand, name):
+        h = np.ones((2, 4, 3))
         v = np.ones((2, 5, 3))
         (h if operand == "H" else v)[..., 2, :] = 0.0
-        if operand == "H" and not shared:
-            h[0, 2] = 1.0
-        if operand == "V":
-            v[0, 2] = 1.0
+        (h if operand == "H" else v)[0, 2] = 1.0
         with pytest.raises(ZeroNormError, match=rf"^{re.escape(name)} row 2 has \(near-\)zero norm$"):
             cosine_to_unit(unit_rows(h, stack=True), v, stack=True)
 
-    @pytest.mark.parametrize("h_shape,v_shape", [((3, 2, 4), (2, 5, 4)), ((2, 2, 4), (5, 4))])
+    # A (t, d) query against a stack was once read as shared by its matrices;
+    # a query shared by a stack is now broadcast to one.
+    @pytest.mark.parametrize("h_shape,v_shape", [((3, 2, 4), (2, 5, 4)), ((2, 2, 4), (5, 4)), ((2, 4), (2, 5, 4))])
     def test_query_stack_must_match_the_token_stack(self, h_shape, v_shape):
         with pytest.raises(DimensionMismatchError, match="stack of"):
             cosine_to_unit(unit_rows(np.ones(h_shape), stack=True), np.ones(v_shape), stack=True)

@@ -206,7 +206,7 @@ class TestDrawChunk:
             want_query, images, relevant, positions = instance_by_draw_order(
                 dataclasses.replace(cfg, seed=seed), query
             )
-            np.testing.assert_array_equal(chunk.query if explicit_query else chunk.query[row], want_query)
+            np.testing.assert_array_equal(chunk.query[row], want_query)
             assert chunk.relevant[row] == relevant
             assert chunk.counts[row].tolist() == [len(image) for image in images]
             scored = np.concatenate(images) if all_images else images[relevant]
