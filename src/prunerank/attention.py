@@ -18,16 +18,12 @@ from .errors import (
     InvalidProbabilityError,
     KOutOfRangeError,
 )
-from .linalg import _as_index, as_embedding, as_finite_array, as_vector
+from .linalg import as_embedding, as_finite_array, as_vector
 from .pruning import _top_k
+from .rules import ERROR_BOUND_CONSTANT, _as_index
 
 # Absolute slack applied to every inequality check to absorb float rounding.
 BOUND_SLACK = 1e-9
-
-# The proven coefficient in the pruning-error bound. The verify-bounds self-test
-# scores the same trials against a weakened one in [0, ERROR_BOUND_CONSTANT)
-# (1.9 by default) to confirm the check reports violations.
-ERROR_BOUND_CONSTANT = 2.0
 
 # Renormalizing by a kept mass below this would blow up; treat it as all pruned.
 ALL_MASS_EPS = 1e-12

@@ -11,15 +11,17 @@ directory, and writing tables/*.csv, then report.json:
 main alone runs a subcommand. It checks the seed and --out, merges the config,
 calls the subcommand, writes the report, prints and picks the exit code; a
 subcommand only maps (config, seed) to its report sections, tables and stdout
-lines, and derives every stream it draws from the seed: verify-bounds spawns
-one generator per bound check (sandwich, stability, pruning error, tail gap)
-and calls each check's tally, and simulate draws one seed per section. A
-config and the seed are checked in full before any work. _merge's leaf tables
-hold the one copy of every rule on a single value, keyed by its name, and
-_PRODUCTS the bounds on simulate sizes that multiply into one allocation;
-SyntheticConfig, built before simulate's first section, checks only the other
-rules that tie values together, and the experiment kernels and FLOPs helpers
-check none again.
+lines, imports in its body the array modules it computes with (this module
+imports no numpy, so cost-model and any config _merge refuses run without it),
+and derives every stream it draws from the seed: verify-bounds spawns one
+generator per bound check (sandwich, stability, pruning error, tail gap) and
+calls each check's tally, and simulate draws one seed per section. A config,
+a query file's rows and the seed are checked in full before any work. _merge's
+leaf tables hold the one copy of every rule on a single value, keyed by its
+name, and _PRODUCTS the bounds on simulate sizes that multiply into one
+allocation; SyntheticConfig, built before simulate's first section, checks
+only the other rules that tie values together, and the experiment kernels and
+FLOPs helpers check none again.
 
 The exit code is read from the report's "pass": 0 when it holds or is absent,
 1 when a verification tally failed. Any prunerank.errors error (bad config or
@@ -43,27 +45,10 @@ from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
-from .attention import ERROR_BOUND_CONSTANT
-from .cost_model import ArchParams, WorkloadSpec, cost_report
+from .cost_model import ArchParams, WorkloadSpec, cost_report, run_cost_sweep
 from .errors import ConfigError, NonFiniteError, PrunerankError
-from .experiments import (
-    _pruning_error_tally,
-    _sandwich_tally,
-    _stability_tally,
-    _tail_gap_tally,
-    run_correlation_probe,
-    run_cost_sweep,
-    run_pruning_comparison,
-    run_synthetic_ranking,
-    write_report,
-)
-from .linalg import embedding_from_json
-from .metrics import FAILURE_LABELS, QueryJudgment, aggregate, evaluate_judgments, finite_mean
-from .pruning import as_keep_ratio
-from .scoring import IDENTIFIER_ALPHABET
-from .synthetic import SyntheticConfig
+from .report import write_report
+from .rules import ERROR_BOUND_CONSTANT, IDENTIFIER_ALPHABET, as_keep_ratio
 
 DEFAULTS: dict = {
     "verify-bounds": {
@@ -336,6 +321,8 @@ def _merge(defaults: dict, override: dict, context: str = "config") -> dict:
 # replaces the merged one), its CSV tables as {name: (header, rows)} and its
 # stdout lines. main does everything else.
 def _cmd_verify_bounds(cfg: dict, seed: int):
+    import numpy as np
+    from .experiments import _pruning_error_tally, _sandwich_tally, _stability_tally, _tail_gap_tally
     trials, selftest_trials = cfg["trials"], cfg["selftest_trials"]
     # One generator per check, spawned from the seed in the order the checks run.
     sandwich, stability, pruning_error, tail_gap = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
@@ -371,14 +358,19 @@ def _cmd_verify_bounds(cfg: dict, seed: int):
 
 
 def _section_seeds(seed: int, n: int) -> list[int]:
+    import numpy as np
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
 def _cmd_simulate(cfg: dict, seed: int):
+    from .experiments import run_correlation_probe, run_pruning_comparison, run_synthetic_ranking
+    from .linalg import _require_nonzero, embedding_from_json, unit_rows
+    from .synthetic import SyntheticConfig
     query = None
     syn = dict(cfg["synthetic"])
     if cfg["query_embedding_path"] is not None:
         query = embedding_from_json(_load_config(cfg["query_embedding_path"]))
+        _require_nonzero(unit_rows(query)[1], "config.query_embedding_path")
         syn["n_query_tokens"], syn["embed_dim"] = query.shape
         _check_products({**cfg, "synthetic": syn}, "the query of config.query_embedding_path")
     ranking_cfg = dict(cfg["ranking"])
@@ -439,6 +431,7 @@ _ITEM_TYPES = {str, int, float}
 
 
 def _parse_judgments(raw: list) -> dict:
+    from .metrics import QueryJudgment
     for i, entry in enumerate(raw):
         if not (
             isinstance(entry, dict)
@@ -502,6 +495,7 @@ def _digest(value) -> str:
 def _cmd_metrics(cfg: dict, seed: int):
     if cfg["judgments"] is None and cfg["values_by_subset"] is None:
         raise ConfigError("metrics needs either 'judgments' or 'values_by_subset' in the config")
+    from .metrics import FAILURE_LABELS, aggregate, evaluate_judgments, finite_mean
     result, tables = {}, {}
     values = cfg["values_by_subset"]
     if values is not None:

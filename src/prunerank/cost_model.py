@@ -13,11 +13,12 @@ zero (speedup and the two regime estimates) raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 from .errors import ConfigError
-from .pruning import _round_product, keep_count
+from .rules import _round_product, keep_count
 
 
 @dataclass(frozen=True)
@@ -171,3 +172,23 @@ def cost_report(w: WorkloadSpec, p: ArchParams) -> dict:
             "generation_heavy_decode_ratio": generation_heavy_decode_ratio(w),
         },
     }
+
+
+def run_cost_sweep(
+    arch: ArchParams, workload: WorkloadSpec, tokens_per_candidate: int,
+    rho_values: Sequence[float], k_values: Sequence[int],
+) -> dict:
+    """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes.
+
+    Each row is the workload with k candidates of tokens_per_candidate tokens
+    each at keep ratio rho, its other fields unchanged: cost_report of that
+    spec, its regime estimates replaced by the long-context prefill ratio.
+    """
+    rows = []
+    for k in k_values:
+        for rho in map(float, rho_values):
+            row = replace(workload, rho=rho, image_sizes=((tokens_per_candidate, k),))
+            cost = cost_report(row, arch)
+            regimes = cost.pop("regime_estimates")
+            rows.append({"k": k, "rho": rho, **cost, "prefill_ratio": regimes["longcontext_prefill_ratio"]})
+    return {"rows": rows}

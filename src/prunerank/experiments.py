@@ -1,60 +1,46 @@
-"""Experiment kernels and deterministic report serialization.
+"""The array drivers behind verify-bounds and simulate.
 
-Four randomized bound checks (score sandwich, top-k stability margin,
-pruning-error tail-mass bound, tail-gap decay), each a tally over the
-generator and trial count it is given (cli._cmd_verify_bounds spawns the
-generators from --seed and calls the four), a pruning-strategy retention
-comparison on planted-relevance instances, a synthetic ranking-quality run, a
-score-vs-attention correlation probe, and rho/k cost sweeps. Every kernel is
-deterministic given its seed, and only in its draw order: each bound check
-draws its trials in order from one generator of its own, and the correlation
-probe draws each chunk's attention noise from its master generator, in stream
-order. Only the synthetic instances and the random-pruning draws have seeds of
-their own, drawn in bulk as synthetic states (_generators, _random_masks).
-Each bound check draws its trials once and scores each chunk of them with one
-call of its bound's row kernel (pruning._topk_stability_rows,
-attention._pruning_error_rows, attention._tail_gap_rows), the kernel the public
-per-trial checks call with one row; the verify-bounds self-test is scored in
-the pruning-error check's pass. The tallies draw each scalar uniform with
-synthetic._uniform; the pruning-error tally normalizes a direction by
-math.sqrt of its dot product, np.linalg.norm's 1-D path, and sums the kept
-weights only when the first is below the zero-mass guard, bit for bit as the
-full sum decides. Each simulate section draws a chunk's instances straight
-into arrays (synthetic._draw_chunk); a chunk's stacks
-(tokens, queries, similarities, head noise) hold at most CHUNK_BYTES (1 MiB)
-unless one instance's do. A chunk splits into groups whose tokens stack to one
-shape (one group, the chunk's own token array, when every image has the same
-size), and each group is scored with one call of each kernel on the stack: one
-cosine GEMM per instance inside one matmul, one keep-rule sort
-(pruning._ranks) for every keep ratio or for the ranking, one softmax for
-every head, one Spearman row kernel (metrics._spearman_rows), one reduceat for
-every image. Results that depend on order are put back in stream order. The
-kernels take their counts, ratios and noise scales as cli._merge has checked
-them and check none again, and return only what they computed, each fact
-once: the report's config holds their inputs. A report is written as
-json.dumps gives it, with sorted keys and a two-space indent, after its
-tables; no report holds bulk data, so the standard encoder is fast enough.
+Four randomized bound tallies (score sandwich, top-k stability margin,
+pruning-error tail-mass bound, tail-gap decay), each over the generator and
+trial count cli._cmd_verify_bounds passes it, and simulate's three sections: a
+pruning-strategy retention comparison on planted-relevance instances, a
+score-vs-attention correlation probe and a synthetic ranking-quality run. Each
+is deterministic given its seed, and only in its draw order: a tally draws its
+trials in order from its own generator, and a section draws its instances'
+seeds, then per chunk its other draws, from its master generator. A tally
+scores each chunk of its trials with one call of its bound's row kernel
+(pruning._topk_stability_rows, attention._pruning_error_rows,
+attention._tail_gap_rows), the kernel the public per-trial checks call with
+one row; the verify-bounds self-test is scored in the pruning-error pass. The
+tallies draw each scalar uniform with synthetic._uniform. A section draws a
+chunk's instances straight into arrays (synthetic._draw_chunk), at most
+CHUNK_BYTES of stacks unless one instance's take more, and scores each group
+of them whose tokens stack to one shape with one call of each kernel; results
+that depend on order are put back in stream order. The drivers take their
+counts, ratios and noise scales as cli._merge has checked them and check none
+again, and return only what they computed, each fact once: the report's
+config holds their inputs.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import json
 import math
 from itertools import starmap
-from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import BOUND_SLACK, ERROR_BOUND_CONSTANT, _pruning_error_rows, _tail_gap_rows, softmax
-from .cost_model import ArchParams, WorkloadSpec, cost_report
-from .errors import DegenerateConstantError, EmptyInputError, NonFiniteError
+from .attention import BOUND_SLACK, _pruning_error_rows, _tail_gap_rows, softmax
+from .errors import DegenerateConstantError, EmptyInputError
 from .linalg import cosine_to_unit, unit_rows
 from .metrics import QueryJudgment, _spearman_rows, evaluate_judgments, spearman
-from .pruning import _pool, _ranks, _token_scores, _topk_stability_rows, keep_count
+from .pruning import _pool, _ranks, _token_scores, _topk_stability_rows
+from .rules import ERROR_BOUND_CONSTANT, keep_count
 from .synthetic import SyntheticConfig, _Chunk, _draw_chunk, _generators, _random_masks, _uniform
+
+# Bound only for perfbench/tracing.py, which wraps them as experiments.<name>.
+from .cost_model import run_cost_sweep  # noqa: F401
+from .report import write_report  # noqa: F401
 
 # Trials per chunk: each tally draws a chunk's trials one by one, in stream
 # order, into padded buffers sized by this constant (never by the trial
@@ -148,7 +134,7 @@ def _pruning_error_tally(
                 scale = _uniform(rng, 0.5, 2.0)
                 dim = int(rng.integers(1, 9))
                 direction = rng.standard_normal(dim)
-                direction /= math.sqrt(direction.dot(direction))
+                direction /= math.sqrt(direction.dot(direction))  # np.linalg.norm's 1-D path, bit for bit
                 values[t, 0, :dim] = scale * direction
                 values[t, 1, :dim] = -scale * direction
                 alpha[t, :2] = (tail, 1.0 - tail)
@@ -160,7 +146,7 @@ def _pruning_error_tally(
                 values[t, :n_tokens, :dim] = rng.standard_normal((n_tokens, dim)) * _uniform(rng, 0.1, 3.0)
                 size_kept = int(rng.integers(1, n_tokens + 1))
                 chosen = rng.choice(n_tokens, size=size_kept, replace=False)
-                # A rounded sum of non-negative weights is never below one of its terms.
+                # A rounded sum of non-negative weights is never below one of its terms: the first decides.
                 if weights[chosen[0]] < 1e-9 and weights[chosen].sum() < 1e-9:
                     chosen = np.append(chosen, int(np.argmax(weights)))
                 alpha[t, :n_tokens] = weights
@@ -421,77 +407,3 @@ def run_synthetic_ranking(
         "metrics": evaluation["per_subset"]["synthetic"],
         "failure_taxonomy": {"fractions": evaluation["failure_taxonomy"]["fractions"]},
     }
-
-
-def run_cost_sweep(
-    arch: ArchParams,
-    workload: WorkloadSpec,
-    tokens_per_candidate: int,
-    rho_values: Sequence[float],
-    k_values: Sequence[int],
-) -> dict:
-    """Grid of baseline/pruned FLOPs and speedup over keep ratios and list sizes.
-
-    Each row is the workload with k candidates of tokens_per_candidate tokens
-    each at keep ratio rho, its other fields unchanged: cost_report of that
-    spec, its regime estimates replaced by the long-context prefill ratio.
-    """
-    rows = []
-    for k in k_values:
-        for rho in map(float, rho_values):
-            row = dataclasses.replace(workload, rho=rho, image_sizes=((tokens_per_candidate, k),))
-            cost = cost_report(row, arch)
-            regimes = cost.pop("regime_estimates")
-            rows.append({"k": k, "rho": rho, **cost, "prefill_ratio": regimes["longcontext_prefill_ratio"]})
-    return {"rows": rows}
-
-
-def report_json_bytes(report: Mapping) -> bytes:
-    """Canonical JSON encoding: sorted keys, two-space indent, trailing newline.
-
-    Identical report dicts serialize to identical bytes, which is what the
-    determinism checks compare. JSON has no NaN or infinity, so a report
-    holding one at any depth raises NonFiniteError.
-    """
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteError(f"report holds a NaN or infinite value: {exc}") from exc
-    return (text + "\n").encode("utf-8")
-
-
-# Every table a command writes, as tables/<name>.csv: the one list of them.
-# A run removes those it does not write, so no table outlives its report.
-TABLES = frozenset({
-    "aggregate", "bound_tallies", "cost_sweep", "failure_taxonomy",
-    "metrics_by_subset", "pruning_comparison", "ranking_quality",
-})
-
-
-def write_report(out_dir, report: Mapping, tables: Mapping[str, tuple] = ()) -> Path:
-    """Write tables/<name>.csv for each of tables, then report.json, under out_dir.
-
-    Each table is (header, rows) with rows as sequences matching the header.
-    The old report.json is removed first and the new one written last, so a
-    write that fails leaves none. A table of TABLES that this run does not
-    write is removed; no other file is touched. Returns the report path.
-    """
-    data = report_json_bytes(report)
-    tables = dict(tables)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
-    report_path.unlink(missing_ok=True)
-    table_dir = out / "tables"
-    if tables:
-        table_dir.mkdir(exist_ok=True)
-    if table_dir.is_dir():
-        for name in TABLES - tables.keys():
-            (table_dir / f"{name}.csv").unlink(missing_ok=True)
-        for name, (header, rows) in tables.items():
-            with open(table_dir / f"{name}.csv", "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(header)
-                writer.writerows(rows)
-    report_path.write_bytes(data)
-    return report_path

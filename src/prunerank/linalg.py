@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives shared by pruning and the attention oracle.
+"""The array input rules and the cosine kernel; the scalar rules are in rules.
 
 All numerics are 64-bit floats and matrices are row-major. The cosine kernel
 behind similarity_matrix, pruning.prune_images and the simulate drivers reads
@@ -29,13 +29,9 @@ squared norm overflows passes the scan, has an infinite norm and scores 0.
 
 from __future__ import annotations
 
-import numbers
-import operator
-from decimal import Decimal
-
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, KOutOfRangeError, NonFiniteError, ZeroNormError
+from .errors import DimensionMismatchError, EmptyInputError, NonFiniteError, ZeroNormError
 
 # Norms below this are treated as zero; normalizing them would amplify noise.
 ZERO_NORM_EPS = 1e-12
@@ -73,34 +69,6 @@ def _require_finite(values: np.ndarray, name: str) -> None:
     """The one finiteness rule: raise NonFiniteError for a NaN or infinite entry."""
     if np.count_nonzero(np.isfinite(values)) != values.size:
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
-
-
-def _as_index(value, name: str) -> int:
-    """The one integer rule for a k, position, index, count or seed: an int or
-    numpy integer (operator.index) as an int; anything else raises KOutOfRangeError."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise KOutOfRangeError(f"{name} must be an integer, got {value!r}") from exc
-
-
-def _is_real(value) -> bool:
-    """The one real-number rule for a ratio or a decay factor: numbers.Real,
-    a Decimal that is not NaN, or a numpy scalar or 0-d array whose item is
-    one (bool included)."""
-    # float first: an isinstance check against the numbers.Real ABC is slow on a float.
-    if isinstance(value, (float, numbers.Real)):
-        return True
-    if isinstance(value, Decimal):  # a Decimal NaN signals when compared
-        return not value.is_nan()
-    return getattr(value, "ndim", None) == 0 and _is_real(value.item())
-
-
-def _as_seed(value) -> int:
-    """The one seed rule: an integer (_as_index) of at least 0, else KOutOfRangeError."""
-    if (seed := _as_index(value, "seed")) < 0:
-        raise KOutOfRangeError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

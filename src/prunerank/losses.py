@@ -42,7 +42,8 @@ from .errors import (
     InvalidPermutationError,
     InvalidProbabilityError,
 )
-from .linalg import _is_real, as_vector
+from .linalg import as_vector
+from .rules import _is_real
 from .scoring import validate_permutation
 
 # Distinct list lengths (and gammas) whose tables stay cached.

@@ -24,7 +24,8 @@ from .errors import (
     KOutOfRangeError,
     NonFiniteError,
 )
-from .linalg import _as_index, as_vector
+from .linalg import as_vector
+from .rules import _as_index
 
 SUCCESS = "success"
 NEAR_MISS = "near_miss"

@@ -17,27 +17,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidRatioError,
-    KOutOfRangeError,
-)
-from .linalg import _as_index, _as_matrix, _as_seed, _checked_tokens, _is_real, _unit_cosines
-from .linalg import as_vector, cosine_to_unit, unit_rows
-
-
-def as_keep_ratio(rho) -> float:
-    """rho as a float; the one check that a keep ratio is a real number in
-    (0, 1] whose float is too (a positive value may round to 0.0)."""
-    if not (_is_real(rho) and 0.0 < rho <= 1.0 and 0.0 < (ratio := float(rho))):
-        raise InvalidRatioError(f"keep ratio must be in (0, 1], got {rho!s}")
-    return ratio
+from .errors import DimensionMismatchError, KOutOfRangeError
+from .linalg import _as_matrix, _checked_tokens, _unit_cosines, as_vector, cosine_to_unit, unit_rows
+from .rules import _as_count, _as_index, _as_seed, as_keep_ratio, keep_count
 
 
 def maxsim_scores(s) -> np.ndarray:
@@ -81,37 +67,6 @@ def _pool(sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shifted = sims - shift[..., None, :]
     total = np.add.reduce(np.exp(shifted, out=shifted), axis=-2)
     return hard, np.add(hard, np.log(total, out=total, where=real), out=total)
-
-
-def _as_count(value, name: str) -> int:
-    """value as an int (linalg._as_index) that must be at least 1, else EmptyInputError."""
-    count = _as_index(value, name)
-    if count < 1:
-        raise EmptyInputError(f"{name} must be >= 1, got {count}")
-    return count
-
-
-def _round_product(value: float, count: int) -> int:
-    """The one rounding rule for value * count, value >= 0: half away from zero
-    on the decimal value of value as typed (its shortest repr). Only a product
-    within 1e-9 (relative, above 1) of a .5 boundary takes the exact Fraction
-    path, and every product above 5e8 does, so a large product rounds exactly.
-    """
-    product = value * count
-    if abs(product - math.floor(product) - 0.5) <= 1e-9 * max(1.0, product):
-        return math.floor(Fraction(repr(value)) * count + Fraction(1, 2))
-    return math.floor(product + 0.5)
-
-
-def keep_count(rho: float, n_tokens: int) -> int:
-    """Tokens to keep per image: max(1, round(rho * n_tokens)), never above n_tokens.
-
-    The rounding is _round_product's, so keep_count(0.009, 1500) is 14 although
-    the float product is 13.4999....
-    """
-    rho = as_keep_ratio(rho)
-    n_tokens = _as_count(n_tokens, "n_tokens")
-    return min(n_tokens, max(1, _round_product(rho, n_tokens)))
 
 
 def select_topk_preserve_order(scores, k: int) -> np.ndarray:

@@ -1,23 +1,19 @@
 """Single-pass listwise scoring.
 
-Candidates get single-symbol identifiers from IDENTIFIER_ALPHABET, which also
-caps a simulate run's image count (cli._MAXIMUMS); after one forward pass the
-identifier logits are argsorted descending into a permutation of the
-candidate list. No tokenizer or prompt rendering lives here; logits arrive
-as plain numbers.
+Candidates get single-symbol identifiers from rules.IDENTIFIER_ALPHABET;
+after one forward pass the identifier logits are argsorted descending into a
+permutation of the candidate list. No tokenizer or prompt rendering lives
+here; logits arrive as plain numbers.
 """
 
 from __future__ import annotations
 
 import functools
-import string
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidPermutationError
 from .linalg import as_vector
-
-IDENTIFIER_ALPHABET = string.ascii_uppercase
 
 
 def rank_from_logits(logits) -> np.ndarray:

@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, KOutOfRangeError
-from .linalg import _as_seed
 from .pruning import _random_keep
+from .rules import _as_index, _as_seed
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class SyntheticConfig:
     """Shape and randomness of one synthetic retrieval instance.
 
     tokens_per_image is an inclusive (low, high) range sampled per image. The
-    constructor checks one single field, the seed (linalg._as_seed), and the
-    rules that tie fields together; cli._merge bounds every other field.
+    constructor checks the seed and each tokens_per_image entry (rules), and
+    the rules that tie fields together; cli._merge bounds every other field.
     """
 
     n_images: int = 8
@@ -49,7 +49,8 @@ class SyntheticConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _as_seed(self.seed))
-        object.__setattr__(self, "tokens_per_image", tuple(int(t) for t in self.tokens_per_image))
+        tokens = tuple(_as_index(t, "tokens_per_image") for t in self.tokens_per_image)
+        object.__setattr__(self, "tokens_per_image", tokens)
         if len(self.tokens_per_image) != 2:
             raise ConfigError("tokens_per_image must be an inclusive (low, high) pair")
         low, high = self.tokens_per_image
@@ -81,7 +82,7 @@ def generate_instance(
 
     _draw_chunk's one-instance case, with all images kept: each image is a
     view of the instance's row of tokens. seed, when given, replaces cfg.seed:
-    an int as linalg._as_seed checks it, or a Generator, drawn from as it stands.
+    an int as rules._as_seed checks it, or a Generator, drawn from as it stands.
     """
     generator = isinstance(seed, np.random.Generator)
     rng = np.random.default_rng(seed if generator else _as_seed(cfg.seed if seed is None else seed))

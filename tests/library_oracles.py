@@ -37,7 +37,8 @@ from prunerank.metrics import (
     QueryJudgment,
 )
 from prunerank.pruning import _token_scores, prune_by_scores
-from prunerank.scoring import IDENTIFIER_ALPHABET, validate_permutation
+from prunerank.rules import IDENTIFIER_ALPHABET
+from prunerank.scoring import validate_permutation
 
 
 # The errors only these references raise; prunerank.errors holds the ones the

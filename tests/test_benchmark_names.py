@@ -14,6 +14,7 @@ import inspect
 import json
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +103,41 @@ def test_verify_bounds_runs_each_traced_tally_once_with_its_trial_count(tmp_path
     tallies = [(name, args[1:2]) for name, _, args in calls if name.endswith("_tally")]
     order = ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally")
     assert tallies == [(f"experiments.{name}", (3,)) for name in order]
+
+
+# Each command at a small size, and how often it calls each traced name that it
+# reaches only through an import in its body or a module the name moved to:
+# cost_report once for the command and once per sweep row.
+COMMAND_CALLS = {
+    "cost-model": (
+        {"sweep": {"rho_values": [0.5, 1.0], "k_values": [20]}},
+        {"cost_model.cost_report": 3, "experiments.run_cost_sweep": 1, "experiments.write_report": 1},
+    ),
+    "simulate": (
+        {"n_instances": 4, "correlation": {"n_instances": 4}, "ranking": {"n_instances": 4}},
+        {
+            "experiments.run_pruning_comparison": 1,
+            "experiments.run_correlation_probe": 1,
+            "experiments.run_synthetic_ranking": 1,
+            "experiments.write_report": 1,
+        },
+    ),
+    "metrics": (
+        {"judgments": [{"relevant": [0], "ranked": [0, 1]}]},
+        {"metrics.evaluate_judgments": 1, "experiments.write_report": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_CALLS)
+def test_each_command_calls_the_bindings_the_tracer_wraps(tmp_path, monkeypatch, command):
+    """The commands import their array modules when they run, and the sweep and
+    report writing live outside experiments; each call must still go through a
+    binding the tracer replaces, or the benchmark's per-layer rows read 0."""
+    override, expected = COMMAND_CALLS[command]
+    calls = record_every_binding(monkeypatch)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(override))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    seen = Counter(name for name, *_ in calls)
+    assert {name: seen[name] for name in expected} == expected

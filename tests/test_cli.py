@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from prunerank import cli
 from prunerank.cli import _MAXIMUMS, DEFAULTS, _merge, main
 from prunerank.errors import ConfigError, PrunerankError
-from prunerank.experiments import TABLES
+from prunerank.report import TABLES
 
 from peak_memory import traced_peak
 
@@ -192,13 +192,13 @@ class TestSimulate:
         assert "unknown config.ranking key 'rho'" in capsys.readouterr().err
 
     def test_too_many_images_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
+        monkeypatch.setattr("prunerank.experiments.run_pruning_comparison", never)
         cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "synthetic": {"n_images": 27}})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error:" in capsys.readouterr().err
 
     def test_k_value_0_rejected_before_any_section(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("prunerank.cli.run_pruning_comparison", never)
+        monkeypatch.setattr("prunerank.experiments.run_pruning_comparison", never)
         ranking = {**SIMULATE_CFG["ranking"], "k_values": [3, 0]}
         cfg = write_config(tmp_path, "cfg.json", {**SIMULATE_CFG, "ranking": ranking})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -353,6 +353,7 @@ OVERFLOW_LEAVES = (
 INFINITE_FLOPS_LEAVES = ("arch.width", "workload.n_query")
 # What a probe's config error must say: each single-leaf 10**307 probe names its leaf.
 ERROR_TEXT = {
+    "simulate-zero-row-query": "config error: config.query_embedding_path row 1 has (near-)zero norm",
     "metrics-true-item": "judgment 0 items must be strings or numbers, got true",
     "metrics-null-item": "judgment 0 items must be strings or numbers, got null",
     "metrics-unknown-judgment-key": "unknown judgment 0 key 'subest'",
@@ -557,7 +558,7 @@ def test_the_random_seed_table_is_bounded_in_merge():
 def test_a_query_file_is_held_to_the_product_bounds(tmp_path, capsys, monkeypatch):
     """The query file sets n_query_tokens and embed_dim after _merge has run."""
     for step in STEPS:
-        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+        monkeypatch.setattr(step, never)
     query = write_config(tmp_path, "query.json", {"rows": 1, "dim": 20_000, "data": [1.0] * 20_000})
     cfg = write_config(tmp_path, "cfg.json", {"query_embedding_path": query})
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -585,22 +586,27 @@ def test_cost_model_leaves_at_their_bounds_at_once_run_to_the_end(tmp_path):
         assert run(["cost-model", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
-# Probes whose bad value shows only in what a step computes from it (a
-# zero-norm query row, zero pruned-pipeline FLOPs, an infinite prefill ratio),
-# so that step may run; every other probe fails before any step.
+# Probes whose bad value shows only in what a step computes from it (zero
+# pruned-pipeline FLOPs, an infinite prefill ratio), so that step may run;
+# every other probe fails before any step.
 FOUND_BY_A_STEP = {
-    "simulate-zero-row-query",
     "cost-model-zero-coefficients",
     "cost-model-prefill-ratio-overflows",
     "cost-model-sweep-prefill-ratio-overflows",
 }
-TALLIES = ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally")
+# Each step and tally where a command reads it when it runs: the commands
+# import the array modules inside their bodies, so a patch of cli's own
+# namespace would miss the simulate sections and the tallies.
+TALLIES = tuple(
+    f"prunerank.experiments.{name}"
+    for name in ("_sandwich_tally", "_stability_tally", "_pruning_error_tally", "_tail_gap_tally")
+)
 STEPS = (
-    "run_pruning_comparison",
-    "run_correlation_probe",
-    "run_synthetic_ranking",
-    "run_cost_sweep",
-    "cost_report",
+    "prunerank.experiments.run_pruning_comparison",
+    "prunerank.experiments.run_correlation_probe",
+    "prunerank.experiments.run_synthetic_ranking",
+    "prunerank.cli.run_cost_sweep",
+    "prunerank.cli.cost_report",
 )
 
 
@@ -610,10 +616,10 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, prob
     command, override = BAD_INPUT_PROBES[probe]
     monkeypatch.chdir(tmp_path)
     for tally in TALLIES:
-        monkeypatch.setattr(f"prunerank.cli.{tally}", never)
+        monkeypatch.setattr(tally, never)
     if probe not in FOUND_BY_A_STEP:
         for step in STEPS:
-            monkeypatch.setattr(f"prunerank.cli.{step}", never)
+            monkeypatch.setattr(step, never)
     Path(ZERO_ROW_QUERY).write_text(json.dumps({"rows": 2, "dim": 2, "data": [1, 0, 0, 0]}))
     cfg = write_config(tmp_path, "cfg.json", override)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -640,7 +646,7 @@ LONG_BAD_VALUES = {
 def test_config_error_echo_is_capped(tmp_path, capsys, monkeypatch, probe):
     command, override = LONG_BAD_VALUES[probe]
     for step in STEPS:
-        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+        monkeypatch.setattr(step, never)
     cfg = write_config(tmp_path, "cfg.json", override)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -713,7 +719,7 @@ def test_a_run_removes_the_tables_it_does_not_write_and_nothing_else(tmp_path):
 
 
 def test_tables_lists_every_table_a_command_writes(tmp_path):
-    """experiments.TABLES names every table, so a run can remove the stale ones."""
+    """report.TABLES names every table, so a run can remove the stale ones."""
     runs = {
         "verify-bounds": VERIFY_CFG,
         "simulate": SIMULATE_CFG,
@@ -743,8 +749,8 @@ SEED_PROBE_CONFIGS = {
 def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
     # verify-bounds and simulate once ended in SeedSequence's ValueError
     # traceback with exit 1; cost-model and metrics ran and exited 0.
-    for step in (*STEPS, *TALLIES, "evaluate_judgments", "write_report"):
-        monkeypatch.setattr(f"prunerank.cli.{step}", never)
+    for step in (*STEPS, *TALLIES, "prunerank.metrics.evaluate_judgments", "prunerank.cli.write_report"):
+        monkeypatch.setattr(step, never)
     cfg = write_config(tmp_path, "cfg.json", SEED_PROBE_CONFIGS[command])
     assert run([command, "--config", cfg, "--seed", -1, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -1355,6 +1361,26 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert "verify-bounds" in result.stdout
+
+
+def test_cost_model_and_config_errors_run_without_numpy(tmp_path):
+    """Only a command that computes arrays imports numpy: cost-model, and a
+    config that _merge refuses on any command, run in a fresh interpreter and
+    leave it out of sys.modules."""
+    bad = write_config(tmp_path, "bad.json", {"no_such_key": 1})
+    runs = [["cost-model"]] + [[command, "--config", bad] for command in DEFAULTS]
+    code = "\n".join([
+        "import sys, prunerank.cli",
+        f"for argv in {runs!r}:",
+        f"    code = prunerank.cli.main([*argv, '--out', {str(tmp_path / 'o')!r}])",
+        "    print('ran', argv[0], code, 'numpy' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    ran = [line for line in result.stdout.splitlines() if line.startswith("ran ")]
+    assert ran == ["ran cost-model 0 False"] + [f"ran {command} 2 False" for command in DEFAULTS]
+    assert result.stderr.count("config error: unknown config key 'no_such_key'") == len(DEFAULTS)
 
 
 def test_the_thread_pool_is_imported_only_when_prune_images_runs(tmp_path):

@@ -214,6 +214,8 @@ NON_INTEGER_CASES = {
     "random_prune-n_tokens": lambda n: random_prune(n, 1, 0),
     "random_prune-seed": lambda seed: random_prune(5, 2, seed),
     "SyntheticConfig-seed": lambda seed: SyntheticConfig(seed=seed),
+    # int() once truncated (2.7, 5.9) to (2, 5) and parsed ("3", "4").
+    "SyntheticConfig-tokens_per_image": lambda n: SyntheticConfig(tokens_per_image=(n, 5)),
     "keep_count-n_tokens": lambda n: keep_count(0.5, n),
     "topk_stability_check-n_query": lambda n: topk_stability_check([1.0, 2.0], [1.0, 2.0], 1, n),
 }
@@ -368,7 +370,7 @@ def test_integer_counts_below_1_are_empty_and_a_negative_seed_is_out_of_range(ca
 @pytest.mark.parametrize("bad", [-1, 1.5, "1", 2**63 - 2**64], ids=repr)
 def test_one_seed_rule_for_every_library_seed(bad):
     """random_prune, SyntheticConfig and generate_instance's int seed share
-    linalg._as_seed: a bad seed raises the same class and message from each,
+    rules._as_seed: a bad seed raises the same class and message from each,
     where it once gave KOutOfRangeError, numpy's bare ValueError or a TypeError."""
     calls = (
         lambda: random_prune(20, 3, bad),

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from prunerank import experiments, pruning, synthetic
 from prunerank.cli import DEFAULTS, _cmd_verify_bounds, _merge, _section_seeds, main
-from prunerank.cost_model import ArchParams, WorkloadSpec, cost_report
+from prunerank.cost_model import ArchParams, WorkloadSpec, cost_report, run_cost_sweep
 from prunerank.errors import ConfigError, InvalidRatioError, NonFiniteError
 from prunerank.experiments import (
     CHUNK_BYTES,
     _chunk_instances,
-    report_json_bytes,
     run_correlation_probe,
-    run_cost_sweep,
     run_pruning_comparison,
     run_synthetic_ranking,
-    write_report,
 )
+from prunerank.report import report_json_bytes, write_report
 from prunerank.synthetic import SyntheticConfig
 from peak_memory import traced_peak
 from test_simulate_oracle import RAGGED

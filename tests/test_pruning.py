@@ -21,7 +21,6 @@ from prunerank.linalg import similarity_matrix
 from prunerank.cost_model import WorkloadSpec
 from prunerank.pruning import (
     _ranks,
-    _round_product,
     _top_k,
     keep_count,
     lse_scores,
@@ -32,6 +31,7 @@ from prunerank.pruning import (
     select_topk_preserve_order,
     topk_stability_check,
 )
+from prunerank.rules import _round_product
 from library_oracles import lexsort_top_k, sequential_prune_images
 from peak_memory import traced_peak
 

@@ -12,12 +12,8 @@ from prunerank.errors import (
     NonFiniteError,
 )
 from library_oracles import TooManyCandidatesError, assign_identifiers
-from prunerank.scoring import (
-    IDENTIFIER_ALPHABET,
-    apply_permutation,
-    rank_from_logits,
-    validate_permutation,
-)
+from prunerank.rules import IDENTIFIER_ALPHABET
+from prunerank.scoring import apply_permutation, rank_from_logits, validate_permutation
 
 
 # No prunerank code path builds a candidate list (the simulate ranking ranks
