@@ -6,6 +6,8 @@ optional Gaussian noise), so query-aware pruning has an unambiguous signal to
 find while every other token is pure noise. Generation is deterministic per
 seed, and _draw_chunk's draw order is part of the contract: it draws a chunk
 of instances into arrays, and generate_instance is its one-instance case.
+One planted token is one bounded integer, the draw numpy's choice makes for
+it, and the noise is drawn only for a nonzero noise_scale.
 
 This is the one module that knows how np.random.default_rng(seed) draws, and
 it replays that bit for bit for a whole array of seeds in [0, 2**64) at once.
@@ -26,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, KOutOfRangeError
+from .linalg import as_embedding
 from .pruning import _random_keep
 from .rules import _as_index, _as_seed
 
@@ -114,17 +117,21 @@ def _draw_chunk(
 
     Draw order per generator: query rows, relevant-image index, per-image
     token counts and tokens, planted positions, planted source rows, planted
-    noise. An explicit query skips the first draw; its shape must match the
-    configured (n_query_tokens, embed_dim), and it is broadcast as every
-    instance's query. A fixed image size (low == high) draws no count, as
-    numpy's integers(low, low + 1) draws nothing, and draws all images' tokens
-    as one (n_images, low, embed_dim) block: the same values, in C order, as
-    one draw per image. Tokens not kept go to scratch. One fancy assignment
-    then plants every copy: query[source] + noise * noise_scale.
+    noise. An explicit query skips the first draw; it passes
+    linalg.as_embedding, its shape must match the configured (n_query_tokens,
+    embed_dim), and it is broadcast as every instance's query. A fixed image
+    size (low == high) draws no count, as numpy's integers(low, low + 1)
+    draws nothing, and draws all images' tokens as one (n_images, low,
+    embed_dim) block: the same values, in C order, as one draw per image.
+    Tokens not kept go to scratch. One planted token is one bounded integer,
+    the draw choice(count, 1, replace=False) makes, and its source the one
+    integers(t, size=1) makes. The noise, the last draw, is drawn only for a
+    nonzero noise_scale. One fancy assignment then plants every copy:
+    query[source], plus noise * noise_scale when there is noise.
     """
     n, t, d, p = cfg.n_images, cfg.n_query_tokens, cfg.embed_dim, cfg.planted_per_image
     low, high = cfg.tokens_per_image
-    queries = np.empty((size, t, d)) if query is None else np.asarray(query, dtype=np.float64)
+    queries = np.empty((size, t, d)) if query is None else as_embedding(query, "query")
     if query is not None and queries.shape != (t, d):
         raise ConfigError(f"query shape {queries.shape} does not match configured ({t}, {d})")
     queries = queries if query is None else np.broadcast_to(queries, (size, t, d))
@@ -133,7 +140,7 @@ def _draw_chunk(
     tokens = np.empty((size, n * high if all_images else high, d))
     scratch = None if all_images else np.empty((n, low, d) if low == high else (high, d))
     positions, sources = np.empty((2, size, p), dtype=np.int64)
-    noise = np.empty((size, p, d))
+    noise = np.empty((size, p, d)) if cfg.noise_scale else None
     for i, rng in enumerate(generators):
         if query is None:
             rng.standard_normal(out=queries[i])
@@ -151,15 +158,19 @@ def _draw_chunk(
                 else:
                     out = tokens[i, :count] if j == target else scratch[:count]
                 rng.standard_normal(out=out)
-        positions[i] = rng.choice(int(counts[i, target]), size=p, replace=False)
-        sources[i] = rng.integers(t, size=p)
-        rng.standard_normal(out=noise[i])
+        if p == 1:
+            positions[i], sources[i] = rng.integers(int(counts[i, target])), rng.integers(t)
+        else:
+            positions[i] = rng.choice(int(counts[i, target]), size=p, replace=False)
+            sources[i] = rng.integers(t, size=p)
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
     positions.sort(axis=1)
-    noise *= cfg.noise_scale
     rows = np.arange(size)[:, None]
     # Where the relevant image starts in its row; the positions are distinct.
     offset = (np.cumsum(counts, axis=1) - counts)[rows, relevant[:, None]] if all_images else 0
-    tokens[rows, offset + positions] = queries[rows, sources] + noise
+    planted = queries[rows, sources]
+    tokens[rows, offset + positions] = planted if noise is None else planted + noise * cfg.noise_scale
     lengths = counts.sum(axis=1) if all_images else counts[rows[:, 0], relevant]
     return _Chunk(queries, relevant, counts, lengths, tokens, positions)
 

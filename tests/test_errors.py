@@ -33,6 +33,7 @@ from prunerank.errors import (
     KOutOfRangeError,
     NonFiniteError,
 )
+from prunerank.experiments import run_pruning_comparison
 from prunerank.linalg import as_vector, similarity_matrix
 from prunerank.losses import geometric_target, nll_loss, soft_rank_loss, weighted_ranknet_loss
 from prunerank.metrics import QueryJudgment, evaluate_judgments, spearman
@@ -121,6 +122,15 @@ MATRIX_ENTRY_POINTS = {
     ),
     "maxsim_scores": (maxsim_scores, ("3-D", "empty", "non-numeric")),
     "lse_scores": (lse_scores, ("3-D", "empty", "non-numeric")),
+    # An explicit query passes the matrix rule before its configured shape.
+    "generate_instance-query": (
+        lambda x: generate_instance(SyntheticConfig(), query=x),
+        ("3-D", "empty", "nan", "non-numeric"),
+    ),
+    "run_pruning_comparison-query": (
+        lambda x: run_pruning_comparison(SyntheticConfig(), [0.5], n_instances=1, query=x),
+        ("3-D", "empty", "nan", "non-numeric"),
+    ),
 }
 
 # softmax also takes a 2-D array, one distribution per row, and a 3-D stack

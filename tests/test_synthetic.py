@@ -147,7 +147,10 @@ def instance_by_draw_order(cfg, query=None):
 class TestDrawOrder:
     """A fixed image size draws no count; numpy's integers(low, low + 1) draws
     no bits either, and its one block of all images' tokens holds the values
-    one draw per image gives, so the stream matches the documented order."""
+    one draw per image gives, so the stream matches the documented order.
+    One planted token is one bounded integer, the draw numpy's choice makes
+    for it, and the noise is drawn only for a nonzero noise_scale: the noise is
+    the last draw, so skipping it moves nothing the oracle draws."""
 
     @staticmethod
     def assert_matches_documented_draw_order(cfg, seed, query):
@@ -177,10 +180,67 @@ class TestDrawOrder:
     @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
     @pytest.mark.parametrize("explicit_query", [False, True])
     def test_default_simulate_config_matches_documented_draw_order(self, seed, explicit_query):
-        """8 images of 20 x 16 tokens, one planted copy without noise."""
+        """8 images of 20 x 16 tokens, one planted copy without noise. The
+        explicit query holds 0.0 and -0.0 in every row, and the planted copy
+        holds its query row bit for bit, signs of zero included."""
         cfg = SyntheticConfig(**DEFAULTS["simulate"]["synthetic"], seed=seed)
-        query = np.arange(64, dtype=float).reshape(4, 16) - 31.5 if explicit_query else None
+        query = None
+        if explicit_query:
+            query = np.arange(64, dtype=float).reshape(4, 16) - 31.5
+            query[:, :2] = 0.0, -0.0
         self.assert_matches_documented_draw_order(cfg, seed, query)
+        inst = generate_instance(cfg, query)
+        (planted,) = inst.images[inst.relevant_image][list(inst.planted)].view(np.int64)
+        assert (inst.query.view(np.int64) == planted).all(axis=1).any()
+
+    @pytest.mark.parametrize("tokens_per_image", [(1, 1), (1, 3)])
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1, 977, 2**63 - 1])
+    def test_one_token_images_match_documented_draw_order(self, tokens_per_image, noise_scale, seed):
+        """An image of one token plants at position 0: choice(1, 1) and
+        integers(1) both draw nothing."""
+        cfg = SyntheticConfig(
+            n_images=5, tokens_per_image=tokens_per_image, embed_dim=6, n_query_tokens=3,
+            noise_scale=noise_scale, seed=seed,
+        )
+        self.assert_matches_documented_draw_order(cfg, seed, None)
+
+    # Every count up to 69, counts about 2**8 and 2**12, tokens_per_image's
+    # bound, and a sample of the rest.
+    COUNTS = [
+        *range(1, 70), 255, 256, 257, 1000, 4097, 9999, 10_000,
+        *np.random.default_rng(2).integers(1, 10_001, size=20).tolist(),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 977, 4729, 2**63 - 1, 2**64 - 1])
+    def test_one_planted_token_is_the_bounded_draw_numpy_choice_makes(self, seed):
+        """The shortcut the drawer takes for planted_per_image == 1, pinned on
+        numpy itself: integers(count) is choice(count, 1, replace=False)[0],
+        value and stream, and integers(t) is integers(t, size=1)[0]. A numpy
+        release that changes either algorithm fails here by name."""
+        for count in self.COUNTS:
+            scalar, sized = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert scalar.integers(count) == sized.choice(count, size=1, replace=False)[0]
+            assert scalar.bit_generator.state == sized.bit_generator.state
+            assert scalar.integers(4) == sized.integers(4, size=1)[0]
+            assert scalar.bit_generator.state == sized.bit_generator.state
+            np.testing.assert_array_equal(scalar.standard_normal((2, 16)), sized.standard_normal((2, 16)))
+
+
+class CountingGenerator:
+    """A Generator whose method calls are recorded in calls as (name, size)."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append((name, kwargs.get("size")))
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestDrawChunk:
@@ -189,13 +249,17 @@ class TestDrawChunk:
 
     SEEDS = [0, 1, 977, 2**63 - 1]
 
+    @pytest.mark.parametrize("planted_per_image", [1, 2])
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.3])
     @pytest.mark.parametrize("tokens_per_image", [(20, 20), (5, 15)])
     @pytest.mark.parametrize("explicit_query", [False, True])
     @pytest.mark.parametrize("all_images", [False, True])
-    def test_each_row_matches_documented_draw_order(self, tokens_per_image, explicit_query, all_images):
+    def test_each_row_matches_documented_draw_order(
+        self, planted_per_image, noise_scale, tokens_per_image, explicit_query, all_images
+    ):
         cfg = SyntheticConfig(
             n_images=7, tokens_per_image=tokens_per_image, embed_dim=6, n_query_tokens=3,
-            planted_per_image=2, noise_scale=0.3,
+            planted_per_image=planted_per_image, noise_scale=noise_scale,
         )
         query = np.arange(18, dtype=float).reshape(3, 6) - 4.5 if explicit_query else None
         seeds = np.array(self.SEEDS, dtype=np.int64)
@@ -212,6 +276,35 @@ class TestDrawChunk:
             scored = np.concatenate(images) if all_images else images[relevant]
             np.testing.assert_array_equal(chunk.tokens[row, : len(scored)], scored)
             assert tuple(chunk.planted[row].tolist()) == positions
+
+    # An instance's draws at the default config: its query, its relevant
+    # image, its one block of images, then the planted position and source.
+    DEFAULT_DRAWS = [("standard_normal", None), ("integers", None), ("standard_normal", None)]
+    DEFAULT_DRAWS += [("integers", None), ("integers", None)]
+
+    @pytest.mark.parametrize(
+        "changes, draws",
+        [
+            ({}, DEFAULT_DRAWS),
+            ({"noise_scale": 0.3}, DEFAULT_DRAWS + [("standard_normal", None)]),
+            ({"planted_per_image": 2}, DEFAULT_DRAWS[:3] + [("choice", 2), ("integers", 2)]),
+        ],
+        ids=["default", "noisy", "two-planted"],
+    )
+    @pytest.mark.parametrize("all_images", [False, True])
+    def test_draw_calls_per_instance(self, changes, draws, all_images):
+        """One planted token takes two scalar integers and no choice; noise
+        adds one draw; two planted tokens take numpy's choice and one sized
+        integers call. The counted chunk is the one the plain call draws."""
+        cfg = dataclasses.replace(SyntheticConfig(**DEFAULTS["simulate"]["synthetic"]), **changes)
+        seeds = np.array(self.SEEDS, dtype=np.int64)
+        calls = [[] for _ in self.SEEDS]
+        counted = (CountingGenerator(rng, log) for rng, log in zip(_generators(seeds), calls))
+        chunk = _draw_chunk(cfg, counted, len(seeds), None, all_images)
+        assert calls == [draws] * len(self.SEEDS)
+        plain = _draw_chunk(cfg, _generators(seeds), len(seeds), None, all_images)
+        for got, expected in zip(chunk, plain):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestGenerators:
