@@ -279,8 +279,9 @@ class TestDrawChunk:
 
     # An instance's draws at the default config: its query, its relevant
     # image, its one block of images, then the planted position and source.
-    DEFAULT_DRAWS = [("standard_normal", None), ("integers", None), ("standard_normal", None)]
-    DEFAULT_DRAWS += [("integers", None), ("integers", None)]
+    DEFAULT_DRAWS = [
+        ("standard_normal", None), ("integers", None), ("standard_normal", None), ("integers", None), ("integers", None)
+    ]
 
     @pytest.mark.parametrize(
         "changes, draws",
